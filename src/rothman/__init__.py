@@ -19,9 +19,10 @@ from .geometry import (Containment, ConfoundingRectangle, RiskPoint,
                        standard_population, standardize, standardized_hull,
                        standardized_point, weights_for_point)
 from .glm import (GlmFit, LrInterval, LrTest, ModelSpec, chi_square_cdf,
-                  chi_square_quantile, exposure_estimate, exposure_test, fit,
-                  fitted_stratum_points, interaction_test, lr_test,
-                  profile_interval, stratum_exposure_estimates)
+                  chi_square_quantile, chi_square_sf, exposure_estimate,
+                  exposure_test, fit, fitted_stratum_points,
+                  interaction_test, lr_test, profile_interval,
+                  stratum_exposure_estimates)
 from .measures import (CollapsibilityReport, EffectModification, Measure,
                        collapse_analysis, contour, effect_modification,
                        is_collapsible, measure_defined, measure_value)
@@ -46,8 +47,8 @@ __all__ = [
     "RiskPoint", "RothmanError", "SegmentSpec", "StandardPopulation",
     "StandardizedHull", "StratifiedCohortTable", "UndefinedMeasureError",
     "ValidationError", "ZeroMarginError", "analyze", "association_points",
-    "builtin_table", "chi_square_cdf", "chi_square_quantile", "collapse",
-    "collapse_analysis", "confounding_rectangle", "contains", "contour",
+    "builtin_table", "chi_square_cdf", "chi_square_quantile",
+    "chi_square_sf", "collapse", "collapse_analysis", "confounding_rectangle", "contains", "contour",
     "effect_modification", "exposure_estimate", "exposure_test",
     "figure_filename", "figure_svg", "fit",
     "fitted_stratum_points", "interaction_test", "is_collapsible", "lr_test",

@@ -87,18 +87,38 @@ class AnalysisReport:
                           allow_nan=False)
 
 
+def _error_text(exc: GlmError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _no_interaction_fit(measure: Measure, table: StratifiedCohortTable,
+                        ) -> glm.GlmFit | GlmError | None:
+    """The measure's exposure_plus_stratum fit, or the error that stopped it.
+
+    None for a one-stratum table, which has no such model.
+    """
+    if table.k < 2:
+        return None
+    try:
+        return glm.fit(glm.ModelSpec(link=MEASURE_LINKS[measure],
+                                     terms="exposure_plus_stratum",
+                                     table=table))
+    except GlmError as exc:
+        return exc
+
+
 def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       crude_table: StratifiedCohortTable,
+                      common_fit: glm.GlmFit | GlmError | None,
                       stratum_points: tuple[RiskPoint, ...],
                       level: float, em_tol: float) -> MeasureAnalysis:
     link = MEASURE_LINKS[measure]
     try:
-        crude_spec = glm.ModelSpec(link=link, terms="exposure_only",
-                                   table=crude_table)
-        crude_fit = glm.fit(crude_spec)
+        crude_fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_only",
+                                          table=crude_table))
         crude_estimate = glm.exposure_estimate(crude_fit)
-        crude_interval = glm.profile_interval(crude_spec, level=level)
-        crude_p = glm.exposure_test(crude_spec).p_value
+        crude_interval = glm.profile_interval(crude_fit, level=level)
+        crude_p = glm.exposure_test(crude_fit).p_value
 
         if table.k < 2:
             return MeasureAnalysis(
@@ -111,12 +131,11 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         saturated = glm.fit(glm.ModelSpec(
             link=link, terms="saturated_with_interaction", table=table))
         stratum_estimates = glm.stratum_exposure_estimates(saturated)
-        common_spec = glm.ModelSpec(link=link, terms="exposure_plus_stratum",
-                                    table=table)
-        common_fit = glm.fit(common_spec)
+        if isinstance(common_fit, GlmError):
+            raise common_fit
         common_estimate = glm.exposure_estimate(common_fit)
-        common_interval = glm.profile_interval(common_spec, level=level)
-        interaction_p = glm.interaction_test(table, link).p_value
+        common_interval = glm.profile_interval(common_fit, level=level)
+        interaction_p = glm.interaction_test(common_fit).p_value
         modification = effect_modification(measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
             measure=measure, link=link, crude_estimate=crude_estimate,
@@ -126,27 +145,25 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
             interaction_p_value=interaction_p, modification=modification)
     except GlmError as exc:
         return MeasureAnalysis(measure=measure, link=link,
-                               error=f"{type(exc).__name__}: {exc}")
+                               error=_error_text(exc))
 
 
-def _collapsibility_entry(measure: Measure, table: StratifiedCohortTable,
+def _collapsibility_entry(measure: Measure,
+                          common_fit: glm.GlmFit | GlmError | None,
                           ) -> tuple[Measure, CollapsibilityReport | None, str | None]:
     """Collapsibility along the fitted no-interaction stratum points."""
-    link = MEASURE_LINKS[measure]
-    try:
-        fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_plus_stratum",
-                                    table=table))
-        points = glm.fitted_stratum_points(fit)
-        return measure, collapse_analysis(measure, points), None
-    except GlmError as exc:
-        return measure, None, f"{type(exc).__name__}: {exc}"
+    if common_fit is None:
+        return measure, None, "needs at least two strata"
+    if isinstance(common_fit, GlmError):
+        return measure, None, _error_text(common_fit)
+    points = glm.fitted_stratum_points(common_fit)
+    return measure, collapse_analysis(measure, points), None
 
 
 def collapsibility_entries(table: StratifiedCohortTable,
                            ) -> tuple[tuple[Measure, CollapsibilityReport | None, str | None], ...]:
-    if table.k >= 2:
-        return tuple(_collapsibility_entry(m, table) for m in Measure)
-    return tuple((m, None, "needs at least two strata") for m in Measure)
+    return tuple(_collapsibility_entry(m, _no_interaction_fit(m, table))
+                 for m in Measure)
 
 
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
@@ -197,10 +214,15 @@ def analyze(table: StratifiedCohortTable, *,
         outcome_label=table.outcome_label,
         covariate_label=table.covariate_label)
 
+    # One no-interaction fit per measure serves its estimate, interval,
+    # interaction test and collapsibility entry.
+    common_fits = {m: _no_interaction_fit(m, table) for m in Measure}
     measures = tuple(
-        _measure_analysis(m, table, crude_table, stratum_points, level, em_tol)
+        _measure_analysis(m, table, crude_table, common_fits[m],
+                          stratum_points, level, em_tol)
         for m in Measure)
-    collapsibility = collapsibility_entries(table)
+    collapsibility = tuple(_collapsibility_entry(m, common_fits[m])
+                           for m in Measure)
 
     return AnalysisReport(
         table=table, crude_point=crude_point, stratum_points=stratum_points,

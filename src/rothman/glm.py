@@ -1,9 +1,18 @@
 """Binomial generalized linear models on the stratified cohort design.
 
-Fits exposure/stratum/interaction models by iteratively reweighted least
-squares under the logit, log, identity, and complementary log-log links,
-and provides likelihood-ratio tests, profile-likelihood confidence
-intervals, and the chi-square distribution function they require.
+Fits exposure/stratum/interaction models under the logit, log, identity,
+and complementary log-log links. The saturated and the exposure-only
+models have closed-form maximum-likelihood fits: their fitted risks are the
+observed cell proportions and the exposure-group pooled proportions. The
+no-interaction model is fitted by iteratively reweighted least squares
+with step halving.
+
+Likelihood-ratio tests and profile-likelihood intervals take a finished
+fit and reuse it instead of refitting. Interval endpoints are found by a
+safeguarded secant (Illinois) iteration on the signed root of the
+likelihood-ratio statistic, each constrained fit warm-started from the one
+before. The chi-square distribution, survival and quantile functions they
+need are computed here, so there is no stats dependency.
 
 The design uses reference-cell coding with the first stratum and the
 unexposed group as references, so the exposure coefficient is directly
@@ -12,6 +21,7 @@ the adjusted measure of association on the link scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,6 +42,8 @@ MAX_HALVINGS = 32
 DEVIANCE_TOL = 1e-10
 SCORE_TOL = 1e-8
 PROFILE_BETA_TOL = 1e-9
+PROFILE_ROOT_TOL = 1e-10
+PROFILE_MAX_STEPS = 64
 DEFAULT_LEVEL = 0.95
 
 
@@ -105,6 +117,8 @@ class GlmFit:
 
     ``fitted_risks`` holds one (risk in unexposed, risk in exposed) pair
     per stratum in table order; all fitted risks are strictly inside (0, 1).
+    ``iterations`` is 0 for the closed-form (saturated and exposure-only)
+    fits.
     """
 
     spec: ModelSpec
@@ -215,32 +229,40 @@ class _FitState:
 
 
 def _start(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
-           offset: np.ndarray) -> np.ndarray:
-    """Initial coefficients from empirically smoothed cell proportions."""
+           offset: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
+    """Initial coefficients giving risks strictly inside (0, 1).
+
+    ``warm`` is used when it is feasible; otherwise the start comes from
+    empirically smoothed cell proportions, then from the overall risk.
+    """
+    def feasible(beta: np.ndarray) -> bool:
+        with np.errstate(all="ignore"):
+            return _mu_ok(link.to_mu(X @ beta + offset))
+
+    if warm is not None and feasible(warm):
+        return warm
     mu0 = (s + 0.5) / (n + 1.0)
     eta0 = link.to_eta(mu0)
     beta, *_ = np.linalg.lstsq(X, eta0 - offset, rcond=None)
-    with np.errstate(all="ignore"):
-        mu = link.to_mu(X @ beta + offset)
-    if _mu_ok(mu):
+    if feasible(beta):
         return beta
     beta = np.zeros(X.shape[1])
     overall = (float(s.sum()) + 0.5) / (float(n.sum()) + 1.0)
     beta[0] = float(link.to_eta(np.array([overall]))[0])
-    with np.errstate(all="ignore"):
-        mu = link.to_mu(X @ beta + offset)
-    if not _mu_ok(mu):
+    if not feasible(beta):
         raise NonConvergenceError(
             f"no feasible starting point under the {link.name} link", trace=[])
     return beta
 
 
 def _irls(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
-          offset: np.ndarray | None = None) -> _FitState:
+          offset: np.ndarray | None = None, *,
+          start: np.ndarray | None = None) -> _FitState:
+    """IRLS with step halving; ``start`` warm-starts it when feasible."""
     if offset is None:
         offset = np.zeros(len(s))
     p_obs = s / n
-    beta = _start(X, s, n, link, offset)
+    beta = _start(X, s, n, link, offset, start)
     eta = X @ beta + offset
     mu = link.to_mu(eta)
     dev = _deviance(s, n, mu)
@@ -310,11 +332,50 @@ def _irls(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
                      iterations=iterations, converged=True)
 
 
+def _pooled(s: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Per-row risk pooled over the rows sharing each row's group id."""
+    return (np.bincount(groups, weights=s)
+            / np.bincount(groups, weights=n))[groups]
+
+
+def _closed_form(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
+                 groups: np.ndarray) -> _FitState:
+    """The fit of a model whose rows in one group share a free risk.
+
+    Its maximum-likelihood risks are the pooled proportions, whatever the
+    link; the coefficients solve the (consistent) linear system on the
+    link scale.
+    """
+    mu = _pooled(s, n, groups)
+    if not _mu_ok(mu):
+        rows = [int(i) for i in np.nonzero((mu <= MU_EPS)
+                                           | (mu >= 1.0 - MU_EPS))[0]]
+        raise NonConvergenceError(
+            f"observed risks of 0 or 1 at rows {rows} put the maximum-"
+            f"likelihood fit on the boundary under the {link.name} link",
+            trace=[])
+    beta, *_ = np.linalg.lstsq(X, link.to_eta(mu), rcond=None)
+    return _FitState(beta=beta, eta=X @ beta, mu=mu,
+                     log_likelihood=_log_likelihood(s, n, mu),
+                     deviance=_deviance(s, n, mu),
+                     iterations=0, converged=True)
+
+
 def fit(spec: ModelSpec) -> GlmFit:
-    """Maximum-likelihood fit of the model by IRLS with step halving."""
+    """Maximum-likelihood fit of the model.
+
+    The saturated and exposure-only models are fitted in closed form; the
+    no-interaction model by IRLS with step halving.
+    """
     X, s, n, names = _design(spec)
     link = _LINKS[spec.link]
-    state = _irls(X, s, n, link)
+    rows = np.arange(len(s))
+    if spec.terms == "saturated_with_interaction":
+        state = _closed_form(X, s, n, link, rows)
+    elif spec.terms == "exposure_only":
+        state = _closed_form(X, s, n, link, rows % 2)
+    else:
+        state = _irls(X, s, n, link)
     k = spec.table.k
     fitted = tuple((float(state.mu[2 * i]), float(state.mu[2 * i + 1]))
                    for i in range(k))
@@ -365,108 +426,169 @@ def fitted_stratum_points(fit_result: GlmFit) -> tuple[RiskPoint, ...]:
                  for (x, y), label in zip(fit_result.fitted_risks, labels))
 
 
-def lr_test(null_fit: GlmFit, alt_fit: GlmFit, df: int) -> float:
-    """p-value of the likelihood-ratio test for nested fits."""
+def _lr(stat: float, df: int) -> LrTest:
+    """The likelihood-ratio test of a statistic on df degrees of freedom."""
     if df < 1:
         raise ValidationError("df must be a positive integer")
-    stat = 2.0 * (alt_fit.log_likelihood - null_fit.log_likelihood)
     if stat < -1e-8:
         raise NestingError(
             f"likelihood ratio statistic {stat} is negative; the null "
             "model is not nested in the alternative")
-    return 1.0 - chi_square_cdf(max(stat, 0.0), df)
+    stat = max(stat, 0.0)
+    return LrTest(statistic=stat, df=df, p_value=chi_square_sf(stat, df))
 
 
-def _profile_log_likelihood(X: np.ndarray, s: np.ndarray, n: np.ndarray,
-                            link: _Link, beta_x: float) -> float:
-    """Log-likelihood with the exposure coefficient fixed at beta_x."""
-    keep = [j for j in range(X.shape[1]) if j != 1]
-    offset = beta_x * X[:, 1]
-    return _irls(X[:, keep], s, n, link, offset=offset).log_likelihood
+def lr_test(null_fit: GlmFit, alt_fit: GlmFit, df: int) -> float:
+    """p-value of the likelihood-ratio test for nested fits."""
+    return _lr(2.0 * (alt_fit.log_likelihood - null_fit.log_likelihood),
+               df).p_value
 
 
-def exposure_test(spec: ModelSpec) -> LrTest:
-    """Likelihood-ratio test of a zero exposure coefficient (df = 1)."""
-    X, s, n, _ = _design(spec)
-    link = _LINKS[spec.link]
-    full = _irls(X, s, n, link)
-    null_ll = _profile_log_likelihood(X, s, n, link, 0.0)
-    stat = max(2.0 * (full.log_likelihood - null_ll), 0.0)
-    return LrTest(statistic=stat, df=1,
-                  p_value=1.0 - chi_square_cdf(stat, 1))
+def exposure_test(fit_result: GlmFit) -> LrTest:
+    """Likelihood-ratio test of a zero exposure coefficient (df = 1).
+
+    With the exposure coefficient at zero, the two rows of every stratum
+    whose exposure effect it alone carries (all strata, or the reference
+    stratum of the saturated model) share one risk, and the null fit is
+    their pooled proportion.
+    """
+    spec = fit_result.spec
+    _, s, n, _ = _design(spec)
+    rows = np.arange(len(s))
+    if spec.terms == "exposure_only":
+        groups = np.zeros_like(rows)
+    elif spec.terms == "exposure_plus_stratum":
+        groups = rows // 2
+    else:
+        groups = np.maximum(rows - 1, 0)
+    null_deviance = _deviance(s, n, _pooled(s, n, groups))
+    return _lr(null_deviance - fit_result.deviance, 1)
 
 
-def interaction_test(table: StratifiedCohortTable, link: str) -> LrTest:
-    """Likelihood-ratio test of the exposure-stratum interaction terms."""
-    if table.k < 2:
+def interaction_test(no_interaction_fit: GlmFit) -> LrTest:
+    """Likelihood-ratio test of the exposure-stratum interaction terms.
+
+    The saturated alternative reproduces every cell, so the statistic is
+    the no-interaction fit's deviance, on k - 1 degrees of freedom.
+    """
+    spec = no_interaction_fit.spec
+    if spec.terms != "exposure_plus_stratum":
+        raise ValidationError(
+            "interaction test needs the exposure_plus_stratum fit, got "
+            f"{spec.terms!r}")
+    if spec.table.k < 2:
         raise ValidationError("interaction test needs at least two strata")
-    null_fit = fit(ModelSpec(link=link, terms="exposure_plus_stratum",
-                             table=table))
-    alt_fit = fit(ModelSpec(link=link, terms="saturated_with_interaction",
-                            table=table))
-    df = table.k - 1
-    stat = max(2.0 * (alt_fit.log_likelihood - null_fit.log_likelihood), 0.0)
-    return LrTest(statistic=stat, df=df,
-                  p_value=1.0 - chi_square_cdf(stat, df))
+    return _lr(no_interaction_fit.deviance, spec.table.k - 1)
 
 
-def profile_interval(spec: ModelSpec, level: float = DEFAULT_LEVEL,
+def _endpoint_distance(gap: Callable[[float], float], gap_at_zero: float,
+                       first: float) -> float:
+    """Distance from the estimate where the increasing ``gap`` crosses 0.
+
+    ``gap_at_zero`` < 0 is its value at the estimate. Starting at
+    ``first``, secant steps extrapolate outward, at most doubling the
+    distance each time, until the crossing is bracketed; the Illinois
+    variant of regula falsi then closes the bracket, bisecting while the
+    outer value is infinite. Returns inf when no crossing is found.
+    """
+    inner, g_inner = 0.0, gap_at_zero
+    d = first
+    for _ in range(PROFILE_MAX_STEPS):
+        g = gap(d)
+        if abs(g) <= PROFILE_ROOT_TOL:
+            return d
+        if g > 0.0:
+            break
+        step = 2.0 * d
+        if g > g_inner:
+            step = min(step, d - g * (d - inner) / (g - g_inner))
+        inner, g_inner, d = d, g, step
+    else:
+        return math.inf
+
+    outer, g_outer = d, g
+    moved = None  # the end the previous step replaced
+    for _ in range(PROFILE_MAX_STEPS):
+        if outer - inner <= PROFILE_BETA_TOL:
+            break
+        if math.isinf(g_outer):
+            d = (inner + outer) / 2.0
+        else:
+            d = outer - g_outer * (outer - inner) / (g_outer - g_inner)
+        g = gap(d)
+        if abs(g) <= PROFILE_ROOT_TOL:
+            return d
+        if g < 0.0:
+            inner, g_inner = d, g
+            if moved == "inner":
+                g_outer /= 2.0
+            moved = "inner"
+        else:
+            outer, g_outer = d, g
+            if moved == "outer":
+                g_inner /= 2.0
+            moved = "outer"
+    return (inner + outer) / 2.0
+
+
+def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
                      ) -> LrInterval:
-    """Profile-likelihood interval for the exposure effect.
+    """Profile-likelihood interval for the exposure effect of a fit.
 
-    Endpoints are the coefficients where the likelihood-ratio statistic
-    against the maximum reaches the chi-square(1) quantile, found by
-    bracket doubling and bisection; an endpoint that never brackets is
-    reported as unbounded (0 or inf on a ratio scale).
+    Each endpoint is the exposure coefficient at which the signed root of
+    the likelihood-ratio statistic, sign(b - b_hat) * sqrt(drop(b)),
+    reaches plus or minus the root of the chi-square(1) quantile, the
+    equation Venzon and Moolgavkar (1988) solve. On each side the search
+    starts one Wald half-width from the estimate and solves the equation
+    by safeguarded secant steps (see `_endpoint_distance`), stopping when
+    the root statistic is within `PROFILE_ROOT_TOL` of its target or the
+    bracket is narrower than `PROFILE_BETA_TOL`. Each constrained fit is
+    warm-started from the nuisance coefficients of the previous one, the
+    first on each side from those of ``fit_result``. A
+    constrained fit that fails counts as beyond the target; an endpoint
+    that never brackets is reported as unbounded (0 or inf on a ratio
+    scale).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
+    spec = fit_result.spec
     X, s, n, _ = _design(spec)
     link = _LINKS[spec.link]
-    full = _irls(X, s, n, link)
-    beta_hat = float(full.beta[1])
-    ll_max = full.log_likelihood
-    target = chi_square_quantile(level, 1)
+    beta = np.array(fit_result.coefficients)
+    beta_hat = float(beta[1])
+    root_target = math.sqrt(chi_square_quantile(level, 1))
+    exposure = X[:, 1]
+    nuisance_design = np.delete(X, 1, axis=1)
 
-    def drop(beta_x: float) -> float:
-        try:
-            return 2.0 * (ll_max - _profile_log_likelihood(X, s, n, link,
-                                                           beta_x))
-        except GlmError:
-            return math.inf
-
-    dinv = link.dmu_deta(full.eta)
-    w = n * dinv * dinv / (full.mu * (1.0 - full.mu))
+    eta = X @ beta
+    mu = link.to_mu(eta)
+    dinv = link.dmu_deta(eta)
+    w = n * dinv * dinv / (mu * (1.0 - mu))
     a = X.T @ (X * w[:, None])
     try:
         se = float(math.sqrt(np.linalg.inv(a)[1, 1]))
     except (np.linalg.LinAlgError, ValueError):
         se = math.nan
-    step0 = se * math.sqrt(target) if math.isfinite(se) and se > 0 else 0.5
+    first = se * root_target if math.isfinite(se) and se > 0 else 0.5
 
     endpoints = []
     for side in (-1.0, 1.0):
-        step = step0
-        inside = beta_hat
-        outside = None
-        for _ in range(64):
-            candidate = beta_hat + side * step
-            if drop(candidate) >= target:
-                outside = candidate
-                break
-            inside = candidate
-            step *= 2.0
-        if outside is None:
-            endpoints.append(side * math.inf)
-            continue
-        lo, hi = inside, outside
-        while abs(hi - lo) > PROFILE_BETA_TOL:
-            mid = (lo + hi) / 2.0
-            if drop(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        endpoints.append((lo + hi) / 2.0)
+        warm = np.delete(beta, 1)
+
+        def gap(distance: float) -> float:
+            nonlocal warm
+            try:
+                state = _irls(nuisance_design, s, n, link,
+                              offset=(beta_hat + side * distance) * exposure,
+                              start=warm)
+            except GlmError:
+                return math.inf
+            warm = state.beta
+            drop = max(state.deviance - fit_result.deviance, 0.0)
+            return math.sqrt(drop) - root_target
+
+        endpoints.append(
+            beta_hat + side * _endpoint_distance(gap, -root_target, first))
 
     lower, upper = endpoints
     return LrInterval(estimate=natural_scale(spec.link, beta_hat),
@@ -475,16 +597,21 @@ def profile_interval(spec: ModelSpec, level: float = DEFAULT_LEVEL,
                       level=level)
 
 
-def chi_square_cdf(x: float, df: int) -> float:
-    """Chi-square distribution function via the regularized lower gamma."""
+def _regularized_gamma(x: float, df: int) -> tuple[float, float]:
+    """Lower and upper regularized gamma P, Q of df/2 at x/2.
+
+    Each branch computes the smaller-error one directly: the series gives
+    P, the continued fraction gives Q, so Q keeps its relative accuracy
+    far into the upper tail.
+    """
     if df < 1 or int(df) != df:
         raise ValidationError(f"df must be a positive integer, got {df!r}")
     if x < 0:
         raise ValidationError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if math.isinf(x):
-        return 1.0
+        return 1.0, 0.0
     a = df / 2.0
     t = x / 2.0
     log_scale = a * math.log(t) - t - math.lgamma(a)
@@ -499,7 +626,8 @@ def chi_square_cdf(x: float, df: int) -> float:
             total += term
             if term < total * 1e-17:
                 break
-        return min(1.0, total * math.exp(log_scale))
+        p = min(1.0, total * math.exp(log_scale))
+        return p, 1.0 - p
     # Lentz continued fraction for the upper regularized gamma.
     tiny = 1e-300
     b = t + 1.0 - a
@@ -520,11 +648,27 @@ def chi_square_cdf(x: float, df: int) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return max(0.0, 1.0 - math.exp(log_scale) * h)
+    q = min(1.0, math.exp(log_scale) * h)
+    return 1.0 - q, q
 
 
+def chi_square_cdf(x: float, df: int) -> float:
+    """Chi-square distribution function via the regularized lower gamma."""
+    return _regularized_gamma(x, df)[0]
+
+
+def chi_square_sf(x: float, df: int) -> float:
+    """Chi-square survival function 1 - cdf, via the upper regularized gamma.
+
+    Computed directly, so upper-tail p-values keep their relative accuracy
+    instead of underflowing to 0 through the subtraction.
+    """
+    return _regularized_gamma(x, df)[1]
+
+
+@functools.lru_cache(maxsize=128)
 def chi_square_quantile(p: float, df: int) -> float:
-    """Inverse of chi_square_cdf in p, by bisection."""
+    """Inverse of chi_square_cdf in p, by bisection; results are cached."""
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"p must be in [0, 1), got {p!r}")
     if p == 0.0:

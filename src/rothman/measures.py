@@ -204,6 +204,10 @@ class CollapsibilityReport:
 
 
 def _lerp(a: RiskPoint, b: RiskPoint, t: float) -> RiskPoint:
+    if t == 1.0:
+        # a + (b - a) can miss b by an ulp, which a measure near the top
+        # edge magnifies past the stratum value itself.
+        return RiskPoint(b.x, b.y)
     x = min(max(a.x + t * (b.x - a.x), 0.0), 1.0)
     y = min(max(a.y + t * (b.y - a.y), 0.0), 1.0)
     return RiskPoint(x, y)

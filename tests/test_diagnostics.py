@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
                                  collapsibility_report_json)
@@ -218,3 +219,18 @@ class TestJsonReport:
         entry = doc["measures"][0]
         assert entry["error"].startswith("NonConvergenceError")
         assert "crude_estimate" not in entry
+
+
+def test_whickham_analysis_irls_fit_count(monkeypatch, whickham):
+    # Work-count gate on one analyze(whickham): the seed made 502 IRLS
+    # fits. This bound may only go down.
+    calls = []
+    real = glm._irls
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "_irls", counting)
+    analyze(whickham)
+    assert len(calls) <= 125

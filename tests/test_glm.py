@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from rothman.errors import (GlmError, NestingError, NonConvergenceError,
                             ValidationError, ZeroMarginError)
 from rothman.glm import (LrInterval, LrTest, ModelSpec, chi_square_cdf,
-                         chi_square_quantile, exposure_estimate,
+                         chi_square_quantile, chi_square_sf, exposure_estimate,
                          exposure_test, fit, fitted_stratum_points,
                          interaction_test, lr_test, natural_scale,
                          profile_interval, stratum_exposure_estimates)
@@ -193,6 +194,13 @@ class TestChiSquare:
         assert chi_square_cdf(chi_square_quantile(p, df), df) == \
             pytest.approx(p, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1, 3])
+    @pytest.mark.parametrize("x", [0.5, 3.84, 25.0, 100.0, 700.0])
+    def test_sf_keeps_relative_accuracy_in_the_upper_tail(self, x, df):
+        # 1 - cdf would return exactly 0.0 from x = 100, df = 1 onward
+        expected = scipy.stats.chi2.sf(x, df)
+        assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-10)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             chi_square_cdf(-1.0, 1)
@@ -272,6 +280,18 @@ class TestFit:
                        ) / (2.0 * h)
             assert abs(score_j) < 1e-6
 
+    def test_closed_form_fits_take_no_iterations(self, whickham):
+        for link in LINKS:
+            sat = fit(ModelSpec(link=link,
+                                terms="saturated_with_interaction",
+                                table=whickham))
+            crude = fit(ModelSpec(link=link, terms="exposure_only",
+                                  table=whickham))
+            assert sat.iterations == crude.iterations == 0
+            pooled = whickham.collapse().risks()
+            for risks in crude.fitted_risks:
+                assert risks == pytest.approx(pooled, abs=1e-15)
+
     def test_fitted_risks_strictly_interior(self, whickham):
         for link in LINKS:
             f = fit(ModelSpec(link=link, terms="exposure_plus_stratum",
@@ -338,7 +358,7 @@ class TestEstimates:
     def test_crude_estimate_and_interval(self, whickham_crude, link):
         spec = ModelSpec(link=link, terms="exposure_only",
                          table=whickham_crude)
-        iv = profile_interval(spec)
+        iv = profile_interval(fit(spec))
         est, lo, hi = CRUDE[link]
         assert iv.estimate == pytest.approx(est, abs=1e-6)
         assert iv.lower == pytest.approx(lo, abs=1e-6)
@@ -349,7 +369,7 @@ class TestEstimates:
     def test_common_effect_estimate_and_interval(self, whickham, link):
         spec = ModelSpec(link=link, terms="exposure_plus_stratum",
                          table=whickham)
-        iv = profile_interval(spec)
+        iv = profile_interval(fit(spec))
         est, lo, hi = COMMON[link]
         assert iv.estimate == pytest.approx(est, abs=1e-6)
         assert iv.lower == pytest.approx(lo, abs=1e-6)
@@ -372,8 +392,8 @@ class TestEstimates:
     def test_crude_lr_p_value_is_link_invariant(self, whickham_crude):
         # both crude models reparametrize the same two risks, so the
         # likelihood-ratio statistic cannot depend on the link
-        ps = [exposure_test(ModelSpec(link=link, terms="exposure_only",
-                                      table=whickham_crude)).p_value
+        ps = [exposure_test(fit(ModelSpec(link=link, terms="exposure_only",
+                                          table=whickham_crude))).p_value
               for link in LINKS]
         for p in ps:
             assert p == pytest.approx(CRUDE_P, abs=1e-6)
@@ -381,20 +401,22 @@ class TestEstimates:
 
     @pytest.mark.parametrize("link", LINKS)
     def test_common_effect_p_values(self, whickham, link):
-        te = exposure_test(ModelSpec(link=link,
-                                     terms="exposure_plus_stratum",
-                                     table=whickham))
+        te = exposure_test(fit(ModelSpec(link=link,
+                                         terms="exposure_plus_stratum",
+                                         table=whickham)))
         assert te.p_value == pytest.approx(COMMON_P[link], abs=1e-6)
         assert te.df == 1
 
     @pytest.mark.parametrize("link", LINKS)
     def test_interaction_p_values(self, whickham, link):
-        te = interaction_test(whickham, link)
+        te = interaction_test(fit(ModelSpec(
+            link=link, terms="exposure_plus_stratum", table=whickham)))
         assert te.p_value == pytest.approx(INTERACTION_P[link], abs=1e-6)
         assert te.df == 1
 
     def test_interaction_df_grows_with_strata(self, six_strata):
-        te = interaction_test(six_strata, "logit")
+        te = interaction_test(fit(ModelSpec(
+            link="logit", terms="exposure_plus_stratum", table=six_strata)))
         assert te.df == 5
         assert 0.0 <= te.p_value <= 1.0
 
@@ -442,13 +464,13 @@ class TestLikelihoodRatioMachinery:
     def test_result_types(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
                          table=whickham)
-        assert isinstance(exposure_test(spec), LrTest)
-        assert isinstance(profile_interval(spec), LrInterval)
+        assert isinstance(exposure_test(fit(spec)), LrTest)
+        assert isinstance(profile_interval(fit(spec)), LrInterval)
 
     def test_level_validation(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_only", table=whickham)
         with pytest.raises(ValidationError):
-            profile_interval(spec, level=1.0)
+            profile_interval(fit(spec), level=1.0)
 
     @pytest.mark.parametrize("terms", ["exposure_only",
                                        "exposure_plus_stratum"])
@@ -458,7 +480,7 @@ class TestLikelihoodRatioMachinery:
         # the 95 percent chi-square(1) quantile
         spec = ModelSpec(link="logit", terms=terms, table=whickham)
         f = fit(spec)
-        iv = profile_interval(spec)
+        iv = profile_interval(f)
         for endpoint in (iv.lower, iv.upper):
             beta = math.log(endpoint)
             ll = oracle_profile_log_likelihood(whickham, terms, "logit",
@@ -466,11 +488,36 @@ class TestLikelihoodRatioMachinery:
             drop = 2.0 * (f.log_likelihood - ll)
             assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
 
+    def test_interaction_test_needs_the_no_interaction_fit(self, whickham):
+        sat = fit(ModelSpec(link="logit", terms="saturated_with_interaction",
+                            table=whickham))
+        with pytest.raises(ValidationError):
+            interaction_test(sat)
+
+    def test_warm_start_keeps_log_link_endpoints_off_the_estimate(
+            self, make_table):
+        # Cold-started constrained fits left the log link's domain near
+        # this estimate, and the errors read as "beyond the target" shrank
+        # the interval to [2.226371, 2.226371].
+        table = make_table([("s1", 135, 153, 22, 37),
+                            ("s2", 973, 1200, 214, 610)])
+        f = fit(ModelSpec(link="log", terms="exposure_plus_stratum",
+                          table=table))
+        iv = profile_interval(f)
+        assert iv.lower < iv.estimate < iv.upper
+        for endpoint in (iv.lower, iv.upper):
+            ll = oracle_profile_log_likelihood(
+                table, "exposure_plus_stratum", "log", math.log(endpoint),
+                f.coefficients)
+            drop = 2.0 * (f.log_likelihood - ll)
+            assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
+
     def test_wider_level_widens_the_interval(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
                          table=whickham)
-        iv95 = profile_interval(spec, level=0.95)
-        iv99 = profile_interval(spec, level=0.99)
+        f = fit(spec)
+        iv95 = profile_interval(f, level=0.95)
+        iv99 = profile_interval(f, level=0.99)
         assert iv99.lower < iv95.lower
         assert iv99.upper > iv95.upper
         assert iv99.estimate == iv95.estimate
@@ -511,6 +558,6 @@ def test_logit_fit_properties_on_interior_tables(table):
     assert crude.log_likelihood <= common.log_likelihood + 1e-9
     assert common.log_likelihood <= sat.log_likelihood + 1e-9
     assert common.deviance >= -1e-12
-    te = interaction_test(table, "logit")
+    te = interaction_test(common)
     assert 0.0 <= te.p_value <= 1.0
     assert te.df == table.k - 1

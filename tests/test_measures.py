@@ -10,7 +10,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rothman.errors import UndefinedMeasureError, ValidationError
 from rothman.geometry import (RiskPoint, association_points, standardize)
@@ -340,6 +340,8 @@ interior = st.floats(min_value=0.02, max_value=0.98)
 
 
 @given(interior, interior, interior, interior)
+@example(ax=0.29162402352255035, ay=0.4579777286985874,
+         bx=0.15014813631752974, by=0.9799999999999999)  # endpoint ulp
 @settings(max_examples=60)
 def test_segment_extremes_match_grid_oracle(ax, ay, bx, by):
     a = RiskPoint(ax, ay)
