@@ -25,13 +25,13 @@ from .glm import (GlmFit, LrInterval, LrTest, ModelSpec, chi_square_cdf,
                   stratum_exposure_estimates)
 from .measures import (CollapsibilityReport, EffectModification, Measure,
                        collapse_analysis, contour, effect_modification,
-                       is_collapsible, measure_defined, measure_value)
+                       is_collapsible, measure_value)
 from .render import (ContourSpec, DiagramSpec, HullSpec, PointSpec,
                      RectangleSpec, SegmentSpec, render_diagram, render_grid)
 from .simulate import (PopulationSpec, PopulationTruth, parse_population_spec,
                        population_truth, sample_table)
-from .tables import (CohortCell, StratifiedCohortTable, collapse, parse_table,
-                     serialize_table, stratum_risks)
+from .tables import (CohortCell, StratifiedCohortTable, parse_table,
+                     serialize_table)
 from .whickham import (builtin_table, six_strata_table, whickham_crude_table,
                        whickham_table)
 
@@ -48,14 +48,14 @@ __all__ = [
     "StandardizedHull", "StratifiedCohortTable", "UndefinedMeasureError",
     "ValidationError", "ZeroMarginError", "analyze", "association_points",
     "builtin_table", "chi_square_cdf", "chi_square_quantile",
-    "chi_square_sf", "collapse", "collapse_analysis", "confounding_rectangle", "contains", "contour",
-    "effect_modification", "exposure_estimate", "exposure_test",
-    "figure_filename", "figure_svg", "fit",
-    "fitted_stratum_points", "interaction_test", "is_collapsible", "lr_test",
-    "measure_defined", "measure_value", "parse_population_spec",
-    "parse_table", "population_truth", "profile_interval", "render_diagram",
-    "render_grid", "sample_table", "serialize_table", "six_strata_table",
-    "standard_population", "standardize", "standardized_hull",
-    "standardized_point", "stratum_exposure_estimates", "stratum_risks",
-    "weights_for_point", "whickham_crude_table", "whickham_table",
+    "chi_square_sf", "collapse_analysis", "confounding_rectangle", "contains",
+    "contour", "effect_modification", "exposure_estimate", "exposure_test",
+    "figure_filename", "figure_svg", "fit", "fitted_stratum_points",
+    "interaction_test", "is_collapsible", "lr_test", "measure_value",
+    "parse_population_spec", "parse_table", "population_truth",
+    "profile_interval", "render_diagram", "render_grid", "sample_table",
+    "serialize_table", "six_strata_table", "standard_population",
+    "standardize", "standardized_hull", "standardized_point",
+    "stratum_exposure_estimates", "weights_for_point",
+    "whickham_crude_table", "whickham_table",
 ]

@@ -22,12 +22,11 @@ from .diagnostics import (analyze, collapsibility_report_json, number_pair,
 from .errors import (GlmError, ParseError, RothmanError, ValidationError,
                      ZeroMarginError)
 from .figures import FIGURE_SLUGS, figure_filename, figure_svg
-from .geometry import StandardPopulation, standard_population, standardized_point
+from .geometry import (PRESETS, StandardPopulation, standard_population,
+                       standardized_point)
 from .simulate import parse_population_spec, population_truth, sample_table
 from .tables import StratifiedCohortTable, parse_table
 from .whickham import BUILTIN_TABLES, builtin_table
-
-PRESET_CHOICES = ("study_sample", "exposed", "unexposed")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("standardize", help="standardized points as JSON")
     add_input(p)
     add_output(p)
-    p.add_argument("--preset", action="append", choices=PRESET_CHOICES,
+    p.add_argument("--preset", action="append", choices=PRESETS,
                    default=None, help="standard population preset "
                                       "(repeatable; default: all three)")
     p.add_argument("--weights", default=None,
@@ -150,7 +149,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_standardize(args: argparse.Namespace) -> int:
     table = _load_table(args.input, args.format)
     requested: list[tuple[str, StandardPopulation]] = []
-    for preset in args.preset or (list(PRESET_CHOICES)
+    for preset in args.preset or (list(PRESETS)
                                   if args.weights is None else []):
         requested.append((preset, standard_population(table, preset)))
     if args.weights is not None:

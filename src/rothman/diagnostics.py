@@ -15,7 +15,7 @@ from typing import Mapping
 
 from . import glm
 from .errors import GlmError, ValidationError
-from .geometry import (Containment, ConfoundingRectangle, RiskPoint,
+from .geometry import (PRESETS, Containment, ConfoundingRectangle, RiskPoint,
                        StandardPopulation, StandardizedHull, association_points,
                        confounding_rectangle, contains, standard_population,
                        standardized_hull, standardized_point)
@@ -198,7 +198,7 @@ def analyze(table: StratifiedCohortTable, *,
         flag = ON_SEGMENT
 
     standardized: list[tuple[str, RiskPoint]] = []
-    for preset in ("study_sample", "exposed", "unexposed"):
+    for preset in PRESETS:
         std = standard_population(table, preset)
         standardized.append((preset, standardized_point(table, std)))
     for name, std in (custom_standards or {}).items():

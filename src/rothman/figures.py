@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 from . import glm
+from .diagnostics import MEASURE_LINKS
 from .errors import ValidationError
-from .geometry import (association_points, confounding_rectangle,
+from .geometry import (PRESETS, association_points, confounding_rectangle,
                        standard_population, standardized_hull,
                        standardized_point, standardize)
 from .measures import Measure, collapse_analysis, measure_value
@@ -57,7 +58,7 @@ def figure1(table: StratifiedCohortTable) -> str:
     crude, strata = association_points(table)
     points = [PointSpec(crude, style="open_circle", label="crude")]
     points.extend(_stratum_point_specs(table))
-    for preset in ("study_sample", "exposed", "unexposed"):
+    for preset in PRESETS:
         std = standard_population(table, preset)
         p = standardized_point(table, std)
         points.append(PointSpec(p, style="open_circle",
@@ -119,9 +120,9 @@ def figure5() -> str:
 
 
 def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
-                            link: str, title: str) -> str:
-    fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_plus_stratum",
-                                table=table))
+                            title: str) -> str:
+    fit = glm.fit(glm.ModelSpec(link=MEASURE_LINKS[measure],
+                                terms="exposure_plus_stratum", table=table))
     fitted = glm.fitted_stratum_points(fit)
     report = collapse_analysis(measure, fitted)
     common = report.stratum_value
@@ -145,14 +146,13 @@ def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
 
 def figure6(table: StratifiedCohortTable) -> str:
     return _fitted_collapse_figure(
-        table, Measure.RISK_DIFFERENCE, "identity",
+        table, Measure.RISK_DIFFERENCE,
         "Collapsibility of the risk difference")
 
 
 def figure7(table: StratifiedCohortTable) -> str:
     return _fitted_collapse_figure(
-        table, Measure.ODDS_RATIO, "logit",
-        "Noncollapsibility of the odds ratio")
+        table, Measure.ODDS_RATIO, "Noncollapsibility of the odds ratio")
 
 
 def figure_filename(number: int) -> str:

@@ -274,13 +274,21 @@ def boundary_distance(hull: StandardizedHull, p: RiskPoint) -> float:
     return min(dists)
 
 
+def _least_edge_side(hull: StandardizedHull, p: RiskPoint) -> float:
+    """Least cross product of ``p`` against the counterclockwise hull edges.
+
+    Positive strictly inside the polygon, zero on an edge's line, negative
+    outside.
+    """
+    verts = [v.coords for v in hull.vertices]
+    return min(_cross(verts[i], verts[(i + 1) % len(verts)], p.coords)
+               for i in range(len(verts)))
+
+
 def hull_distance(hull: StandardizedHull, p: RiskPoint) -> float:
     """Distance from ``p`` to the hull as a set: zero inside or on it."""
-    if len(hull.vertices) >= 3:
-        verts = [v.coords for v in hull.vertices]
-        if all(_cross(verts[i], verts[(i + 1) % len(verts)], p.coords) >= 0
-               for i in range(len(verts))):
-            return 0.0
+    if len(hull.vertices) >= 3 and _least_edge_side(hull, p) >= 0:
+        return 0.0
     return boundary_distance(hull, p)
 
 
@@ -298,13 +306,9 @@ def contains(hull: StandardizedHull, p: RiskPoint,
     d = boundary_distance(hull, p)
     if d <= tol:
         return Containment.BOUNDARY
-    if len(hull.vertices) < 3:
+    if len(hull.vertices) < 3 or _least_edge_side(hull, p) <= 0:
         return Containment.OUTSIDE
-    verts = [v.coords for v in hull.vertices]
-    strictly_inside = all(
-        _cross(verts[i], verts[(i + 1) % len(verts)], p.coords) > 0
-        for i in range(len(verts)))
-    return Containment.INSIDE if strictly_inside else Containment.OUTSIDE
+    return Containment.INSIDE
 
 
 def _weights_on_segment(strata: Sequence[RiskPoint], i0: int, i1: int,

@@ -5,7 +5,10 @@ and complementary log-log links. The saturated and the exposure-only
 models have closed-form maximum-likelihood fits: their fitted risks are the
 observed cell proportions and the exposure-group pooled proportions. The
 no-interaction model is fitted by iteratively reweighted least squares
-with step halving.
+with step halving. IRLS has one stopping rule: the Newton decrement of its
+step, the deviance still to gain, falls to a fixed multiple of the table's
+total count. It has no absolute tolerance, so a table with every count
+multiplied by a constant gets the same fit in the same iterations.
 
 Likelihood-ratio tests and profile-likelihood intervals take a finished
 fit and reuse it instead of refitting. Interval endpoints are found by a
@@ -39,8 +42,8 @@ TERMS = ("exposure_only", "exposure_plus_stratum", "saturated_with_interaction")
 MU_EPS = 1e-10
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 32
-DEVIANCE_TOL = 1e-10
-SCORE_TOL = 1e-8
+DECREMENT_TOL = 1e-21
+DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
 PROFILE_ROOT_TOL = 1e-10
 PROFILE_MAX_STEPS = 64
@@ -127,7 +130,6 @@ class GlmFit:
     log_likelihood: float
     deviance: float
     fitted_risks: tuple[tuple[float, float], ...]
-    converged: bool
     iterations: int
 
 
@@ -211,21 +213,12 @@ def _deviance(s: np.ndarray, n: np.ndarray, mu: np.ndarray) -> float:
     return 2.0 * total
 
 
-def _score(X: np.ndarray, s: np.ndarray, n: np.ndarray, mu: np.ndarray,
-           eta: np.ndarray, link: _Link) -> np.ndarray:
-    r = (s - n * mu) * link.dmu_deta(eta) / (mu * (1.0 - mu))
-    return X.T @ r
-
-
 @dataclass(slots=True)
 class _FitState:
     beta: np.ndarray
-    eta: np.ndarray
     mu: np.ndarray
-    log_likelihood: float
     deviance: float
     iterations: int
-    converged: bool
 
 
 def _start(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
@@ -258,78 +251,68 @@ def _start(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
 def _irls(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
           offset: np.ndarray | None = None, *,
           start: np.ndarray | None = None) -> _FitState:
-    """IRLS with step halving; ``start`` warm-starts it when feasible."""
+    """IRLS with step halving; ``start`` warm-starts it when feasible.
+
+    Each iteration solves A delta = g for the Fisher-scoring step, with
+    A = X'WX the expected information and g the score. The step is halved
+    while it leaves the link's domain or raises the deviance by more than
+    `DEVIANCE_ROUNDING` times the total count, the size of the deviance's
+    own rounding error. The loop stops after the step whose Newton
+    decrement delta'A delta, an estimate of the deviance left to gain, is
+    at most `DECREMENT_TOL` times the total count. Both scales grow with
+    the counts, so a table with every count multiplied by a constant gets
+    the same fit in the same iterations.
+    """
     if offset is None:
         offset = np.zeros(len(s))
     p_obs = s / n
+    total = float(n.sum())
     beta = _start(X, s, n, link, offset, start)
     eta = X @ beta + offset
     mu = link.to_mu(eta)
     dev = _deviance(s, n, mu)
     trace = [dev]
-    converged = False
-    iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         dinv = link.dmu_deta(eta)
         w = n * dinv * dinv / (mu * (1.0 - mu))
-        z = (eta - offset) + (p_obs - mu) / dinv
         a = X.T @ (X * w[:, None])
-        b = X.T @ (w * z)
         try:
-            proposal = np.linalg.solve(a, b)
+            delta = np.linalg.solve(a, X.T @ (w * (p_obs - mu) / dinv))
         except np.linalg.LinAlgError as exc:
             raise GlmError(f"singular weighted design matrix: {exc}") from exc
 
         step = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            beta_try = beta + step * (proposal - beta)
+            beta_try = beta + step * delta
             with np.errstate(all="ignore"):
                 eta_try = X @ beta_try + offset
                 mu_try = link.to_mu(eta_try)
             if _mu_ok(mu_try):
                 dev_try = _deviance(s, n, mu_try)
-                if dev_try <= dev + 1e-12:
-                    accepted = True
+                if dev_try <= dev + DEVIANCE_ROUNDING * total:
                     break
             step /= 2.0
-        if not accepted:
-            # The full step and every halving either left the domain or
-            # raised the deviance; accept the current point if it already
-            # satisfies the score criterion.
-            score = _score(X, s, n, mu, eta, link)
-            if float(np.max(np.abs(score))) < SCORE_TOL:
-                converged = True
-                break
+        else:
             raise NonConvergenceError(
                 f"step halving exhausted after {iterations} iterations "
                 f"under the {link.name} link", trace=trace)
-
-        beta, eta, mu = beta_try, eta_try, mu_try
-        trace.append(dev_try)
-        score = _score(X, s, n, mu, eta, link)
-        if (abs(dev - dev_try) < DEVIANCE_TOL
-                and float(np.max(np.abs(score))) < SCORE_TOL):
-            dev = dev_try
-            converged = True
+        beta, eta, mu, dev = beta_try, eta_try, mu_try, dev_try
+        trace.append(dev)
+        if float(delta @ a @ delta) <= DECREMENT_TOL * total:
             break
-        dev = dev_try
-
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"no convergence in {MAX_ITERATIONS} iterations under the "
             f"{link.name} link", trace=trace)
+
     if np.any(mu <= 5.0 * MU_EPS) or np.any(mu >= 1.0 - 5.0 * MU_EPS):
         pinned = [int(i) for i in np.nonzero(
             (mu <= 5.0 * MU_EPS) | (mu >= 1.0 - 5.0 * MU_EPS))[0]]
         raise BoundaryFitError(
             f"fitted risks pinned to the boundary at rows {pinned} under "
             f"the {link.name} link")
-    return _FitState(beta=beta, eta=eta, mu=mu,
-                     log_likelihood=_log_likelihood(s, n, mu),
-                     deviance=_deviance(s, n, mu),
-                     iterations=iterations, converged=True)
+    return _FitState(beta=beta, mu=mu, deviance=dev, iterations=iterations)
 
 
 def _pooled(s: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -355,10 +338,8 @@ def _closed_form(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
             f"likelihood fit on the boundary under the {link.name} link",
             trace=[])
     beta, *_ = np.linalg.lstsq(X, link.to_eta(mu), rcond=None)
-    return _FitState(beta=beta, eta=X @ beta, mu=mu,
-                     log_likelihood=_log_likelihood(s, n, mu),
-                     deviance=_deviance(s, n, mu),
-                     iterations=0, converged=True)
+    return _FitState(beta=beta, mu=mu, deviance=_deviance(s, n, mu),
+                     iterations=0)
 
 
 def fit(spec: ModelSpec) -> GlmFit:
@@ -382,10 +363,9 @@ def fit(spec: ModelSpec) -> GlmFit:
     return GlmFit(spec=spec,
                   coefficients=tuple(float(c) for c in state.beta),
                   coefficient_names=names,
-                  log_likelihood=state.log_likelihood,
+                  log_likelihood=_log_likelihood(s, n, state.mu),
                   deviance=state.deviance,
                   fitted_risks=fitted,
-                  converged=state.converged,
                   iterations=state.iterations)
 
 

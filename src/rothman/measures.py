@@ -90,11 +90,6 @@ def measure_value(m: Measure, p: RiskPoint) -> float:
     return _ratio(_cumulative_hazard(y), _cumulative_hazard(x))
 
 
-def measure_defined(m: Measure, p: RiskPoint) -> bool:
-    """False exactly at the 0/0 and inf/inf forms (unit-square corners)."""
-    return not math.isnan(measure_value(m, p))
-
-
 def comparison_value(m: Measure, value: float) -> float:
     """Map a measure value to the scale used for equality comparisons.
 
@@ -213,9 +208,11 @@ def _lerp(a: RiskPoint, b: RiskPoint, t: float) -> RiskPoint:
     return RiskPoint(x, y)
 
 
-def _optimize_segment(f: Callable[[float], float], sign: float,
-                      ) -> tuple[float, float]:
-    """Minimize sign*f over t in [0, 1]; returns (t, f(t)). Skips nan."""
+def _golden_section(f: Callable[[float], float], sign: float) -> float:
+    """The t in [0, 1] where sign*f is least, skipping nan values.
+
+    A grid search finds the best grid point; golden section refines it.
+    """
 
     def g(t: float) -> float:
         v = f(t)
@@ -223,14 +220,10 @@ def _optimize_segment(f: Callable[[float], float], sign: float,
 
     n = GRID_POINTS
     ts = [i / n for i in range(n + 1)]
-    raw = [f(t) for t in ts]
-    usable = [i for i in range(n + 1) if not math.isnan(raw[i])]
-    if not usable:
-        return math.nan, math.nan
-    best = min(usable, key=lambda i: sign * raw[i])
-    if math.isinf(raw[best]):
-        return ts[best], raw[best]
-    gs = [math.inf if math.isnan(v) else sign * v for v in raw]
+    gs = [g(t) for t in ts]
+    best = min(range(n + 1), key=gs.__getitem__)
+    if math.isinf(gs[best]):
+        return ts[best]
     a = ts[max(best - 1, 0)]
     b = ts[min(best + 1, n)]
     c = b - _INVPHI * (b - a)
@@ -245,20 +238,13 @@ def _optimize_segment(f: Callable[[float], float], sign: float,
             a, c, gc = c, d, gd
             d = a + _INVPHI * (b - a)
             gd = g(d)
-    t = (a + b) / 2.0
-    candidates = [(g(t), t), (gs[0], 0.0), (gs[n], 1.0)]
-    gt, t = min(candidates, key=lambda p: p[0])
-    return t, f(t)
+    return (a + b) / 2.0
 
 
-def _segment_extremes(m: Measure, a: RiskPoint, b: RiskPoint,
-                      ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((t_min, min_value), (t_max, max_value)) along the segment a..b."""
-
-    def f(t: float) -> float:
-        return measure_value(m, _lerp(a, b, t))
-
-    return _optimize_segment(f, 1.0), _optimize_segment(f, -1.0)
+def _agree(m: Measure, u: float, v: float) -> bool:
+    """u and v agree within COLLAPSE_TOL on the comparison scale."""
+    return u == v or abs(comparison_value(m, u)
+                         - comparison_value(m, v)) <= COLLAPSE_TOL
 
 
 def _point_mass(k: int, i: int) -> StandardPopulation:
@@ -272,6 +258,42 @@ def _edge_weights(k: int, i0: int, i1: int, t: float) -> StandardPopulation:
     weights[i0] += 1.0 - t
     weights[i1] += t
     return StandardPopulation(weights=tuple(weights), preset="custom")
+
+
+def _extreme(m: Measure, strata: Sequence[RiskPoint],
+             values: Sequence[float], vertices: Sequence[int],
+             edges: Sequence[tuple[int, int]], sign: float,
+             ) -> tuple[float, StandardPopulation] | None:
+    """(value, weights) where sign*value is least over the standardized
+    domain, or None when the measure is undefined all over it.
+
+    RD is linear and RR linear-fractional along a segment, so both are
+    monotone along every edge and their extremes sit at vertices. Vertex
+    values that agree within COLLAPSE_TOL are ties that go to the first
+    vertex, so the choice does not turn on rounding error in values that
+    share a contour. For OR and HR, the point a 1-D search finds inside an
+    edge replaces the vertex only when it is strictly better.
+    """
+    k = len(strata)
+    best = None
+    ends = [values[i] for i in vertices if not math.isnan(values[i])]
+    if ends:
+        least = min(ends, key=lambda v: sign * v)
+        i = next(i for i in vertices if _agree(m, values[i], least))
+        best = (values[i], _point_mass(k, i))
+    if is_collapsible(m):
+        return best
+    for i0, i1 in edges:
+        a, b = strata[i0], strata[i1]
+
+        def f(t: float) -> float:
+            return measure_value(m, _lerp(a, b, t))
+
+        t = _golden_section(f, sign)
+        v = f(t)
+        if not math.isnan(v) and (best is None or sign * v < sign * best[0]):
+            best = (v, _edge_weights(k, i0, i1, t))
+    return best
 
 
 def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
@@ -295,40 +317,23 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
         stratum_value = math.nan
 
     if k == 2:
-        edges = [(0, 1)]
+        vertices = [0, 1]
     else:
-        hull_idx = convex_hull_indices([p.coords for p in strata])
-        if len(hull_idx) == 1:
-            i = hull_idx[0]
-            w = _point_mass(k, i)
-            return CollapsibilityReport(
-                measure=m, stratum_values=values, stratum_value=stratum_value,
-                min_value=values[i], max_value=values[i],
-                argmin_weights=w, argmax_weights=w,
-                collapsible_here=True)
-        if len(hull_idx) == 2:
-            edges = [(hull_idx[0], hull_idx[1])]
-        else:
-            edges = [(hull_idx[i], hull_idx[(i + 1) % len(hull_idx)])
-                     for i in range(len(hull_idx))]
+        vertices = convex_hull_indices([p.coords for p in strata])
+    edges = list(zip(vertices, vertices[1:]))
+    if len(vertices) > 2:
+        edges.append((vertices[-1], vertices[0]))
 
-    best_min: tuple[float, StandardPopulation] | None = None
-    best_max: tuple[float, StandardPopulation] | None = None
-    for i0, i1 in edges:
-        (t_lo, v_lo), (t_hi, v_hi) = _segment_extremes(m, strata[i0], strata[i1])
-        if not math.isnan(v_lo) and (best_min is None or v_lo < best_min[0]):
-            best_min = (v_lo, _edge_weights(k, i0, i1, t_lo))
-        if not math.isnan(v_hi) and (best_max is None or v_hi > best_max[0]):
-            best_max = (v_hi, _edge_weights(k, i0, i1, t_hi))
-    if best_min is None or best_max is None:
+    low = _extreme(m, strata, values, vertices, edges, 1.0)
+    high = _extreme(m, strata, values, vertices, edges, -1.0)
+    if low is None or high is None:
         raise UndefinedMeasureError(
             f"{m.label} is undefined over the whole standardized domain")
 
-    spread = (comparison_value(m, best_max[0])
-              - comparison_value(m, best_min[0]))
+    spread = comparison_value(m, high[0]) - comparison_value(m, low[0])
     collapsible_here = (not math.isnan(spread)) and spread <= COLLAPSE_TOL
     return CollapsibilityReport(
         measure=m, stratum_values=values, stratum_value=stratum_value,
-        min_value=best_min[0], max_value=best_max[0],
-        argmin_weights=best_min[1], argmax_weights=best_max[1],
+        min_value=low[0], max_value=high[0],
+        argmin_weights=low[1], argmax_weights=high[1],
         collapsible_here=collapsible_here)

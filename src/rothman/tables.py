@@ -172,16 +172,6 @@ class StratifiedCohortTable:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def collapse(table: StratifiedCohortTable) -> CohortCell:
-    """Marginal cell counts behind the crude association point."""
-    return table.collapse()
-
-
-def stratum_risks(cell: CohortCell) -> tuple[float, float]:
-    """(risk in unexposed, risk in exposed) for one cell."""
-    return cell.risks()
-
-
 def _as_text(source: str | bytes | IO) -> str:
     if isinstance(source, bytes):
         return source.decode("utf-8")

@@ -70,6 +70,21 @@ def make_table():
     return build_table
 
 
+def scale_counts(table, c):
+    """The same table with every count multiplied by c."""
+    return StratifiedCohortTable(strata=tuple(
+        (label, CohortCell(exposed_cases=c * cell.exposed_cases,
+                           exposed_total=c * cell.exposed_total,
+                           unexposed_cases=c * cell.unexposed_cases,
+                           unexposed_total=c * cell.unexposed_total))
+        for label, cell in table.strata))
+
+
+@pytest.fixture(scope="session")
+def scale_table():
+    return scale_counts
+
+
 @pytest.fixture(scope="session")
 def independence_tables():
     """The four {confounded} x {risk-difference modified} combinations.

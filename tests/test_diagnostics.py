@@ -85,6 +85,14 @@ class TestAnalyzeWhickham:
             assert e.crude_interval.level == 0.9
             assert e.common_interval.level == 0.9
 
+    def test_large_cohort_analyses_without_errors(self, whickham,
+                                                  scale_table):
+        # Whickham with every count times 1000: the fits' stopping rule
+        # scales with the counts, so no measure fails to converge.
+        report = analyze(scale_table(whickham, 1000))
+        assert [e.error for e in report.measures] == [None] * 4
+        assert [err for _, _, err in report.collapsibility] == [None] * 4
+
 
 class TestAnalyzeFlags:
     def test_identical_strata_on_segment(self, identical_strata_table):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rothman.errors import ParseError, ValidationError
-from rothman.tables import (CohortCell, StratifiedCohortTable, collapse,
-                            parse_table, serialize_table, stratum_risks)
+from rothman.tables import (CohortCell, StratifiedCohortTable, parse_table,
+                            serialize_table)
 
 # Observed risks frozen from the cohort counts themselves.
 CRUDE_UNEXPOSED = 230 / 732
@@ -63,7 +63,7 @@ class TestCohortCell:
 class TestStratifiedCohortTable:
     def test_whickham_collapse_reproduces_crude_counts(self, whickham,
                                                        whickham_crude):
-        assert collapse(whickham) == whickham_crude.cells[0]
+        assert whickham.collapse() == whickham_crude.cells[0]
         whickham.verify_crude(whickham_crude.cells[0])
 
     def test_verify_crude_rejects_mismatched_counts(self, whickham):
@@ -73,10 +73,10 @@ class TestStratifiedCohortTable:
             whickham.verify_crude(wrong)
 
     def test_stratum_risks(self, whickham):
-        x, y = stratum_risks(whickham.cells[0])
+        x, y = whickham.cells[0].risks()
         assert x == pytest.approx(0.1206, abs=5e-5)
         assert y == pytest.approx(0.1820, abs=5e-5)
-        x, y = stratum_risks(whickham.cells[1])
+        x, y = whickham.cells[1].risks()
         assert x == pytest.approx(0.8549, abs=5e-5)
         assert y == pytest.approx(0.8571, abs=5e-5)
 
