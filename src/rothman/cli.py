@@ -22,8 +22,9 @@ from .diagnostics import (analyze, collapsibility_report_json, number_pair,
 from .errors import (GlmError, ParseError, RothmanError, ValidationError,
                      ZeroMarginError)
 from .figures import FIGURE_SLUGS, figure_filename, figure_svg
-from .geometry import (PRESETS, StandardPopulation, standard_population,
-                       standardized_point)
+from .geometry import (DEFAULT_CONTAINMENT_TOL, PRESETS, StandardPopulation,
+                       standard_population, standardized_point)
+from .glm import DEFAULT_LEVEL
 from .simulate import parse_population_spec, population_truth, sample_table
 from .tables import StratifiedCohortTable, parse_table
 from .whickham import BUILTIN_TABLES, builtin_table
@@ -57,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis report as JSON")
     add_input(p)
     add_output(p)
-    p.add_argument("--level", type=float, default=0.95,
+    p.add_argument("--level", type=float, default=DEFAULT_LEVEL,
                    help="confidence level for likelihood-ratio intervals")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=DEFAULT_CONTAINMENT_TOL,
                    help="containment tolerance for the confounding flag")
     p.add_argument("--weights", default=None,
                    help="comma-separated custom standard population")

@@ -15,8 +15,9 @@ from typing import Mapping
 
 from . import glm
 from .errors import GlmError, ValidationError
-from .geometry import (PRESETS, Containment, ConfoundingRectangle, RiskPoint,
-                       StandardPopulation, StandardizedHull, association_points,
+from .geometry import (DEFAULT_CONTAINMENT_TOL, PRESETS, Containment,
+                       ConfoundingRectangle, RiskPoint, StandardPopulation,
+                       StandardizedHull, association_points,
                        confounding_rectangle, contains, standard_population,
                        standardized_hull, standardized_point)
 from .measures import (CollapsibilityReport, EffectModification, Measure,
@@ -174,7 +175,7 @@ def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
 
 def analyze(table: StratifiedCohortTable, *,
             level: float = glm.DEFAULT_LEVEL,
-            containment_tol: float = 1e-9,
+            containment_tol: float = DEFAULT_CONTAINMENT_TOL,
             em_tol: float = 1e-6,
             custom_standards: Mapping[str, StandardPopulation] | None = None,
             ) -> AnalysisReport:

@@ -62,8 +62,9 @@ class StandardPopulation:
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise ValidationError("weights must be non-empty")
-        if any(w < 0 for w in ws):
-            raise ValidationError(f"weights must be nonnegative: {ws}")
+        if not all(0 <= w < math.inf for w in ws):
+            raise ValidationError(
+                f"weights must be finite and nonnegative: {ws}")
         if abs(float(sum(ws)) - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}: sum={float(sum(ws))!r}")

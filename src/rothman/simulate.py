@@ -32,9 +32,14 @@ def _exact(value) -> Fraction:
     return Fraction(float(value))
 
 
-def _check_distribution(values: Sequence, what: str) -> None:
-    if any(v < 0 or v > 1 for v in values):
+def _check_unit_interval(values: Sequence, what: str) -> None:
+    # phrased so that NaN, which fails every comparison, is rejected too
+    if not all(0 <= v <= 1 for v in values):
         raise ValidationError(f"{what} must lie in [0, 1]: {values!r}")
+
+
+def _check_distribution(values: Sequence, what: str) -> None:
+    _check_unit_interval(values, what)
     if abs(float(sum(values)) - 1.0) > DIST_SUM_TOL:
         raise ValidationError(
             f"{what} must sum to 1 within {DIST_SUM_TOL}: sum="
@@ -69,9 +74,7 @@ class PopulationSpec:
                 "stratum_probs, exposure_probs, and po_probs must have "
                 f"equal length: {len(sp)}, {len(ep)}, {len(po)}")
         _check_distribution(sp, "stratum probabilities")
-        if any(e < 0 or e > 1 for e in ep):
-            raise ValidationError(
-                f"exposure probabilities must lie in [0, 1]: {ep!r}")
+        _check_unit_interval(ep, "exposure probabilities")
         for c, row in enumerate(po):
             if len(row) != 4:
                 raise ValidationError(
@@ -173,53 +176,44 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
                  ) -> StratifiedCohortTable:
     """Sample n individuals (C, X, D) with D set by consistency.
 
-    Draws use a Philox counter-based generator, so output is reproducible
-    for a given seed across runs and platforms. Strata are labeled
-    s1..sk in spec order; strata with no sampled individuals keep empty
-    cells.
+    Three uniform draws of length n, in this order, give each person's
+    stratum C, exposure X and joint potential outcome (D0, D1); the
+    observed outcome is D = D_X. Draws use a Philox counter-based
+    generator, so output is reproducible for a given nonnegative seed
+    across runs and platforms. The work is vectorised over individuals:
+    no loop runs per stratum or per person. Strata are labeled s1..sk in
+    spec order; strata with no sampled individuals keep empty cells.
     """
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     k = spec.k
 
     stratum_cum = np.cumsum([float(w) for w in spec.stratum_probs])
+    # u < 1 lies below the last entry, so every index is a stratum
     stratum_cum[-1] = 1.0
     c = np.searchsorted(stratum_cum, rng.random(n), side="right")
-    c = np.minimum(c, k - 1)
 
     exposure = np.array([float(e) for e in spec.exposure_probs])
-    x = (rng.random(n) < exposure[c]).astype(np.int64)
+    x = rng.random(n) < exposure[c]
 
+    # The joint outcome 2*D0 + D1 is the number of the stratum's first
+    # three cumulative probabilities at or below u. The fourth, a rounded
+    # total, is left out, so u < 1 past the third always lands in (1, 1).
     po_cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
                        axis=1)
-    po_cum[:, -1] = 1.0
     u = rng.random(n)
-    joint = np.empty(n, dtype=np.int64)
-    for i in range(k):
-        mask = c == i
-        joint[mask] = np.searchsorted(po_cum[i], u[mask], side="right")
-    joint = np.minimum(joint, 3)
-    d0 = joint // 2
-    d1 = joint % 2
+    joint = sum(po_cum[c, j] <= u for j in range(3))
+    d = np.where(x, joint % 2, joint // 2)
 
-    potential = np.stack([d0, d1], axis=1)
-    d = potential[np.arange(n), x]
-    assert np.array_equal(d, np.where(x == 1, d1, d0))
-
-    strata = []
-    for i in range(k):
-        in_stratum = c == i
-        exposed = in_stratum & (x == 1)
-        unexposed = in_stratum & (x == 0)
-        cell = CohortCell(
-            exposed_cases=int(np.sum(exposed & (d == 1))),
-            exposed_total=int(np.sum(exposed)),
-            unexposed_cases=int(np.sum(unexposed & (d == 1))),
-            unexposed_total=int(np.sum(unexposed)),
-        )
-        strata.append((f"s{i + 1}", cell))
-    return StratifiedCohortTable(strata=tuple(strata))
+    cells = np.bincount(4 * c + 2 * x + d, minlength=4 * k).reshape(k, 4)
+    return StratifiedCohortTable(strata=tuple(
+        (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e0 + e1,
+                                 unexposed_cases=u1,
+                                 unexposed_total=u0 + u1))
+        for i, (u0, u1, e0, e1) in enumerate(cells.tolist())))
 
 
 def parse_population_spec(source: str | dict) -> PopulationSpec:

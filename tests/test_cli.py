@@ -148,6 +148,13 @@ class TestAnalyze:
         assert code == 1
         assert error_payload(err)["code"] == "validation"
 
+    def test_nan_weights_rejected(self, run):
+        code, _, err = run("analyze", "--weights", "nan,0.5")
+        assert code == 1
+        payload = error_payload(err)
+        assert payload["type"] == "ValidationError"
+        assert "finite" in payload["message"]
+
     def test_level_changes_intervals(self, run):
         _, narrow, _ = run("analyze", "--level", "0.5")
         _, wide, _ = run("analyze", "--level", "0.99")
@@ -202,6 +209,14 @@ class TestStandardize:
         assert code == 0
         names = [e["name"] for e in json.loads(out)["standardized"]]
         assert names == ["exposed", "custom"]
+
+    def test_non_finite_weights_rejected(self, run):
+        for raw in ("nan,0.5", "0.5,nan", "inf,0.5"):
+            code, _, err = run("standardize", "--weights", raw)
+            assert code == 1
+            payload = error_payload(err)
+            assert payload["type"] == "ValidationError"
+            assert "finite" in payload["message"]
 
     def test_unknown_preset_rejected(self, run):
         code, _, err = run("standardize", "--preset", "bogus")
@@ -339,6 +354,32 @@ class TestSimulate:
         code, _, err = run("simulate", spec_path, "--n", "0")
         assert code == 1
         assert "--n must be positive" in error_payload(err)["message"]
+
+    def test_negative_seed_rejected(self, run, spec_path):
+        code, out, err = run("simulate", spec_path, "--n", "10",
+                             "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        payload = error_payload(err)
+        assert payload["type"] == "ValidationError"
+        assert "seed" in payload["message"]
+
+    @pytest.mark.parametrize("field", ["stratum_probs", "exposure_probs",
+                                       "po_probs"])
+    def test_nan_probability_rejected(self, run, tmp_path, field):
+        spec = json.loads(json.dumps(POPULATION_SPEC))
+        if field == "po_probs":
+            spec[field][1][0] = float("nan")
+        else:
+            spec[field][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))  # written as the token NaN
+        code, out, err = run("simulate", str(path), "--n", "10")
+        assert code == 1
+        assert out == ""
+        payload = error_payload(err)
+        assert payload["type"] == "ValidationError"
+        assert "must lie in [0, 1]" in payload["message"]
 
     def test_n_flag_is_required(self, run, spec_path):
         code, _, err = run("simulate", spec_path)

@@ -106,6 +106,13 @@ class TestStandardPopulation:
         with pytest.raises(ValidationError):
             StandardPopulation(weights=(1.5, -0.5))
 
+    def test_non_finite_weights_rejected(self):
+        # NaN fails every comparison, so a NaN sum once passed the check
+        for weights in [(math.nan, 0.5), (math.nan,), (0.5, math.nan, 0.5),
+                        (math.inf, 0.5), (1.0, -math.inf)]:
+            with pytest.raises(ValidationError, match="finite"):
+                StandardPopulation(weights=weights)
+
     def test_exact_fraction_weights_kept(self):
         std = StandardPopulation(weights=(Fraction(1, 3), Fraction(2, 3)))
         assert std.weights == (Fraction(1, 3), Fraction(2, 3))

@@ -50,7 +50,9 @@ def grid_extremes(m, a, b, n=20000):
     hi = -math.inf
     for i in range(n + 1):
         t = i / n
-        p = RiskPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        # b itself at t = 1: a + 1*(b - a) can land ulps past b
+        p = b if i == n else RiskPoint(a.x + t * (b.x - a.x),
+                                       a.y + t * (b.y - a.y))
         v = measure_value(m, p)
         if math.isnan(v):
             continue

@@ -8,9 +8,11 @@ knobs at all.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +123,20 @@ class TestPopulationSpec:
         with pytest.raises(ValidationError):
             PopulationSpec(stratum_probs=(1.0,), exposure_probs=(1.5,),
                            po_probs=((1, 0, 0, 0),))
+
+    @pytest.mark.parametrize("field", ["stratum_probs", "exposure_probs",
+                                       "po_probs"])
+    def test_non_finite_probabilities_rejected(self, field):
+        # NaN fails every comparison, so it once passed the range checks
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = dict(stratum_probs=(0.5, 0.5), exposure_probs=(0.5, 0.5),
+                          po_probs=((1, 0, 0, 0), (0.25, 0.25, 0.25, 0.25)))
+            if field == "po_probs":
+                fields[field] = ((1, 0, 0, 0), (bad, 0.5, 0.25, 0.25))
+            else:
+                fields[field] = (bad, 0.5)
+            with pytest.raises(ValidationError, match="must lie in"):
+                PopulationSpec(**fields)
 
 
 class TestPopulationTruth:
@@ -298,6 +314,70 @@ class TestSampleTable:
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValidationError):
             sample_table(PopulationSpec(**EXAMPLE), 0, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_table(PopulationSpec(**EXAMPLE), 10, seed=-1)
+
+
+def _pick(probs, u):
+    """Index of the first category whose running float total exceeds u.
+
+    The last category takes whatever rounding leaves of the total.
+    """
+    total = 0.0
+    for i, p in enumerate(probs[:-1]):
+        total += float(p)
+        if u < total:
+            return i
+    return len(probs) - 1
+
+
+def reference_sample(spec, n, seed):
+    """sample_table person by person, from the same three draws."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    u_stratum = rng.random(n).tolist()
+    u_exposure = rng.random(n).tolist()
+    u_outcome = rng.random(n).tolist()
+    counts = [[0, 0, 0, 0] for _ in range(spec.k)]
+    for uc, ux, ud in zip(u_stratum, u_exposure, u_outcome):
+        c = _pick(spec.stratum_probs, uc)
+        x = ux < float(spec.exposure_probs[c])
+        d0, d1 = divmod(_pick(spec.po_probs[c], ud), 2)
+        d = d1 if x else d0  # consistency: D = D_X
+        counts[c][2 * x + d] += 1
+    return [(f"s{c + 1}", e1, e0 + e1, u1, u0 + u1)
+            for c, (u0, u1, e0, e1) in enumerate(counts)]
+
+
+@st.composite
+def sampling_specs(draw):
+    """Specs with zero probabilities, sure or impossible exposure, and
+    either exact or float entries."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    exact = draw(st.booleans())
+
+    def distribution(size):
+        raw = draw(st.lists(st.integers(min_value=0, max_value=9),
+                            min_size=size, max_size=size).filter(any))
+        return tuple(F(v, sum(raw)) if exact else v / sum(raw) for v in raw)
+
+    exposure = [draw(st.one_of(st.sampled_from([0, 1]), prob))
+                for _ in range(k)]
+    return PopulationSpec(
+        stratum_probs=distribution(k),
+        exposure_probs=tuple(e if exact else float(e) for e in exposure),
+        po_probs=tuple(distribution(4) for _ in range(k)))
+
+
+@given(sampling_specs(), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=200)
+def test_sample_table_matches_per_person_reference(spec, n, seed):
+    table = sample_table(spec, n, seed)
+    assert [(label, c.exposed_cases, c.exposed_total, c.unexposed_cases,
+             c.unexposed_total) for label, c in table.strata] == \
+        reference_sample(spec, n, seed)
 
 
 class TestParsePopulationSpec:
