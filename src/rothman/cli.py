@@ -192,8 +192,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = parse_population_spec(_read_source(args.input))
     if args.n < 1:
         raise ValidationError(f"--n must be positive, got {args.n}")
-    table = sample_table(spec, args.n, args.seed)
     truth = population_truth(spec)
+    table = sample_table(spec, args.n, args.seed)
     out = json.dumps({
         "spec": spec.to_json_dict(),
         "n": args.n,

@@ -161,16 +161,10 @@ def _collapsibility_entry(measure: Measure,
     return measure, collapse_analysis(measure, points), None
 
 
-def collapsibility_entries(table: StratifiedCohortTable,
-                           ) -> tuple[tuple[Measure, CollapsibilityReport | None, str | None], ...]:
-    return tuple(_collapsibility_entry(m, _no_interaction_fit(m, table))
-                 for m in Measure)
-
-
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
     """The collapsibility section of the analysis report, on its own."""
-    return [_collapsibility_json(m, rep, err)
-            for m, rep, err in collapsibility_entries(table)]
+    return [_collapsibility_json(*_collapsibility_entry(
+                m, _no_interaction_fit(m, table))) for m in Measure]
 
 
 def analyze(table: StratifiedCohortTable, *,

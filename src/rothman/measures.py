@@ -11,17 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import UndefinedMeasureError, ValidationError
-from .geometry import (RiskPoint, StandardPopulation, convex_hull_indices,
-                       standardized_hull)
+from .geometry import RiskPoint, StandardPopulation, convex_hull_indices
 
 COLLAPSE_TOL = 1e-9
 CONTOUR_CLIP_TOL = 1e-12
-GRID_POINTS = 256
 SEGMENT_T_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Measure(Enum):
@@ -208,37 +205,49 @@ def _lerp(a: RiskPoint, b: RiskPoint, t: float) -> RiskPoint:
     return RiskPoint(x, y)
 
 
-def _golden_section(f: Callable[[float], float], sign: float) -> float:
-    """The t in [0, 1] where sign*f is least, skipping nan values.
+def _log_slope(m: Measure, p: RiskPoint, dx: float, dy: float) -> float:
+    """d/dt log m at p moving along (dx, dy): dy*L'(y) - dx*L'(x) for the
+    link L (logit for OR, cloglog for HR); nan at (0,0) and (1,1)."""
 
-    A grid search finds the best grid point; golden section refines it.
+    def term(d: float, q: float) -> float:
+        if d == 0.0:
+            return 0.0
+        if q == 0.0 or q == 1.0:
+            return math.copysign(math.inf, d)
+        if m is Measure.ODDS_RATIO:
+            return d / (q * (1.0 - q))
+        return -d / ((1.0 - q) * math.log1p(-q))
+
+    return term(dy, p.y) - term(dx, p.x)
+
+
+def _stationary(m: Measure, a: RiskPoint, b: RiskPoint) -> float | None:
+    """The t in (0, 1) where log m is stationary along a->b, or None.
+
+    OR and HR contours are strictly convex or concave, so log m has at
+    most one stationary point on a segment, found by bisection on the
+    sign of its derivative when that differs between the ends. Along an
+    edge from the (0,0) or (1,1) corner log m is monotone, so the corner
+    takes the other end's opposite sign and the search runs toward it.
     """
-
-    def g(t: float) -> float:
-        v = f(t)
-        return math.inf if math.isnan(v) else sign * v
-
-    n = GRID_POINTS
-    ts = [i / n for i in range(n + 1)]
-    gs = [g(t) for t in ts]
-    best = min(range(n + 1), key=gs.__getitem__)
-    if math.isinf(gs[best]):
-        return ts[best]
-    a = ts[max(best - 1, 0)]
-    b = ts[min(best + 1, n)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > SEGMENT_T_TOL:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
+    dx, dy = b.x - a.x, b.y - a.y
+    s0, s1 = (_log_slope(m, p, dx, dy) for p in (a, b))
+    if math.isnan(s0) and math.isnan(s1):
+        return 0.5  # the diagonal from (0,0) to (1,1), where m is 1
+    if math.isnan(s0):
+        s0 = -s1
+    elif math.isnan(s1):
+        s1 = -s0
+    if not s0 * s1 < 0.0:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > SEGMENT_T_TOL:
+        t = (lo + hi) / 2.0
+        if (_log_slope(m, _lerp(a, b, t), dx, dy) > 0.0) == (s0 > 0.0):
+            lo = t
         else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-    return (a + b) / 2.0
+            hi = t
+    return (lo + hi) / 2.0
 
 
 def _agree(m: Measure, u: float, v: float) -> bool:
@@ -260,39 +269,26 @@ def _edge_weights(k: int, i0: int, i1: int, t: float) -> StandardPopulation:
     return StandardPopulation(weights=tuple(weights), preset="custom")
 
 
-def _extreme(m: Measure, strata: Sequence[RiskPoint],
-             values: Sequence[float], vertices: Sequence[int],
-             edges: Sequence[tuple[int, int]], sign: float,
-             ) -> tuple[float, StandardPopulation] | None:
+def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
+             candidates: Sequence[tuple[float, StandardPopulation]],
+             sign: float) -> tuple[float, StandardPopulation] | None:
     """(value, weights) where sign*value is least over the standardized
     domain, or None when the measure is undefined all over it.
 
-    RD is linear and RR linear-fractional along a segment, so both are
-    monotone along every edge and their extremes sit at vertices. Vertex
-    values that agree within COLLAPSE_TOL are ties that go to the first
-    vertex, so the choice does not turn on rounding error in values that
-    share a contour. For OR and HR, the point a 1-D search finds inside an
-    edge replaces the vertex only when it is strictly better.
+    Vertex values that agree within COLLAPSE_TOL are ties that go to the
+    first vertex, so the choice does not turn on rounding error in values
+    that share a contour. A candidate inside an edge replaces the vertex
+    only when it is strictly better.
     """
-    k = len(strata)
     best = None
     ends = [values[i] for i in vertices if not math.isnan(values[i])]
     if ends:
         least = min(ends, key=lambda v: sign * v)
         i = next(i for i in vertices if _agree(m, values[i], least))
-        best = (values[i], _point_mass(k, i))
-    if is_collapsible(m):
-        return best
-    for i0, i1 in edges:
-        a, b = strata[i0], strata[i1]
-
-        def f(t: float) -> float:
-            return measure_value(m, _lerp(a, b, t))
-
-        t = _golden_section(f, sign)
-        v = f(t)
+        best = (values[i], _point_mass(len(values), i))
+    for v, weights in candidates:
         if not math.isnan(v) and (best is None or sign * v < sign * best[0]):
-            best = (v, _edge_weights(k, i0, i1, t))
+            best = (v, weights)
     return best
 
 
@@ -324,8 +320,18 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
     if len(vertices) > 2:
         edges.append((vertices[-1], vertices[0]))
 
-    low = _extreme(m, strata, values, vertices, edges, 1.0)
-    high = _extreme(m, strata, values, vertices, edges, -1.0)
+    # RD is linear and RR linear-fractional along a segment, so both are
+    # monotone along every edge; OR and HR may be extreme at the one
+    # stationary point inside an edge, which serves the min and the max.
+    candidates = []
+    if not is_collapsible(m):
+        for i0, i1 in edges:
+            t = _stationary(m, strata[i0], strata[i1])
+            if t is not None:
+                v = measure_value(m, _lerp(strata[i0], strata[i1], t))
+                candidates.append((v, _edge_weights(k, i0, i1, t)))
+    low = _extreme(m, values, vertices, candidates, 1.0)
+    high = _extreme(m, values, vertices, candidates, -1.0)
     if low is None or high is None:
         raise UndefinedMeasureError(
             f"{m.label} is undefined over the whole standardized domain")

@@ -381,6 +381,20 @@ class TestSimulate:
         assert payload["type"] == "ValidationError"
         assert "must lie in [0, 1]" in payload["message"]
 
+    def test_zero_probability_cell_fails_before_sampling(self, run, tmp_path,
+                                                         monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sample_table was called")
+
+        monkeypatch.setattr(cli, "sample_table", no_sampling)
+        spec = dict(POPULATION_SPEC, exposure_probs=[1.0, 0.5])
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run("simulate", str(path), "--n", "1000000")
+        assert code == 1
+        assert out == ""
+        assert "has probability zero" in error_payload(err)["message"]
+
     def test_n_flag_is_required(self, run, spec_path):
         code, _, err = run("simulate", spec_path)
         assert code == 1

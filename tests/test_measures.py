@@ -1,12 +1,16 @@
 """Measure values, contours, effect modification, collapsibility extremes.
 
 The segment-extremes oracle is a dense grid scan written independently of
-the golden-section search it validates: any value the optimizer reports is
+the stationary-point search it validates: any value the search reports is
 an achieved value of the measure, so it can only fail to be extreme by
-missing a better point, which the grid detects.
+missing a better point, which the grid detects. Where the extreme is a
+stationary point inside a segment, its position is checked against a
+50-digit root found with the decimal module.
 """
 
 import math
+import random
+from decimal import Decimal, localcontext
 from itertools import product
 
 import pytest
@@ -19,6 +23,7 @@ from rothman.measures import (CollapsibilityReport, Measure, collapse_analysis,
                               is_collapsible, measure_value)
 
 ALL_MEASURES = tuple(Measure)
+CURVED_MEASURES = (Measure.ODDS_RATIO, Measure.HAZARD_RATIO)
 
 # Frozen crude and stratum measure values for the smoking cohort.
 CRUDE_VALUES = {
@@ -361,3 +366,80 @@ def test_segment_extremes_match_grid_oracle(ax, ay, bx, by):
         got_max = measure_value(m, standardize([a, b], r.argmax_weights))
         assert got_min == pytest.approx(r.min_value, rel=1e-12, abs=1e-12)
         assert got_max == pytest.approx(r.max_value, rel=1e-12, abs=1e-12)
+
+
+def decimal_stationary_root(m, a, b):
+    """The t in (0, 1) where d/dt log m vanishes along a->b, to 50 digits,
+    with the sign of the derivative at a; None without a sign change."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ax, ay, bx, by = (Decimal(v) for v in (a.x, a.y, b.x, b.y))
+
+        def link_slope(p):
+            if m is Measure.ODDS_RATIO:
+                return 1 / (p * (1 - p))
+            return -1 / ((1 - p) * (1 - p).ln())
+
+        def rising(t):
+            x = ax + t * (bx - ax)
+            y = ay + t * (by - ay)
+            return (by - ay) * link_slope(y) - (bx - ax) * link_slope(x) > 0
+
+        lo, hi = Decimal(0), Decimal(1)
+        at_a = rising(lo)
+        if at_a == rising(hi):
+            return None
+        for _ in range(70):
+            t = (lo + hi) / 2
+            if rising(t) == at_a:
+                lo = t
+            else:
+                hi = t
+        return (lo + hi) / 2, at_a
+
+
+@pytest.mark.parametrize("m", CURVED_MEASURES)
+def test_interior_extreme_sits_at_the_decimal_root(m):
+    rng = random.Random(5)
+    checked = 0
+    while checked < 150:
+        a, b = (RiskPoint(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+                for _ in range(2))
+        root = decimal_stationary_root(m, a, b)
+        if root is None:
+            continue
+        t, rising_at_a = root
+        r = collapse_analysis(m, [a, b])
+        # rising then falling is an interior maximum, else a minimum
+        weights = r.argmax_weights if rising_at_a else r.argmin_weights
+        assert abs(Decimal(weights.as_floats()[1]) - t) <= Decimal("1e-10"), (
+            m, a, b)
+        checked += 1
+
+
+CORNER_SEGMENTS = (
+    ((0.0, 0.0), (0.5, 0.2)),
+    ((0.0, 0.0), (0.3, 0.9)),
+    ((0.943568065208288, 0.6232748664646758), (1.0, 1.0)),
+    ((1.0, 1.0), (0.1554584946696973, 0.32371741750073046)),
+)
+
+
+@pytest.mark.parametrize("ends", CORNER_SEGMENTS)
+@pytest.mark.parametrize("m", CURVED_MEASURES)
+def test_corner_segment_extremes_beat_the_grid(m, ends):
+    # the slope is undefined at the corner, where the extreme is a limit
+    a, b = (RiskPoint(x, y) for x, y in ends)
+    r = collapse_analysis(m, [a, b])
+    lo, hi = grid_extremes(m, a, b)
+    assert r.min_value <= lo + 1e-12
+    assert r.max_value >= hi - 1e-12
+
+
+@pytest.mark.parametrize("m", CURVED_MEASURES)
+def test_diagonal_hull_edge_reaches_the_null(m):
+    # both ends of the (0,0)-(1,1) edge are corners; m is 1 all along it
+    pts = [RiskPoint(0.0, 0.0), RiskPoint(1.0, 1.0), RiskPoint(0.2, 0.7)]
+    r = collapse_analysis(m, pts)
+    assert r.min_value == 1.0
+    assert measure_value(m, standardize(pts, r.argmin_weights)) == 1.0
