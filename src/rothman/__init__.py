@@ -9,9 +9,9 @@ potential-outcomes simulations, and SVG diagrams.
 """
 
 from .diagnostics import AnalysisReport, MeasureAnalysis, analyze
-from .errors import (BoundaryFitError, GlmError, NestingError,
-                     NonConvergenceError, ParseError, RothmanError,
-                     UndefinedMeasureError, ValidationError, ZeroMarginError)
+from .errors import (GlmError, NestingError, NonConvergenceError,
+                     ParseError, RothmanError, UndefinedMeasureError,
+                     ValidationError, ZeroMarginError)
 from .figures import figure_filename, figure_svg
 from .geometry import (Containment, ConfoundingRectangle, RiskPoint,
                        StandardPopulation, StandardizedHull,
@@ -38,7 +38,7 @@ from .whickham import (builtin_table, six_strata_table, whickham_crude_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "BoundaryFitError", "CohortCell",
+    "AnalysisReport", "CohortCell",
     "CollapsibilityReport", "Containment", "ConfoundingRectangle",
     "ContourSpec", "DiagramSpec", "EffectModification", "GlmError", "GlmFit",
     "HullSpec", "LrInterval", "LrTest", "Measure", "MeasureAnalysis",

@@ -26,15 +26,11 @@ class ZeroMarginError(GlmError):
 
 
 class NonConvergenceError(GlmError):
-    """IRLS failed to converge; carries the iteration trace."""
+    """A fit failed to converge; carries the deviance trace."""
 
     def __init__(self, message: str, trace: list | None = None):
         super().__init__(message)
         self.trace = trace or []
-
-
-class BoundaryFitError(GlmError):
-    """A fitted risk is pinned to the (0, 1) boundary; the MLE is not interior."""
 
 
 class NestingError(GlmError):

@@ -1,25 +1,21 @@
 """Binomial generalized linear models on the stratified cohort design.
 
-Fits exposure/stratum/interaction models under the logit, log, identity,
-and complementary log-log links. The saturated and the exposure-only
-models have closed-form maximum-likelihood fits: their fitted risks are the
-observed cell proportions and the exposure-group pooled proportions. The
-no-interaction model is fitted by iteratively reweighted least squares
-with step halving. IRLS has one stopping rule: the Newton decrement of its
-step, the deviance still to gain, falls to a fixed multiple of the table's
-total count. It has no absolute tolerance, so a table with every count
-multiplied by a constant gets the same fit in the same iterations.
-
-Likelihood-ratio tests and profile-likelihood intervals take a finished
-fit and reuse it instead of refitting. Interval endpoints are found by a
-safeguarded secant (Illinois) iteration on the signed root of the
-likelihood-ratio statistic, each constrained fit warm-started from the one
-before. The chi-square distribution, survival and quantile functions they
-need are computed here, so there is no stats dependency.
-
-The design uses reference-cell coding with the first stratum and the
-unexposed group as references, so the exposure coefficient is directly
-the adjusted measure of association on the link scale.
+Exposure/stratum/interaction models under the logit, log, identity and
+complementary log-log links, with coefficients in reference-cell coding
+(first stratum, unexposed group), so the exposure coefficient b is the
+adjusted measure of association on the link scale. The saturated and
+exposure-only models are fitted in closed form by the observed cell and
+pooled exposure-group proportions. The no-interaction model is fitted on
+its cell parameters, stratum i's cells having eta = alpha_i and
+alpha_i + b: its log-likelihood is concave in eta under all four links and
+its information diagonal but for b, so `_irls` takes Newton steps solved
+in O(k). It stops when the Newton decrement falls to a fixed multiple of
+the total count, so scaling every count changes neither fit nor
+iterations. With b held fixed it makes each profile-likelihood
+evaluation: likelihood-ratio tests and profile intervals reuse a finished
+fit, endpoints found by a safeguarded secant iteration on the signed root
+of the statistic. The chi-square functions are computed here, so there is
+no stats dependency.
 """
 
 from __future__ import annotations
@@ -27,12 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (BoundaryFitError, GlmError, NestingError,
-                     NonConvergenceError, ValidationError, ZeroMarginError)
+from .errors import (GlmError, NestingError, NonConvergenceError,
+                     ValidationError, ZeroMarginError)
 from .geometry import RiskPoint
 from .tables import StratifiedCohortTable
 
@@ -42,57 +38,62 @@ TERMS = ("exposure_only", "exposure_plus_stratum", "saturated_with_interaction")
 MU_EPS = 1e-10
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 32
+MAX_ETA_STEP = 4.0
+START_MARGIN = 0.01
 DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
-PROFILE_ROOT_TOL = 1e-10
+PROFILE_ROOT_TOL = 1e-12
 PROFILE_MAX_STEPS = 64
 DEFAULT_LEVEL = 0.95
 
 
 @dataclass(frozen=True, slots=True)
 class _Link:
+    """``cells(eta, s, f)`` gives log(mu), log(1 - mu), and the first and
+    negated second eta-derivatives of s*log(mu) + f*log(1 - mu) per cell,
+    the logs straight from eta, so a risk too close to 1 to be stored apart
+    from it keeps its log-likelihood (cloglog: log(1 - mu) = -exp(eta))."""
+
     name: str
     to_eta: Callable[[np.ndarray], np.ndarray]
-    to_mu: Callable[[np.ndarray], np.ndarray]
-    dmu_deta: Callable[[np.ndarray], np.ndarray]
-    is_ratio_scale: bool
+    cells: Callable[..., tuple[np.ndarray, ...]]
+    is_ratio_scale: bool = True
 
 
-def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _logit_cells(eta, s, f):
+    log_mu, log_nu = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
+    mu = np.exp(log_mu)
+    return log_mu, log_nu, s - (s + f) * mu, (s + f) * mu * np.exp(log_nu)
+
+
+def _log_cells(eta, s, f):
+    nu = -np.expm1(eta)
+    odds = np.exp(eta) / nu
+    return eta, np.log(nu), s - f * odds, f * odds / nu
+
+
+def _identity_cells(eta, s, f):
+    nu = 1.0 - eta
+    return (np.log(eta), np.log1p(-eta), s / eta - f / nu,
+            s / (eta * eta) + f / (nu * nu))
+
+
+def _cloglog_cells(eta, s, f):
+    t = np.exp(eta)
+    log_mu = np.log(-np.expm1(-t))
+    r = np.exp(-t - log_mu)  # (1 - mu) / mu
+    return (log_mu, -t, t * (s * r - f),
+            t * (f + s * r * (t * (1.0 + r) - 1.0)))
 
 
 _LINKS = {
-    "logit": _Link(
-        "logit",
-        to_eta=lambda mu: np.log(mu / (1.0 - mu)),
-        to_mu=_expit,
-        dmu_deta=lambda eta: (lambda m: m * (1.0 - m))(_expit(eta)),
-        is_ratio_scale=True),
-    "log": _Link(
-        "log",
-        to_eta=np.log,
-        to_mu=np.exp,
-        dmu_deta=np.exp,
-        is_ratio_scale=True),
-    "identity": _Link(
-        "identity",
-        to_eta=lambda mu: np.asarray(mu, dtype=float),
-        to_mu=lambda eta: np.asarray(eta, dtype=float),
-        dmu_deta=lambda eta: np.ones_like(eta),
-        is_ratio_scale=False),
-    "cloglog": _Link(
-        "cloglog",
-        to_eta=lambda mu: np.log(-np.log1p(-mu)),
-        to_mu=lambda eta: -np.expm1(-np.exp(eta)),
-        dmu_deta=lambda eta: np.exp(eta - np.exp(eta)),
-        is_ratio_scale=True),
+    "logit": _Link("logit", lambda mu: np.log(mu / (1.0 - mu)), _logit_cells),
+    "log": _Link("log", np.log, _log_cells),
+    "identity": _Link("identity", lambda mu: np.asarray(mu, dtype=float),
+                      _identity_cells, is_ratio_scale=False),
+    "cloglog": _Link("cloglog", lambda mu: np.log(-np.log1p(-mu)),
+                     _cloglog_cells),
 }
 
 
@@ -152,221 +153,216 @@ class LrTest:
     p_value: float
 
 
-def _design(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      tuple[str, ...]]:
-    """Design matrix plus per-row cases/totals, rows (stratum, unexp/exp)."""
-    table = spec.table
-    k = table.k
-    s = np.empty(2 * k)
-    n = np.empty(2 * k)
-    for i, (label, cell) in enumerate(table.strata):
-        if cell.unexposed_total == 0 or cell.exposed_total == 0:
-            raise ZeroMarginError(
-                f"stratum {label!r} has a zero-total exposure group; "
-                "its risk is not estimable")
-        s[2 * i] = cell.unexposed_cases
-        n[2 * i] = cell.unexposed_total
-        s[2 * i + 1] = cell.exposed_cases
-        n[2 * i + 1] = cell.exposed_total
-
-    names = ["intercept", "exposure"]
-    with_stratum = spec.terms != "exposure_only"
-    with_interaction = spec.terms == "saturated_with_interaction"
-    if with_stratum:
-        names.extend(f"stratum:{lbl}" for lbl in table.labels[1:])
-    if with_interaction:
-        names.extend(f"exposure:stratum:{lbl}" for lbl in table.labels[1:])
-
-    X = np.zeros((2 * k, len(names)))
-    X[:, 0] = 1.0
-    X[1::2, 1] = 1.0
-    for i in range(1, k):
-        if with_stratum:
-            X[2 * i, 2 + i - 1] = 1.0
-            X[2 * i + 1, 2 + i - 1] = 1.0
-        if with_interaction:
-            X[2 * i + 1, 2 + (k - 1) + i - 1] = 1.0
-    return X, s, n, tuple(names)
+def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, np.ndarray]:
+    """Cases and totals as (k, 2) arrays, columns (unexposed, exposed)."""
+    counts = np.array([(c.unexposed_cases, c.exposed_cases, c.unexposed_total,
+                        c.exposed_total) for c in table.cells], dtype=float)
+    s, n = counts[:, :2], counts[:, 2:]
+    empty = np.nonzero((n == 0.0).any(axis=1))[0]
+    if empty.size:
+        raise ZeroMarginError(
+            f"stratum {table.labels[empty[0]]!r} has a zero-total exposure "
+            "group; its risk is not estimable")
+    return s, n
 
 
-def _mu_ok(mu: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(mu)) and np.all(mu > MU_EPS)
-                and np.all(mu < 1.0 - MU_EPS))
+_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
 
 
-def _log_likelihood(s: np.ndarray, n: np.ndarray, mu: np.ndarray) -> float:
-    total = 0.0
-    for si, ni, mi in zip(s, n, mu):
-        total += (math.lgamma(ni + 1.0) - math.lgamma(si + 1.0)
-                  - math.lgamma(ni - si + 1.0)
-                  + si * math.log(mi) + (ni - si) * math.log1p(-mi))
-    return total
+def _log_likelihood(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
+                    log_nu: np.ndarray) -> float:
+    f = n - s
+    return float(np.sum(_LGAMMA(n + 1.0) - _LGAMMA(s + 1.0) - _LGAMMA(f + 1.0)
+                        + s * log_mu + f * log_nu))
 
 
-def _deviance(s: np.ndarray, n: np.ndarray, mu: np.ndarray) -> float:
-    total = 0.0
-    for si, ni, mi in zip(s, n, mu):
-        if si > 0.0:
-            total += si * math.log(si / (ni * mi))
-        if ni - si > 0.0:
-            total += (ni - si) * math.log((ni - si) / (ni * (1.0 - mi)))
-    return 2.0 * total
+def _log_observed(s: np.ndarray, n: np.ndarray) -> tuple:
+    """log(s/n) and log(f/n), 0 where the count is 0 (0 log 0 = 0)."""
+    f = n - s
+    return (np.log(s / n, out=np.zeros_like(s), where=s > 0.0),
+            np.log(f / n, out=np.zeros_like(f), where=f > 0.0))
+
+
+def _deviance(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
+              log_nu: np.ndarray, observed: tuple | None = None) -> float:
+    """Twice the log-likelihood gap to the observed proportions, whose logs
+    (`_log_observed`) may be passed in as ``observed``."""
+    log_p, log_q = observed or _log_observed(s, n)
+    return 2.0 * float((s * (log_p - log_mu)
+                        + (n - s) * (log_q - log_nu)).sum())
+
+
+def _eta(alpha: np.ndarray, b: float) -> np.ndarray:
+    return np.add.outer(alpha, (0.0, b))
+
+
+def _exposure_information(h: np.ndarray) -> float:
+    """Schur complement A_bb - sum A_ib^2 / A_ii, cell curvatures h."""
+    return float((h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1])).sum())
+
+
+def _inside(alpha: np.ndarray, b: float, link: _Link) -> np.ndarray:
+    """``alpha`` with each entry putting a risk outside (MU_EPS, 1 - MU_EPS)
+    at this b moved `START_MARGIN` of the feasible width inside."""
+    lo, hi = link.to_eta(np.array([MU_EPS, 1.0 - MU_EPS]))
+    lo, hi = max(lo, lo - b), min(hi, hi - b)
+    margin = START_MARGIN * (hi - lo)
+    return np.where((alpha > lo) & (alpha < hi), alpha,
+                    np.clip(alpha, lo + margin, hi - margin))
 
 
 @dataclass(slots=True)
 class _FitState:
-    beta: np.ndarray
-    mu: np.ndarray
+    alpha: np.ndarray
+    b: float
+    log_mu: np.ndarray
+    log_nu: np.ndarray
     deviance: float
     iterations: int
 
 
-def _start(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
-           offset: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
-    """Initial coefficients giving risks strictly inside (0, 1).
+def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
+          b: float | None = None, start: np.ndarray | None = None,
+          ) -> _FitState:
+    """Fit the no-interaction model by Newton-Raphson with step halving.
 
-    ``warm`` is used when it is feasible; otherwise the start comes from
-    empirically smoothed cell proportions, then from the overall risk.
+    ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
+    (unexposed, exposed). With ``b`` None the fit estimates b and the
+    alphas; with b given, the alphas alone (a profile-likelihood
+    evaluation). The alphas start at ``start``, else from the smoothed
+    proportions (s + 0.5) / (n + 1) on the link scale, which also start a
+    free b; a start outside the link's domain is moved inside it.
+
+    Newton-Raphson for a GLM is IRLS with observed-information weights.
+    Each step solves A delta = g (A the observed information, g the score)
+    in O(k), eliminating b through the Schur complement. It is cut so that
+    no eta moves by more than `MAX_ETA_STEP`, then halved while it leaves
+    the domain or raises the deviance by more than `DEVIANCE_ROUNDING`
+    times the total count, the deviance's rounding error. The loop stops
+    after the step whose Newton decrement delta'g, the deviance left to
+    gain, is at most `DECREMENT_TOL` times the total count.
     """
-    def feasible(beta: np.ndarray) -> bool:
-        with np.errstate(all="ignore"):
-            return _mu_ok(link.to_mu(X @ beta + offset))
-
-    if warm is not None and feasible(warm):
-        return warm
-    mu0 = (s + 0.5) / (n + 1.0)
-    eta0 = link.to_eta(mu0)
-    beta, *_ = np.linalg.lstsq(X, eta0 - offset, rcond=None)
-    if feasible(beta):
-        return beta
-    beta = np.zeros(X.shape[1])
-    overall = (float(s.sum()) + 0.5) / (float(n.sum()) + 1.0)
-    beta[0] = float(link.to_eta(np.array([overall]))[0])
-    if not feasible(beta):
-        raise NonConvergenceError(
-            f"no feasible starting point under the {link.name} link", trace=[])
-    return beta
-
-
-def _irls(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
-          offset: np.ndarray | None = None, *,
-          start: np.ndarray | None = None) -> _FitState:
-    """IRLS with step halving; ``start`` warm-starts it when feasible.
-
-    Each iteration solves A delta = g for the Fisher-scoring step, with
-    A = X'WX the expected information and g the score. The step is halved
-    while it leaves the link's domain or raises the deviance by more than
-    `DEVIANCE_ROUNDING` times the total count, the size of the deviance's
-    own rounding error. The loop stops after the step whose Newton
-    decrement delta'A delta, an estimate of the deviance left to gain, is
-    at most `DECREMENT_TOL` times the total count. Both scales grow with
-    the counts, so a table with every count multiplied by a constant gets
-    the same fit in the same iterations.
-    """
-    if offset is None:
-        offset = np.zeros(len(s))
-    p_obs = s / n
+    f = n - s
     total = float(n.sum())
-    beta = _start(X, s, n, link, offset, start)
-    eta = X @ beta + offset
-    mu = link.to_mu(eta)
-    dev = _deviance(s, n, mu)
+    free = b is None
+    if free or start is None:
+        eta0 = link.to_eta((s + 0.5) / (n + 1.0))
+        if free:
+            b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
+        start = (eta0[:, 0] + eta0[:, 1] - b) / 2.0
+    # the domain: risks in (0, 1), and MU_EPS from an end where a cell's
+    # likelihood stays finite (0 with no cases, 1 with no non-cases)
+    floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
+                          for c in (s, f))
+    observed = _log_observed(s, n)
+
+    def deviance(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> float:
+        if (log_mu > floor_mu).all() and (log_nu > floor_nu).all():
+            return _deviance(s, n, log_mu, log_nu, observed)
+        return math.nan  # outside the domain; fails every comparison
+
+    alpha = _inside(start, b, link)  # infeasible when no alpha fits this b
+    with np.errstate(all="ignore"):
+        cells = link.cells(_eta(alpha, b), s, f)
+    dev = deviance(*cells)
+    if math.isnan(dev):
+        raise NonConvergenceError(
+            f"no feasible starting point under the {link.name} link",
+            trace=[])
     trace = [dev]
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        dinv = link.dmu_deta(eta)
-        w = n * dinv * dinv / (mu * (1.0 - mu))
-        a = X.T @ (X * w[:, None])
-        try:
-            delta = np.linalg.solve(a, X.T @ (w * (p_obs - mu) / dinv))
-        except np.linalg.LinAlgError as exc:
-            raise GlmError(f"singular weighted design matrix: {exc}") from exc
-
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            beta_try = beta + step * delta
-            with np.errstate(all="ignore"):
-                eta_try = X @ beta_try + offset
-                mu_try = link.to_mu(eta_try)
-            if _mu_ok(mu_try):
-                dev_try = _deviance(s, n, mu_try)
+        _, _, g, h = cells
+        with np.errstate(all="ignore"):
+            g_alpha, d = g.sum(axis=1), h.sum(axis=1)
+            g_b = delta_b = 0.0
+            if free:
+                g_b = float(g[:, 1].sum())
+                cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
+                delta_b = float(cross.sum()) / _exposure_information(h)
+            delta = (g_alpha - h[:, 1] * delta_b) / d
+            decrement = float(delta @ g_alpha) + delta_b * g_b
+            # a cell deep in a logit tail has almost no curvature, and
+            # the uncut Newton step there can be 1e13 long
+            reach = float(np.abs(_eta(delta, delta_b)).max())
+            step = MAX_ETA_STEP / reach if reach > MAX_ETA_STEP else 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                alpha_try, b_try = alpha + step * delta, b + step * delta_b
+                trial = link.cells(_eta(alpha_try, b_try), s, f)
+                dev_try = deviance(*trial)
                 if dev_try <= dev + DEVIANCE_ROUNDING * total:
                     break
-            step /= 2.0
-        else:
-            raise NonConvergenceError(
-                f"step halving exhausted after {iterations} iterations "
-                f"under the {link.name} link", trace=trace)
-        beta, eta, mu, dev = beta_try, eta_try, mu_try, dev_try
+                step /= 2.0
+            else:
+                raise NonConvergenceError(
+                    f"step halving exhausted after {iterations} iterations "
+                    f"under the {link.name} link", trace=trace)
+        alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
         trace.append(dev)
-        if float(delta @ a @ delta) <= DECREMENT_TOL * total:
+        if decrement <= DECREMENT_TOL * total:
             break
     else:
         raise NonConvergenceError(
             f"no convergence in {MAX_ITERATIONS} iterations under the "
             f"{link.name} link", trace=trace)
-
-    if np.any(mu <= 5.0 * MU_EPS) or np.any(mu >= 1.0 - 5.0 * MU_EPS):
-        pinned = [int(i) for i in np.nonzero(
-            (mu <= 5.0 * MU_EPS) | (mu >= 1.0 - 5.0 * MU_EPS))[0]]
-        raise BoundaryFitError(
-            f"fitted risks pinned to the boundary at rows {pinned} under "
-            f"the {link.name} link")
-    return _FitState(beta=beta, mu=mu, deviance=dev, iterations=iterations)
+    return _FitState(alpha=alpha, b=float(b), log_mu=cells[0],
+                     log_nu=cells[1], deviance=dev, iterations=iterations)
 
 
-def _pooled(s: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Per-row risk pooled over the rows sharing each row's group id."""
-    return (np.bincount(groups, weights=s)
-            / np.bincount(groups, weights=n))[groups]
-
-
-def _closed_form(X: np.ndarray, s: np.ndarray, n: np.ndarray, link: _Link,
-                 groups: np.ndarray) -> _FitState:
-    """The fit of a model whose rows in one group share a free risk.
-
-    Its maximum-likelihood risks are the pooled proportions, whatever the
-    link; the coefficients solve the (consistent) linear system on the
-    link scale.
-    """
-    mu = _pooled(s, n, groups)
-    if not _mu_ok(mu):
-        rows = [int(i) for i in np.nonzero((mu <= MU_EPS)
-                                           | (mu >= 1.0 - MU_EPS))[0]]
+def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
+                  ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Coefficients, log(mu) and log(1 - mu) of a closed-form fit: every
+    saturated cell and exposure-only group has a free risk, fitted by its
+    observed (pooled) proportion, and the coefficients are read off its
+    link-scale value."""
+    if spec.terms == "exposure_only":
+        s, n = (np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n))
+    edge = ((s == 0.0) | (s == n)).ravel()
+    if edge.any():
         raise NonConvergenceError(
-            f"observed risks of 0 or 1 at rows {rows} put the maximum-"
-            f"likelihood fit on the boundary under the {link.name} link",
-            trace=[])
-    beta, *_ = np.linalg.lstsq(X, link.to_eta(mu), rcond=None)
-    return _FitState(beta=beta, mu=mu, deviance=_deviance(s, n, mu),
-                     iterations=0)
+            f"observed risks of 0 or 1 at rows {np.nonzero(edge)[0].tolist()} "
+            "put the maximum-likelihood fit on the boundary under the "
+            f"{link.name} link", trace=[])
+    eta = link.to_eta(s / n)
+    effect = eta[:, 1] - eta[:, 0]
+    coefficients = (eta[0, 0], effect[0])
+    if spec.terms == "saturated_with_interaction":
+        coefficients += (*(eta[1:, 0] - eta[0, 0]), *(effect[1:] - effect[0]))
+    return (coefficients, *_log_observed(s, n))
 
 
 def fit(spec: ModelSpec) -> GlmFit:
     """Maximum-likelihood fit of the model.
 
     The saturated and exposure-only models are fitted in closed form; the
-    no-interaction model by IRLS with step halving.
+    no-interaction model by `_irls`, reported in reference coding:
+    intercept = alpha_1 and stratum:i = alpha_i - alpha_1.
     """
-    X, s, n, names = _design(spec)
+    s, n = _cells(spec.table)
     link = _LINKS[spec.link]
-    rows = np.arange(len(s))
-    if spec.terms == "saturated_with_interaction":
-        state = _closed_form(X, s, n, link, rows)
-    elif spec.terms == "exposure_only":
-        state = _closed_form(X, s, n, link, rows % 2)
+    if spec.terms == "exposure_plus_stratum":
+        state = _irls(s, n, link)
+        coefficients = (state.alpha[0], state.b,
+                        *(state.alpha[1:] - state.alpha[0]))
+        log_mu, log_nu = state.log_mu, state.log_nu
+        iterations = state.iterations
     else:
-        state = _irls(X, s, n, link)
-    k = spec.table.k
-    fitted = tuple((float(state.mu[2 * i]), float(state.mu[2 * i + 1]))
-                   for i in range(k))
+        coefficients, log_mu, log_nu = _observed_fit(spec, s, n, link)
+        iterations = 0
+    labels = spec.table.labels[1:]
+    names = ("intercept", "exposure",
+             *(f"stratum:{lbl}" for lbl in labels
+               if spec.terms != "exposure_only"),
+             *(f"exposure:stratum:{lbl}" for lbl in labels
+               if spec.terms == "saturated_with_interaction"))
     return GlmFit(spec=spec,
-                  coefficients=tuple(float(c) for c in state.beta),
+                  coefficients=tuple(float(c) for c in coefficients),
                   coefficient_names=names,
-                  log_likelihood=_log_likelihood(s, n, state.mu),
-                  deviance=state.deviance,
-                  fitted_risks=fitted,
-                  iterations=state.iterations)
+                  log_likelihood=_log_likelihood(s, n, log_mu, log_nu),
+                  deviance=_deviance(s, n, log_mu, log_nu),
+                  fitted_risks=tuple((float(x), float(y))
+                                     for x, y in np.exp(log_mu)),
+                  iterations=iterations)
 
 
 def natural_scale(link: str, value: float) -> float:
@@ -424,25 +420,34 @@ def lr_test(null_fit: GlmFit, alt_fit: GlmFit, df: int) -> float:
                df).p_value
 
 
+def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, float]:
+    """Cases, totals, fitted alphas and deviance of the cells that the
+    exposure coefficient b alone carries, as strata of a no-interaction
+    model: the collapsed cells of the exposure-only model, all strata of
+    the no-interaction model, and the reference stratum of the saturated
+    model (its other strata keep their observed risks whatever b is)."""
+    spec = fit_result.spec
+    s, n = _cells(spec.table)
+    c = fit_result.coefficients
+    if spec.terms == "exposure_plus_stratum":
+        return s, n, c[0] + np.array((0.0, *c[2:])), fit_result.deviance
+    if spec.terms == "exposure_only":
+        s, n = s.sum(axis=0, keepdims=True), n.sum(axis=0, keepdims=True)
+    return s[:1], n[:1], np.array(c[:1]), 0.0
+
+
 def exposure_test(fit_result: GlmFit) -> LrTest:
     """Likelihood-ratio test of a zero exposure coefficient (df = 1).
 
-    With the exposure coefficient at zero, the two rows of every stratum
-    whose exposure effect it alone carries (all strata, or the reference
-    stratum of the saturated model) share one risk, and the null fit is
-    their pooled proportion.
+    With the exposure coefficient at zero, the two cells of every stratum
+    that it carries (`_carrier`) share one risk, and the null fit is their
+    pooled proportion.
     """
-    spec = fit_result.spec
-    _, s, n, _ = _design(spec)
-    rows = np.arange(len(s))
-    if spec.terms == "exposure_only":
-        groups = np.zeros_like(rows)
-    elif spec.terms == "exposure_plus_stratum":
-        groups = rows // 2
-    else:
-        groups = np.maximum(rows - 1, 0)
-    null_deviance = _deviance(s, n, _pooled(s, n, groups))
-    return _lr(null_deviance - fit_result.deviance, 1)
+    s, n, _, deviance = _carrier(fit_result)
+    pooled = _log_observed(s.sum(axis=1, keepdims=True),
+                           n.sum(axis=1, keepdims=True))
+    return _lr(_deviance(s, n, *pooled) - deviance, 1)
 
 
 def interaction_test(no_interaction_fit: GlmFit) -> LrTest:
@@ -515,63 +520,51 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
                      ) -> LrInterval:
     """Profile-likelihood interval for the exposure effect of a fit.
 
-    Each endpoint is the exposure coefficient at which the signed root of
-    the likelihood-ratio statistic, sign(b - b_hat) * sqrt(drop(b)),
-    reaches plus or minus the root of the chi-square(1) quantile, the
-    equation Venzon and Moolgavkar (1988) solve. On each side the search
-    starts one Wald half-width from the estimate and solves the equation
-    by safeguarded secant steps (see `_endpoint_distance`), stopping when
-    the root statistic is within `PROFILE_ROOT_TOL` of its target or the
-    bracket is narrower than `PROFILE_BETA_TOL`. Each constrained fit is
-    warm-started from the nuisance coefficients of the previous one, the
-    first on each side from those of ``fit_result``. A
-    constrained fit that fails counts as beyond the target; an endpoint
-    that never brackets is reported as unbounded (0 or inf on a ratio
-    scale).
+    The profile runs over the cells that b carries (`_carrier`), whose
+    alphas `_irls` fits with b held fixed. Each endpoint is the b where the
+    signed root of the likelihood-ratio statistic reaches plus or minus
+    the root of the chi-square(1) quantile (Venzon and Moolgavkar, 1988),
+    found by safeguarded secant steps (`_endpoint_distance`) from one Wald
+    half-width out, the standard error from the Schur complement of the
+    observed information. The search stops when the root statistic is
+    within `PROFILE_ROOT_TOL` of its target or the bracket is narrower
+    than `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
+    previous one's alphas, the first from the fit's. A constrained fit that
+    fails counts as beyond the target; an endpoint that never brackets is
+    unbounded (0 or inf on a ratio scale).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
     spec = fit_result.spec
-    X, s, n, _ = _design(spec)
     link = _LINKS[spec.link]
-    beta = np.array(fit_result.coefficients)
-    beta_hat = float(beta[1])
+    s, n, alpha_hat, deviance_hat = _carrier(fit_result)
+    b_hat = fit_result.coefficients[1]
     root_target = math.sqrt(chi_square_quantile(level, 1))
-    exposure = X[:, 1]
-    nuisance_design = np.delete(X, 1, axis=1)
-
-    eta = X @ beta
-    mu = link.to_mu(eta)
-    dinv = link.dmu_deta(eta)
-    w = n * dinv * dinv / (mu * (1.0 - mu))
-    a = X.T @ (X * w[:, None])
-    try:
-        se = float(math.sqrt(np.linalg.inv(a)[1, 1]))
-    except (np.linalg.LinAlgError, ValueError):
-        se = math.nan
-    first = se * root_target if math.isfinite(se) and se > 0 else 0.5
+    _, _, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
+    information = _exposure_information(h)
+    first = (root_target / math.sqrt(information)
+             if 0.0 < information < math.inf else 0.5)
 
     endpoints = []
     for side in (-1.0, 1.0):
-        warm = np.delete(beta, 1)
+        warm = alpha_hat
 
         def gap(distance: float) -> float:
             nonlocal warm
             try:
-                state = _irls(nuisance_design, s, n, link,
-                              offset=(beta_hat + side * distance) * exposure,
+                state = _irls(s, n, link, b=b_hat + side * distance,
                               start=warm)
             except GlmError:
                 return math.inf
-            warm = state.beta
-            drop = max(state.deviance - fit_result.deviance, 0.0)
+            warm = state.alpha
+            drop = max(state.deviance - deviance_hat, 0.0)
             return math.sqrt(drop) - root_target
 
         endpoints.append(
-            beta_hat + side * _endpoint_distance(gap, -root_target, first))
+            b_hat + side * _endpoint_distance(gap, -root_target, first))
 
     lower, upper = endpoints
-    return LrInterval(estimate=natural_scale(spec.link, beta_hat),
+    return LrInterval(estimate=natural_scale(spec.link, b_hat),
                       lower=natural_scale(spec.link, lower),
                       upper=natural_scale(spec.link, upper),
                       level=level)

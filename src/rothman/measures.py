@@ -221,23 +221,31 @@ def _log_slope(m: Measure, p: RiskPoint, dx: float, dy: float) -> float:
     return term(dy, p.y) - term(dx, p.x)
 
 
-def _stationary(m: Measure, a: RiskPoint, b: RiskPoint) -> float | None:
-    """The t in (0, 1) where log m is stationary along a->b, or None.
+def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
+                    ) -> tuple[float, float] | None:
+    """(t, value) of the one point of edge a->b that may beat both ends.
 
     OR and HR contours are strictly convex or concave, so log m has at
-    most one stationary point on a segment, found by bisection on the
-    sign of its derivative when that differs between the ends. Along an
-    edge from the (0,0) or (1,1) corner log m is monotone, so the corner
-    takes the other end's opposite sign and the search runs toward it.
+    most one stationary point on a segment, found by bisection on the sign
+    of its derivative when that differs between the ends. Along an edge
+    into the (0,0) or (1,1) corner, where m is undefined, log m is monotone
+    and the candidate is the corner with m's limit: OR and HR tend to dy/dx
+    at (0,0); at (1,1) OR tends to dx/dy and HR to 1, off the square's
+    sides. The diagonal, a corner at each end, gives its midpoint.
     """
+    at_corner = [p.coords in ((0.0, 0.0), (1.0, 1.0)) for p in (a, b)]
+    if all(at_corner):
+        return 0.5, measure_value(m, _lerp(a, b, 0.5))
+    if any(at_corner):
+        t, corner, other = (0.0, a, b) if at_corner[0] else (1.0, b, a)
+        dx, dy = abs(other.x - corner.x), abs(other.y - corner.y)
+        if corner.x == 0.0:
+            return t, _ratio(dy, dx)
+        if m is Measure.HAZARD_RATIO and dx > 0.0 and dy > 0.0:
+            return t, 1.0
+        return t, _ratio(dx, dy)
     dx, dy = b.x - a.x, b.y - a.y
     s0, s1 = (_log_slope(m, p, dx, dy) for p in (a, b))
-    if math.isnan(s0) and math.isnan(s1):
-        return 0.5  # the diagonal from (0,0) to (1,1), where m is 1
-    if math.isnan(s0):
-        s0 = -s1
-    elif math.isnan(s1):
-        s1 = -s0
     if not s0 * s1 < 0.0:
         return None
     lo, hi = 0.0, 1.0
@@ -247,7 +255,8 @@ def _stationary(m: Measure, a: RiskPoint, b: RiskPoint) -> float | None:
             lo = t
         else:
             hi = t
-    return (lo + hi) / 2.0
+    t = (lo + hi) / 2.0
+    return t, measure_value(m, _lerp(a, b, t))
 
 
 def _agree(m: Measure, u: float, v: float) -> bool:
@@ -322,13 +331,14 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
 
     # RD is linear and RR linear-fractional along a segment, so both are
     # monotone along every edge; OR and HR may be extreme at the one
-    # stationary point inside an edge, which serves the min and the max.
+    # stationary point inside an edge or at the limit into a corner, a
+    # candidate that serves the min and the max.
     candidates = []
     if not is_collapsible(m):
         for i0, i1 in edges:
-            t = _stationary(m, strata[i0], strata[i1])
-            if t is not None:
-                v = measure_value(m, _lerp(strata[i0], strata[i1], t))
+            found = _edge_candidate(m, strata[i0], strata[i1])
+            if found is not None:
+                t, v = found
                 candidates.append((v, _edge_weights(k, i0, i1, t)))
     low = _extreme(m, values, vertices, candidates, 1.0)
     high = _extreme(m, values, vertices, candidates, -1.0)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from rothman.errors import (GlmError, NestingError, NonConvergenceError,
                             ValidationError, ZeroMarginError)
+from rothman.diagnostics import analyze
 from rothman.glm import (LrInterval, LrTest, ModelSpec, chi_square_cdf,
                          chi_square_quantile, chi_square_sf, exposure_estimate,
                          exposure_test, fit, fitted_stratum_points,
@@ -367,6 +368,45 @@ class TestFit:
             fit(ModelSpec(link=link, terms="exposure_plus_stratum",
                           table=zero_exposed_cases_table))
 
+    @pytest.mark.parametrize("link", LINKS)
+    def test_interior_fit_with_risks_near_zero(self, make_table, link):
+        # Fitted risks of 3e-10 to 6e-10 are an interior maximum, not a
+        # boundary one: the fit returns them.
+        n = 4_000_000_000
+        table = make_table([("a", 1, n, 2, n), ("b", 3, n, 1, n)])
+        f = fit(ModelSpec(link=link, terms="exposure_plus_stratum",
+                          table=table))
+        for risks in f.fitted_risks:
+            assert all(2e-10 < r < 7e-10 for r in risks)
+        _, ll = oracle_ml(table, "exposure_plus_stratum", link,
+                          f.coefficients)
+        assert ll <= f.log_likelihood + 1e-9
+
+    def test_identity_fit_that_fisher_scoring_could_not_finish(
+            self, make_table):
+        # Fisher scoring crept toward this interior maximum at a linear rate
+        # near 1 and raised NonConvergenceError after 100 iterations.
+        table = make_table([("s1", 13, 187, 60, 598),
+                            ("s2", 288, 834, 281, 381)])
+        terms = "exposure_plus_stratum"
+        for link in LINKS:
+            f = fit(ModelSpec(link=link, terms=terms, table=table))
+            beta = np.asarray(f.coefficients)
+            h = 1e-6
+            for j in range(len(beta)):
+                step = np.zeros_like(beta)
+                step[j] = h
+                score_j = (oracle_log_likelihood(table, terms, link, beta + step)
+                           - oracle_log_likelihood(table, terms, link,
+                                                   beta - step)) / (2.0 * h)
+                assert abs(score_j) < 1e-6, (link, j)
+            if link == "identity":
+                assert exposure_estimate(f) == pytest.approx(-0.134265,
+                                                             abs=1e-6)
+        doc = analyze(table).to_json_dict()
+        assert all(entry["error"] is None
+                   for entry in doc["measures"] + doc["collapsibility"])
+
 
 class TestEstimates:
     @pytest.mark.parametrize("link", LINKS)
@@ -527,6 +567,29 @@ class TestLikelihoodRatioMachinery:
             drop = 2.0 * (f.log_likelihood - ll)
             assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
 
+    def test_profile_limits_far_from_the_estimate_cross_the_cut(
+            self, make_table):
+        # Every cell has cases and non-cases, so the profile drop rises to
+        # the cut before b leaves the domain. Constrained fits that failed
+        # on the way there once ended the search early, at RR 1.92871 and
+        # RD 0.47644, where the drop is only 0.22 and 0.95.
+        table = make_table([("s1", 48, 50, 30, 50), ("s2", 45, 50, 20, 50)])
+        terms = "exposure_plus_stratum"
+        for link, upper in (("log", 2.29176), ("identity", 0.530571)):
+            f = fit(ModelSpec(link=link, terms=terms, table=table))
+            iv = profile_interval(f)
+            assert iv.upper == pytest.approx(upper, rel=5e-6)
+            for endpoint in (iv.lower, iv.upper):
+                b = math.log(endpoint) if link == "log" else endpoint
+                if link == "log":
+                    alpha = -max(b, 0.0) - 0.2
+                else:
+                    alpha = (max(0.0, -b) + min(1.0, 1.0 - b)) / 2.0
+                ll = oracle_profile_log_likelihood(table, terms, link, b,
+                                                   [alpha, b, 0.0])
+                drop = 2.0 * (f.log_likelihood - ll)
+                assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
+
     def test_wider_level_widens_the_interval(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
                          table=whickham)
@@ -575,3 +638,66 @@ def test_logit_fit_properties_on_interior_tables(table):
     te = interaction_test(common)
     assert 0.0 <= te.p_value <= 1.0
     assert te.df == table.k - 1
+
+
+@st.composite
+def mixed_cell_tables(draw):
+    """k = 2-6 strata, totals up to 1e6, cases and non-cases in each cell."""
+    strata = []
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        totals = [draw(st.integers(min_value=2, max_value=1_000_000))
+                  for _ in range(2)]
+        cases = [draw(st.integers(min_value=1, max_value=t - 1))
+                 for t in totals]
+        strata.append((f"s{i}", CohortCell(
+            exposed_cases=cases[0], exposed_total=totals[0],
+            unexposed_cases=cases[1], unexposed_total=totals[1])))
+    return StratifiedCohortTable(strata=tuple(strata))
+
+
+def oracle_kernel(table, link, beta):
+    """The no-interaction log-likelihood less its constant, sum of
+    s*log(mu) + f*log(1 - mu), with both logs taken from eta without
+    forming 1 - mu, so risks within 1e-10 of 0 or 1 keep their accuracy;
+    -inf outside the link's domain."""
+    X, s, n = oracle_design(table, "exposure_plus_stratum")
+    eta = X @ np.asarray(beta, dtype=float)
+    if link == "log" and np.any(eta >= 0.0):
+        return -np.inf
+    if link == "identity" and (np.any(eta <= 0.0) or np.any(eta >= 1.0)):
+        return -np.inf
+    with np.errstate(all="ignore"):
+        if link == "logit":
+            log_mu, log_nu = -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
+        elif link == "log":
+            log_mu, log_nu = eta, np.log(-np.expm1(eta))
+        elif link == "identity":
+            log_mu, log_nu = np.log(eta), np.log1p(-eta)
+        else:
+            t = np.exp(eta)
+            log_mu, log_nu = np.log(-np.expm1(-t)), -t
+        ll = float(np.sum(s * log_mu + (n - s) * log_nu))
+    return ll if math.isfinite(ll) else -np.inf
+
+
+@given(mixed_cell_tables())
+@settings(max_examples=50, deadline=None)
+def test_no_interaction_fit_is_the_maximum_on_mixed_tables(table):
+    # With cases and non-cases in every cell the maximum is interior under
+    # every link, so every fit succeeds, and a quasi-Newton search started
+    # from it, within a box of +-1 around each coefficient, finds no
+    # log-likelihood higher by more than 1e-9 relative.
+    for link in LINKS:
+        f = fit(ModelSpec(link=link, terms="exposure_plus_stratum",
+                          table=table))
+        beta = np.asarray(f.coefficients)
+        at_fit = oracle_kernel(table, link, beta)
+
+        def objective(b):
+            ll = oracle_kernel(table, link, b)
+            return -ll if math.isfinite(ll) else 1e20
+
+        res = scipy.optimize.minimize(
+            objective, beta, method="L-BFGS-B",
+            bounds=[(v - 1.0, v + 1.0) for v in beta])
+        assert -res.fun - at_fit <= 1e-9 * abs(f.log_likelihood), link

@@ -443,3 +443,28 @@ def test_diagonal_hull_edge_reaches_the_null(m):
     r = collapse_analysis(m, pts)
     assert r.min_value == 1.0
     assert measure_value(m, standardize(pts, r.argmin_weights)) == 1.0
+
+
+def test_corner_limits_are_closed_form():
+    # OR and HR are undefined at (1,1); along an edge into it OR tends to
+    # dx/dy and HR to 1, limits that a point formed a ulp of 1 away from
+    # the corner reaches only to ~1e-6, or for HR not at all.
+    pts = [RiskPoint(0.00034028, 0.99960994), RiskPoint(0.07138254, 0.99960041),
+           RiskPoint(1.0, 1.0)]
+    odds = collapse_analysis(Measure.ODDS_RATIO, pts)
+    assert odds.min_value == pytest.approx(
+        (1.0 - 0.07138254) / (1.0 - 0.99960041), rel=1e-12)
+    hazard = collapse_analysis(Measure.HAZARD_RATIO, pts)
+    assert hazard.min_value == 1.0
+    for r in (odds, hazard):
+        assert r.argmin_weights.as_floats() == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("m", CURVED_MEASURES)
+def test_origin_corner_limit_is_the_edge_slope(m):
+    # near (0,0) both OR and HR behave as y/x, so the limit along an edge
+    # from the origin is its slope dy/dx, here above the value at (0.4, 0.1)
+    pts = [RiskPoint(0.0, 0.0), RiskPoint(0.4, 0.1)]
+    r = collapse_analysis(m, pts)
+    assert r.max_value == pytest.approx(0.25, rel=1e-15)
+    assert r.argmax_weights.as_floats() == (1.0, 0.0)
