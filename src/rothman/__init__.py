@@ -21,7 +21,7 @@ from .geometry import (Containment, ConfoundingRectangle, RiskPoint,
 from .glm import (GlmFit, LrInterval, LrTest, ModelSpec, chi_square_cdf,
                   chi_square_quantile, chi_square_sf, exposure_estimate,
                   exposure_test, fit, fitted_stratum_points,
-                  interaction_test, lr_test, profile_interval,
+                  interaction_test, profile_interval,
                   stratum_exposure_estimates)
 from .measures import (CollapsibilityReport, EffectModification, Measure,
                        collapse_analysis, contour, effect_modification,
@@ -51,7 +51,7 @@ __all__ = [
     "chi_square_sf", "collapse_analysis", "confounding_rectangle", "contains",
     "contour", "effect_modification", "exposure_estimate", "exposure_test",
     "figure_filename", "figure_svg", "fit", "fitted_stratum_points",
-    "interaction_test", "is_collapsible", "lr_test", "measure_value",
+    "interaction_test", "is_collapsible", "measure_value",
     "parse_population_spec", "parse_table", "population_truth",
     "profile_interval", "render_diagram", "render_grid", "sample_table",
     "serialize_table", "six_strata_table", "standard_population",

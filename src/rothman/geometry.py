@@ -286,13 +286,6 @@ def _least_edge_side(hull: StandardizedHull, p: RiskPoint) -> float:
                for i in range(len(verts)))
 
 
-def hull_distance(hull: StandardizedHull, p: RiskPoint) -> float:
-    """Distance from ``p`` to the hull as a set: zero inside or on it."""
-    if len(hull.vertices) >= 3 and _least_edge_side(hull, p) >= 0:
-        return 0.0
-    return boundary_distance(hull, p)
-
-
 def contains(hull: StandardizedHull, p: RiskPoint,
              tol: float = DEFAULT_CONTAINMENT_TOL) -> Containment:
     """Classify a point against the hull.

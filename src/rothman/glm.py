@@ -13,9 +13,9 @@ in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
 iterations. With b held fixed it makes each profile-likelihood
 evaluation: likelihood-ratio tests and profile intervals reuse a finished
-fit, endpoints found by a safeguarded secant iteration on the signed root
-of the statistic. The chi-square functions are computed here, so there is
-no stats dependency.
+fit, endpoints found by safeguarded Newton steps on the convex profile
+drop, whose slope is the constrained fit's exposure score. The chi-square
+functions are computed here, so there is no stats dependency.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ START_MARGIN = 0.01
 DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
-PROFILE_ROOT_TOL = 1e-12
 PROFILE_MAX_STEPS = 64
 DEFAULT_LEVEL = 0.95
 
@@ -218,6 +217,7 @@ class _FitState:
     log_mu: np.ndarray
     log_nu: np.ndarray
     deviance: float
+    score: float
     iterations: int
 
 
@@ -240,7 +240,9 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     the domain or raises the deviance by more than `DEVIANCE_ROUNDING`
     times the total count, the deviance's rounding error. The loop stops
     after the step whose Newton decrement delta'g, the deviance left to
-    gain, is at most `DECREMENT_TOL` times the total count.
+    gain, is at most `DECREMENT_TOL` times the total count. The returned
+    ``score`` is the exposure score of the last cells: with b held fixed,
+    the slope of the profile log-likelihood in b (the envelope theorem).
     """
     f = n - s
     total = float(n.sum())
@@ -277,9 +279,16 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
             g_alpha, d = g.sum(axis=1), h.sum(axis=1)
             g_b = delta_b = 0.0
             if free:
+                information = _exposure_information(h)
+                if information == 0.0:
+                    raise NonConvergenceError(
+                        "no information on the exposure coefficient: every "
+                        "stratum has a cell with zero curvature, so the "
+                        "maximum lies on the boundary under the "
+                        f"{link.name} link", trace=trace)
                 g_b = float(g[:, 1].sum())
                 cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
-                delta_b = float(cross.sum()) / _exposure_information(h)
+                delta_b = float(cross.sum()) / information
             delta = (g_alpha - h[:, 1] * delta_b) / d
             decrement = float(delta @ g_alpha) + delta_b * g_b
             # a cell deep in a logit tail has almost no curvature, and
@@ -306,7 +315,9 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
             f"no convergence in {MAX_ITERATIONS} iterations under the "
             f"{link.name} link", trace=trace)
     return _FitState(alpha=alpha, b=float(b), log_mu=cells[0],
-                     log_nu=cells[1], deviance=dev, iterations=iterations)
+                     log_nu=cells[1], deviance=dev,
+                     score=float(cells[2][:, 1].sum()),
+                     iterations=iterations)
 
 
 def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
@@ -324,7 +335,13 @@ def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
             "put the maximum-likelihood fit on the boundary under the "
             f"{link.name} link", trace=[])
     eta = link.to_eta(s / n)
-    effect = eta[:, 1] - eta[:, 0]
+    if link.name == "identity":
+        # p1 - p0 from the counts, rounded once (the products are exact
+        # below 2**53), not the difference of two rounded proportions
+        effect = ((s[:, 1] * n[:, 0] - s[:, 0] * n[:, 1])
+                  / (n[:, 0] * n[:, 1]))
+    else:
+        effect = eta[:, 1] - eta[:, 0]
     coefficients = (eta[0, 0], effect[0])
     if spec.terms == "saturated_with_interaction":
         coefficients += (*(eta[1:, 0] - eta[0, 0]), *(effect[1:] - effect[0]))
@@ -414,12 +431,6 @@ def _lr(stat: float, df: int) -> LrTest:
     return LrTest(statistic=stat, df=df, p_value=chi_square_sf(stat, df))
 
 
-def lr_test(null_fit: GlmFit, alt_fit: GlmFit, df: int) -> float:
-    """p-value of the likelihood-ratio test for nested fits."""
-    return _lr(2.0 * (alt_fit.log_likelihood - null_fit.log_likelihood),
-               df).p_value
-
-
 def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray,
                                            np.ndarray, float]:
     """Cases, totals, fitted alphas and deviance of the cells that the
@@ -466,72 +477,27 @@ def interaction_test(no_interaction_fit: GlmFit) -> LrTest:
     return _lr(no_interaction_fit.deviance, spec.table.k - 1)
 
 
-def _endpoint_distance(gap: Callable[[float], float], gap_at_zero: float,
-                       first: float) -> float:
-    """Distance from the estimate where the increasing ``gap`` crosses 0.
-
-    ``gap_at_zero`` < 0 is its value at the estimate. Starting at
-    ``first``, secant steps extrapolate outward, at most doubling the
-    distance each time, until the crossing is bracketed; the Illinois
-    variant of regula falsi then closes the bracket, bisecting while the
-    outer value is infinite. Returns inf when no crossing is found.
-    """
-    inner, g_inner = 0.0, gap_at_zero
-    d = first
-    for _ in range(PROFILE_MAX_STEPS):
-        g = gap(d)
-        if abs(g) <= PROFILE_ROOT_TOL:
-            return d
-        if g > 0.0:
-            break
-        step = 2.0 * d
-        if g > g_inner:
-            step = min(step, d - g * (d - inner) / (g - g_inner))
-        inner, g_inner, d = d, g, step
-    else:
-        return math.inf
-
-    outer, g_outer = d, g
-    moved = None  # the end the previous step replaced
-    for _ in range(PROFILE_MAX_STEPS):
-        if outer - inner <= PROFILE_BETA_TOL:
-            break
-        if math.isinf(g_outer):
-            d = (inner + outer) / 2.0
-        else:
-            d = outer - g_outer * (outer - inner) / (g_outer - g_inner)
-        g = gap(d)
-        if abs(g) <= PROFILE_ROOT_TOL:
-            return d
-        if g < 0.0:
-            inner, g_inner = d, g
-            if moved == "inner":
-                g_outer /= 2.0
-            moved = "inner"
-        else:
-            outer, g_outer = d, g
-            if moved == "outer":
-                g_inner /= 2.0
-            moved = "outer"
-    return (inner + outer) / 2.0
-
-
 def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
                      ) -> LrInterval:
     """Profile-likelihood interval for the exposure effect of a fit.
 
     The profile runs over the cells that b carries (`_carrier`), whose
     alphas `_irls` fits with b held fixed. Each endpoint is the b where the
-    signed root of the likelihood-ratio statistic reaches plus or minus
-    the root of the chi-square(1) quantile (Venzon and Moolgavkar, 1988),
-    found by safeguarded secant steps (`_endpoint_distance`) from one Wald
-    half-width out, the standard error from the Schur complement of the
-    observed information. The search stops when the root statistic is
-    within `PROFILE_ROOT_TOL` of its target or the bracket is narrower
-    than `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
-    previous one's alphas, the first from the fit's. A constrained fit that
-    fails counts as beyond the target; an endpoint that never brackets is
-    unbounded (0 or inf on a ratio scale).
+    profile drop, the likelihood-ratio statistic, reaches the chi-square(1)
+    quantile (Venzon and Moolgavkar, 1988). On each side of the estimate
+    the drop is convex and increasing, with slope -2 U_b in b, U_b the
+    constrained fit's exposure score, so Newton steps from inside the cut
+    land at or beyond the crossing and from beyond it fall monotonically
+    onto it. They start one Wald half-width out (the standard error from
+    the Schur complement of the observed information), never more than
+    double the distance from the estimate, and bisect the bracket between
+    fits below and at or above the cut (a failed fit counts as above)
+    where they would leave it. The search stops at a step of at most
+    `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
+    previous one's alphas. An endpoint the drop does not reach in
+    `PROFILE_MAX_STEPS` fits that all succeed is unbounded (0 or inf on a
+    ratio scale); a bracket that closes on a failed fit raises
+    `NonConvergenceError`.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
@@ -539,29 +505,50 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
     link = _LINKS[spec.link]
     s, n, alpha_hat, deviance_hat = _carrier(fit_result)
     b_hat = fit_result.coefficients[1]
-    root_target = math.sqrt(chi_square_quantile(level, 1))
+    cut = chi_square_quantile(level, 1)
     _, _, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
     information = _exposure_information(h)
-    first = (root_target / math.sqrt(information)
+    first = (math.sqrt(cut / information)
              if 0.0 < information < math.inf else 0.5)
 
     endpoints = []
     for side in (-1.0, 1.0):
-        warm = alpha_hat
-
-        def gap(distance: float) -> float:
-            nonlocal warm
+        name = "upper" if side > 0.0 else "lower"
+        inner, outer, failed = 0.0, math.inf, False
+        warm, d = alpha_hat, first
+        for _ in range(PROFILE_MAX_STEPS):
             try:
-                state = _irls(s, n, link, b=b_hat + side * distance,
-                              start=warm)
+                state = _irls(s, n, link, b=b_hat + side * d, start=warm)
             except GlmError:
-                return math.inf
-            warm = state.alpha
-            drop = max(state.deviance - deviance_hat, 0.0)
-            return math.sqrt(drop) - root_target
-
-        endpoints.append(
-            b_hat + side * _endpoint_distance(gap, -root_target, first))
+                outer, failed, newton = d, True, math.nan  # nan: bisect
+            else:
+                warm = state.alpha
+                gap = state.deviance - deviance_hat - cut
+                if gap < 0.0:
+                    inner = d
+                else:
+                    outer, failed = d, False
+                slope = -2.0 * side * state.score
+                newton = min(d - gap / slope if slope > 0.0 else math.inf,
+                             2.0 * d)
+            bisect = not inner <= newton <= outer
+            d_next = (inner + outer) / 2.0 if bisect else newton
+            if abs(d_next - d) <= PROFILE_BETA_TOL:
+                break
+            d = d_next
+        else:
+            if outer < math.inf:
+                raise NonConvergenceError(
+                    f"no {name} profile endpoint in {PROFILE_MAX_STEPS} "
+                    f"steps under the {link.name} link", trace=[])
+            d_next = math.inf
+        if bisect and failed:
+            raise NonConvergenceError(
+                f"the {name} profile endpoint lies beyond the last exposure "
+                f"coefficient that could be fitted, b = "
+                f"{b_hat + side * inner!r}, under the {link.name} link",
+                trace=[])
+        endpoints.append(b_hat + side * d_next)
 
     lower, upper = endpoints
     return LrInterval(estimate=natural_scale(spec.link, b_hat),

@@ -1,0 +1,204 @@
+"""High-precision oracles for the binomial GLMs, in the stdlib `decimal`.
+
+Nothing here calls `rothman.glm`. The no-interaction model's stratum i has
+cells eta = alpha_i and alpha_i + b, so with b fixed the fit splits into
+one concave scalar problem per stratum: alpha_i is the root of its
+stratum's score, and the profile log-likelihood is the sum of the strata's
+maxima. The MLE of b is the root of the profile score (the exposed cells'
+score at those alphas), and each profile-interval endpoint is the root of
+the drop 2 (l(b_hat) - l(b)) minus the chi-square(1) quantile. The crude
+(exposure-only) model is the same problem on the collapsed table. Every
+root is found by secant steps kept inside a bracket of sign changes and
+carried to `DIGITS` significant digits. Every cell must have cases and
+non-cases, so that every maximum is interior and every root exists.
+"""
+
+import functools
+from decimal import Decimal, localcontext
+
+DIGITS = 50
+_WORKING = DIGITS + 10
+_MAX_STEPS = 1000
+_ONE = Decimal(1)
+_TINY = Decimal(10) ** -(_WORKING + 5)
+
+
+def _mu(link, eta):
+    """The risk and its eta-derivative."""
+    if link == "logit":
+        mu = _ONE / (_ONE + (-eta).exp())
+        return mu, mu * (_ONE - mu)
+    if link == "log":
+        mu = eta.exp()
+        return mu, mu
+    if link == "identity":
+        return eta, _ONE
+    t = eta.exp()
+    survival = (-t).exp()
+    return _ONE - survival, t * survival
+
+
+def _score(link, eta, s, n):
+    """The eta-derivative of a cell's s log(mu) + (n - s) log(1 - mu)."""
+    mu, dmu = _mu(link, eta)
+    return (s - n * mu) * dmu / (mu * (_ONE - mu))
+
+
+def _loglik(link, eta, s, n):
+    """A cell's s log(mu) + (n - s) log(1 - mu), 0 log 0 = 0."""
+    mu, _ = _mu(link, eta)
+    f = n - s
+    return (s * mu.ln() if s else 0) + (f * (_ONE - mu).ln() if f else 0)
+
+
+def _inside(x, lo, hi):
+    return (lo is None or x > lo) and (hi is None or x < hi)
+
+
+def _root(f, lo, hi, x, x1):
+    """The root of f, decreasing on the open interval (lo, hi), None being
+    an infinite end.
+
+    Secant steps start from x and x1. A step that leaves the bracket of
+    sign changes seen so far, or moves x by more than 1 + |x| (a secant
+    across a flat tail can jump far past the root), bisects the bracket
+    instead, or doubles the distance toward an end not yet bracketed.
+    Stops when a step is below 10**-(DIGITS + 2) relative.
+    """
+    tol = Decimal(10) ** -(DIGITS + 2)
+    previous = f_previous = None
+    for _ in range(_MAX_STEPS):
+        fx = f(x)
+        if fx == 0:
+            return x
+        if fx > 0:
+            lo = x if lo is None else max(lo, x)
+        else:
+            hi = x if hi is None else min(hi, x)
+        if previous is None:
+            step = x1
+        elif fx != f_previous:
+            step = x - fx * (x - previous) / (fx - f_previous)
+        else:
+            step = None
+        if (step is None or not _inside(step, lo, hi)
+                or abs(step - x) > 1 + abs(x)):
+            if lo is None:
+                step = min(hi - 1, 2 * hi)
+            elif hi is None:
+                step = max(lo + 1, 2 * lo)
+            else:
+                step = (lo + hi) / 2
+        if abs(step - x) <= tol * (1 + abs(x)):
+            return step
+        previous, f_previous, x = x, fx, step
+    raise ArithmeticError(f"no root in {_MAX_STEPS} steps")
+
+
+class _Profile:
+    """The profile log-likelihood kernel of b for strata of
+    (s0, n0, s1, n1) counts (unexposed cases and total, exposed cases and
+    total), each stratum's alpha warm-started from its last root."""
+
+    def __init__(self, link, strata):
+        self.link = link
+        self.strata = [tuple(Decimal(c) for c in row) for row in strata]
+        self.alphas = [None] * len(self.strata)
+
+    def __call__(self, b):
+        """The profile log-likelihood kernel and profile score at b."""
+        link = self.link
+        # the alphas keeping both cells' risks in (0, 1)
+        lo, hi = {"log": (None, min(Decimal(0), -b)),
+                  "identity": (max(Decimal(0), -b), min(_ONE, _ONE - b)),
+                  }.get(link, (None, None))
+        width = _ONE if lo is None or hi is None else hi - lo
+        loglik = score = Decimal(0)
+        for i, (s0, n0, s1, n1) in enumerate(self.strata):
+            start = self.alphas[i]
+            if start is None or not _inside(start, lo, hi):
+                start = ((lo + hi) / 2 if lo is not None and hi is not None
+                         else Decimal(0) if hi is None else hi - 1)
+            nudge = width / 1000
+            if hi is not None and start + nudge >= hi:
+                nudge = -nudge
+            alpha = _root(lambda a: (_score(link, a, s0, n0)
+                                     + _score(link, a + b, s1, n1)),
+                          lo, hi, start, start + nudge)
+            self.alphas[i] = alpha
+            loglik += (_loglik(link, alpha, s0, n0)
+                       + _loglik(link, alpha + b, s1, n1))
+            score += _score(link, alpha + b, s1, n1)
+        return loglik, score
+
+
+def _pi():
+    """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239)."""
+    def atan_of_inverse(m):
+        total, power, k = Decimal(0), _ONE / m, 1
+        while power >= _TINY:
+            total += power / k if k % 4 == 1 else -power / k
+            power /= m * m
+            k += 2
+        return total
+    return 16 * atan_of_inverse(Decimal(5)) - 4 * atan_of_inverse(Decimal(239))
+
+
+def _erf(y, root_pi):
+    """erf by its Maclaurin series."""
+    total, term, n = Decimal(0), y, 0
+    while abs(term) >= _TINY:
+        total += term / (2 * n + 1)
+        n += 1
+        term = -term * y * y / n
+    return 2 * total / root_pi
+
+
+@functools.cache
+def chi_square_quantile(level: float) -> Decimal:
+    """The chi-square(1) quantile of ``Decimal(level)``, the float's exact
+    value: 2 y**2 where erf(y) = level, y by Newton steps."""
+    with localcontext() as ctx:
+        ctx.prec = _WORKING
+        p, root_pi, y = Decimal(level), _pi().sqrt(), Decimal("1.4")
+        while True:
+            step = (_erf(y, root_pi) - p) * root_pi / 2 * (y * y).exp()
+            y -= step
+            if abs(step) < Decimal(10) ** -(DIGITS + 2):
+                return +(2 * y * y)
+
+
+def profile_interval(table, link: str, terms: str, level: float = 0.95,
+                     ) -> tuple[Decimal, Decimal, Decimal]:
+    """(estimate, lower, upper) of the exposure effect on the natural scale
+    (exp(b) under the ratio links), for the ``exposure_only`` or
+    ``exposure_plus_stratum`` model of ``table``."""
+    rows = [(c.unexposed_cases, c.unexposed_total, c.exposed_cases,
+             c.exposed_total) for c in table.cells]
+    if terms == "exposure_only":
+        rows = [tuple(sum(column) for column in zip(*rows))]
+    cut = chi_square_quantile(level)
+    with localcontext() as ctx:
+        ctx.prec = _WORKING
+        profile = _Profile(link, rows)
+        lo, hi = (-_ONE, _ONE) if link == "identity" else (None, None)
+        b_hat = _root(lambda b: profile(b)[1], lo, hi,
+                      Decimal(0), Decimal("0.01"))
+        top = profile(b_hat)[0]
+
+        def excess(b):
+            return 2 * (top - profile(b)[0]) - cut
+
+        values = [b_hat]
+        for side, end in ((-1, lo), (1, hi)):
+            profile(b_hat)  # warm-start the alphas at the estimate
+            offset = Decimal("0.01") if end is None else min(
+                Decimal("0.01"), abs(end - b_hat) / 4)
+            x0, x1 = b_hat + side * offset, b_hat + 2 * side * offset
+            values.append(
+                _root(excess, end, b_hat, x0, x1) if side < 0
+                else _root(lambda b: -excess(b), b_hat, end, x0, x1))
+        if link != "identity":
+            values = [v.exp() for v in values]
+        ctx.prec = DIGITS
+        return tuple(+v for v in values)

@@ -89,6 +89,26 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["points"]["crude"]["x"] == 0.314208
 
+    def test_boundary_maximum_is_reported_per_measure(self, run, tmp_path,
+                                                      make_table):
+        # Under the log link every stratum has a cell with no curvature
+        # (4/4 exposed, 30/30 unexposed), so the RR no-interaction fit has
+        # no exposure information: its entries carry the error, and the
+        # report is still written.
+        table = make_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)])
+        path = tmp_path / "boundary.csv"
+        path.write_text(serialize_table(table, "csv"))
+        code, out, err = run("analyze", str(path))
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out)
+        rr = [entry for entry in doc["measures"] + doc["collapsibility"]
+              if entry["short"] == "RR"]
+        assert len(rr) == 2
+        assert all(entry["error"].startswith("NonConvergenceError")
+                   for entry in rr)
+        assert "on the boundary" in rr[1]["error"]
+
     def test_json_extension_inferred(self, run, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(serialize_table(whickham_table(), "json"))

@@ -244,5 +244,5 @@ def test_whickham_analysis_irls_fit_count(monkeypatch, whickham):
 
     monkeypatch.setattr(glm, "_irls", counting)
     analyze(whickham)
-    assert len(calls) <= 76
-    assert sum(iterations) <= 300
+    assert len(calls) <= 54
+    assert sum(iterations) <= 190

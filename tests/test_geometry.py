@@ -15,7 +15,7 @@ from rothman.errors import ValidationError
 from rothman.geometry import (Containment, ConfoundingRectangle, RiskPoint,
                               StandardPopulation, association_points,
                               boundary_distance, confounding_rectangle,
-                              contains, convex_hull_indices, hull_distance,
+                              contains, convex_hull_indices,
                               standard_population, standardize,
                               standardized_hull, standardized_point,
                               weights_for_point)
@@ -266,7 +266,7 @@ class TestContainment:
         hull = standardized_hull(strata)
         assert contains(hull, crude) is Containment.OUTSIDE
         assert boundary_distance(hull, crude) > 0.05
-        assert hull_distance(hull, crude) == boundary_distance(hull, crude)
+        assert contains(hull, crude, tol=0.05) is Containment.OUTSIDE
 
     def test_standardized_points_on_the_segment(self, whickham):
         _, strata = association_points(whickham)
@@ -274,7 +274,8 @@ class TestContainment:
         for preset in ("study_sample", "exposed", "unexposed"):
             p = standardized_point(whickham, standard_population(whickham, preset))
             assert contains(hull, p) is Containment.BOUNDARY
-            assert hull_distance(standardizable, p) <= 1e-12
+            assert contains(standardizable, p,
+                            tol=1e-12) is not Containment.OUTSIDE
 
     def test_identical_strata_collapse_to_point_hull(self, identical_strata_table):
         crude, strata = association_points(identical_strata_table)
@@ -287,7 +288,7 @@ class TestContainment:
         crude, strata = association_points(interior_crude_k3_table)
         hull = standardized_hull(strata)
         assert contains(hull, crude) is Containment.INSIDE
-        assert hull_distance(hull, crude) == 0.0
+        assert contains(hull, crude, tol=0.0) is Containment.INSIDE
         assert boundary_distance(hull, crude) > 0
 
     def test_vertex_is_boundary(self, six_strata):
@@ -358,7 +359,7 @@ def test_standardized_point_always_in_hull(coords, data):
         weights=tuple(Fraction(w, total) for w in raw))
     p = standardize(strata, std)
     hull = standardized_hull(strata)
-    assert hull_distance(hull, p) <= 1e-9
+    assert contains(hull, p, tol=1e-9) is not Containment.OUTSIDE
     rect = confounding_rectangle(strata)
     assert rect.contains_point(p, tol=1e-9)
 

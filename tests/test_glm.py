@@ -9,23 +9,29 @@ log-likelihood with scipy, so agreement is evidence about the model, not
 about two copies of the same code.
 """
 
+import json
 import math
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from rothman.errors import (GlmError, NestingError, NonConvergenceError,
                             ValidationError, ZeroMarginError)
 from rothman.diagnostics import analyze
-from rothman.glm import (LrInterval, LrTest, ModelSpec, chi_square_cdf,
+from rothman.glm import (LrInterval, LrTest, ModelSpec, _lr, chi_square_cdf,
                          chi_square_quantile, chi_square_sf, exposure_estimate,
                          exposure_test, fit, fitted_stratum_points,
-                         interaction_test, lr_test, natural_scale,
-                         profile_interval, stratum_exposure_estimates)
+                         interaction_test, natural_scale, profile_interval,
+                         stratum_exposure_estimates)
 from rothman.tables import CohortCell, StratifiedCohortTable
 
 LINKS = ("logit", "log", "identity", "cloglog")
@@ -407,6 +413,17 @@ class TestFit:
         assert all(entry["error"] is None
                    for entry in doc["measures"] + doc["collapsibility"])
 
+    def test_zero_exposure_information_is_a_boundary_maximum(
+            self, make_table):
+        # Under the log link a cell with no non-cases has no curvature, and
+        # each stratum has one (4/4 exposed, 30/30 unexposed), so the
+        # exposure coefficient carries no information. Dividing by it once
+        # escaped as ZeroDivisionError.
+        table = make_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)])
+        with pytest.raises(NonConvergenceError, match="on the boundary"):
+            fit(ModelSpec(link="log", terms="exposure_plus_stratum",
+                          table=table))
+
 
 class TestEstimates:
     @pytest.mark.parametrize("link", LINKS)
@@ -436,6 +453,16 @@ class TestEstimates:
                           table=whickham))
         assert stratum_exposure_estimates(f) == pytest.approx(
             STRATUM_EFFECTS[link], abs=1e-6)
+
+    def test_risk_difference_stratum_estimates_round_once(self, whickham):
+        # p1 - p0 of two rounded proportions lost digits to cancellation:
+        # the 65+ stratum's 0.00222 was 3.9e-14 relative off
+        f = fit(ModelSpec(link="identity", terms="saturated_with_interaction",
+                          table=whickham))
+        for estimate, c in zip(stratum_exposure_estimates(f), whickham.cells):
+            exact = (Fraction(c.exposed_cases, c.exposed_total)
+                     - Fraction(c.unexposed_cases, c.unexposed_total))
+            assert abs(Fraction(estimate) - exact) <= 1e-14 * abs(exact)
 
     def test_non_saturated_models_repeat_the_common_effect(self, whickham):
         f = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -493,13 +520,18 @@ class TestEstimates:
 
 class TestLikelihoodRatioMachinery:
     def test_lr_test_between_fits(self, whickham):
+        # the statistic between nested fits, twice their log-likelihood
+        # gap, is the interaction test's: the no-interaction deviance
         null = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
                              table=whickham))
         alt = fit(ModelSpec(link="logit",
                             terms="saturated_with_interaction",
                             table=whickham))
-        p = lr_test(null, alt, df=1)
-        assert p == pytest.approx(INTERACTION_P["logit"], abs=1e-6)
+        test = _lr(2.0 * (alt.log_likelihood - null.log_likelihood), df=1)
+        assert test.p_value == pytest.approx(INTERACTION_P["logit"],
+                                             abs=1e-6)
+        assert test.p_value == pytest.approx(
+            interaction_test(null).p_value, abs=1e-9)
 
     def test_swapped_nesting_raises(self, whickham):
         null = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -508,13 +540,11 @@ class TestLikelihoodRatioMachinery:
                             terms="saturated_with_interaction",
                             table=whickham))
         with pytest.raises(NestingError):
-            lr_test(alt, null, df=1)
+            _lr(2.0 * (null.log_likelihood - alt.log_likelihood), df=1)
 
-    def test_df_validation(self, whickham):
-        f = fit(ModelSpec(link="logit", terms="exposure_only",
-                          table=whickham))
+    def test_df_validation(self):
         with pytest.raises(ValidationError):
-            lr_test(f, f, df=0)
+            _lr(0.0, df=0)
 
     def test_result_types(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -589,6 +619,19 @@ class TestLikelihoodRatioMachinery:
                                                    [alpha, b, 0.0])
                 drop = 2.0 * (f.log_likelihood - ll)
                 assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
+
+    def test_endpoint_beyond_a_failed_constrained_fit_raises(
+            self, make_table):
+        # From b = 0.6385 up, stratum a's unexposed risk (0 cases in 1) has
+        # its maximum at 0, which a constrained fit cannot reach, while the
+        # drop there is only 0.178. The search once closed on the failing b
+        # and reported RD upper 0.638459; the crossing is at 0.754275.
+        table = make_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)])
+        f = fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
+                          table=table))
+        with pytest.raises(NonConvergenceError,
+                           match="upper profile endpoint .* b = 0.6384"):
+            profile_interval(f)
 
     def test_wider_level_widens_the_interval(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -701,3 +744,115 @@ def test_no_interaction_fit_is_the_maximum_on_mixed_tables(table):
             objective, beta, method="L-BFGS-B",
             bounds=[(v - 1.0, v + 1.0) for v in beta])
         assert -res.fun - at_fit <= 1e-9 * abs(f.log_likelihood), link
+
+
+def oracle_profile(table, terms, link, b):
+    """The profile log-likelihood kernel at b: each stratum's alpha (the
+    collapsed table's for ``exposure_only``) maximized by scipy's bounded
+    scalar search over the alphas keeping both risks in (0, 1)."""
+    cells = [(c.unexposed_cases, c.unexposed_total, c.exposed_cases,
+              c.exposed_total) for c in table.cells]
+    if terms == "exposure_only":
+        cells = [tuple(map(sum, zip(*cells)))]
+    bounds = {"log": (-40.0, min(0.0, -b)),
+              "identity": (max(0.0, -b), min(1.0, 1.0 - b))
+              }.get(link, (-40.0, 40.0))
+    total = 0.0
+    for s0, n0, s1, n1 in cells:
+        s, n = np.array([s0, s1], float), np.array([n0, n1], float)
+
+        def negative(alpha):
+            eta = np.array([alpha, alpha + b])
+            with np.errstate(all="ignore"):
+                if link == "logit":
+                    log_mu, log_nu = (-np.logaddexp(0.0, -eta),
+                                      -np.logaddexp(0.0, eta))
+                elif link == "log":
+                    log_mu, log_nu = eta, np.log(-np.expm1(eta))
+                elif link == "identity":
+                    log_mu, log_nu = np.log(eta), np.log1p(-eta)
+                else:
+                    t = np.exp(eta)
+                    log_mu, log_nu = np.log(-np.expm1(-t)), -t
+            f = n - s
+            ll = (np.where(s > 0, s * log_mu, 0.0)
+                  + np.where(f > 0, f * log_nu, 0.0)).sum()
+            return -ll if np.isfinite(ll) else np.inf
+
+        res = scipy.optimize.minimize_scalar(
+            negative, bounds=bounds, method="bounded",
+            options={"xatol": 1e-12})
+        total -= res.fun
+    return total
+
+
+def _table(rows):
+    return StratifiedCohortTable(strata=tuple(
+        (label, CohortCell(exposed_cases=ec, exposed_total=et,
+                           unexposed_cases=uc, unexposed_total=ut))
+        for label, ec, et, uc, ut in rows))
+
+
+@st.composite
+def small_tables(draw):
+    """k = 1-4 strata, group totals 1-40, zero cells allowed."""
+    strata = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        totals = [draw(st.integers(min_value=1, max_value=40))
+                  for _ in range(2)]
+        cases = [draw(st.integers(min_value=0, max_value=t)) for t in totals]
+        strata.append((f"s{i}", cases[0], totals[0], cases[1], totals[1]))
+    return _table(strata)
+
+
+@given(small_tables())
+@example(_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)]))
+@example(_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)]))
+@settings(max_examples=60, deadline=None)
+def test_profile_endpoints_sit_on_the_cut_or_raise(table):
+    # Each fit and interval either succeeds or raises a GlmError, and every
+    # finite endpoint has an independently profiled drop on the chi-square
+    # cut: an endpoint is never a b where a constrained fit gave up.
+    for link in LINKS:
+        for terms in ("exposure_only", "exposure_plus_stratum"):
+            try:
+                f = fit(ModelSpec(link=link, terms=terms, table=table))
+                iv = profile_interval(f)
+            except GlmError:
+                continue
+            assert iv.lower <= iv.estimate <= iv.upper
+            b_hat = f.coefficients[1]
+            top = oracle_profile(table, terms, link, b_hat)
+            for endpoint in (iv.lower, iv.upper):
+                b = endpoint if link == "identity" else (
+                    math.log(endpoint) if endpoint > 0.0 else -math.inf)
+                if math.isfinite(b):
+                    drop = 2.0 * (top - oracle_profile(table, terms, link, b))
+                    assert drop == pytest.approx(CHI2_95_1, abs=1e-6), (
+                        link, terms, endpoint)
+
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "analyze_whickham.json"
+# The profile drop is a difference of two deviances, each rounded to about
+# 1e-13, so endpoints carry noise of order 1e-14 relative: the golden's
+# worst endpoint is 2.10e-14 off the 50-digit oracle (a secant search's
+# was 4.46e-14). These bounds may only tighten.
+ENDPOINT_REL_BOUND = Decimal("2.2e-14")
+ESTIMATE_REL_BOUND = Decimal("5e-16")
+
+
+def test_golden_intervals_match_the_decimal_oracle(whickham):
+    doc = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+    for entry in doc["measures"]:
+        for key, terms in (("crude_interval", "exposure_only"),
+                           ("common_interval", "exposure_plus_stratum")):
+            interval = entry[key]
+            expected = oracles.profile_interval(whickham, entry["link"],
+                                                terms, interval["level"])
+            for field, value in zip(("estimate", "lower", "upper"),
+                                    expected):
+                error = abs(Decimal(interval[field + "_full"]) - value)
+                bound = (ESTIMATE_REL_BOUND if field == "estimate"
+                         else ENDPOINT_REL_BOUND)
+                assert error <= bound * abs(value), (entry["link"], key,
+                                                     field, error / value)
