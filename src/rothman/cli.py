@@ -12,6 +12,7 @@ validation errors, and 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,9 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="rothman",
         description="Geometric cohort-study analysis on the unit square "

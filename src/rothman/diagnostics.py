@@ -43,7 +43,9 @@ CONFOUNDING_NOTE = (
 
 @dataclass(frozen=True, slots=True)
 class MeasureAnalysis:
-    """Crude, stratum-specific, and adjusted estimates for one measure."""
+    """Crude, stratum-specific, and adjusted estimates for one measure.
+
+    An entry with an error keeps the crude results computed before it."""
 
     measure: Measure
     link: str
@@ -114,17 +116,19 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       stratum_points: tuple[RiskPoint, ...],
                       level: float, em_tol: float) -> MeasureAnalysis:
     link = MEASURE_LINKS[measure]
+    crude: dict = {}  # set once every crude result is in, and kept on error
     try:
         crude_fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_only",
                                           table=crude_table))
         crude_estimate = glm.exposure_estimate(crude_fit)
         crude_interval = glm.profile_interval(crude_fit, level=level)
-        crude_p = glm.exposure_test(crude_fit).p_value
+        crude = dict(crude_estimate=crude_estimate,
+                     crude_interval=crude_interval,
+                     crude_p_value=glm.exposure_test(crude_fit).p_value)
 
         if table.k < 2:
             return MeasureAnalysis(
-                measure=measure, link=link, crude_estimate=crude_estimate,
-                crude_interval=crude_interval, crude_p_value=crude_p,
+                measure=measure, link=link, **crude,
                 stratum_estimates=(crude_estimate,),
                 common_estimate=crude_estimate,
                 common_interval=crude_interval)
@@ -139,13 +143,12 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         interaction_p = glm.interaction_test(common_fit).p_value
         modification = effect_modification(measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
-            measure=measure, link=link, crude_estimate=crude_estimate,
-            crude_interval=crude_interval, crude_p_value=crude_p,
+            measure=measure, link=link, **crude,
             stratum_estimates=stratum_estimates,
             common_estimate=common_estimate, common_interval=common_interval,
             interaction_p_value=interaction_p, modification=modification)
     except GlmError as exc:
-        return MeasureAnalysis(measure=measure, link=link,
+        return MeasureAnalysis(measure=measure, link=link, **crude,
                                error=_error_text(exc))
 
 
@@ -281,11 +284,12 @@ def _measure_json(entry: MeasureAnalysis) -> dict:
         "link": entry.link,
         "error": entry.error,
     }
+    if entry.crude_interval is not None:
+        number_pair(out, "crude_estimate", entry.crude_estimate)
+        out["crude_interval"] = _interval_json(entry.crude_interval)
+        number_pair(out, "crude_p_value", entry.crude_p_value)
     if entry.error is not None:
         return out
-    number_pair(out, "crude_estimate", entry.crude_estimate)
-    out["crude_interval"] = _interval_json(entry.crude_interval)
-    number_pair(out, "crude_p_value", entry.crude_p_value)
     number_list_pair(out, "stratum_estimates", entry.stratum_estimates)
     number_pair(out, "common_estimate", entry.common_estimate)
     out["common_interval"] = _interval_json(entry.common_interval)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import UndefinedMeasureError, ValidationError
 from .geometry import RiskPoint, StandardPopulation, convex_hull_indices
 
@@ -102,33 +104,38 @@ def comparison_value(m: Measure, value: float) -> float:
     return math.log(value)
 
 
-def contour(m: Measure, value: float, x: float) -> float | None:
-    """The y in [0, 1] with measure value ``value`` above x, if it exists."""
-    if not 0.0 <= x <= 1.0:
+def contour(m: Measure, value: float, x: float | np.ndarray,
+            ) -> float | None | np.ndarray:
+    """The y in [0, 1] with measure value ``value`` above x, if it exists.
+
+    ``x`` may be a float, giving a float or None, or an array of floats in
+    [0, 1], giving an array of the same shape with NaN wherever no such y
+    exists. A float is evaluated as a one-point array, so the two forms
+    give the same values.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValidationError(f"x must be in [0, 1], got {x!r}")
-    if math.isnan(value):
-        return None
-    if m is Measure.RISK_DIFFERENCE:
-        y = x + value
-    elif m is Measure.RISK_RATIO:
-        y = value * x
-    elif m is Measure.ODDS_RATIO:
-        if value < 0.0:
-            return None
-        denom = 1.0 - x + value * x
-        if denom <= 0.0:
-            return 1.0 if math.isinf(value) and x > 0.0 else None
-        y = value * x / denom
-    else:
-        if value < 0.0 or (math.isinf(value) and x == 0.0):
-            return None
-        if x == 1.0:
-            y = 0.0 if value == 0.0 else 1.0
+    if xs.ndim == 0:
+        y = contour(m, value, xs.reshape(1))[0]
+        return None if math.isnan(y) else float(y)
+    if math.isnan(value) or (value < 0.0 and m in (Measure.ODDS_RATIO,
+                                                   Measure.HAZARD_RATIO)):
+        return np.full_like(xs, math.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if m is Measure.RISK_DIFFERENCE:
+            y = xs + value
+        elif m is Measure.RISK_RATIO:
+            y = value * xs
+        elif m is Measure.ODDS_RATIO:
+            y = value * xs / (1.0 - xs + value * xs)
         else:
-            y = 1.0 - (1.0 - x) ** value
-    if math.isnan(y) or y < -CONTOUR_CLIP_TOL or y > 1.0 + CONTOUR_CLIP_TOL:
-        return None
-    return min(max(y, 0.0), 1.0)
+            # IEEE pow has 0**0 = 1 and 0**v = 0, the HR contour's ends at x = 1
+            y = 1.0 - np.power(1.0 - xs, value)
+            if math.isinf(value):
+                y[xs == 0.0] = math.nan
+        y[(y < -CONTOUR_CLIP_TOL) | (y > 1.0 + CONTOUR_CLIP_TOL)] = math.nan
+        return np.clip(y, 0.0, 1.0)
 
 
 def is_collapsible(m: Measure) -> bool:

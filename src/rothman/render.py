@@ -13,8 +13,10 @@ increases upward as on the printed diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .errors import ValidationError
 from .geometry import ConfoundingRectangle, RiskPoint, StandardizedHull
@@ -134,10 +136,10 @@ class _Canvas:
                 f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
                 f'stroke="{stroke}" stroke-width="{width:g}"{dash}/>')
 
-    def polyline(self, pts: Sequence[tuple[float, float]], stroke: str,
+    def polyline(self, pts: Iterable[tuple[float, float]], stroke: str,
                  width: float = 1.0, dashed: bool = False,
                  closed: bool = False) -> str:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        coords = " ".join("%.2f,%.2f" % pt for pt in pts)
         dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
         tag = "polygon" if closed else "polyline"
         return (f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
@@ -180,38 +182,30 @@ def _axes(c: _Canvas) -> list[str]:
 
 
 def _contour_runs(measure: Measure, value: float,
-                  ) -> list[list[tuple[float, float]]]:
-    """Sampled contour split into runs where it stays in the unit square."""
-    runs: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
-    for i in range(CONTOUR_SAMPLES + 1):
-        x = i / CONTOUR_SAMPLES
-        y = contour(measure, value, x)
-        if y is None:
-            if len(current) >= 2:
-                runs.append(current)
-            current = []
-        else:
-            current.append((x, y))
-    if len(current) >= 2:
-        runs.append(current)
-    return runs
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sampled contour (x, y) split into runs where it stays in the unit
+    square, each of at least two points."""
+    x = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
+    y = contour(measure, value, x)
+    # a run starts where NaN gives way to a number and stops where it resumes
+    edges = np.flatnonzero(np.diff(np.isnan(y), prepend=True, append=True))
+    return [(x[a:b], y[a:b]) for a, b in zip(edges[0::2], edges[1::2])
+            if b - a >= 2]
 
 
 def _contour_elements(c: _Canvas, spec: ContourSpec) -> list[str]:
     parts = []
-    runs = _contour_runs(spec.measure, spec.value)
-    longest: list[tuple[float, float]] | None = None
-    for run in runs:
-        parts.append(c.polyline([c.px(x, y) for x, y in run], FRAME_COLOR,
+    anchor, most = None, 0
+    for x, y in _contour_runs(spec.measure, spec.value):
+        px, py = c.px(x, y)
+        parts.append(c.polyline(zip(px.tolist(), py.tolist()), FRAME_COLOR,
                                 width=1.2, dashed=spec.style == "dashed"))
-        if longest is None or len(run) > len(longest):
-            longest = run
+        if len(x) > most:  # the label sits mid-way along the first longest run
+            most, anchor = len(x), (px[len(x) // 2], py[len(x) // 2])
     label = spec.final_label
-    if label and longest is not None:
-        mx, my = longest[len(longest) // 2]
-        lx, ly = c.px(mx, my)
-        parts.append(c.text((lx + 4.0, ly - 4.0), label, size=11))
+    if label and anchor is not None:
+        parts.append(c.text((anchor[0] + 4.0, anchor[1] - 4.0), label,
+                            size=11))
     return parts
 
 

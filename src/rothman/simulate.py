@@ -181,8 +181,16 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     observed outcome is D = D_X. Draws use a Philox counter-based
     generator, so output is reproducible for a given nonnegative seed
     across runs and platforms. The work is vectorised over individuals:
-    no loop runs per stratum or per person. Strata are labeled s1..sk in
-    spec order; strata with no sampled individuals keep empty cells.
+    no loop runs per stratum or per person.
+
+    Each person gets one cell key 4C + 2X. With cum the running totals of
+    the stratum's (p00, p01, p10, p11) and u the outcome draw, (D0, D1) is
+    the first category whose total exceeds u, so D0 = 1 when u >= cum[1]
+    and D1 = 1 when cum[0] <= u < cum[1] or u >= cum[2]. D_X comes from
+    comparing u with these thresholds, looked up by key, and one bincount
+    of key + D counts the cells: the same tables bit for bit as counting
+    the category itself. Strata are labeled s1..sk in spec order; strata
+    with no sampled individuals keep empty cells.
     """
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
@@ -197,18 +205,20 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     c = np.searchsorted(stratum_cum, rng.random(n), side="right")
 
     exposure = np.array([float(e) for e in spec.exposure_probs])
-    x = rng.random(n) < exposure[c]
+    key = 4 * c + 2 * (rng.random(n) < exposure[c])
 
-    # The joint outcome 2*D0 + D1 is the number of the stratum's first
-    # three cumulative probabilities at or below u. The fourth, a rounded
-    # total, is left out, so u < 1 past the third always lands in (1, 1).
-    po_cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
-                       axis=1)
+    # D = 1 where lo <= u < hi or u >= top, thresholds indexed by key; u
+    # never reaches 2. The rounded total cum[3] is left out, so u < 1 past
+    # cum[2] always lands in (1, 1).
+    cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
+                    axis=1)
+    lo, hi, top = np.full((3, 4 * k), 2.0)
+    lo[0::4] = cum[:, 1]
+    lo[2::4], hi[2::4], top[2::4] = cum[:, :3].T
     u = rng.random(n)
-    joint = sum(po_cum[c, j] <= u for j in range(3))
-    d = np.where(x, joint % 2, joint // 2)
+    d = (u >= lo[key]) & (u < hi[key]) | (u >= top[key])
 
-    cells = np.bincount(4 * c + 2 * x + d, minlength=4 * k).reshape(k, 4)
+    cells = np.bincount(key + d, minlength=4 * k).reshape(k, 4)
     return StratifiedCohortTable(strata=tuple(
         (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e0 + e1,
                                  unexposed_cases=u1,

@@ -11,10 +11,15 @@ the drop 2 (l(b_hat) - l(b)) minus the chi-square(1) quantile. The crude
 root is found by secant steps kept inside a bracket of sign changes and
 carried to `DIGITS` significant digits. Every cell must have cases and
 non-cases, so that every maximum is interior and every root exists.
+
+`decimal_stationary_root` is the collapsibility oracle: the stationary
+point of an OR or HR along a segment, found by bisection in `decimal`.
 """
 
 import functools
 from decimal import Decimal, localcontext
+
+from rothman.measures import Measure
 
 DIGITS = 50
 _WORKING = DIGITS + 10
@@ -202,3 +207,33 @@ def profile_interval(table, link: str, terms: str, level: float = 0.95,
             values = [v.exp() for v in values]
         ctx.prec = DIGITS
         return tuple(+v for v in values)
+
+
+def decimal_stationary_root(m, a, b):
+    """The t in (0, 1) where d/dt log m vanishes along a->b, to 50 digits,
+    with the sign of the derivative at a; None without a sign change."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ax, ay, bx, by = (Decimal(v) for v in (a.x, a.y, b.x, b.y))
+
+        def link_slope(p):
+            if m is Measure.ODDS_RATIO:
+                return 1 / (p * (1 - p))
+            return -1 / ((1 - p) * (1 - p).ln())
+
+        def rising(t):
+            x = ax + t * (bx - ax)
+            y = ay + t * (by - ay)
+            return (by - ay) * link_slope(y) - (bx - ax) * link_slope(x) > 0
+
+        lo, hi = Decimal(0), Decimal(1)
+        at_a = rising(lo)
+        if at_a == rising(hi):
+            return None
+        for _ in range(70):
+            t = (lo + hi) / 2
+            if rising(t) == at_a:
+                lo = t
+            else:
+                hi = t
+        return (lo + hi) / 2, at_a

@@ -7,6 +7,10 @@ through tmp_path.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -435,3 +439,36 @@ class TestSimulate:
         message = error_payload(err)["message"]
         assert "exposure_probs" in message
         assert "po_probs" in message
+
+
+class TestParserReuse:
+    """`run` builds its parser once; no call may leave state behind in it."""
+
+    def test_preset_does_not_stick(self, run):
+        code, out, _ = run("standardize", "whickham", "--preset", "exposed")
+        assert code == 0
+        assert len(json.loads(out)["standardized"]) == 1
+        code, out, _ = run("standardize", "whickham")
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)["standardized"]] == \
+            ["study_sample", "exposed", "unexposed"]
+
+    def test_calls_after_errors_match_a_fresh_process(self, run, tmp_path,
+                                                      monkeypatch):
+        # argparse wraps usage text to COLUMNS, so both sides get one width
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        svg = tmp_path / "fig5.svg"
+        for argv in (["plot", "--figure", "9"], ["--version"],
+                     ["plot", "--figure", "5", "-o", str(svg)]):
+            shared = run(*argv)
+            shared_svg = svg.read_bytes() if svg.exists() else None
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rothman.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert shared == (fresh.returncode, fresh.stdout, fresh.stderr)
+            if shared_svg is not None:
+                assert svg.read_bytes() == shared_svg
+        assert shared_svg is not None

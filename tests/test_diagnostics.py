@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import oracles
 from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
@@ -12,12 +13,16 @@ from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
 from rothman.errors import ValidationError
 from rothman.geometry import Containment, StandardPopulation
 from rothman.measures import Measure
+from rothman.tables import CohortCell, StratifiedCohortTable
 
 # Frozen adjusted estimates per measure (see the model-fitting tests for
 # the full set of pinned inference numbers these agree with).
 CRUDE_ESTIMATES = (0.684837, 0.760108, -0.075376, 0.723528)
 COMMON_ESTIMATES = (1.537226, 1.061626, 0.052320, 1.316260)
 INTERACTION_P = (0.353124, 0.009901, 0.299956, 0.085822)
+# OR, RR, RD, HR of 30/300 exposed vs 90/300 unexposed, in closed form
+CRUDE_ZERO_EXPOSED_CASES = ((1 / 9) / (3 / 7), 1 / 3, 0.1 - 0.3,
+                            math.log(0.9) / math.log(0.7))
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +131,50 @@ class TestAnalyzeFlags:
 
 
 class TestDegradedTables:
+    def test_crude_results_survive_a_stratified_failure(self):
+        # Every stratified fit meets the 4/4 and 30/30 cells, on the
+        # boundary; the crude table, 14/34 vs 46/50, has none.
+        table = StratifiedCohortTable(strata=(
+            ("a", CohortCell(exposed_cases=4, exposed_total=4,
+                             unexposed_cases=16, unexposed_total=20)),
+            ("b", CohortCell(exposed_cases=10, exposed_total=30,
+                             unexposed_cases=30, unexposed_total=30))))
+        report = analyze(table)
+        closed_form = {Measure.ODDS_RATIO: (14 / 20) / (46 / 4),
+                       Measure.RISK_RATIO: (14 / 34) / (46 / 50),
+                       Measure.RISK_DIFFERENCE: 14 / 34 - 46 / 50,
+                       Measure.HAZARD_RATIO:
+                           math.log(20 / 34) / math.log(4 / 50)}
+        for e, entry in zip(report.measures, report.to_json_dict()["measures"]):
+            assert e.error.startswith("NonConvergenceError")
+            assert "on the boundary" in e.error
+            assert e.crude_estimate == pytest.approx(closed_form[e.measure],
+                                                     rel=1e-12)
+            expected = oracles.profile_interval(table, e.link, "exposure_only")
+            got = (e.crude_interval.estimate, e.crude_interval.lower,
+                   e.crude_interval.upper)
+            for value, oracle in zip(got, expected):
+                assert value == pytest.approx(float(oracle), rel=1e-12)
+            assert 0.0 < e.crude_p_value < 1e-6
+            assert entry["crude_estimate_full"] == e.crude_estimate
+            assert entry["crude_interval"]["lower_full"] == \
+                e.crude_interval.lower
+            assert entry["crude_p_value_full"] == e.crude_p_value
+            assert "common_estimate" not in entry
+
     def test_boundary_data_degrades_measures_not_geometry(
             self, zero_exposed_cases_table):
         report = analyze(zero_exposed_cases_table)
         assert report.confounding_flag == ON_SEGMENT
+        crude = dict(zip(Measure, CRUDE_ZERO_EXPOSED_CASES))
         for e in report.measures:
             assert e.error is not None
             assert e.error.startswith("NonConvergenceError")
-            assert math.isnan(e.crude_estimate)
+            # the crude table (30/300 vs 90/300) has no boundary cell
+            assert e.crude_estimate == pytest.approx(crude[e.measure],
+                                                     rel=1e-12)
+            assert e.stratum_estimates == ()
+            assert math.isnan(e.common_estimate)
         by_measure = {m: (rep, err) for m, rep, err in report.collapsibility}
         assert by_measure[Measure.RISK_DIFFERENCE][0] is None
         assert by_measure[Measure.RISK_DIFFERENCE][1].startswith(
@@ -226,7 +267,10 @@ class TestJsonReport:
         doc = analyze(zero_exposed_cases_table).to_json_dict()
         entry = doc["measures"][0]
         assert entry["error"].startswith("NonConvergenceError")
-        assert "crude_estimate" not in entry
+        # the crude results were computed; nothing after them was
+        assert {"crude_estimate", "crude_interval", "crude_p_value"} <= set(entry)
+        assert not {"stratum_estimates", "common_estimate", "common_interval",
+                    "interaction_p_value", "effect_modification"} & set(entry)
 
 
 def test_whickham_analysis_irls_fit_count(monkeypatch, whickham):

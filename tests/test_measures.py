@@ -10,12 +10,13 @@ stationary point inside a segment, its position is checked against a
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from rothman.errors import UndefinedMeasureError, ValidationError
 from rothman.geometry import (RiskPoint, association_points, standardize)
 from rothman.measures import (CollapsibilityReport, Measure, collapse_analysis,
@@ -368,36 +369,6 @@ def test_segment_extremes_match_grid_oracle(ax, ay, bx, by):
         assert got_max == pytest.approx(r.max_value, rel=1e-12, abs=1e-12)
 
 
-def decimal_stationary_root(m, a, b):
-    """The t in (0, 1) where d/dt log m vanishes along a->b, to 50 digits,
-    with the sign of the derivative at a; None without a sign change."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        ax, ay, bx, by = (Decimal(v) for v in (a.x, a.y, b.x, b.y))
-
-        def link_slope(p):
-            if m is Measure.ODDS_RATIO:
-                return 1 / (p * (1 - p))
-            return -1 / ((1 - p) * (1 - p).ln())
-
-        def rising(t):
-            x = ax + t * (bx - ax)
-            y = ay + t * (by - ay)
-            return (by - ay) * link_slope(y) - (bx - ax) * link_slope(x) > 0
-
-        lo, hi = Decimal(0), Decimal(1)
-        at_a = rising(lo)
-        if at_a == rising(hi):
-            return None
-        for _ in range(70):
-            t = (lo + hi) / 2
-            if rising(t) == at_a:
-                lo = t
-            else:
-                hi = t
-        return (lo + hi) / 2, at_a
-
-
 @pytest.mark.parametrize("m", CURVED_MEASURES)
 def test_interior_extreme_sits_at_the_decimal_root(m):
     rng = random.Random(5)
@@ -405,7 +376,7 @@ def test_interior_extreme_sits_at_the_decimal_root(m):
     while checked < 150:
         a, b = (RiskPoint(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
                 for _ in range(2))
-        root = decimal_stationary_root(m, a, b)
+        root = oracles.decimal_stationary_root(m, a, b)
         if root is None:
             continue
         t, rising_at_a = root

@@ -8,8 +8,10 @@ is rounded to 0.01px on a 480px plot area, so an inverted coordinate
 carries at most ~1.05e-5 of rounding error.
 """
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,14 +24,25 @@ from rothman.geometry import (RiskPoint, association_points,
                               confounding_rectangle, standardize,
                               standardized_hull)
 from rothman.measures import Measure, collapse_analysis, contour
-from rothman.render import (ContourSpec, DiagramSpec, HullSpec, PointSpec,
-                            RectangleSpec, SegmentSpec, render_diagram,
-                            render_grid)
+from rothman.render import (CONTOUR_SAMPLES, ContourSpec, DiagramSpec,
+                            HullSpec, PointSpec, RectangleSpec, SegmentSpec,
+                            render_diagram, render_grid)
 
 INVERT_TOL = 2e-5
 
 # a bare diagram draws the null line plus 11 ticks per axis
 BARE_LINES = 23
+
+# SHA-256 of each figure on its bundled fixture: every byte is pinned
+FIGURE_DIGESTS = {
+    1: "c8f9fd2270703b9109220f4430cd06c6526c307b8ab9035fd76c60412df02140",
+    2: "29d482896d2258480b80a37e73005f65b2fdcaef30cfb9b0355488c3db62abcf",
+    3: "79da38ea89e702664aef1b511ea2f2eb5e317166c49aa8760c954decbc63374c",
+    4: "2eb9a04d472c1a7c7e3429d0f1a240cf731fcb3c30914bc98d0a476903cd6a88",
+    5: "7c73a3e1c4c17f004ad13cb1f739e973323418c6022a3da2cb73ae3ca8e3dc79",
+    6: "4c1fd3ee96f1dab37c3978947be1f7579074718c7f271ba36658709d5a685be3",
+    7: "104f6595bb00986b49a3cef88c2201c5081c09bcf7e7d79913f70dfb112006f5",
+}
 
 
 def diagram(**kwargs):
@@ -254,6 +267,17 @@ class TestContours:
             # inverted x also carries rounding error, amplified by slope
             assert abs(y - expected) <= 2e-4
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                       -0.5, 0.2567, 0.5, 2.0])
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_scalar_contour_matches_the_grid_evaluation(self, measure, value):
+        x = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
+        ys = contour(measure, value, x)
+        assert ys.shape == x.shape
+        for xi, yi in zip(x.tolist(), ys.tolist()):
+            assert contour(measure, value, xi) == (
+                None if math.isnan(yi) else yi), xi
+
     def test_default_label_uses_short_name(self):
         root = diagram(contours=(ContourSpec(Measure.ODDS_RATIO, 2.0),))
         assert "OR 2" in su.texts(root)
@@ -375,6 +399,11 @@ class TestFigureGallery:
     @pytest.mark.parametrize("number", sorted(FIGURE_SLUGS))
     def test_every_figure_parses(self, number):
         su.parse_svg(figure_svg(number))
+
+    @pytest.mark.parametrize("number", sorted(FIGURE_SLUGS))
+    def test_figure_bytes_are_pinned(self, number):
+        digest = hashlib.sha256(figure_svg(number).encode("utf-8"))
+        assert digest.hexdigest() == FIGURE_DIGESTS[number]
 
     def test_figures_are_deterministic(self):
         assert figure_svg(1) == figure_svg(1)

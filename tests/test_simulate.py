@@ -286,6 +286,26 @@ class TestSampleTable:
                  for label, c in table.strata]
         assert cells == [("s1", 26, 45, 66, 142), ("s2", 44, 161, 20, 52)]
 
+    def test_frozen_sample_at_benchmark_scale(self):
+        # n = 1e6 over six strata, the CLI benchmark's size, with one zero
+        # probability; the counts agree with reference_sample below
+        spec = PopulationSpec(
+            stratum_probs=(0.1, 0.25, 0.05, 0.2, 0.3, 0.1),
+            exposure_probs=(0.3, 0.5, 0.7, 0.25, 0.6, 0.45),
+            po_probs=((0.5, 0.2, 0.1, 0.2), (0.3, 0.3, 0.15, 0.25),
+                      (0.6, 0.25, 0.05, 0.1), (0.2, 0.4, 0.1, 0.3),
+                      (0.45, 0.15, 0.25, 0.15), (0.0, 0.5, 0.2, 0.3)))
+        table = sample_table(spec, 1_000_000, seed=20261018)
+        cells = [(label, c.exposed_cases, c.exposed_total,
+                  c.unexposed_cases, c.unexposed_total)
+                 for label, c in table.strata]
+        assert cells == [("s1", 12084, 30155, 21075, 70294),
+                         ("s2", 68583, 124624, 49673, 124835),
+                         ("s3", 12303, 35591, 2219, 14989),
+                         ("s4", 35080, 50278, 59941, 150829),
+                         ("s5", 54087, 179538, 47659, 119447),
+                         ("s6", 35901, 45034, 27127, 54386)]
+
     def test_same_seed_reproduces_the_table(self):
         spec = PopulationSpec(**EXAMPLE)
         assert sample_table(spec, 1000, seed=3) == \
