@@ -119,8 +119,8 @@ def contour(m: Measure, value: float, x: float | np.ndarray,
     if xs.ndim == 0:
         y = contour(m, value, xs.reshape(1))[0]
         return None if math.isnan(y) else float(y)
-    if math.isnan(value) or (value < 0.0 and m in (Measure.ODDS_RATIO,
-                                                   Measure.HAZARD_RATIO)):
+    if math.isnan(value) or (value < 0.0
+                             and m is not Measure.RISK_DIFFERENCE):
         return np.full_like(xs, math.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         if m is Measure.RISK_DIFFERENCE:

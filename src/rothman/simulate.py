@@ -12,6 +12,8 @@ truth for confounding checks.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -24,6 +26,11 @@ from .geometry import RiskPoint
 from .tables import CohortCell, StratifiedCohortTable
 
 DIST_SUM_TOL = 1e-12
+# people counted at a time: a chunk's temporaries stay in cache
+_CHUNK = 1 << 16
+# the cores this process may run on, where the platform tells
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _exact(value) -> Fraction:
@@ -172,41 +179,51 @@ def population_truth(spec: PopulationSpec) -> PopulationTruth:
     )
 
 
+def _stream(seed: int, start: int) -> np.random.Generator:
+    """Philox(seed) from its draw ``start`` on; a counter step is 4 draws."""
+    stream = np.random.Generator(np.random.Philox(seed, counter=start // 4))
+    stream.random(start % 4)
+    return stream
+
+
 def sample_table(spec: PopulationSpec, n: int, seed: int,
                  ) -> StratifiedCohortTable:
     """Sample n individuals (C, X, D) with D set by consistency.
 
-    Three uniform draws of length n, in this order, give each person's
-    stratum C, exposure X and joint potential outcome (D0, D1); the
-    observed outcome is D = D_X. Draws use a Philox counter-based
-    generator, so output is reproducible for a given nonnegative seed
-    across runs and platforms. The work is vectorised over individuals:
-    no loop runs per stratum or per person.
+    Person i's stratum C, exposure X and joint potential outcome (D0, D1)
+    come from draws i, n + i and 2n + i of one Philox stream, and the
+    observed outcome is D = D_X, so output is reproducible for a given
+    nonnegative seed across runs and platforms. Philox is counter-based,
+    so any range of people can start its three streams where it begins:
+    the people are split into one range per core (the calling thread
+    takes the first; n <= ``_CHUNK`` starts no thread), each range is
+    counted in chunks of ``_CHUNK``, and the sum is one table for any split.
 
-    Each person gets one cell key 4C + 2X. With cum the running totals of
-    the stratum's (p00, p01, p10, p11) and u the outcome draw, (D0, D1) is
-    the first category whose total exceeds u, so D0 = 1 when u >= cum[1]
-    and D1 = 1 when cum[0] <= u < cum[1] or u >= cum[2]. D_X comes from
-    comparing u with these thresholds, looked up by key, and one bincount
-    of key + D counts the cells: the same tables bit for bit as counting
-    the category itself. Strata are labeled s1..sk in spec order; strata
-    with no sampled individuals keep empty cells.
+    C, the first stratum whose running total exceeds its draw u, steps up
+    from a guide table's lowest stratum for bucket floor(u m) (Chen & Asau
+    1974). Each person gets one cell key 4C + 2X. With cum the running
+    totals of the stratum's (p00, p01, p10, p11) and u the outcome draw,
+    (D0, D1) is the first category whose total exceeds u, so D0 = 1 when
+    u >= cum[1] and D1 = 1 when cum[0] <= u < cum[1] or u >= cum[2]. D_X
+    comes from comparing u with these thresholds, looked up by key, and one
+    bincount of key + D counts the cells: the same tables bit for bit as
+    counting the category itself. Strata are labeled s1..sk in spec order;
+    strata with no sampled individuals keep empty cells.
     """
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed!r}")
-    rng = np.random.Generator(np.random.Philox(seed))
     k = spec.k
 
     stratum_cum = np.cumsum([float(w) for w in spec.stratum_probs])
     # u < 1 lies below the last entry, so every index is a stratum
     stratum_cum[-1] = 1.0
-    c = np.searchsorted(stratum_cum, rng.random(n), side="right")
+    # m is a power of two, so floor(u m) / m <= u exactly
+    m = max(1024, 1 << (4 * k - 1).bit_length())
+    guide = np.searchsorted(stratum_cum, np.arange(m) / m, side="right")
 
     exposure = np.array([float(e) for e in spec.exposure_probs])
-    key = 4 * c + 2 * (rng.random(n) < exposure[c])
-
     # D = 1 where lo <= u < hi or u >= top, thresholds indexed by key; u
     # never reaches 2. The rounded total cum[3] is left out, so u < 1 past
     # cum[2] always lands in (1, 1).
@@ -215,10 +232,43 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     lo, hi, top = np.full((3, 4 * k), 2.0)
     lo[0::4] = cum[:, 1]
     lo[2::4], hi[2::4], top[2::4] = cum[:, :3].T
-    u = rng.random(n)
-    d = (u >= lo[key]) & (u < hi[key]) | (u >= top[key])
 
-    cells = np.bincount(key + d, minlength=4 * k).reshape(k, 4)
+    def count(a: int, b: int) -> np.ndarray:
+        streams = [_stream(seed, start) for start in (a, n + a, 2 * n + a)]
+        cells = np.zeros(4 * k, dtype=np.intp)
+        draws = np.empty((3, min(_CHUNK, b - a)))
+        for first in range(a, b, _CHUNK):
+            uc, ux, u = (s.random(out=row[:b - first])
+                         for s, row in zip(streams, draws))
+            c = guide[(uc * m).astype(np.intp)]
+            while (step := uc >= stratum_cum[c]).any():
+                c += step
+            key = 4 * c + 2 * (ux < exposure[c])
+            d = (u >= lo[key]) & (u < hi[key]) | (u >= top[key])
+            cells += np.bincount(key + d, minlength=4 * k)
+        return cells
+
+    chunks = -(-n // _CHUNK)
+    workers = min(_WORKERS, chunks)
+    ends = [min(n, w * chunks // workers * _CHUNK) for w in range(workers + 1)]
+    counts, errors = [], []
+
+    def work(w: int) -> None:
+        try:
+            counts.append(count(ends[w], ends[w + 1]))
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    cells = sum(counts).reshape(k, 4)
     return StratifiedCohortTable(strata=tuple(
         (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e0 + e1,
                                  unexposed_cases=u1,

@@ -274,6 +274,9 @@ class TestContours:
         x = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
         ys = contour(measure, value, x)
         assert ys.shape == x.shape
+        if value < 0 and measure is not Measure.RISK_DIFFERENCE:
+            # no point has a negative ratio measure, not even at x = 0
+            assert np.isnan(ys).all()
         for xi, yi in zip(x.tolist(), ys.tolist()):
             assert contour(measure, value, xi) == (
                 None if math.isnan(yi) else yi), xi

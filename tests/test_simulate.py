@@ -9,6 +9,7 @@ knobs at all.
 
 import json
 import math
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rothman import simulate
 from rothman.errors import ParseError, ValidationError
 from rothman.simulate import (PopulationSpec, PopulationTruth,
                               parse_population_spec, population_truth,
@@ -368,6 +370,109 @@ def reference_sample(spec, n, seed):
         counts[c][2 * x + d] += 1
     return [(f"s{c + 1}", e1, e0 + e1, u1, u0 + u1)
             for c, (u0, u1, e0, e1) in enumerate(counts)]
+
+
+def whole_array_sample(spec, n, seed):
+    """sample_table over whole n-long arrays, from the same three draws.
+
+    The sampler as it was before it counted in chunks: one searchsorted
+    over all stratum draws, then one bincount of the cell keys.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    k = spec.k
+    stratum_cum = np.cumsum([float(w) for w in spec.stratum_probs])
+    stratum_cum[-1] = 1.0
+    c = np.searchsorted(stratum_cum, rng.random(n), side="right")
+    exposure = np.array([float(e) for e in spec.exposure_probs])
+    key = 4 * c + 2 * (rng.random(n) < exposure[c])
+    cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
+                    axis=1)
+    lo, hi, top = np.full((3, 4 * k), 2.0)
+    lo[0::4] = cum[:, 1]
+    lo[2::4], hi[2::4], top[2::4] = cum[:, :3].T
+    u = rng.random(n)
+    d = (u >= lo[key]) & (u < hi[key]) | (u >= top[key])
+    cells = np.bincount(key + d, minlength=4 * k).reshape(k, 4)
+    return [(f"s{c + 1}", e1, e0 + e1, u1, u0 + u1)
+            for c, (u0, u1, e0, e1) in enumerate(cells.tolist())]
+
+
+def _boundary_spec(k):
+    """k strata, a fifth of them empty, with sure and impossible exposure
+    and zero outcome probabilities; exact rationals unless k = 6."""
+    rng = np.random.default_rng(k)
+    weights = rng.integers(1, 10, size=k) * (np.arange(k) % 5 != 1)
+    exact = k != 6
+
+    def distribution(raw):
+        raw = [int(v) for v in raw]
+        return tuple(F(v, sum(raw)) if exact else v / sum(raw) for v in raw)
+
+    exposure = [F(int(v), 7) for v in rng.integers(0, 8, size=k)]
+    return PopulationSpec(
+        stratum_probs=distribution(weights),
+        exposure_probs=tuple(e if exact else float(e) for e in exposure),
+        po_probs=tuple(distribution(rng.integers(0, 5, size=4)
+                                    + np.eye(4, dtype=int)[i % 4])
+                       for i in range(k)))
+
+
+CHUNK = 2**16
+
+
+class TestChunkedSampling:
+    """sample_table counts in chunks of 2**16 people, one range of chunks
+    per core; every split gives the whole-array table."""
+
+    @pytest.mark.parametrize("k", [1, 6, 200])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                   3 * CHUNK + 3, 1_000_000])
+    def test_every_split_matches_the_whole_array_sampler(self, monkeypatch,
+                                                         n, k):
+        spec = _boundary_spec(k)
+        for seed in (0, 2**64 - 1, 12345 + n):
+            expected = whole_array_sample(spec, n, seed)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_WORKERS", workers)
+                table = sample_table(spec, n, seed)
+                assert [(label, c.exposed_cases, c.exposed_total,
+                         c.unexposed_cases, c.unexposed_total)
+                        for label, c in table.strata] == expected, \
+                    (seed, workers)
+
+    def test_whole_array_sampler_matches_the_per_person_reference(self):
+        spec = _boundary_spec(6)
+        assert whole_array_sample(spec, 3000, 9) == \
+            reference_sample(spec, 3000, 9)
+
+    @pytest.mark.parametrize("n,threads", [(1, 0), (CHUNK, 0),
+                                           (CHUNK + 1, 1), (3 * CHUNK, 2),
+                                           (5 * CHUNK, 2)])
+    def test_one_thread_per_extra_range(self, monkeypatch, n, threads):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulate, "_WORKERS", 3)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        sample_table(PopulationSpec(**EXAMPLE), n, seed=1)
+        assert len(started) == threads
+
+    def test_a_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        stream = simulate._stream
+
+        def failing(seed, start):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return stream(seed, start)
+
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        monkeypatch.setattr(simulate, "_stream", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            sample_table(PopulationSpec(**EXAMPLE), 2 * CHUNK, seed=1)
 
 
 @st.composite
