@@ -24,13 +24,6 @@ from .measures import (CollapsibilityReport, EffectModification, Measure,
                        collapse_analysis, effect_modification, is_collapsible)
 from .tables import StratifiedCohortTable
 
-MEASURE_LINKS = {
-    Measure.ODDS_RATIO: "logit",
-    Measure.RISK_RATIO: "log",
-    Measure.RISK_DIFFERENCE: "identity",
-    Measure.HAZARD_RATIO: "cloglog",
-}
-
 OFF_SEGMENT = "off_segment"
 ON_SEGMENT = "on_segment"
 INDETERMINATE = "indeterminate"
@@ -45,7 +38,8 @@ CONFOUNDING_NOTE = (
 class MeasureAnalysis:
     """Crude, stratum-specific, and adjusted estimates for one measure.
 
-    An entry with an error keeps the crude results computed before it."""
+    An entry with an error keeps the crude and common results computed
+    before it."""
 
     measure: Measure
     link: str
@@ -103,7 +97,7 @@ def _no_interaction_fit(measure: Measure, table: StratifiedCohortTable,
     if table.k < 2:
         return None
     try:
-        return glm.fit(glm.ModelSpec(link=MEASURE_LINKS[measure],
+        return glm.fit(glm.ModelSpec(link=measure.link,
                                      terms="exposure_plus_stratum",
                                      table=table))
     except GlmError as exc:
@@ -115,8 +109,9 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       common_fit: glm.GlmFit | GlmError | None,
                       stratum_points: tuple[RiskPoint, ...],
                       level: float, em_tol: float) -> MeasureAnalysis:
-    link = MEASURE_LINKS[measure]
+    link = measure.link
     crude: dict = {}  # set once every crude result is in, and kept on error
+    common: dict = {}  # likewise for the no-interaction results
     try:
         crude_fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_only",
                                           table=crude_table))
@@ -133,22 +128,28 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                 common_estimate=crude_estimate,
                 common_interval=crude_interval)
 
+        try:
+            if isinstance(common_fit, GlmError):
+                raise common_fit
+            common = dict(
+                common_estimate=glm.exposure_estimate(common_fit),
+                common_interval=glm.profile_interval(common_fit, level=level),
+                interaction_p_value=glm.interaction_test(common_fit).p_value)
+            common_error = None
+        except GlmError as exc:
+            common_error = exc
+        # The saturated fit's error names the boundary rows, so it goes first.
         saturated = glm.fit(glm.ModelSpec(
             link=link, terms="saturated_with_interaction", table=table))
+        if common_error is not None:
+            raise common_error
         stratum_estimates = glm.stratum_exposure_estimates(saturated)
-        if isinstance(common_fit, GlmError):
-            raise common_fit
-        common_estimate = glm.exposure_estimate(common_fit)
-        common_interval = glm.profile_interval(common_fit, level=level)
-        interaction_p = glm.interaction_test(common_fit).p_value
         modification = effect_modification(measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
-            measure=measure, link=link, **crude,
-            stratum_estimates=stratum_estimates,
-            common_estimate=common_estimate, common_interval=common_interval,
-            interaction_p_value=interaction_p, modification=modification)
+            measure=measure, link=link, **crude, **common,
+            stratum_estimates=stratum_estimates, modification=modification)
     except GlmError as exc:
-        return MeasureAnalysis(measure=measure, link=link, **crude,
+        return MeasureAnalysis(measure=measure, link=link, **crude, **common,
                                error=_error_text(exc))
 
 
@@ -233,12 +234,8 @@ def analyze(table: StratifiedCohortTable, *,
 def _sig6(value: float):
     if isinstance(value, bool):
         return value
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return float(f"{value:.6g}")
+    value = _full(value)
+    return value if isinstance(value, str) else float(f"{value:.6g}")
 
 
 def _full(value: float):
@@ -288,12 +285,13 @@ def _measure_json(entry: MeasureAnalysis) -> dict:
         number_pair(out, "crude_estimate", entry.crude_estimate)
         out["crude_interval"] = _interval_json(entry.crude_interval)
         number_pair(out, "crude_p_value", entry.crude_p_value)
+    if entry.common_interval is not None:
+        number_pair(out, "common_estimate", entry.common_estimate)
+        out["common_interval"] = _interval_json(entry.common_interval)
+        number_pair(out, "interaction_p_value", entry.interaction_p_value)
     if entry.error is not None:
         return out
     number_list_pair(out, "stratum_estimates", entry.stratum_estimates)
-    number_pair(out, "common_estimate", entry.common_estimate)
-    out["common_interval"] = _interval_json(entry.common_interval)
-    number_pair(out, "interaction_p_value", entry.interaction_p_value)
     if entry.modification is not None:
         em: dict = {"present": entry.modification.present,
                     "tol": entry.modification.tol}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from . import glm
-from .diagnostics import MEASURE_LINKS
 from .errors import ValidationError
 from .geometry import (PRESETS, association_points, confounding_rectangle,
                        standard_population, standardized_hull,
@@ -32,11 +31,10 @@ FIGURE_SLUGS = {
     7: "noncollapsible_odds_ratio",
 }
 
+# contour values drawn for a ratio measure (True) and for the difference
 _GALLERY_VALUES = {
-    Measure.ODDS_RATIO: (0.25, 0.5, 1.0, 2.0, 4.0),
-    Measure.RISK_RATIO: (0.25, 0.5, 1.0, 2.0, 4.0),
-    Measure.RISK_DIFFERENCE: (-0.5, -0.25, 0.0, 0.25, 0.5),
-    Measure.HAZARD_RATIO: (0.25, 0.5, 1.0, 2.0, 4.0),
+    True: (0.25, 0.5, 1.0, 2.0, 4.0),
+    False: (-0.5, -0.25, 0.0, 0.25, 0.5),
 }
 
 
@@ -113,7 +111,8 @@ def figure4(table: StratifiedCohortTable) -> str:
 def figure5() -> str:
     panels = []
     for m in Measure:
-        contours = tuple(ContourSpec(m, v) for v in _GALLERY_VALUES[m])
+        contours = tuple(ContourSpec(m, v)
+                         for v in _GALLERY_VALUES[m.is_ratio])
         panels.append(DiagramSpec(title=f"Contours of the {m.label}",
                                   contours=contours))
     return render_grid(panels, columns=2)
@@ -121,7 +120,7 @@ def figure5() -> str:
 
 def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
                             title: str) -> str:
-    fit = glm.fit(glm.ModelSpec(link=MEASURE_LINKS[measure],
+    fit = glm.fit(glm.ModelSpec(link=measure.link,
                                 terms="exposure_plus_stratum", table=table))
     fitted = glm.fitted_stratum_points(fit)
     report = collapse_analysis(measure, fitted)

@@ -248,27 +248,31 @@ def confounding_rectangle(strata: Sequence[RiskPoint]) -> ConfoundingRectangle:
     return ConfoundingRectangle(min(xs), max(xs), min(ys), max(ys))
 
 
-def _segment_distance(p: tuple[float, float], a: tuple[float, float],
-                      b: tuple[float, float]) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
+def _project(p: tuple[float, float], a: tuple[float, float],
+             b: tuple[float, float]) -> tuple[float, float]:
+    """(t, distance) of the point a + t(b - a) of segment a->b nearest p."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
     len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / len2
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    t = 0.0
+    if len2 != 0.0:
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / len2
+        t = min(max(t, 0.0), 1.0)
+    return t, math.hypot(p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy))
+
+
+def segment_weights(k: int, i0: int, i1: int, t: float) -> StandardPopulation:
+    """1 - t on stratum i0 and t on i1 of k; (i, i, 0.0) is a point mass."""
+    weights = [0.0] * k
+    weights[i0] += 1.0 - t
+    weights[i1] += t
+    return StandardPopulation(weights=tuple(weights), preset="custom")
 
 
 def boundary_distance(hull: StandardizedHull, p: RiskPoint) -> float:
     """Euclidean distance from ``p`` to the hull boundary (vertices included)."""
     verts = [v.coords for v in hull.vertices]
     q = p.coords
-    if len(verts) == 1:
-        return math.hypot(q[0] - verts[0][0], q[1] - verts[0][1])
-    dists = [_segment_distance(q, verts[i], verts[(i + 1) % len(verts)])
+    dists = [_project(q, verts[i], verts[(i + 1) % len(verts)])[1]
              for i in range(len(verts))]
     if len(verts) == 2:
         return dists[0]
@@ -308,24 +312,8 @@ def contains(hull: StandardizedHull, p: RiskPoint,
 def _weights_on_segment(strata: Sequence[RiskPoint], i0: int, i1: int,
                         target: RiskPoint, tol: float,
                         ) -> StandardPopulation | None:
-    a = strata[i0].coords
-    b = strata[i1].coords
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        if math.hypot(target.x - a[0], target.y - a[1]) > tol:
-            return None
-        t = 0.0
-    else:
-        t = ((target.x - a[0]) * dx + (target.y - a[1]) * dy) / len2
-        t = min(max(t, 0.0), 1.0)
-        if math.hypot(target.x - (a[0] + t * dx),
-                      target.y - (a[1] + t * dy)) > tol:
-            return None
-    weights = [0.0] * len(strata)
-    weights[i0] += 1.0 - t
-    weights[i1] += t
-    return StandardPopulation(weights=tuple(weights), preset="custom")
+    t, d = _project(target.coords, strata[i0].coords, strata[i1].coords)
+    return None if d > tol else segment_weights(len(strata), i0, i1, t)
 
 
 def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
@@ -343,19 +331,13 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     k = len(strata)
     if k < 1:
         raise ValidationError("need at least one stratum point")
-    if k == 1:
-        if math.hypot(target.x - strata[0].x, target.y - strata[0].y) > tol:
-            return None
-        return StandardPopulation(weights=(1.0,), preset="custom")
-    if k == 2:
-        return _weights_on_segment(strata, 0, 1, target, tol)
+    if k <= 2:
+        return _weights_on_segment(strata, 0, k - 1, target, tol)
 
     hull = standardized_hull(strata)
     verts = hull.vertex_source_indices
-    if len(verts) == 1:
-        return _weights_on_segment(strata, verts[0], verts[0], target, tol)
-    if len(verts) == 2:
-        return _weights_on_segment(strata, verts[0], verts[1], target, tol)
+    if len(verts) <= 2:
+        return _weights_on_segment(strata, verts[0], verts[-1], target, tol)
     if contains(hull, target, tol) is Containment.OUTSIDE:
         return None
 
@@ -390,11 +372,10 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     best_d = math.inf
     for i in range(len(verts)):
         i0, i1 = verts[i], verts[(i + 1) % len(verts)]
-        d = _segment_distance(target.coords, coords[i0], coords[i1])
+        t, d = _project(target.coords, coords[i0], coords[i1])
         if d < best_d:
             best_d = d
-            best = (i0, i1)
+            best = (i0, i1, t)
     if best is not None and best_d <= max(tol, 1e-9):
-        return _weights_on_segment(strata, best[0], best[1], target,
-                                   max(tol, 1e-9))
+        return segment_weights(k, *best)
     return None

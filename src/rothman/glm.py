@@ -57,7 +57,6 @@ class _Link:
     name: str
     to_eta: Callable[[np.ndarray], np.ndarray]
     cells: Callable[..., tuple[np.ndarray, ...]]
-    is_ratio_scale: bool = True
 
 
 def _logit_cells(eta, s, f):
@@ -90,7 +89,7 @@ _LINKS = {
     "logit": _Link("logit", lambda mu: np.log(mu / (1.0 - mu)), _logit_cells),
     "log": _Link("log", np.log, _log_cells),
     "identity": _Link("identity", lambda mu: np.asarray(mu, dtype=float),
-                      _identity_cells, is_ratio_scale=False),
+                      _identity_cells),
     "cloglog": _Link("cloglog", lambda mu: np.log(-np.log1p(-mu)),
                      _cloglog_cells),
 }
@@ -386,7 +385,7 @@ def natural_scale(link: str, value: float) -> float:
     """Map a link-scale coefficient to the measure's reporting scale."""
     if link not in LINKS:
         raise ValidationError(f"unknown link {link!r}")
-    if _LINKS[link].is_ratio_scale:
+    if link != "identity":
         return math.exp(value)
     return value
 

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedMeasureError, ValidationError
-from .geometry import RiskPoint, StandardPopulation, convex_hull_indices
+from .geometry import (RiskPoint, StandardPopulation, convex_hull_indices,
+                       segment_weights)
 
 COLLAPSE_TOL = 1e-9
 CONTOUR_CLIP_TOL = 1e-12
@@ -33,7 +34,12 @@ class Measure(Enum):
 
     @property
     def short_name(self) -> str:
-        return _SHORT[self]
+        return _NAMES[self][0]
+
+    @property
+    def link(self) -> str:
+        """GLM link g: the measure is g(y) - g(x), exponentiated if a ratio."""
+        return _NAMES[self][1]
 
     @property
     def label(self) -> str:
@@ -41,18 +47,19 @@ class Measure(Enum):
 
     @property
     def is_ratio(self) -> bool:
-        return self is not Measure.RISK_DIFFERENCE
+        return self.link != "identity"
 
     @property
     def null_value(self) -> float:
-        return 0.0 if self is Measure.RISK_DIFFERENCE else 1.0
+        return 1.0 if self.is_ratio else 0.0
 
 
-_SHORT = {
-    Measure.ODDS_RATIO: "OR",
-    Measure.RISK_RATIO: "RR",
-    Measure.RISK_DIFFERENCE: "RD",
-    Measure.HAZARD_RATIO: "HR",
+# (short name, GLM link) per measure
+_NAMES = {
+    Measure.ODDS_RATIO: ("OR", "logit"),
+    Measure.RISK_RATIO: ("RR", "log"),
+    Measure.RISK_DIFFERENCE: ("RD", "identity"),
+    Measure.HAZARD_RATIO: ("HR", "cloglog"),
 }
 
 
@@ -119,8 +126,7 @@ def contour(m: Measure, value: float, x: float | np.ndarray,
     if xs.ndim == 0:
         y = contour(m, value, xs.reshape(1))[0]
         return None if math.isnan(y) else float(y)
-    if math.isnan(value) or (value < 0.0
-                             and m is not Measure.RISK_DIFFERENCE):
+    if math.isnan(value) or (value < 0.0 and m.is_ratio):
         return np.full_like(xs, math.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         if m is Measure.RISK_DIFFERENCE:
@@ -139,8 +145,10 @@ def contour(m: Measure, value: float, x: float | np.ndarray,
 
 
 def is_collapsible(m: Measure) -> bool:
-    """True when every contour of the measure is a straight line."""
-    return m in (Measure.RISK_RATIO, Measure.RISK_DIFFERENCE)
+    """True when every contour is straight, which by the paper's theorem
+    holds exactly on the identity and log links: g(y) - g(x) = c is then
+    y = x + c or y = e^c x, and on the logit and cloglog links it curves."""
+    return m.link in ("identity", "log")
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,19 +280,6 @@ def _agree(m: Measure, u: float, v: float) -> bool:
                          - comparison_value(m, v)) <= COLLAPSE_TOL
 
 
-def _point_mass(k: int, i: int) -> StandardPopulation:
-    weights = [0.0] * k
-    weights[i] = 1.0
-    return StandardPopulation(weights=tuple(weights), preset="custom")
-
-
-def _edge_weights(k: int, i0: int, i1: int, t: float) -> StandardPopulation:
-    weights = [0.0] * k
-    weights[i0] += 1.0 - t
-    weights[i1] += t
-    return StandardPopulation(weights=tuple(weights), preset="custom")
-
-
 def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
              candidates: Sequence[tuple[float, StandardPopulation]],
              sign: float) -> tuple[float, StandardPopulation] | None:
@@ -301,7 +296,7 @@ def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
     if ends:
         least = min(ends, key=lambda v: sign * v)
         i = next(i for i in vertices if _agree(m, values[i], least))
-        best = (values[i], _point_mass(len(values), i))
+        best = (values[i], segment_weights(len(values), i, i, 0.0))
     for v, weights in candidates:
         if not math.isnan(v) and (best is None or sign * v < sign * best[0]):
             best = (v, weights)
@@ -346,7 +341,7 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
             found = _edge_candidate(m, strata[i0], strata[i1])
             if found is not None:
                 t, v = found
-                candidates.append((v, _edge_weights(k, i0, i1, t)))
+                candidates.append((v, segment_weights(k, i0, i1, t)))
     low = _extreme(m, values, vertices, candidates, 1.0)
     high = _extreme(m, values, vertices, candidates, -1.0)
     if low is None or high is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -147,9 +146,10 @@ class _Canvas:
 
     def text(self, pos: tuple[float, float], s: str, size: int = 12,
              anchor: str = "start", extra: str = "") -> str:
+        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return (f'<text x="{_fmt(pos[0])}" y="{_fmt(pos[1])}" {FONT} '
                 f'font-size="{size}" text-anchor="{anchor}"{extra}>'
-                f'{escape(s)}</text>')
+                f'{s}</text>')
 
 
 def _axes(c: _Canvas) -> list[str]:

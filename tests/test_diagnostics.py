@@ -160,7 +160,40 @@ class TestDegradedTables:
             assert entry["crude_interval"]["lower_full"] == \
                 e.crude_interval.lower
             assert entry["crude_p_value_full"] == e.crude_p_value
-            assert "common_estimate" not in entry
+            # the OR and HR no-interaction fits succeed, and their common
+            # results survive the saturated fit's error
+            assert ("common_estimate" in entry) == (
+                e.measure in (Measure.ODDS_RATIO, Measure.HAZARD_RATIO))
+
+    def test_common_results_survive_a_saturated_failure(self, whickham):
+        # Exposed 1/3 vs unexposed 0/5 has no saturated MLE under any link,
+        # but every no-interaction fit, interval and test succeeds.
+        sparse = CohortCell(exposed_cases=1, exposed_total=3,
+                            unexposed_cases=0, unexposed_total=5)
+        table = StratifiedCohortTable(strata=whickham.strata
+                                      + (("sparse", sparse),))
+        report = analyze(table)
+        for e, entry in zip(report.measures, report.to_json_dict()["measures"]):
+            assert "observed risks of 0 or 1 at rows [4]" in e.error
+            fit = glm.fit(glm.ModelSpec(link=e.link,
+                                        terms="exposure_plus_stratum",
+                                        table=table))
+            assert e.common_estimate == glm.exposure_estimate(fit)
+            assert e.common_interval == glm.profile_interval(fit)
+            assert e.interaction_p_value == glm.interaction_test(fit).p_value
+            assert entry["common_estimate_full"] == e.common_estimate
+            assert entry["common_interval"]["upper_full"] == \
+                e.common_interval.upper
+            assert entry["interaction_p_value_full"] == e.interaction_p_value
+            assert "stratum_estimates" not in entry
+        odds_ratio, risk_difference = report.measures[0], report.measures[2]
+        assert (odds_ratio.common_estimate, odds_ratio.common_interval.lower,
+                odds_ratio.common_interval.upper) == pytest.approx(
+                    (1.55924, 1.13518, 2.15456), rel=1e-5)
+        assert (risk_difference.common_estimate,
+                risk_difference.common_interval.lower,
+                risk_difference.common_interval.upper) == pytest.approx(
+                    (0.0544315, 0.0154628, 0.0929423), rel=1e-5)
 
     def test_boundary_data_degrades_measures_not_geometry(
             self, zero_exposed_cases_table):
@@ -174,8 +207,11 @@ class TestDegradedTables:
             assert e.crude_estimate == pytest.approx(crude[e.measure],
                                                      rel=1e-12)
             assert e.stratum_estimates == ()
-            assert math.isnan(e.common_estimate)
         by_measure = {m: (rep, err) for m, rep, err in report.collapsibility}
+        for e in report.measures:
+            # a common estimate exactly where the no-interaction fit succeeded
+            assert math.isnan(e.common_estimate) == (
+                by_measure[e.measure][0] is None)
         assert by_measure[Measure.RISK_DIFFERENCE][0] is None
         assert by_measure[Measure.RISK_DIFFERENCE][1].startswith(
             "NonConvergenceError")
@@ -267,10 +303,11 @@ class TestJsonReport:
         doc = analyze(zero_exposed_cases_table).to_json_dict()
         entry = doc["measures"][0]
         assert entry["error"].startswith("NonConvergenceError")
-        # the crude results were computed; nothing after them was
-        assert {"crude_estimate", "crude_interval", "crude_p_value"} <= set(entry)
-        assert not {"stratum_estimates", "common_estimate", "common_interval",
-                    "interaction_p_value", "effect_modification"} & set(entry)
+        # the crude and common results were computed; nothing after them was
+        assert {"crude_estimate", "crude_interval", "crude_p_value",
+                "common_estimate", "common_interval",
+                "interaction_p_value"} <= set(entry)
+        assert not {"stratum_estimates", "effect_modification"} & set(entry)
 
 
 def test_whickham_analysis_irls_fit_count(monkeypatch, whickham):

@@ -336,7 +336,54 @@ class TestWeightsForPoint:
         assert rebuilt.y == pytest.approx(strata[0].y, abs=1e-9)
 
 
-rational = st.fractions(min_value=0, max_value=1, max_denominator=50)
+def _weights(strata, target):
+    std = weights_for_point([RiskPoint(*p) for p in strata], RiskPoint(*target))
+    return None if std is None else std.weights
+
+
+class TestDegenerateHulls:
+    """Exact weights and distances where the hull is a point or a segment.
+
+    The values were frozen when each of these cases had its own code path,
+    so they pin that the shared segment projection changed no bit. The
+    coordinates are dyadic, so the collinear sets are exactly collinear.
+    """
+
+    def test_one_stratum(self):
+        assert _weights([(0.3, 0.6)], (0.3, 0.6)) == (1.0,)
+        assert _weights([(0.3, 0.6)], (0.3, 0.6 + 5e-10)) == (1.0,)
+        assert _weights([(0.3, 0.6)], (0.31, 0.6)) is None
+
+    def test_identical_points_are_a_one_vertex_hull(self):
+        strata = [(0.2, 0.4)] * 3
+        assert _weights(strata, (0.2, 0.4)) == (1.0, 0.0, 0.0)
+        assert _weights(strata, (0.2, 0.41)) is None
+
+    def test_three_collinear_points(self):
+        strata = [(0.125, 0.25), (0.625, 0.75), (0.375, 0.5)]
+        assert _weights(strata, (0.2, 0.325)) == (0.85, 0.15000000000000002, 0.0)
+        assert _weights(strata, (0.4, 0.525)) == (0.44999999999999996, 0.55, 0.0)
+        assert _weights(strata, (0.375, 0.5)) == (0.5, 0.5, 0.0)
+        assert _weights(strata, (0.4, 0.6)) is None
+        assert _weights(strata, (0.7, 0.825)) is None
+
+    def test_four_collinear_points(self):
+        # The hull runs from stratum 1 to stratum 0, its sorted order.
+        strata = [(0.75, 0.125), (0.125, 0.4375), (0.5, 0.25), (0.25, 0.375)]
+        assert _weights(strata, (0.3, 0.35)) == (0.28, 0.72, 0.0, 0.0)
+        assert _weights(strata, (0.6, 0.2)) == (0.76, 0.24, 0.0, 0.0)
+        assert _weights(strata, (0.4, 0.3)) == (0.44, 0.56, 0.0, 0.0)
+        assert _weights(strata, (0.125, 0.4375)) == (0.0, 1.0, 0.0, 0.0)
+        assert _weights(strata, (0.4, 0.35)) is None
+
+    def test_boundary_distance_to_a_one_vertex_hull(self):
+        hull = standardized_hull([RiskPoint(0.2, 0.4)] * 3)
+        assert boundary_distance(hull, RiskPoint(0.5, 0.8)) == 0.5
+        assert boundary_distance(hull, RiskPoint(0.2, 0.4)) == 0.0
+        assert boundary_distance(hull, RiskPoint(0.1, 0.7)) == 0.3162277660168379
+
+
+rational =st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 
 @given(st.lists(st.tuples(rational, rational), min_size=1, max_size=12))

@@ -13,10 +13,12 @@ import random
 from decimal import Decimal
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from rothman.diagnostics import analyze
 from rothman.errors import UndefinedMeasureError, ValidationError
 from rothman.geometry import (RiskPoint, association_points, standardize)
 from rothman.measures import (CollapsibilityReport, Measure, collapse_analysis,
@@ -213,6 +215,31 @@ class TestCollapsibleFlag:
             if math.isnan(got):
                 continue
             assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("m", ALL_MEASURES)
+    @pytest.mark.parametrize("ratio, difference", [
+        (0.2, -0.5), (0.5, -0.2), (2.0, 0.2), (5.0, 0.5)])
+    def test_contours_are_straight_exactly_for_collapsible_measures(
+            self, m, ratio, difference):
+        # The theorem on the drawn curves: sample one non-null contour at
+        # 257 x and measure its largest distance from its own chord.
+        value = ratio if m.is_ratio else difference
+        xs = np.linspace(0.0, 1.0, 257)
+        ys = contour(m, value, xs)
+        pts = np.column_stack([xs, ys])[~np.isnan(ys)]
+        assert len(pts) >= 50
+        (ax, ay), (bx, by) = pts[0], pts[-1]
+        cross = (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax)
+        deviation = np.max(np.abs(cross)) / math.hypot(bx - ax, by - ay)
+        assert (deviation <= 1e-12) == is_collapsible(m)
+        if not is_collapsible(m):
+            assert deviation > 1e-3
+
+    def test_links_match_the_analysis_entries(self, whickham):
+        links = [m.link for m in Measure]
+        assert links == ["logit", "log", "identity", "cloglog"]
+        doc = analyze(whickham).to_json_dict()
+        assert [entry["link"] for entry in doc["measures"]] == links
 
 
 class TestEffectModification:

@@ -10,6 +10,10 @@ carries at most ~1.05e-5 of rounding error.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,10 @@ class TestPoints:
         label = 'p<q & "r"'
         root = diagram(points=(point_spec(0.5, 0.5, label=label),))
         assert label in su.texts(root)
+        # &, < and > become entities; quotes in character data stay as is
+        text = render_diagram(DiagramSpec(
+            points=(point_spec(0.5, 0.5, label=label),)))
+        assert '>p&lt;q &amp; "r"</text>' in text
 
     def test_point_label_sits_beside_circle(self):
         root = diagram(points=(point_spec(0.5, 0.5, label="here"),))
@@ -516,3 +524,17 @@ class TestFigureGallery:
         assert len(su.circles(root)) == 10
         assert len(su.polygons(root)) == 2
         assert figure_svg(1, six_strata) == figure1(six_strata)
+
+
+def test_import_pulls_in_no_network_modules():
+    # The runtime needs numpy only, so importing it loads no web or mail stack.
+    modules = ("urllib.request", "http.client", "ssl", "email",
+               "xml.sax.saxutils")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import rothman, sys; "
+            f"print([m for m in {modules!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
