@@ -12,10 +12,10 @@ its information diagonal but for b, so `_irls` takes Newton steps solved
 in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
 iterations. With b held fixed it makes each profile-likelihood
-evaluation: likelihood-ratio tests and profile intervals reuse a finished
-fit, endpoints found by safeguarded Newton steps on the convex profile
-drop, whose slope is the constrained fit's exposure score. The chi-square
-functions are computed here, so there is no stats dependency.
+evaluation, and given a target drop it solves for a profile-interval
+endpoint, stepping b and the alphas together: likelihood-ratio tests and
+profile intervals reuse a finished fit. The chi-square functions are
+computed here, so there is no stats dependency.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class _FitState:
 
 def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
           b: float | None = None, start: np.ndarray | None = None,
-          ) -> _FitState:
+          target: tuple | None = None) -> _FitState:
     """Fit the no-interaction model by Newton-Raphson with step halving.
 
     ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
@@ -242,6 +242,13 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     gain, is at most `DECREMENT_TOL` times the total count. The returned
     ``score`` is the exposure score of the last cells: with b held fixed,
     the slope of the profile log-likelihood in b (the envelope theorem).
+
+    With ``target`` = (log_mu_hat, log_nu_hat, cut), b moves too, from
+    ``b``, by O(k) Newton steps on (alphas, b) toward the point where every
+    alpha score is 0 and the drop, ``deviance`` with these logs in place of
+    the observed ones, equals cut (Venzon and Moolgavkar, 1988). A step is
+    halved only to stay in the domain; the loop stops after one whose b
+    part is at most `PROFILE_BETA_TOL`.
     """
     f = n - s
     total = float(n.sum())
@@ -255,7 +262,7 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     # likelihood stays finite (0 with no cases, 1 with no non-cases)
     floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
                           for c in (s, f))
-    observed = _log_observed(s, n)
+    observed = _log_observed(s, n) if target is None else target[:2]
 
     def deviance(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> float:
         if (log_mu > floor_mu).all() and (log_nu > floor_nu).all():
@@ -288,6 +295,10 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                 g_b = float(g[:, 1].sum())
                 cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
                 delta_b = float(cross.sum()) / information
+            elif target is not None:
+                ratio = g_alpha / d
+                delta_b = (((dev - target[2]) / 2.0 - float(ratio @ g_alpha))
+                           / (float(g[:, 1].sum()) - float(ratio @ h[:, 1])))
             delta = (g_alpha - h[:, 1] * delta_b) / d
             decrement = float(delta @ g_alpha) + delta_b * g_b
             # a cell deep in a logit tail has almost no curvature, and
@@ -298,7 +309,8 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                 alpha_try, b_try = alpha + step * delta, b + step * delta_b
                 trial = link.cells(_eta(alpha_try, b_try), s, f)
                 dev_try = deviance(*trial)
-                if dev_try <= dev + DEVIANCE_ROUNDING * total:
+                if (dev_try <= dev + DEVIANCE_ROUNDING * total
+                        or target is not None and not math.isnan(dev_try)):
                     break
                 step /= 2.0
             else:
@@ -307,7 +319,8 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                     f"under the {link.name} link", trace=trace)
         alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
         trace.append(dev)
-        if decrement <= DECREMENT_TOL * total:
+        if (decrement <= DECREMENT_TOL * total if target is None
+                else abs(delta_b) <= PROFILE_BETA_TOL):
             break
     else:
         raise NonConvergenceError(
@@ -480,18 +493,23 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
                      ) -> LrInterval:
     """Profile-likelihood interval for the exposure effect of a fit.
 
-    The profile runs over the cells that b carries (`_carrier`), whose
-    alphas `_irls` fits with b held fixed. Each endpoint is the b where the
-    profile drop, the likelihood-ratio statistic, reaches the chi-square(1)
-    quantile (Venzon and Moolgavkar, 1988). On each side of the estimate
-    the drop is convex and increasing, with slope -2 U_b in b, U_b the
-    constrained fit's exposure score, so Newton steps from inside the cut
-    land at or beyond the crossing and from beyond it fall monotonically
-    onto it. They start one Wald half-width out (the standard error from
-    the Schur complement of the observed information), never more than
-    double the distance from the estimate, and bisect the bracket between
-    fits below and at or above the cut (a failed fit counts as above)
-    where they would leave it. The search stops at a step of at most
+    The profile runs over the cells that b carries (`_carrier`). Each
+    endpoint is the b where the profile drop, the likelihood-ratio
+    statistic taken as one sum of per-cell differences from the fitted
+    cells, reaches the chi-square(1) quantile (Venzon and Moolgavkar,
+    1988). It is one `_irls` solve for b and the alphas together, started
+    one Wald half-width out (the standard error from the Schur complement
+    of the observed information) with the alphas moved to first order
+    along their profile. A side whose solve raises (it leaves the domain or
+    does not converge) or lands on the far side of the estimate falls back
+    to Newton steps on the drop alone, each fitting the alphas with b held
+    fixed. On each side of the estimate the drop is convex and increasing,
+    with slope -2 U_b in b, U_b the constrained fit's exposure score, so
+    these steps from inside the cut land at or beyond the crossing and from
+    beyond it fall monotonically onto it. They start at the same b, never
+    more than double the distance from the estimate, and bisect the bracket
+    between fits below and at or above the cut (a failed fit counts as
+    above) where they would leave it. The search stops at a step of at most
     `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
     previous one's alphas. An endpoint the drop does not reach in
     `PROFILE_MAX_STEPS` fits that all succeed is unbounded (0 or inf on a
@@ -502,17 +520,29 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
     spec = fit_result.spec
     link = _LINKS[spec.link]
-    s, n, alpha_hat, deviance_hat = _carrier(fit_result)
+    s, n, alpha_hat, _ = _carrier(fit_result)
     b_hat = fit_result.coefficients[1]
     cut = chi_square_quantile(level, 1)
-    _, _, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
+    *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
     information = _exposure_information(h)
     first = (math.sqrt(cut / information)
              if 0.0 < information < math.inf else 0.5)
+    with np.errstate(all="ignore"):
+        alpha_slope = h[:, 1] / h.sum(axis=1)
 
     endpoints = []
     for side in (-1.0, 1.0):
         name = "upper" if side > 0.0 else "lower"
+        try:
+            state = _irls(s, n, link, b=b_hat + side * first,
+                          start=alpha_hat - side * first * alpha_slope,
+                          target=(*hat, cut))
+        except GlmError:
+            pass
+        else:
+            if side * (state.b - b_hat) > 0.0:
+                endpoints.append(state.b)
+                continue
         inner, outer, failed = 0.0, math.inf, False
         warm, d = alpha_hat, first
         for _ in range(PROFILE_MAX_STEPS):
@@ -522,7 +552,7 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
                 outer, failed, newton = d, True, math.nan  # nan: bisect
             else:
                 warm = state.alpha
-                gap = state.deviance - deviance_hat - cut
+                gap = _deviance(s, n, state.log_mu, state.log_nu, hat) - cut
                 if gap < 0.0:
                     inner = d
                 else:

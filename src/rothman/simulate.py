@@ -241,8 +241,10 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
             uc, ux, u = (s.random(out=row[:b - first])
                          for s, row in zip(streams, draws))
             c = guide[(uc * m).astype(np.intp)]
-            while (step := uc >= stratum_cum[c]).any():
-                c += step
+            i = np.flatnonzero(uc >= stratum_cum[c])
+            while i.size:  # step only the people who still advance
+                c[i] += 1
+                i = i[uc[i] >= stratum_cum[c[i]]]
             key = 4 * c + 2 * (ux < exposure[c])
             d = (u >= lo[key]) & (u < hi[key]) | (u >= top[key])
             cells += np.bincount(key + d, minlength=4 * k)

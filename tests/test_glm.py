@@ -9,6 +9,7 @@ log-likelihood with scipy, so agreement is evidence about the model, not
 about two copies of the same code.
 """
 
+import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -26,6 +27,7 @@ import oracles
 
 from rothman.errors import (GlmError, NestingError, NonConvergenceError,
                             ValidationError, ZeroMarginError)
+from rothman import glm
 from rothman.diagnostics import analyze
 from rothman.glm import (LrInterval, LrTest, ModelSpec, _lr, chi_square_cdf,
                          chi_square_quantile, chi_square_sf, exposure_estimate,
@@ -621,17 +623,60 @@ class TestLikelihoodRatioMachinery:
                 assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
 
     def test_endpoint_beyond_a_failed_constrained_fit_raises(
-            self, make_table):
+            self, monkeypatch, make_table):
         # From b = 0.6385 up, stratum a's unexposed risk (0 cases in 1) has
         # its maximum at 0, which a constrained fit cannot reach, while the
         # drop there is only 0.178. The search once closed on the failing b
-        # and reported RD upper 0.638459; the crossing is at 0.754275.
+        # and reported RD upper 0.638459; the crossing is at 0.754275. No
+        # joint (alpha, b) solve reaches the cut there either, so that side
+        # falls back to the bracketed loop, which raises.
         table = make_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)])
         f = fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
                           table=table))
-        with pytest.raises(NonConvergenceError,
-                           match="upper profile endpoint .* b = 0.6384"):
+        real = glm._irls
+        failed = []
+
+        def recording(*args, target=None, **kwargs):
+            try:
+                return real(*args, target=target, **kwargs)
+            except GlmError:
+                if target is not None:
+                    failed.append(kwargs["b"] > f.coefficients[1])
+                raise
+
+        monkeypatch.setattr(glm, "_irls", recording)
+        with pytest.raises(NonConvergenceError, match=(
+                "the upper profile endpoint lies beyond the last exposure "
+                "coefficient that could be fitted, b = 0.6384")):
             profile_interval(f)
+        assert failed == [True]
+
+    @pytest.mark.parametrize("failure", ["raise", "cross"])
+    @pytest.mark.parametrize("terms", ["exposure_only",
+                                       "exposure_plus_stratum"])
+    @pytest.mark.parametrize("link", LINKS)
+    def test_failed_joint_solve_falls_back_to_the_bracketed_loop(
+            self, monkeypatch, whickham, link, terms, failure):
+        # Each endpoint is one joint (alpha, b) solve. One that raises, or
+        # lands on the far side of the estimate, hands its side to the
+        # bracketed loop of constrained fits, which finds the same endpoint.
+        f = fit(ModelSpec(link=link, terms=terms, table=whickham))
+        joint = profile_interval(f)
+        b_hat = f.coefficients[1]
+        real = glm._irls
+
+        def failing(*args, target=None, **kwargs):
+            if target is None:
+                return real(*args, **kwargs)
+            if failure == "raise":
+                raise NonConvergenceError("joint solve failed", trace=[])
+            state = real(*args, target=target, **kwargs)
+            return dataclasses.replace(state, b=2.0 * b_hat - state.b)
+
+        monkeypatch.setattr(glm, "_irls", failing)
+        bracketed = profile_interval(f)
+        assert bracketed.lower == pytest.approx(joint.lower, rel=1e-9)
+        assert bracketed.upper == pytest.approx(joint.upper, rel=1e-9)
 
     def test_wider_level_widens_the_interval(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -833,11 +878,15 @@ def test_profile_endpoints_sit_on_the_cut_or_raise(table):
 
 
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "analyze_whickham.json"
-# The profile drop is a difference of two deviances, each rounded to about
-# 1e-13, so endpoints carry noise of order 1e-14 relative: the golden's
-# worst endpoint is 2.10e-14 off the 50-digit oracle (a secant search's
-# was 4.46e-14). These bounds may only tighten.
-ENDPOINT_REL_BOUND = Decimal("2.2e-14")
+# The profile drop is one sum of per-cell log-likelihood differences, whose
+# logs are each rounded, so endpoints carry noise of order 1e-15 relative,
+# larger on an identity endpoint near 0: the golden's worst endpoint (RD
+# lower, 0.0133) is 1.22e-14 off the 50-digit oracle, and six_strata's
+# (crude RD lower, -0.00845) 4.28e-14. Before the drop was one sum they were
+# 2.10e-14 and 1.02e-13 (a secant search's 4.46e-14 and more). These bounds
+# may only tighten.
+ENDPOINT_REL_BOUND = Decimal("1.3e-14")
+SIX_STRATA_REL_BOUND = Decimal("4.3e-14")
 ESTIMATE_REL_BOUND = Decimal("5e-16")
 
 
@@ -856,3 +905,17 @@ def test_golden_intervals_match_the_decimal_oracle(whickham):
                          else ENDPOINT_REL_BOUND)
                 assert error <= bound * abs(value), (entry["link"], key,
                                                      field, error / value)
+
+
+@pytest.mark.parametrize("terms", ["exposure_only", "exposure_plus_stratum"])
+@pytest.mark.parametrize("link", LINKS)
+def test_six_strata_intervals_match_the_decimal_oracle(six_strata, link,
+                                                       terms):
+    iv = profile_interval(fit(ModelSpec(link=link, terms=terms,
+                                        table=six_strata)))
+    expected = oracles.profile_interval(six_strata, link, terms)
+    for value, exact, bound in zip(
+            (iv.estimate, iv.lower, iv.upper), expected,
+            (ESTIMATE_REL_BOUND, SIX_STRATA_REL_BOUND, SIX_STRATA_REL_BOUND)):
+        error = abs(Decimal(value) - exact)
+        assert error <= bound * abs(exact), error / exact
