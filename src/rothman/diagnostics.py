@@ -116,7 +116,12 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         crude_fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_only",
                                           table=crude_table))
         crude_estimate = glm.exposure_estimate(crude_fit)
-        crude_interval = glm.profile_interval(crude_fit, level=level)
+        # Every endpoint of the measure, crude and common, is one solve.
+        crude_interval, *common_interval = glm.profile_intervals(
+            [crude_fit, *([common_fit] if isinstance(common_fit, glm.GlmFit)
+                          else [])], level=level)
+        if isinstance(crude_interval, GlmError):
+            raise crude_interval
         crude = dict(crude_estimate=crude_estimate,
                      crude_interval=crude_interval,
                      crude_p_value=glm.exposure_test(crude_fit).p_value)
@@ -131,9 +136,12 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         try:
             if isinstance(common_fit, GlmError):
                 raise common_fit
+            common_interval, = common_interval
+            if isinstance(common_interval, GlmError):
+                raise common_interval
             common = dict(
                 common_estimate=glm.exposure_estimate(common_fit),
-                common_interval=glm.profile_interval(common_fit, level=level),
+                common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
             common_error = None
         except GlmError as exc:

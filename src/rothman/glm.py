@@ -12,10 +12,12 @@ its information diagonal but for b, so `_irls` takes Newton steps solved
 in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
 iterations. With b held fixed it makes each profile-likelihood
-evaluation, and given a target drop it solves for a profile-interval
-endpoint, stepping b and the alphas together: likelihood-ratio tests and
-profile intervals reuse a finished fit. The chi-square functions are
-computed here, so there is no stats dependency.
+evaluation, and given a target drop it solves for profile-interval
+endpoints, stepping b and the alphas together, many problems in one run:
+`profile_intervals` solves both endpoints of several fits at once, and
+`analyze` solves the four of a measure's crude and common fits together.
+Likelihood-ratio tests and profile intervals reuse a finished fit. The
+chi-square functions are computed here, so there is no stats dependency.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
 PROFILE_MAX_STEPS = 64
+PROFILE_STALL_STEPS = 8
 DEFAULT_LEVEL = 0.95
 
 
@@ -170,8 +173,8 @@ _LGAMMA = np.vectorize(math.lgamma, otypes=[float])
 def _log_likelihood(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
                     log_nu: np.ndarray) -> float:
     f = n - s
-    return float(np.sum(_LGAMMA(n + 1.0) - _LGAMMA(s + 1.0) - _LGAMMA(f + 1.0)
-                        + s * log_mu + f * log_nu))
+    lg_n, lg_s, lg_f = _LGAMMA(np.stack((n + 1.0, s + 1.0, f + 1.0)))
+    return float(np.sum(lg_n - lg_s - lg_f + s * log_mu + f * log_nu))
 
 
 def _log_observed(s: np.ndarray, n: np.ndarray) -> tuple:
@@ -190,8 +193,12 @@ def _deviance(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
                         + (n - s) * (log_q - log_nu)).sum())
 
 
-def _eta(alpha: np.ndarray, b: float) -> np.ndarray:
-    return np.add.outer(alpha, (0.0, b))
+def _eta(alpha: np.ndarray, b: float | np.ndarray) -> np.ndarray:
+    """Each stratum's cells, alpha and alpha + b (one b, or one a row)."""
+    eta = np.empty((alpha.size, 2))
+    eta[:, 0] = alpha
+    np.add(alpha, b, out=eta[:, 1])
+    return eta
 
 
 def _exposure_information(h: np.ndarray) -> float:
@@ -199,11 +206,12 @@ def _exposure_information(h: np.ndarray) -> float:
     return float((h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1])).sum())
 
 
-def _inside(alpha: np.ndarray, b: float, link: _Link) -> np.ndarray:
+def _inside(alpha: np.ndarray, b: float | np.ndarray, link: _Link,
+            ) -> np.ndarray:
     """``alpha`` with each entry putting a risk outside (MU_EPS, 1 - MU_EPS)
     at this b moved `START_MARGIN` of the feasible width inside."""
     lo, hi = link.to_eta(np.array([MU_EPS, 1.0 - MU_EPS]))
-    lo, hi = max(lo, lo - b), min(hi, hi - b)
+    lo, hi = np.maximum(lo, lo - b), np.minimum(hi, hi - b)
     margin = START_MARGIN * (hi - lo)
     return np.where((alpha > lo) & (alpha < hi), alpha,
                     np.clip(alpha, lo + margin, hi - margin))
@@ -220,9 +228,16 @@ class _FitState:
     iterations: int
 
 
+@dataclass(frozen=True, slots=True)
+class _JointRun:
+    b: np.ndarray  # each problem's endpoint, nan where its solve failed
+    iterations: int  # Newton passes over the group
+
+
 def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
-          b: float | None = None, start: np.ndarray | None = None,
-          target: tuple | None = None) -> _FitState:
+          b: float | np.ndarray | None = None,
+          start: np.ndarray | None = None,
+          target: tuple | None = None) -> _FitState | _JointRun:
     """Fit the no-interaction model by Newton-Raphson with step halving.
 
     ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
@@ -243,13 +258,13 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     ``score`` is the exposure score of the last cells: with b held fixed,
     the slope of the profile log-likelihood in b (the envelope theorem).
 
-    With ``target`` = (log_mu_hat, log_nu_hat, cut), b moves too, from
-    ``b``, by O(k) Newton steps on (alphas, b) toward the point where every
-    alpha score is 0 and the drop, ``deviance`` with these logs in place of
-    the observed ones, equals cut (Venzon and Moolgavkar, 1988). A step is
-    halved only to stay in the domain; the loop stops after one whose b
-    part is at most `PROFILE_BETA_TOL`.
+    With ``target`` = (log_mu_hat, log_nu_hat, cut, starts), ``b`` holds
+    one starting b for each of several profile-endpoint problems, which
+    `_joint_endpoints` solves in one run, b moving with the alphas: the
+    drop is ``deviance`` with these logs in place of the observed ones.
     """
+    if target is not None:
+        return _joint_endpoints(s, n, link, b, start, *target)
     f = n - s
     total = float(n.sum())
     free = b is None
@@ -262,7 +277,7 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     # likelihood stays finite (0 with no cases, 1 with no non-cases)
     floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
                           for c in (s, f))
-    observed = _log_observed(s, n) if target is None else target[:2]
+    observed = _log_observed(s, n)
 
     def deviance(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> float:
         if (log_mu > floor_mu).all() and (log_nu > floor_nu).all():
@@ -295,10 +310,6 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                 g_b = float(g[:, 1].sum())
                 cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
                 delta_b = float(cross.sum()) / information
-            elif target is not None:
-                ratio = g_alpha / d
-                delta_b = (((dev - target[2]) / 2.0 - float(ratio @ g_alpha))
-                           / (float(g[:, 1].sum()) - float(ratio @ h[:, 1])))
             delta = (g_alpha - h[:, 1] * delta_b) / d
             decrement = float(delta @ g_alpha) + delta_b * g_b
             # a cell deep in a logit tail has almost no curvature, and
@@ -309,8 +320,7 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                 alpha_try, b_try = alpha + step * delta, b + step * delta_b
                 trial = link.cells(_eta(alpha_try, b_try), s, f)
                 dev_try = deviance(*trial)
-                if (dev_try <= dev + DEVIANCE_ROUNDING * total
-                        or target is not None and not math.isnan(dev_try)):
+                if dev_try <= dev + DEVIANCE_ROUNDING * total:
                     break
                 step /= 2.0
             else:
@@ -319,8 +329,7 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                     f"under the {link.name} link", trace=trace)
         alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
         trace.append(dev)
-        if (decrement <= DECREMENT_TOL * total if target is None
-                else abs(delta_b) <= PROFILE_BETA_TOL):
+        if decrement <= DECREMENT_TOL * total:
             break
     else:
         raise NonConvergenceError(
@@ -330,6 +339,88 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                      log_nu=cells[1], deviance=dev,
                      score=float(cells[2][:, 1].sum()),
                      iterations=iterations)
+
+
+def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
+                     b: np.ndarray, start: np.ndarray, log_mu_hat: np.ndarray,
+                     log_nu_hat: np.ndarray, cut: float, starts: np.ndarray,
+                     ) -> _JointRun:
+    """Profile-interval endpoints of several problems in one Newton run.
+
+    Problem j's strata are the rows from ``starts[j]`` to the next start.
+    Its b and alphas move together toward the point where every alpha score
+    is 0 and its drop equals ``cut`` (Venzon and Moolgavkar, 1988). Every
+    sum is taken over one problem's rows, so no problem's bits depend on
+    its group. A problem's step is cut to `MAX_ETA_STEP` and halved only to
+    stay in the domain. It is frozen after a step whose b part is at most
+    `PROFILE_BETA_TOL`, and fails, its b nan, when it has no feasible
+    start, when a step leaves the domain at every halving, or after
+    `PROFILE_MAX_STEPS` steps or `PROFILE_STALL_STEPS` in a row that bring
+    its drop no closer to the cut.
+    """
+    f = n - s
+    ends = [*starts[1:].tolist(), len(s)]
+    rows = [slice(a, e) for a, e in zip(starts.tolist(), ends)]
+    owner = np.repeat(np.arange(b.size), np.subtract(ends, starts))
+    floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
+                          for c in (s, f))
+
+    def by_problem(x: np.ndarray) -> np.ndarray:
+        return np.bincount(owner, x, minlength=b.size)
+
+    def drops(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> np.ndarray:
+        # each problem's cells summed as `_deviance` sums them
+        terms = s * (log_mu_hat - log_mu) + f * (log_nu_hat - log_nu)
+        inside = ((log_mu > floor_mu) & (log_nu > floor_nu)).all(axis=1)
+        return np.where(np.logical_and.reduceat(inside, starts),
+                        [2.0 * terms[r].sum() for r in rows], math.nan)
+
+    with np.errstate(all="ignore"):
+        alpha = _inside(start, b[owner], link)
+        cells = link.cells(_eta(alpha, b[owner]), s, f)
+        dev = drops(*cells)
+        active = ~np.isnan(dev)
+        b = np.where(active, b, math.nan)
+        closest, stalled, iterations = np.abs(dev - cut), 0, 0
+        while active.any():
+            iterations += 1
+            _, _, g, h = cells
+            g_alpha, d = g[:, 0] + g[:, 1], h[:, 0] + h[:, 1]
+            ratio = g_alpha / d
+            # each problem's Newton step on (alphas, b), one O(k) solve
+            delta_b = (((dev - cut) / 2.0 - by_problem(ratio * g_alpha))
+                       / (by_problem(g[:, 1]) - by_problem(ratio * h[:, 1])))
+            delta_rows = delta_b[owner]
+            delta = (g_alpha - h[:, 1] * delta_rows) / d
+            reach = np.maximum.reduceat(np.maximum(
+                np.abs(delta), np.abs(delta + delta_rows)), starts)
+            moving = active & np.isfinite(reach)
+            # a problem not moving has step 0 and keeps its b; its alphas
+            # and cells no longer matter
+            step = np.where(moving, np.where(
+                reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
+            pending = moving.copy()
+            for _ in range(MAX_HALVINGS + 1):
+                alpha_try = alpha + step[owner] * delta
+                b_try = np.where(moving, b + step * delta_b, b)
+                cells = link.cells(_eta(alpha_try, b_try[owner]), s, f)
+                dev = drops(*cells)
+                pending &= np.isnan(dev)
+                if not pending.any():
+                    break
+                step = np.where(pending, step / 2.0, step)
+            alpha, b = alpha_try, b_try
+            gap = np.abs(dev - cut)
+            stalled = np.where(gap < closest, 0, stalled + 1)
+            closest = np.minimum(gap, closest)
+            done = np.abs(delta_b) <= PROFILE_BETA_TOL
+            took = moving & ~pending
+            lost = active & (~took | ~done & (
+                (stalled >= PROFILE_STALL_STEPS)
+                | (iterations >= PROFILE_MAX_STEPS)))
+            b = np.where(lost, math.nan, b)
+            active &= ~done & ~lost
+    return _JointRun(b=b, iterations=iterations)
 
 
 def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
@@ -374,10 +465,14 @@ def fit(spec: ModelSpec) -> GlmFit:
         coefficients = (state.alpha[0], state.b,
                         *(state.alpha[1:] - state.alpha[0]))
         log_mu, log_nu = state.log_mu, state.log_nu
-        iterations = state.iterations
+        deviance, iterations = state.deviance, state.iterations
     else:
         coefficients, log_mu, log_nu = _observed_fit(spec, s, n, link)
-        iterations = 0
+        # the saturated fit, like the exposure-only fit of one stratum,
+        # is the observed risks, whose logs it already holds
+        observed = ((log_mu, log_nu) if spec.terms != "exposure_only"
+                    or spec.table.k == 1 else None)
+        deviance, iterations = _deviance(s, n, log_mu, log_nu, observed), 0
     labels = spec.table.labels[1:]
     names = ("intercept", "exposure",
              *(f"stratum:{lbl}" for lbl in labels
@@ -388,7 +483,7 @@ def fit(spec: ModelSpec) -> GlmFit:
                   coefficients=tuple(float(c) for c in coefficients),
                   coefficient_names=names,
                   log_likelihood=_log_likelihood(s, n, log_mu, log_nu),
-                  deviance=_deviance(s, n, log_mu, log_nu),
+                  deviance=deviance,
                   fitted_risks=tuple((float(x), float(y))
                                      for x, y in np.exp(log_mu)),
                   iterations=iterations)
@@ -489,24 +584,84 @@ def interaction_test(no_interaction_fit: GlmFit) -> LrTest:
     return _lr(no_interaction_fit.deviance, spec.table.k - 1)
 
 
-def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
-                     ) -> LrInterval:
-    """Profile-likelihood interval for the exposure effect of a fit.
+def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
+                      ) -> list[LrInterval | GlmError]:
+    """Profile-likelihood intervals for the exposure effects of fits that
+    share a link, each the interval or the `GlmError` that stopped it.
 
     The profile runs over the cells that b carries (`_carrier`). Each
     endpoint is the b where the profile drop, the likelihood-ratio
     statistic taken as one sum of per-cell differences from the fitted
     cells, reaches the chi-square(1) quantile (Venzon and Moolgavkar,
-    1988). It is one `_irls` solve for b and the alphas together, started
-    one Wald half-width out (the standard error from the Schur complement
-    of the observed information) with the alphas moved to first order
-    along their profile. A side whose solve raises (it leaves the domain or
-    does not converge) or lands on the far side of the estimate falls back
-    to Newton steps on the drop alone, each fitting the alphas with b held
-    fixed. On each side of the estimate the drop is convex and increasing,
-    with slope -2 U_b in b, U_b the constrained fit's exposure score, so
-    these steps from inside the cut land at or beyond the crossing and from
-    beyond it fall monotonically onto it. They start at the same b, never
+    1988). All the endpoints are one `_irls` run, which solves each for b
+    and the alphas together, started one Wald half-width out (the standard
+    error from the Schur complement of the observed information) with the
+    alphas moved to first order along their profile. Only a side whose
+    solve fails or lands on the far side of the estimate runs
+    `_bracketed_endpoint`.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must be in (0, 1), got {level!r}")
+    if len({f.spec.link for f in fits}) > 1:
+        raise ValidationError("intervals solved together need one link")
+    link = _LINKS[fits[0].spec.link]
+    cut = chi_square_quantile(level, 1)
+    problems, rows, b_start = [], [], []
+    for fit_result in fits:
+        s, n, alpha_hat, _ = _carrier(fit_result)
+        b_hat = fit_result.coefficients[1]
+        *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
+        information = _exposure_information(h)
+        first = (math.sqrt(cut / information)
+                 if 0.0 < information < math.inf else 0.5)
+        with np.errstate(all="ignore"):
+            alpha_slope = h[:, 1] / h.sum(axis=1)
+        problems.append((s, n, alpha_hat, b_hat, hat, first))
+        for side in (-1.0, 1.0):  # the lower, then the upper endpoint
+            rows.append((s, n, *hat, alpha_hat - side * first * alpha_slope))
+            b_start.append(b_hat + side * first)
+    s, n, log_mu_hat, log_nu_hat, start = map(np.concatenate, zip(*rows))
+    starts = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
+    run = _irls(s, n, link, b=np.array(b_start), start=start,
+                target=(log_mu_hat, log_nu_hat, cut, starts))
+
+    intervals = []
+    for problem, endpoints in zip(problems, run.b.reshape(-1, 2).tolist()):
+        b_hat = problem[3]
+        try:
+            lower, upper = (b if side * (b - b_hat) > 0.0 else
+                            _bracketed_endpoint(link, cut, side, *problem)
+                            for side, b in zip((-1.0, 1.0), endpoints))
+        except GlmError as exc:
+            intervals.append(exc)
+            continue
+        intervals.append(LrInterval(
+            estimate=natural_scale(link.name, b_hat),
+            lower=natural_scale(link.name, lower),
+            upper=natural_scale(link.name, upper), level=level))
+    return intervals
+
+
+def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
+                     ) -> LrInterval:
+    """Profile-likelihood interval for the exposure effect of a fit: the
+    one-fit case of `profile_intervals`, whose error it raises."""
+    interval, = profile_intervals([fit_result], level)
+    if isinstance(interval, GlmError):
+        raise interval
+    return interval
+
+
+def _bracketed_endpoint(link: _Link, cut: float, side: float, s: np.ndarray,
+                        n: np.ndarray, alpha_hat: np.ndarray, b_hat: float,
+                        hat: list, first: float) -> float:
+    """The endpoint on one side of b_hat by Newton steps on the drop alone,
+    each fitting the alphas with b held fixed.
+
+    On each side of the estimate the drop is convex and increasing, with
+    slope -2 U_b in b, U_b the constrained fit's exposure score, so these
+    steps from inside the cut land at or beyond the crossing and from
+    beyond it fall monotonically onto it. They start ``first`` out, never
     more than double the distance from the estimate, and bisect the bracket
     between fits below and at or above the cut (a failed fit counts as
     above) where they would leave it. The search stops at a step of at most
@@ -516,74 +671,42 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
     ratio scale); a bracket that closes on a failed fit raises
     `NonConvergenceError`.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must be in (0, 1), got {level!r}")
-    spec = fit_result.spec
-    link = _LINKS[spec.link]
-    s, n, alpha_hat, _ = _carrier(fit_result)
-    b_hat = fit_result.coefficients[1]
-    cut = chi_square_quantile(level, 1)
-    *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
-    information = _exposure_information(h)
-    first = (math.sqrt(cut / information)
-             if 0.0 < information < math.inf else 0.5)
-    with np.errstate(all="ignore"):
-        alpha_slope = h[:, 1] / h.sum(axis=1)
-
-    endpoints = []
-    for side in (-1.0, 1.0):
-        name = "upper" if side > 0.0 else "lower"
+    name = "upper" if side > 0.0 else "lower"
+    inner, outer, failed = 0.0, math.inf, False
+    warm, d = alpha_hat, first
+    for _ in range(PROFILE_MAX_STEPS):
         try:
-            state = _irls(s, n, link, b=b_hat + side * first,
-                          start=alpha_hat - side * first * alpha_slope,
-                          target=(*hat, cut))
+            state = _irls(s, n, link, b=b_hat + side * d, start=warm)
         except GlmError:
-            pass
+            outer, failed, newton = d, True, math.nan  # nan: bisect
         else:
-            if side * (state.b - b_hat) > 0.0:
-                endpoints.append(state.b)
-                continue
-        inner, outer, failed = 0.0, math.inf, False
-        warm, d = alpha_hat, first
-        for _ in range(PROFILE_MAX_STEPS):
-            try:
-                state = _irls(s, n, link, b=b_hat + side * d, start=warm)
-            except GlmError:
-                outer, failed, newton = d, True, math.nan  # nan: bisect
+            warm = state.alpha
+            gap = _deviance(s, n, state.log_mu, state.log_nu, hat) - cut
+            if gap < 0.0:
+                inner = d
             else:
-                warm = state.alpha
-                gap = _deviance(s, n, state.log_mu, state.log_nu, hat) - cut
-                if gap < 0.0:
-                    inner = d
-                else:
-                    outer, failed = d, False
-                slope = -2.0 * side * state.score
-                newton = min(d - gap / slope if slope > 0.0 else math.inf,
-                             2.0 * d)
-            bisect = not inner <= newton <= outer
-            d_next = (inner + outer) / 2.0 if bisect else newton
-            if abs(d_next - d) <= PROFILE_BETA_TOL:
-                break
-            d = d_next
-        else:
-            if outer < math.inf:
-                raise NonConvergenceError(
-                    f"no {name} profile endpoint in {PROFILE_MAX_STEPS} "
-                    f"steps under the {link.name} link", trace=[])
-            d_next = math.inf
-        if bisect and failed:
+                outer, failed = d, False
+            slope = -2.0 * side * state.score
+            newton = min(d - gap / slope if slope > 0.0 else math.inf,
+                         2.0 * d)
+        bisect = not inner <= newton <= outer
+        d_next = (inner + outer) / 2.0 if bisect else newton
+        if abs(d_next - d) <= PROFILE_BETA_TOL:
+            break
+        d = d_next
+    else:
+        if outer < math.inf:
             raise NonConvergenceError(
-                f"the {name} profile endpoint lies beyond the last exposure "
-                f"coefficient that could be fitted, b = "
-                f"{b_hat + side * inner!r}, under the {link.name} link",
-                trace=[])
-        endpoints.append(b_hat + side * d_next)
-
-    lower, upper = endpoints
-    return LrInterval(estimate=natural_scale(spec.link, b_hat),
-                      lower=natural_scale(spec.link, lower),
-                      upper=natural_scale(spec.link, upper),
-                      level=level)
+                f"no {name} profile endpoint in {PROFILE_MAX_STEPS} "
+                f"steps under the {link.name} link", trace=[])
+        d_next = math.inf
+    if bisect and failed:
+        raise NonConvergenceError(
+            f"the {name} profile endpoint lies beyond the last exposure "
+            f"coefficient that could be fitted, b = "
+            f"{b_hat + side * inner!r}, under the {link.name} link",
+            trace=[])
+    return b_hat + side * d_next
 
 
 def _regularized_gamma(x: float, df: int) -> tuple[float, float]:

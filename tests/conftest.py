@@ -1,7 +1,13 @@
-"""Shared fixtures: bundled tables and constructed edge-case tables."""
+"""Shared fixtures: bundled tables, constructed edge-case tables and a
+recorder of the GLM layer's Newton runs."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from rothman import glm
+from rothman.errors import GlmError
 from rothman.tables import CohortCell, StratifiedCohortTable
 from rothman.whickham import (six_strata_table, whickham_crude_table,
                               whickham_table)
@@ -102,3 +108,55 @@ def independence_tables():
         (True, True): build_table([
             ("a", 97, 533, 65, 539), ("b", 42, 49, 165, 193)]),
     }
+
+
+@dataclasses.dataclass
+class IrlsCall:
+    """One `glm._irls` run: a fit, or a joint run of endpoint problems.
+
+    ``strata`` counts the rows of the cells it was given; ``b`` is each
+    endpoint problem's starting b for a joint run, the held b of a
+    constrained fit, or None for a free fit; ``failed`` has one flag a
+    problem (one for a fit, set when it raised)."""
+
+    joint: bool
+    strata: int
+    b: list | float | None
+    iterations: int
+    failed: list[bool]
+
+
+class IrlsRecorder:
+    """Records every `glm._irls` call in ``calls``. ``rewrite``, when set,
+    maps each joint run's result to the one its caller receives."""
+
+    def __init__(self, real):
+        self.calls: list[IrlsCall] = []
+        self.rewrite = None
+        self._real = real
+
+    def __call__(self, s, *args, target=None, **kwargs):
+        joint, b = target is not None, kwargs.get("b")
+        call = IrlsCall(joint, len(s), b.tolist() if joint else b, 0, [True])
+        self.calls.append(call)
+        try:
+            result = self._real(s, *args, target=target, **kwargs)
+        except GlmError as exc:
+            call.iterations = max(len(exc.trace) - 1, 0)
+            raise
+        if joint and self.rewrite is not None:
+            result = self.rewrite(result)
+        call.iterations = result.iterations
+        call.failed = np.isnan(result.b).tolist() if joint else [False]
+        return result
+
+    @property
+    def joint_calls(self) -> list[IrlsCall]:
+        return [call for call in self.calls if call.joint]
+
+
+@pytest.fixture
+def irls_recorder(monkeypatch):
+    recorder = IrlsRecorder(glm._irls)
+    monkeypatch.setattr(glm, "_irls", recorder)
+    return recorder

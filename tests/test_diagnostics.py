@@ -310,22 +310,21 @@ class TestJsonReport:
         assert not {"stratum_estimates", "effect_modification"} & set(entry)
 
 
-def test_whickham_analysis_irls_fit_count(monkeypatch, whickham):
+def _assert_analysis_work(recorder, table, calls, iterations):
+    # 4 free fits and 4 grouped runs, each holding a measure's crude and
+    # common endpoints. These bounds may only go down.
+    analyze(table)
+    assert len(recorder.calls) <= calls
+    assert sum(call.iterations for call in recorder.calls) <= iterations
+
+
+def test_whickham_analysis_irls_fit_count(irls_recorder, whickham):
     # Work-count gate on one analyze(whickham): the seed made 502 IRLS
-    # fits in 2,849 iterations, bracketed profile endpoints 54 in 186. Each
-    # endpoint is now one joint (alpha, b) solve: 4 free fits and 16
-    # endpoints. These bounds may only go down.
-    calls = []
-    iterations = []
-    real = glm._irls
+    # fits in 2,849 iterations, bracketed profile endpoints 54 in 186, one
+    # joint (alpha, b) solve an endpoint 20 in 86.
+    _assert_analysis_work(irls_recorder, whickham, 8, 37)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        state = real(*args, **kwargs)
-        iterations.append(state.iterations)
-        return state
 
-    monkeypatch.setattr(glm, "_irls", counting)
-    analyze(whickham)
-    assert len(calls) <= 20
-    assert sum(iterations) <= 86
+def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
+    # One joint solve an endpoint made 20 runs in 93 iterations.
+    _assert_analysis_work(irls_recorder, six_strata, 8, 44)

@@ -35,6 +35,7 @@ from rothman.glm import (LrInterval, LrTest, ModelSpec, _lr, chi_square_cdf,
                          interaction_test, natural_scale, profile_interval,
                          stratum_exposure_estimates)
 from rothman.tables import CohortCell, StratifiedCohortTable
+from rothman.whickham import whickham_table
 
 LINKS = ("logit", "log", "identity", "cloglog")
 
@@ -623,7 +624,7 @@ class TestLikelihoodRatioMachinery:
                 assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
 
     def test_endpoint_beyond_a_failed_constrained_fit_raises(
-            self, monkeypatch, make_table):
+            self, irls_recorder, make_table):
         # From b = 0.6385 up, stratum a's unexposed risk (0 cases in 1) has
         # its maximum at 0, which a constrained fit cannot reach, while the
         # drop there is only 0.178. The search once closed on the failing b
@@ -633,47 +634,31 @@ class TestLikelihoodRatioMachinery:
         table = make_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)])
         f = fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
                           table=table))
-        real = glm._irls
-        failed = []
-
-        def recording(*args, target=None, **kwargs):
-            try:
-                return real(*args, target=target, **kwargs)
-            except GlmError:
-                if target is not None:
-                    failed.append(kwargs["b"] > f.coefficients[1])
-                raise
-
-        monkeypatch.setattr(glm, "_irls", recording)
         with pytest.raises(NonConvergenceError, match=(
                 "the upper profile endpoint lies beyond the last exposure "
                 "coefficient that could be fitted, b = 0.6384")):
             profile_interval(f)
-        assert failed == [True]
+        run, = irls_recorder.joint_calls
+        # the upper joint solve failed, and only it
+        assert [b > f.coefficients[1] for b, failed in zip(run.b, run.failed)
+                if failed] == [True]
 
-    @pytest.mark.parametrize("failure", ["raise", "cross"])
+    @pytest.mark.parametrize("failure", ["fail", "cross"])
     @pytest.mark.parametrize("terms", ["exposure_only",
                                        "exposure_plus_stratum"])
     @pytest.mark.parametrize("link", LINKS)
     def test_failed_joint_solve_falls_back_to_the_bracketed_loop(
-            self, monkeypatch, whickham, link, terms, failure):
-        # Each endpoint is one joint (alpha, b) solve. One that raises, or
-        # lands on the far side of the estimate, hands its side to the
-        # bracketed loop of constrained fits, which finds the same endpoint.
+            self, irls_recorder, whickham, link, terms, failure):
+        # Each endpoint is a problem of one joint (alpha, b) run. One that
+        # fails, or lands on the far side of the estimate, hands its side to
+        # the bracketed loop of constrained fits, which finds the same
+        # endpoint.
         f = fit(ModelSpec(link=link, terms=terms, table=whickham))
         joint = profile_interval(f)
         b_hat = f.coefficients[1]
-        real = glm._irls
-
-        def failing(*args, target=None, **kwargs):
-            if target is None:
-                return real(*args, **kwargs)
-            if failure == "raise":
-                raise NonConvergenceError("joint solve failed", trace=[])
-            state = real(*args, target=target, **kwargs)
-            return dataclasses.replace(state, b=2.0 * b_hat - state.b)
-
-        monkeypatch.setattr(glm, "_irls", failing)
+        irls_recorder.rewrite = lambda run: dataclasses.replace(
+            run, b=np.full_like(run.b, np.nan) if failure == "fail"
+            else 2.0 * b_hat - run.b)
         bracketed = profile_interval(f)
         assert bracketed.lower == pytest.approx(joint.lower, rel=1e-9)
         assert bracketed.upper == pytest.approx(joint.upper, rel=1e-9)
@@ -687,6 +672,50 @@ class TestLikelihoodRatioMachinery:
         assert iv99.lower < iv95.lower
         assert iv99.upper > iv95.upper
         assert iv99.estimate == iv95.estimate
+
+    def test_a_cycling_joint_solve_is_handed_on_within_the_cap(
+            self, irls_recorder, make_table):
+        # From its Wald start the lower joint solve's drop swings between
+        # ~17 and ~42 (cut 3.84) and never settles; it once held its run for
+        # all 100 iterations before it raised. It now stops, on the stall
+        # rule before the PROFILE_MAX_STEPS cap, and the bracketed loop
+        # finds the same endpoint.
+        table = make_table([("a", 2, 3, 1, 5)])
+        f = fit(ModelSpec(link="log", terms="exposure_only", table=table))
+        assert profile_interval(f).lower == 0.5201260467561138
+        run, = irls_recorder.joint_calls
+        assert run.failed == [True, False]
+        assert run.iterations < glm.PROFILE_MAX_STEPS
+
+    @pytest.mark.parametrize("forced", range(4))
+    @pytest.mark.parametrize("link", LINKS)
+    def test_a_failed_problem_leaves_its_group_alone(
+            self, irls_recorder, whickham, whickham_crude, link, forced):
+        # A grouped run of the crude and the common fit's four endpoints in
+        # which one problem fails: the other three keep their bits, and only
+        # the failed side runs the bracketed loop.
+        fits = [fit(ModelSpec(link=link, terms=terms, table=table))
+                for terms, table in (("exposure_only", whickham_crude),
+                                     ("exposure_plus_stratum", whickham))]
+        grouped = glm.profile_intervals(fits)
+        irls_recorder.calls.clear()
+        irls_recorder.rewrite = lambda run: dataclasses.replace(
+            run, b=np.where(np.arange(run.b.size) == forced, np.nan, run.b))
+        again = glm.profile_intervals(fits)
+        owner, side = fits[forced // 2], ("lower", "upper")[forced % 2]
+        for f, before, after in zip(fits, grouped, again):
+            for name in ("lower", "upper"):
+                if f is owner and name == side:
+                    assert getattr(after, name) == pytest.approx(
+                        getattr(before, name), rel=1e-9)
+                else:
+                    assert getattr(after, name) == getattr(before, name)
+        joint, *fallback = irls_recorder.calls
+        b_hat = owner.coefficients[1]
+        assert joint.joint and joint.failed == [i == forced for i in range(4)]
+        assert fallback and all(
+            not call.joint and call.strata == len(owner.spec.table.cells)
+            and (call.b > b_hat) == (side == "upper") for call in fallback)
 
 
 positive_cells = st.integers(min_value=1, max_value=400)
@@ -875,6 +904,99 @@ def test_profile_endpoints_sit_on_the_cut_or_raise(table):
                     drop = 2.0 * (top - oracle_profile(table, terms, link, b))
                     assert drop == pytest.approx(CHI2_95_1, abs=1e-6), (
                         link, terms, endpoint)
+
+
+def _interval_or_error(f):
+    try:
+        return profile_interval(f)
+    except GlmError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_grouping_changes_no_bit(table, others):
+    # Per link, one run holds both endpoints of the table's exposure-only
+    # and no-interaction fits, and of ``others`` (fits of other tables).
+    for link in LINKS:
+        fits = []
+        for terms in ("exposure_only", "exposure_plus_stratum"):
+            try:
+                fits.append(fit(ModelSpec(link=link, terms=terms,
+                                          table=table)))
+            except GlmError:
+                pass
+        fits += [f for f in others if f.spec.link == link]
+        grouped = [iv if isinstance(iv, LrInterval) else (type(iv), str(iv))
+                   for iv in glm.profile_intervals(fits)]
+        assert grouped == [_interval_or_error(f) for f in fits], link
+
+
+def _crude_and_common(table):
+    return [fit(ModelSpec(link=link, terms=terms, table=table))
+            for link in LINKS
+            for terms in ("exposure_only", "exposure_plus_stratum")]
+
+
+@pytest.mark.parametrize("name", ["whickham", "six_strata"])
+def test_grouped_endpoints_equal_each_fit_alone(request, name):
+    table = request.getfixturevalue(name)
+    _assert_grouping_changes_no_bit(table, [])
+
+
+@given(small_tables())
+@example(_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)]))
+@example(_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)]))
+@example(_table([("a", 2, 3, 1, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_grouped_endpoints_equal_each_fit_alone_on_small_tables(table):
+    # Grouped with the Whickham fits, whose carriers have other sizes.
+    _assert_grouping_changes_no_bit(table,
+                                    _crude_and_common(whickham_table()))
+
+
+def test_grouped_intervals_need_one_link(whickham):
+    with pytest.raises(ValidationError):
+        glm.profile_intervals(_crude_and_common(whickham))
+
+
+def _reference_likelihood(spec):
+    """Log-likelihood and deviance as three lgamma calls and a second
+    `_log_observed` gave them, from the fitted logs."""
+    s, n = glm._cells(spec.table)
+    link = glm._LINKS[spec.link]
+    if spec.terms == "exposure_plus_stratum":
+        state = glm._irls(s, n, link)
+        log_mu, log_nu = state.log_mu, state.log_nu
+    else:
+        _, log_mu, log_nu = glm._observed_fit(spec, s, n, link)
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    f = n - s
+    log_likelihood = float(np.sum(
+        lgamma(n + 1.0) - lgamma(s + 1.0) - lgamma(f + 1.0)
+        + s * log_mu + f * log_nu))
+    return log_likelihood, glm._deviance(s, n, log_mu, log_nu)
+
+
+def _assert_fit_likelihoods_keep_their_bits(table):
+    for link in LINKS:
+        for terms in glm.TERMS:
+            try:
+                spec = ModelSpec(link=link, terms=terms, table=table)
+                f = fit(spec)
+            except (GlmError, ValidationError):
+                continue
+            assert (f.log_likelihood, f.deviance) == \
+                _reference_likelihood(spec), (link, terms)
+
+
+@pytest.mark.parametrize("name", ["whickham", "whickham_crude", "six_strata"])
+def test_fit_likelihoods_keep_their_bits(request, name):
+    _assert_fit_likelihoods_keep_their_bits(request.getfixturevalue(name))
+
+
+@given(small_tables())
+@settings(max_examples=40, deadline=None)
+def test_fit_likelihoods_keep_their_bits_on_small_tables(table):
+    _assert_fit_likelihoods_keep_their_bits(table)
 
 
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "analyze_whickham.json"
