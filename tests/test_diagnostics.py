@@ -1,8 +1,10 @@
 """End-to-end analysis reports: flags, estimates, JSON stability."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,7 +12,7 @@ from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
                                  collapsibility_report_json)
-from rothman.errors import ValidationError
+from rothman.errors import NonConvergenceError, ValidationError
 from rothman.geometry import Containment, StandardPopulation
 from rothman.measures import Measure
 from rothman.tables import CohortCell, StratifiedCohortTable
@@ -308,6 +310,58 @@ class TestJsonReport:
                 "common_estimate", "common_interval",
                 "interaction_p_value"} <= set(entry)
         assert not {"stratum_estimates", "effect_modification"} & set(entry)
+
+
+CRUDE_KEYS = {"crude_estimate", "crude_interval", "crude_p_value"}
+COMMON_KEYS = {"common_estimate", "common_interval", "interaction_p_value"}
+
+
+@pytest.mark.parametrize("saturated_fails", [False, True])
+@pytest.mark.parametrize("forced", ["crude_interval", "common_fit",
+                                    "common_interval"])
+def test_an_entry_reports_crude_then_saturated_then_common_errors(
+        irls_recorder, monkeypatch, whickham, zero_exposed_cases_table,
+        forced, saturated_fails):
+    # One forced failure among a measure's crude and common results, on a
+    # table whose saturated fit succeeds (Whickham) or fails (a zero cell).
+    # The entry names the first error of the crude results, the saturated
+    # fit and the common results, in that order, and keeps the results
+    # that were all in before it.
+    def bracketed(*_):
+        raise NonConvergenceError("forced endpoint failure")
+
+    def fit(spec):
+        if spec.terms == "exposure_plus_stratum":
+            raise NonConvergenceError("forced common fit failure")
+        return real_fit(spec)
+
+    real_fit = glm.fit
+    monkeypatch.setattr(glm, "_bracketed_endpoint", bracketed)
+    if forced == "common_fit":
+        monkeypatch.setattr(glm, "fit", fit)
+    else:
+        # the lower endpoint of the crude (problem 0) or common (2) fit
+        failed = 0 if forced == "crude_interval" else 2
+        irls_recorder.rewrite = lambda run: dataclasses.replace(
+            run, b=np.where(np.arange(run.b.size) == failed, np.nan, run.b))
+    table = zero_exposed_cases_table if saturated_fails else whickham
+    entry = analyze(table).to_json_dict()["measures"][0]
+    if forced == "crude_interval":
+        assert entry["error"] == "NonConvergenceError: forced endpoint failure"
+        kept = set()
+    else:
+        kept = CRUDE_KEYS
+        if saturated_fails:
+            assert entry["error"].startswith(
+                "NonConvergenceError: observed risks of 0 or 1 at rows [1] ")
+        elif forced == "common_fit":
+            assert entry["error"] == (
+                "NonConvergenceError: forced common fit failure")
+        else:
+            assert entry["error"] == (
+                "NonConvergenceError: forced endpoint failure")
+    assert set(entry) & (CRUDE_KEYS | COMMON_KEYS) == kept
+    assert not {"stratum_estimates", "effect_modification"} & set(entry)
 
 
 def _assert_analysis_work(recorder, table, calls, iterations):

@@ -335,9 +335,27 @@ class TestWeightsForPoint:
         assert rebuilt.x == pytest.approx(strata[0].x, abs=1e-9)
         assert rebuilt.y == pytest.approx(strata[0].y, abs=1e-9)
 
+    SQUARE = [(0.1, 0.1), (0.5, 0.1), (0.5, 0.5), (0.1, 0.5)]
 
-def _weights(strata, target):
-    std = weights_for_point([RiskPoint(*p) for p in strata], RiskPoint(*target))
+    def test_point_in_a_later_fan_triangle(self):
+        # the fan from (0.1, 0.1) splits the square along its diagonal, and
+        # (0.2, 0.4) lies in the second triangle
+        strata = [RiskPoint(*p) for p in self.SQUARE]
+        std = weights_for_point(strata, RiskPoint(0.2, 0.4))
+        assert std.weights[1] == 0.0
+        rebuilt = standardize(strata, std)
+        assert rebuilt.coords == pytest.approx((0.2, 0.4), abs=1e-12)
+
+    def test_boundary_point_missed_by_the_fan_projects_onto_an_edge(self):
+        # 1e-7 right of the right edge: within tol of the hull, outside
+        # both fan triangles, so it goes to the nearest edge's midpoint
+        assert _weights(self.SQUARE, (0.5 + 1e-7, 0.3), tol=1e-6) == (
+            pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-15))
+
+
+def _weights(strata, target, **kwargs):
+    std = weights_for_point([RiskPoint(*p) for p in strata], RiskPoint(*target),
+                            **kwargs)
     return None if std is None else std.weights
 
 

@@ -5,13 +5,21 @@ element ordering. If an intentional change lands, regenerate the files
 with the two snippets in each test's assertion message.
 """
 
+import hashlib
+import json
+import random
 from pathlib import Path
 
 from rothman.diagnostics import analyze
+from rothman.errors import GlmError
 from rothman.figures import figure_svg
+from rothman.glm import LINKS, ModelSpec, fit, profile_interval
+from rothman.tables import CohortCell, StratifiedCohortTable
 from rothman.whickham import whickham_table
 
 GOLDEN = Path(__file__).parent / "golden"
+SMALL_TABLES_SEED = 2026
+SMALL_TABLES = 24
 
 
 def test_analyze_report_matches_golden():
@@ -27,4 +35,45 @@ def test_figure1_matches_golden():
     assert figure_svg(1) == expected, (
         "figure_svg(1) drifted; regenerate "
         "tests/golden/fig1_standardized_points.svg if the change is "
+        "intentional")
+
+
+def small_tables() -> list[StratifiedCohortTable]:
+    """Seeded tables of 1-4 strata and 1-20 people per exposure group,
+    zero cells allowed: the boundary fits, failed profile solves and
+    bracketed fallback endpoints that larger tables rarely reach."""
+    rng = random.Random(SMALL_TABLES_SEED)
+    tables = []
+    for _ in range(SMALL_TABLES):
+        strata = []
+        for i in range(rng.randint(1, 4)):
+            et, ut = rng.randint(1, 20), rng.randint(1, 20)
+            strata.append((f"s{i}", CohortCell(
+                exposed_cases=rng.randint(0, et), exposed_total=et,
+                unexposed_cases=rng.randint(0, ut), unexposed_total=ut)))
+        tables.append(StratifiedCohortTable(strata=tuple(strata)))
+    return tables
+
+
+def small_table_digest(table: StratifiedCohortTable) -> str:
+    """sha256 of the table's analysis report and, for each link with and
+    without strata, its profile interval or the error that stopped it."""
+    parts = [analyze(table).to_json()]
+    for link in LINKS:
+        for terms in ("exposure_only", "exposure_plus_stratum"):
+            try:
+                parts.append(repr(profile_interval(
+                    fit(ModelSpec(link=link, terms=terms, table=table)))))
+            except GlmError as exc:
+                parts.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def test_small_tables_match_golden():
+    expected = json.loads((GOLDEN / "small_tables.json").read_text(
+        encoding="utf-8"))
+    assert [small_table_digest(t) for t in small_tables()] == expected, (
+        "a small table's report or profile interval drifted; regenerate "
+        "tests/golden/small_tables.json as the JSON list "
+        "[small_table_digest(t) for t in small_tables()] if the change is "
         "intentional")
