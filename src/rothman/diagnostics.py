@@ -88,6 +88,11 @@ def _error_text(exc: GlmError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _raise_error(result: object) -> None:
+    if isinstance(result, GlmError):
+        raise result
+
+
 def _no_interaction_fit(measure: Measure, table: StratifiedCohortTable,
                         ) -> glm.GlmFit | GlmError | None:
     """The measure's exposure_plus_stratum fit, or the error that stopped it.
@@ -120,8 +125,7 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         crude_interval, *common_interval = glm.profile_intervals(
             [crude_fit, *([common_fit] if isinstance(common_fit, glm.GlmFit)
                           else [])], level=level)
-        if isinstance(crude_interval, GlmError):
-            raise crude_interval
+        _raise_error(crude_interval)
         crude = dict(crude_estimate=crude_estimate,
                      crude_interval=crude_interval,
                      crude_p_value=glm.exposure_test(crude_fit).p_value)
@@ -133,24 +137,17 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                 common_estimate=crude_estimate,
                 common_interval=crude_interval)
 
-        try:
-            if isinstance(common_fit, GlmError):
-                raise common_fit
-            common_interval, = common_interval
-            if isinstance(common_interval, GlmError):
-                raise common_interval
+        # A common fit that failed has no interval; its error stands in.
+        common_interval, = common_interval or [common_fit]
+        if isinstance(common_interval, glm.LrInterval):
             common = dict(
                 common_estimate=glm.exposure_estimate(common_fit),
                 common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
-            common_error = None
-        except GlmError as exc:
-            common_error = exc
         # The saturated fit's error names the boundary rows, so it goes first.
         saturated = glm.fit(glm.ModelSpec(
             link=link, terms="saturated_with_interaction", table=table))
-        if common_error is not None:
-            raise common_error
+        _raise_error(common_interval)
         stratum_estimates = glm.stratum_exposure_estimates(saturated)
         modification = effect_modification(measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
@@ -240,8 +237,6 @@ def analyze(table: StratifiedCohortTable, *,
 
 
 def _sig6(value: float):
-    if isinstance(value, bool):
-        return value
     value = _full(value)
     return value if isinstance(value, str) else float(f"{value:.6g}")
 
@@ -272,9 +267,7 @@ def point_json(p: RiskPoint) -> dict:
     return out
 
 
-def _interval_json(interval: glm.LrInterval | None) -> dict | None:
-    if interval is None:
-        return None
+def _interval_json(interval: glm.LrInterval) -> dict:
     out: dict = {"level": interval.level}
     number_pair(out, "estimate", interval.estimate)
     number_pair(out, "lower", interval.lower)

@@ -299,7 +299,7 @@ def contains(hull: StandardizedHull, p: RiskPoint,
     counterclockwise polygon. Degenerate hulls (point, segment) have no
     interior, so everything is boundary or outside.
     """
-    if tol < 0:
+    if not tol >= 0:  # nan too
         raise ValidationError("tolerance must be nonnegative")
     d = boundary_distance(hull, p)
     if d <= tol:
@@ -331,6 +331,8 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     k = len(strata)
     if k < 1:
         raise ValidationError("need at least one stratum point")
+    if not tol >= 0:  # nan too
+        raise ValidationError("tolerance must be nonnegative")
     if k <= 2:
         return _weights_on_segment(strata, 0, k - 1, target, tol)
 

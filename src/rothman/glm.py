@@ -12,8 +12,8 @@ its information diagonal but for b, so `_irls` takes Newton steps solved
 in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
 iterations. With b held fixed it makes each profile-likelihood
-evaluation, and given a target drop it solves for profile-interval
-endpoints, stepping b and the alphas together, many problems in one run:
+evaluation. `_joint_endpoints` steps b and the alphas together to solve
+for profile-interval endpoints, many problems in one run:
 `profile_intervals` solves both endpoints of several fits at once, and
 `analyze` solves the four of a measure's crude and common fits together.
 Likelihood-ratio tests and profile intervals reuse a finished fit. The
@@ -217,6 +217,12 @@ def _inside(alpha: np.ndarray, b: float | np.ndarray, link: _Link,
                     np.clip(alpha, lo + margin, hi - margin))
 
 
+def _floors(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell floors of log(mu) and log(1 - mu), the Newton loops' domain:
+    MU_EPS from a risk of 0 with no cases or of 1 with no non-cases."""
+    return tuple(np.where(c > 0.0, -np.inf, math.log(MU_EPS)) for c in (s, f))
+
+
 @dataclass(slots=True)
 class _FitState:
     alpha: np.ndarray
@@ -235,17 +241,16 @@ class _JointRun:
 
 
 def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
-          b: float | np.ndarray | None = None,
-          start: np.ndarray | None = None,
-          target: tuple | None = None) -> _FitState | _JointRun:
+          b: float | None = None, start: np.ndarray | None = None,
+          ) -> _FitState:
     """Fit the no-interaction model by Newton-Raphson with step halving.
 
     ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
     (unexposed, exposed). With ``b`` None the fit estimates b and the
-    alphas; with b given, the alphas alone (a profile-likelihood
-    evaluation). The alphas start at ``start``, else from the smoothed
-    proportions (s + 0.5) / (n + 1) on the link scale, which also start a
-    free b; a start outside the link's domain is moved inside it.
+    alphas, started from the smoothed proportions (s + 0.5) / (n + 1) on
+    the link scale; with b given, the alphas alone (a profile-likelihood
+    evaluation), started at ``start``. A start outside the link's domain
+    is moved inside it.
 
     Newton-Raphson for a GLM is IRLS with observed-information weights.
     Each step solves A delta = g (A the observed information, g the score)
@@ -257,26 +262,15 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     gain, is at most `DECREMENT_TOL` times the total count. The returned
     ``score`` is the exposure score of the last cells: with b held fixed,
     the slope of the profile log-likelihood in b (the envelope theorem).
-
-    With ``target`` = (log_mu_hat, log_nu_hat, cut, starts), ``b`` holds
-    one starting b for each of several profile-endpoint problems, which
-    `_joint_endpoints` solves in one run, b moving with the alphas: the
-    drop is ``deviance`` with these logs in place of the observed ones.
     """
-    if target is not None:
-        return _joint_endpoints(s, n, link, b, start, *target)
     f = n - s
     total = float(n.sum())
     free = b is None
-    if free or start is None:
+    if free:
         eta0 = link.to_eta((s + 0.5) / (n + 1.0))
-        if free:
-            b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
+        b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
         start = (eta0[:, 0] + eta0[:, 1] - b) / 2.0
-    # the domain: risks in (0, 1), and MU_EPS from an end where a cell's
-    # likelihood stays finite (0 with no cases, 1 with no non-cases)
-    floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
-                          for c in (s, f))
+    floor_mu, floor_nu = _floors(s, f)
     observed = _log_observed(s, n)
 
     def deviance(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> float:
@@ -347,7 +341,7 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
                      ) -> _JointRun:
     """Profile-interval endpoints of several problems in one Newton run.
 
-    Problem j's strata are the rows from ``starts[j]`` to the next start.
+    Problem j starts at ``b[j]`` on the rows from ``starts[j]`` to the next.
     Its b and alphas move together toward the point where every alpha score
     is 0 and its drop equals ``cut`` (Venzon and Moolgavkar, 1988). Every
     sum is taken over one problem's rows, so no problem's bits depend on
@@ -362,8 +356,7 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
     ends = [*starts[1:].tolist(), len(s)]
     rows = [slice(a, e) for a, e in zip(starts.tolist(), ends)]
     owner = np.repeat(np.arange(b.size), np.subtract(ends, starts))
-    floor_mu, floor_nu = (np.where(c > 0.0, -np.inf, math.log(MU_EPS))
-                          for c in (s, f))
+    floor_mu, floor_nu = _floors(s, f)
 
     def by_problem(x: np.ndarray) -> np.ndarray:
         return np.bincount(owner, x, minlength=b.size)
@@ -528,8 +521,6 @@ def fitted_stratum_points(fit_result: GlmFit) -> tuple[RiskPoint, ...]:
 
 def _lr(stat: float, df: int) -> LrTest:
     """The likelihood-ratio test of a statistic on df degrees of freedom."""
-    if df < 1:
-        raise ValidationError("df must be a positive integer")
     if stat < -1e-8:
         raise NestingError(
             f"likelihood ratio statistic {stat} is negative; the null "
@@ -593,17 +584,19 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     endpoint is the b where the profile drop, the likelihood-ratio
     statistic taken as one sum of per-cell differences from the fitted
     cells, reaches the chi-square(1) quantile (Venzon and Moolgavkar,
-    1988). All the endpoints are one `_irls` run, which solves each for b
-    and the alphas together, started one Wald half-width out (the standard
-    error from the Schur complement of the observed information) with the
-    alphas moved to first order along their profile. Only a side whose
-    solve fails or lands on the far side of the estimate runs
-    `_bracketed_endpoint`.
+    1988). All the endpoints are one `_joint_endpoints` run, which solves
+    each for b and the alphas together, started one Wald half-width out
+    (the standard error from the Schur complement of the observed
+    information) with the alphas moved to first order along their profile.
+    Only a side whose solve fails or lands on the far side of the estimate
+    runs `_bracketed_endpoint`.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
     if len({f.spec.link for f in fits}) > 1:
         raise ValidationError("intervals solved together need one link")
+    if not fits:
+        return []
     link = _LINKS[fits[0].spec.link]
     cut = chi_square_quantile(level, 1)
     problems, rows, b_start = [], [], []
@@ -622,8 +615,8 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
             b_start.append(b_hat + side * first)
     s, n, log_mu_hat, log_nu_hat, start = map(np.concatenate, zip(*rows))
     starts = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    run = _irls(s, n, link, b=np.array(b_start), start=start,
-                target=(log_mu_hat, log_nu_hat, cut, starts))
+    run = _joint_endpoints(s, n, link, np.array(b_start), start, log_mu_hat,
+                           log_nu_hat, cut, starts)
 
     intervals = []
     for problem, endpoints in zip(problems, run.b.reshape(-1, 2).tolist()):
@@ -666,10 +659,10 @@ def _bracketed_endpoint(link: _Link, cut: float, side: float, s: np.ndarray,
     between fits below and at or above the cut (a failed fit counts as
     above) where they would leave it. The search stops at a step of at most
     `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
-    previous one's alphas. An endpoint the drop does not reach in
-    `PROFILE_MAX_STEPS` fits that all succeed is unbounded (0 or inf on a
-    ratio scale); a bracket that closes on a failed fit raises
-    `NonConvergenceError`.
+    previous one's alphas. It raises `NonConvergenceError` after
+    `PROFILE_MAX_STEPS` fits or when its bracket closes on a failed fit;
+    no endpoint is unbounded, as a drop below the cut needs a zero cell,
+    whose `MU_EPS` floor fails the fits first.
     """
     name = "upper" if side > 0.0 else "lower"
     inner, outer, failed = 0.0, math.inf, False
@@ -695,11 +688,9 @@ def _bracketed_endpoint(link: _Link, cut: float, side: float, s: np.ndarray,
             break
         d = d_next
     else:
-        if outer < math.inf:
-            raise NonConvergenceError(
-                f"no {name} profile endpoint in {PROFILE_MAX_STEPS} "
-                f"steps under the {link.name} link", trace=[])
-        d_next = math.inf
+        raise NonConvergenceError(
+            f"no {name} profile endpoint in {PROFILE_MAX_STEPS} steps under "
+            f"the {link.name} link", trace=[])
     if bisect and failed:
         raise NonConvergenceError(
             f"the {name} profile endpoint lies beyond the last exposure "

@@ -65,8 +65,6 @@ _NAMES = {
 
 def _ratio(num: float, den: float) -> float:
     """num/den for nonnegative extended reals, nan at 0/0 and inf/inf."""
-    if math.isnan(num) or math.isnan(den):
-        return math.nan
     if math.isinf(num) and math.isinf(den):
         return math.nan
     if den == 0.0:
@@ -171,7 +169,7 @@ def effect_modification(m: Measure, strata: Sequence[RiskPoint],
     """
     if len(strata) < 2:
         raise ValidationError("effect modification needs at least two strata")
-    if tol < 0:
+    if not tol >= 0:  # nan too
         raise ValidationError("tolerance must be nonnegative")
     values = []
     for i, p in enumerate(strata):
@@ -211,10 +209,6 @@ class CollapsibilityReport:
 
 
 def _lerp(a: RiskPoint, b: RiskPoint, t: float) -> RiskPoint:
-    if t == 1.0:
-        # a + (b - a) can miss b by an ulp, which a measure near the top
-        # edge magnifies past the stratum value itself.
-        return RiskPoint(b.x, b.y)
     x = min(max(a.x + t * (b.x - a.x), 0.0), 1.0)
     y = min(max(a.y + t * (b.y - a.y), 0.0), 1.0)
     return RiskPoint(x, y)

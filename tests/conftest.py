@@ -112,7 +112,8 @@ def independence_tables():
 
 @dataclasses.dataclass
 class IrlsCall:
-    """One `glm._irls` run: a fit, or a joint run of endpoint problems.
+    """One Newton run of the GLM layer: a `glm._irls` fit, or a
+    `glm._joint_endpoints` run of endpoint problems (``joint``).
 
     ``strata`` counts the rows of the cells it was given; ``b`` is each
     endpoint problem's starting b for a joint run, the held b of a
@@ -127,28 +128,35 @@ class IrlsCall:
 
 
 class IrlsRecorder:
-    """Records every `glm._irls` call in ``calls``. ``rewrite``, when set,
-    maps each joint run's result to the one its caller receives."""
+    """Records every `glm._irls` and `glm._joint_endpoints` call in
+    ``calls``. ``rewrite``, when set, maps each joint run's result to the
+    one its caller receives."""
 
-    def __init__(self, real):
+    def __init__(self, monkeypatch):
         self.calls: list[IrlsCall] = []
         self.rewrite = None
-        self._real = real
+        self._irls, self._joint = glm._irls, glm._joint_endpoints
+        monkeypatch.setattr(glm, "_irls", self.fit)
+        monkeypatch.setattr(glm, "_joint_endpoints", self.joint)
 
-    def __call__(self, s, *args, target=None, **kwargs):
-        joint, b = target is not None, kwargs.get("b")
-        call = IrlsCall(joint, len(s), b.tolist() if joint else b, 0, [True])
+    def fit(self, s, *args, **kwargs):
+        call = IrlsCall(False, len(s), kwargs.get("b"), 0, [True])
         self.calls.append(call)
         try:
-            result = self._real(s, *args, target=target, **kwargs)
+            state = self._irls(s, *args, **kwargs)
         except GlmError as exc:
             call.iterations = max(len(exc.trace) - 1, 0)
             raise
-        if joint and self.rewrite is not None:
-            result = self.rewrite(result)
-        call.iterations = result.iterations
-        call.failed = np.isnan(result.b).tolist() if joint else [False]
-        return result
+        call.iterations, call.failed = state.iterations, [False]
+        return state
+
+    def joint(self, s, n, link, b, *args):
+        run = self._joint(s, n, link, b, *args)
+        if self.rewrite is not None:
+            run = self.rewrite(run)
+        self.calls.append(IrlsCall(True, len(s), b.tolist(), run.iterations,
+                                   np.isnan(run.b).tolist()))
+        return run
 
     @property
     def joint_calls(self) -> list[IrlsCall]:
@@ -157,6 +165,4 @@ class IrlsRecorder:
 
 @pytest.fixture
 def irls_recorder(monkeypatch):
-    recorder = IrlsRecorder(glm._irls)
-    monkeypatch.setattr(glm, "_irls", recorder)
-    return recorder
+    return IrlsRecorder(monkeypatch)

@@ -172,6 +172,14 @@ class TestAnalyze:
         assert code == 1
         assert error_payload(err)["code"] == "validation"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_rejected(self, run, tol):
+        code, _, err = run("analyze", "--tol", tol)
+        assert code == 1
+        payload = error_payload(err)
+        assert payload["type"] == "ValidationError"
+        assert "tolerance" in payload["message"]
+
     def test_nan_weights_rejected(self, run):
         code, _, err = run("analyze", "--weights", "nan,0.5")
         assert code == 1

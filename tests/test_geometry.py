@@ -296,11 +296,13 @@ class TestContainment:
         hull = standardized_hull(strata)
         assert contains(hull, hull.vertices[0]) is Containment.BOUNDARY
 
-    def test_negative_tolerance_rejected(self, whickham):
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, whickham, tol):
+        # a nan tol once classified a hull vertex as outside
         _, strata = association_points(whickham)
         hull = standardized_hull(strata)
         with pytest.raises(ValidationError):
-            contains(hull, RiskPoint(0.5, 0.5), tol=-1.0)
+            contains(hull, hull.vertices[0], tol=tol)
 
 
 class TestWeightsForPoint:
@@ -334,6 +336,15 @@ class TestWeightsForPoint:
         rebuilt = standardize(strata, std)
         assert rebuilt.x == pytest.approx(strata[0].x, abs=1e-9)
         assert rebuilt.y == pytest.approx(strata[0].y, abs=1e-9)
+
+    @pytest.mark.parametrize("strata", [[(0.1, 0.2), (0.3, 0.4)],
+                                        [(0.1, 0.2), (0.3, 0.4), (0.5, 0.1)]])
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, strata, tol):
+        # on two strata a nan tol once gave weights (0, 1) for a point far
+        # off the segment, and a negative one None
+        with pytest.raises(ValidationError):
+            _weights(strata, (0.9, 0.9), tol=tol)
 
     SQUARE = [(0.1, 0.1), (0.5, 0.1), (0.5, 0.5), (0.1, 0.5)]
 

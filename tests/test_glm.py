@@ -958,6 +958,11 @@ def test_grouped_intervals_need_one_link(whickham):
         glm.profile_intervals(_crude_and_common(whickham))
 
 
+def test_no_fits_give_no_intervals():
+    # one result per fit; no fits once raised IndexError
+    assert glm.profile_intervals([]) == []
+
+
 def _reference_likelihood(spec):
     """Log-likelihood and deviance as three lgamma calls and a second
     `_log_observed` gave them, from the fitted logs."""

@@ -277,10 +277,12 @@ class TestEffectModification:
         with pytest.raises(ValidationError):
             effect_modification(Measure.RISK_RATIO, [RiskPoint(0.1, 0.2)])
 
-    def test_negative_tolerance_rejected(self, whickham):
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, whickham, tol):
+        # a nan tol once never flagged modification
         _, strata = association_points(whickham)
         with pytest.raises(ValidationError):
-            effect_modification(Measure.RISK_RATIO, strata, tol=-1.0)
+            effect_modification(Measure.RISK_RATIO, strata, tol=tol)
 
 
 class TestCollapseAnalysis:
