@@ -2,7 +2,7 @@
 
 These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the files
-with the two snippets in each test's assertion message.
+with the snippet in each test's assertion message.
 """
 
 import hashlib
