@@ -93,38 +93,34 @@ def _raise_error(result: object) -> None:
         raise result
 
 
-def _no_interaction_fit(measure: Measure, table: StratifiedCohortTable,
-                        ) -> glm.GlmFit | GlmError | None:
-    """The measure's exposure_plus_stratum fit, or the error that stopped it.
-
-    None for a one-stratum table, which has no such model.
-    """
-    if table.k < 2:
+def _measure_fit(measure: Measure, terms: str, table: StratifiedCohortTable,
+                 ) -> glm.GlmFit | GlmError | None:
+    """The measure's fit, or the error that stopped it. None for the
+    exposure_plus_stratum model of a one-stratum table, which has none."""
+    if terms == "exposure_plus_stratum" and table.k < 2:
         return None
     try:
-        return glm.fit(glm.ModelSpec(link=measure.link,
-                                     terms="exposure_plus_stratum",
+        return glm.fit(glm.ModelSpec(link=measure.link, terms=terms,
                                      table=table))
     except GlmError as exc:
         return exc
 
 
 def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
-                      crude_table: StratifiedCohortTable,
+                      crude_fit: glm.GlmFit | GlmError,
                       common_fit: glm.GlmFit | GlmError | None,
+                      intervals: list[glm.LrInterval | GlmError],
                       stratum_points: tuple[RiskPoint, ...],
-                      level: float, em_tol: float) -> MeasureAnalysis:
+                      em_tol: float) -> MeasureAnalysis:
+    """The measure's entry from its crude and common fits and the profile
+    intervals of those that succeeded (none when the crude fit failed)."""
     link = measure.link
     crude: dict = {}  # set once every crude result is in, and kept on error
     common: dict = {}  # likewise for the no-interaction results
     try:
-        crude_fit = glm.fit(glm.ModelSpec(link=link, terms="exposure_only",
-                                          table=crude_table))
+        _raise_error(crude_fit)
         crude_estimate = glm.exposure_estimate(crude_fit)
-        # Every endpoint of the measure, crude and common, is one solve.
-        crude_interval, *common_interval = glm.profile_intervals(
-            [crude_fit, *([common_fit] if isinstance(common_fit, glm.GlmFit)
-                          else [])], level=level)
+        crude_interval, *common_interval = intervals
         _raise_error(crude_interval)
         crude = dict(crude_estimate=crude_estimate,
                      crude_interval=crude_interval,
@@ -173,7 +169,8 @@ def _collapsibility_entry(measure: Measure,
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
     """The collapsibility section of the analysis report, on its own."""
     return [_collapsibility_json(*_collapsibility_entry(
-                m, _no_interaction_fit(m, table))) for m in Measure]
+                m, _measure_fit(m, "exposure_plus_stratum", table)))
+            for m in Measure]
 
 
 def analyze(table: StratifiedCohortTable, *,
@@ -218,12 +215,23 @@ def analyze(table: StratifiedCohortTable, *,
         outcome_label=table.outcome_label,
         covariate_label=table.covariate_label)
 
-    # One no-interaction fit per measure serves its estimate, interval,
-    # interaction test and collapsibility entry.
-    common_fits = {m: _no_interaction_fit(m, table) for m in Measure}
+    # Each fit serves its estimate, interval and test, and the
+    # no-interaction fit the collapsibility entry too.
+    crude_fits = {m: _measure_fit(m, "exposure_only", crude_table)
+                  for m in Measure}
+    common_fits = {m: _measure_fit(m, "exposure_plus_stratum", table)
+                   for m in Measure}
+    # All these fits' endpoints are one solve, across links; a measure
+    # whose crude fit failed has none, and its entry names that error.
+    solved = {m: [f for f in (crude_fits[m], common_fits[m])
+                  if isinstance(f, glm.GlmFit)]
+              for m in Measure if isinstance(crude_fits[m], glm.GlmFit)}
+    fits = [f for group in solved.values() for f in group]
+    results = iter(glm.profile_intervals(fits, level=level))
     measures = tuple(
-        _measure_analysis(m, table, crude_table, common_fits[m],
-                          stratum_points, level, em_tol)
+        _measure_analysis(m, table, crude_fits[m], common_fits[m],
+                          [next(results) for _ in solved.get(m, [])],
+                          stratum_points, em_tol)
         for m in Measure)
     collapsibility = tuple(_collapsibility_entry(m, common_fits[m])
                            for m in Measure)

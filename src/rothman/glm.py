@@ -14,15 +14,17 @@ the total count, so scaling every count changes neither fit nor
 iterations. With b held fixed it makes each profile-likelihood
 evaluation. `_joint_endpoints` steps b and the alphas together to solve
 for profile-interval endpoints, many problems in one run:
-`profile_intervals` solves both endpoints of several fits at once, and
-`analyze` solves the four of a measure's crude and common fits together.
-Likelihood-ratio tests and profile intervals reuse a finished fit. The
-chi-square functions are computed here, so there is no stats dependency.
+`profile_intervals` solves both endpoints of several fits of any links at
+once, and `analyze` those of all four measures' crude and common fits.
+Likelihood-ratio tests and profile intervals reuse a finished fit, and
+each table's arrays are built once (`_cells`). The chi-square functions
+are computed here, so there is no stats dependency.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -154,8 +156,10 @@ class LrTest:
     p_value: float
 
 
-def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, np.ndarray]:
-    """Cases and totals as (k, 2) arrays, columns (unexposed, exposed)."""
+@functools.lru_cache(maxsize=32)
+def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, ...]:
+    """Cases, totals and log C(totals, cases) as read-only (k, 2) arrays,
+    columns (unexposed, exposed), built once per table."""
     counts = np.array([(c.unexposed_cases, c.exposed_cases, c.unexposed_total,
                         c.exposed_total) for c in table.cells], dtype=float)
     s, n = counts[:, :2], counts[:, 2:]
@@ -164,17 +168,12 @@ def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, np.ndarray]:
         raise ZeroMarginError(
             f"stratum {table.labels[empty[0]]!r} has a zero-total exposure "
             "group; its risk is not estimable")
-    return s, n
-
-
-_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
-
-
-def _log_likelihood(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
-                    log_nu: np.ndarray) -> float:
-    f = n - s
-    lg_n, lg_s, lg_f = _LGAMMA(np.stack((n + 1.0, s + 1.0, f + 1.0)))
-    return float(np.sum(lg_n - lg_s - lg_f + s * log_mu + f * log_nu))
+    log_choose = np.reshape([
+        math.lgamma(m + 1.0) - math.lgamma(c + 1.0) - math.lgamma(m - c + 1.0)
+        for c, m in zip(s.ravel().tolist(), n.ravel().tolist())], s.shape)
+    for a in (s, n, log_choose):
+        a.flags.writeable = False
+    return s, n, log_choose
 
 
 def _log_observed(s: np.ndarray, n: np.ndarray) -> tuple:
@@ -335,31 +334,44 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
                      iterations=iterations)
 
 
-def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
+def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
                      b: np.ndarray, start: np.ndarray, log_mu_hat: np.ndarray,
                      log_nu_hat: np.ndarray, cut: float, starts: np.ndarray,
                      ) -> _JointRun:
     """Profile-interval endpoints of several problems in one Newton run.
 
-    Problem j starts at ``b[j]`` on the rows from ``starts[j]`` to the next.
-    Its b and alphas move together toward the point where every alpha score
-    is 0 and its drop equals ``cut`` (Venzon and Moolgavkar, 1988). Every
-    sum is taken over one problem's rows, so no problem's bits depend on
-    its group. A problem's step is cut to `MAX_ETA_STEP` and halved only to
-    stay in the domain. It is frozen after a step whose b part is at most
-    `PROFILE_BETA_TOL`, and fails, its b nan, when it has no feasible
-    start, when a step leaves the domain at every halving, or after
-    `PROFILE_MAX_STEPS` steps or `PROFILE_STALL_STEPS` in a row that bring
-    its drop no closer to the cut.
+    Problem j starts at ``b[j]`` on the rows from ``starts[j]`` to the next,
+    under link ``links[j]``. Its b and alphas move together toward the
+    point where every alpha score is 0 and its drop equals ``cut`` (Venzon
+    and Moolgavkar, 1988). Each cell is computed on its own, by its
+    problem's link, and every sum over one problem's rows, so no problem's
+    bits depend on its group. A problem's step is cut to `MAX_ETA_STEP` and
+    halved only to stay in the domain. It is frozen after a step whose b
+    part is at most `PROFILE_BETA_TOL`, and fails, its b nan, when it has no
+    feasible start, when a step leaves the domain at every halving, or
+    after `PROFILE_MAX_STEPS` steps or `PROFILE_STALL_STEPS` in a row that
+    bring its drop no closer to the cut.
     """
     f = n - s
     ends = [*starts[1:].tolist(), len(s)]
     rows = [slice(a, e) for a, e in zip(starts.tolist(), ends)]
     owner = np.repeat(np.arange(b.size), np.subtract(ends, starts))
     floor_mu, floor_nu = _floors(s, f)
+    segments, j = [], 0  # one (link, rows, s, f) per run of one link
+    for link, group in itertools.groupby(links):
+        first, j = j, j + len(list(group))
+        r = slice(rows[first].start, rows[j - 1].stop)
+        segments.append((link, r, s[r], f[r]))
 
     def by_problem(x: np.ndarray) -> np.ndarray:
         return np.bincount(owner, x, minlength=b.size)
+
+    def cells_at(alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        # log(mu), log(1 - mu), g and h stacked, shape (4, rows, 2)
+        eta, out = _eta(alpha, b_rows), np.empty((4, len(s), 2))
+        for link, r, s_r, f_r in segments:
+            out[:, r] = link.cells(eta[r], s_r, f_r)
+        return out
 
     def drops(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> np.ndarray:
         # each problem's cells summed as `_deviance` sums them
@@ -369,8 +381,10 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
                         [2.0 * terms[r].sum() for r in rows], math.nan)
 
     with np.errstate(all="ignore"):
-        alpha = _inside(start, b[owner], link)
-        cells = link.cells(_eta(alpha, b[owner]), s, f)
+        alpha, b_rows = np.empty_like(start), b[owner]
+        for link, r, _, _ in segments:
+            alpha[r] = _inside(start[r], b_rows[r], link)
+        cells = cells_at(alpha, b_rows)
         dev = drops(*cells)
         active = ~np.isnan(dev)
         b = np.where(active, b, math.nan)
@@ -396,7 +410,7 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, link: _Link,
             for _ in range(MAX_HALVINGS + 1):
                 alpha_try = alpha + step[owner] * delta
                 b_try = np.where(moving, b + step * delta_b, b)
-                cells = link.cells(_eta(alpha_try, b_try[owner]), s, f)
+                cells = cells_at(alpha_try, b_try[owner])
                 dev = drops(*cells)
                 pending &= np.isnan(dev)
                 if not pending.any():
@@ -451,7 +465,7 @@ def fit(spec: ModelSpec) -> GlmFit:
     no-interaction model by `_irls`, reported in reference coding:
     intercept = alpha_1 and stratum:i = alpha_i - alpha_1.
     """
-    s, n = _cells(spec.table)
+    s, n, log_choose = _cells(spec.table)
     link = _LINKS[spec.link]
     if spec.terms == "exposure_plus_stratum":
         state = _irls(s, n, link)
@@ -475,7 +489,8 @@ def fit(spec: ModelSpec) -> GlmFit:
     return GlmFit(spec=spec,
                   coefficients=tuple(float(c) for c in coefficients),
                   coefficient_names=names,
-                  log_likelihood=_log_likelihood(s, n, log_mu, log_nu),
+                  log_likelihood=float(np.sum(
+                      log_choose + s * log_mu + (n - s) * log_nu)),
                   deviance=deviance,
                   fitted_risks=tuple((float(x), float(y))
                                      for x, y in np.exp(log_mu)),
@@ -537,7 +552,7 @@ def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray,
     the no-interaction model, and the reference stratum of the saturated
     model (its other strata keep their observed risks whatever b is)."""
     spec = fit_result.spec
-    s, n = _cells(spec.table)
+    s, n, _ = _cells(spec.table)
     c = fit_result.coefficients
     if spec.terms == "exposure_plus_stratum":
         return s, n, c[0] + np.array((0.0, *c[2:])), fit_result.deviance
@@ -577,30 +592,28 @@ def interaction_test(no_interaction_fit: GlmFit) -> LrTest:
 
 def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
                       ) -> list[LrInterval | GlmError]:
-    """Profile-likelihood intervals for the exposure effects of fits that
-    share a link, each the interval or the `GlmError` that stopped it.
+    """Profile-likelihood intervals for the exposure effects of fits, of one
+    link or several, each the interval or the `GlmError` that stopped it.
 
     The profile runs over the cells that b carries (`_carrier`). Each
     endpoint is the b where the profile drop, the likelihood-ratio
     statistic taken as one sum of per-cell differences from the fitted
     cells, reaches the chi-square(1) quantile (Venzon and Moolgavkar,
-    1988). All the endpoints are one `_joint_endpoints` run, which solves
-    each for b and the alphas together, started one Wald half-width out
-    (the standard error from the Schur complement of the observed
-    information) with the alphas moved to first order along their profile.
-    Only a side whose solve fails or lands on the far side of the estimate
-    runs `_bracketed_endpoint`.
+    1988). All the endpoints, whatever their links, are one
+    `_joint_endpoints` run, which solves each for b and the alphas
+    together, started one Wald half-width out (the standard error from the
+    Schur complement of the observed information) with the alphas moved to
+    first order along their profile. Only a side whose solve fails or lands
+    on the far side of the estimate runs `_bracketed_endpoint`.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
-    if len({f.spec.link for f in fits}) > 1:
-        raise ValidationError("intervals solved together need one link")
     if not fits:
         return []
-    link = _LINKS[fits[0].spec.link]
     cut = chi_square_quantile(level, 1)
-    problems, rows, b_start = [], [], []
+    problems, rows, b_start, links = [], [], [], []
     for fit_result in fits:
+        link = _LINKS[fit_result.spec.link]
         s, n, alpha_hat, _ = _carrier(fit_result)
         b_hat = fit_result.coefficients[1]
         *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
@@ -613,13 +626,15 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
         for side in (-1.0, 1.0):  # the lower, then the upper endpoint
             rows.append((s, n, *hat, alpha_hat - side * first * alpha_slope))
             b_start.append(b_hat + side * first)
+            links.append(link)
     s, n, log_mu_hat, log_nu_hat, start = map(np.concatenate, zip(*rows))
     starts = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    run = _joint_endpoints(s, n, link, np.array(b_start), start, log_mu_hat,
+    run = _joint_endpoints(s, n, links, np.array(b_start), start, log_mu_hat,
                            log_nu_hat, cut, starts)
 
     intervals = []
-    for problem, endpoints in zip(problems, run.b.reshape(-1, 2).tolist()):
+    for problem, link, endpoints in zip(problems, links[::2],
+                                        run.b.reshape(-1, 2).tolist()):
         b_hat = problem[3]
         try:
             lower, upper = (b if side * (b - b_hat) > 0.0 else

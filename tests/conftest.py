@@ -150,8 +150,8 @@ class IrlsRecorder:
         call.iterations, call.failed = state.iterations, [False]
         return state
 
-    def joint(self, s, n, link, b, *args):
-        run = self._joint(s, n, link, b, *args)
+    def joint(self, s, n, links, b, *args):
+        run = self._joint(s, n, links, b, *args)
         if self.rewrite is not None:
             run = self.rewrite(run)
         self.calls.append(IrlsCall(True, len(s), b.tolist(), run.iterations,

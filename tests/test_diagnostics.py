@@ -233,6 +233,16 @@ class TestDegradedTables:
             assert rep is None
             assert err == "needs at least two strata"
 
+    @pytest.mark.parametrize("cases", [(97, 65), (0, 0)])
+    def test_a_bad_level_is_rejected_whatever_the_fits_do(self, make_table,
+                                                          cases):
+        # also on a table without cases, whose every fit fails
+        exposed, unexposed = cases
+        table = make_table([("a", exposed, 533, unexposed, 539),
+                            ("b", 0, 49, 0, 193)])
+        with pytest.raises(ValidationError, match="level"):
+            analyze(table, level=2.0)
+
 
 class TestCustomStandards:
     def test_custom_standard_adds_a_point(self, whickham):
@@ -365,9 +375,10 @@ def test_an_entry_reports_crude_then_saturated_then_common_errors(
 
 
 def _assert_analysis_work(recorder, table, calls, iterations):
-    # 4 free fits and 4 grouped runs, each holding a measure's crude and
-    # common endpoints. These bounds may only go down.
+    # 4 free fits and one grouped run holding the crude and common
+    # endpoints of all four measures. These bounds may only go down.
     analyze(table)
+    assert len(recorder.joint_calls) == 1
     assert len(recorder.calls) <= calls
     assert sum(call.iterations for call in recorder.calls) <= iterations
 
@@ -375,10 +386,12 @@ def _assert_analysis_work(recorder, table, calls, iterations):
 def test_whickham_analysis_irls_fit_count(irls_recorder, whickham):
     # Work-count gate on one analyze(whickham): the seed made 502 IRLS
     # fits in 2,849 iterations, bracketed profile endpoints 54 in 186, one
-    # joint (alpha, b) solve an endpoint 20 in 86.
-    _assert_analysis_work(irls_recorder, whickham, 8, 37)
+    # joint (alpha, b) solve an endpoint 20 in 86, one grouped run a
+    # measure 8 in 37.
+    _assert_analysis_work(irls_recorder, whickham, 5, 25)
 
 
 def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
-    # One joint solve an endpoint made 20 runs in 93 iterations.
-    _assert_analysis_work(irls_recorder, six_strata, 8, 44)
+    # One joint solve an endpoint made 20 runs in 93 iterations, one
+    # grouped run a measure 8 in 44.
+    _assert_analysis_work(irls_recorder, six_strata, 5, 32)

@@ -913,21 +913,26 @@ def _interval_or_error(f):
         return type(exc), str(exc)
 
 
+def _results(intervals):
+    return [iv if isinstance(iv, LrInterval) else (type(iv), str(iv))
+            for iv in intervals]
+
+
 def _assert_grouping_changes_no_bit(table, others):
-    # Per link, one run holds both endpoints of the table's exposure-only
-    # and no-interaction fits, and of ``others`` (fits of other tables).
+    # One run holds both endpoints of the table's exposure-only and
+    # no-interaction fits under every link, and of ``others`` (fits of
+    # other tables).
+    fits = []
     for link in LINKS:
-        fits = []
         for terms in ("exposure_only", "exposure_plus_stratum"):
             try:
                 fits.append(fit(ModelSpec(link=link, terms=terms,
                                           table=table)))
             except GlmError:
                 pass
-        fits += [f for f in others if f.spec.link == link]
-        grouped = [iv if isinstance(iv, LrInterval) else (type(iv), str(iv))
-                   for iv in glm.profile_intervals(fits)]
-        assert grouped == [_interval_or_error(f) for f in fits], link
+    fits += others
+    assert _results(glm.profile_intervals(fits)) == \
+        [_interval_or_error(f) for f in fits]
 
 
 def _crude_and_common(table):
@@ -953,9 +958,23 @@ def test_grouped_endpoints_equal_each_fit_alone_on_small_tables(table):
                                     _crude_and_common(whickham_table()))
 
 
-def test_grouped_intervals_need_one_link(whickham):
-    with pytest.raises(ValidationError):
-        glm.profile_intervals(_crude_and_common(whickham))
+def test_a_mixed_link_group_gives_each_fit_its_own_result(irls_recorder,
+                                                          whickham):
+    # Whickham's crude fits by link, then its common fits, so no two
+    # neighbours share a link, with an identity fit whose upper endpoint
+    # lies beyond a failed profile fit among them: one run gives every fit
+    # the interval, or the error text, that it gets alone.
+    raising = fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
+                            table=_table([("a", 13, 20, 0, 1),
+                                          ("b", 14, 22, 1, 17)])))
+    fits = _crude_and_common(whickham)
+    fits = [*fits[::2], raising, *fits[1::2]]
+    grouped = _results(glm.profile_intervals(fits))
+    run, = irls_recorder.joint_calls
+    assert len(run.b) == 2 * len(fits)
+    assert grouped == [_interval_or_error(f) for f in fits]
+    assert grouped[4][0] is NonConvergenceError
+    assert "lies beyond the last exposure coefficient" in grouped[4][1]
 
 
 def test_no_fits_give_no_intervals():
@@ -963,10 +982,38 @@ def test_no_fits_give_no_intervals():
     assert glm.profile_intervals([]) == []
 
 
+def test_table_arrays_are_built_once_read_only_and_bounded(whickham):
+    s, n, log_choose = glm._cells(whickham)
+    assert glm._cells(whickham)[0] is s
+    for a in (s, n, log_choose):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert glm._cells.cache_info().maxsize is not None
+
+
+def test_fits_keep_their_bits_across_memoized_tables(whickham, six_strata):
+    def fits(table):
+        return [fit(ModelSpec(link=link, terms=terms, table=table))
+                for link in LINKS for terms in glm.TERMS]
+
+    glm._cells.cache_clear()
+    first = fits(whickham)
+    fits(six_strata)
+    assert fits(whickham) == first
+
+
+def test_a_zero_margin_raises_on_every_call(make_table):
+    # the error is not memoized, so no later call returns arrays for it
+    table = make_table([("empty", 0, 0, 10, 50), ("b", 5, 50, 10, 50)])
+    for _ in range(2):
+        with pytest.raises(ZeroMarginError, match="'empty'"):
+            glm._cells(table)
+
+
 def _reference_likelihood(spec):
     """Log-likelihood and deviance as three lgamma calls and a second
     `_log_observed` gave them, from the fitted logs."""
-    s, n = glm._cells(spec.table)
+    s, n, _ = glm._cells(spec.table)
     link = glm._LINKS[spec.link]
     if spec.terms == "exposure_plus_stratum":
         state = glm._irls(s, n, link)
