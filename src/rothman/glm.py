@@ -11,11 +11,11 @@ alpha_i + b: its log-likelihood is concave in eta under all four links and
 its information diagonal but for b, so `_irls` takes Newton steps solved
 in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
-iterations. With b held fixed it makes each profile-likelihood
-evaluation. `_joint_endpoints` steps b and the alphas together to solve
-for profile-interval endpoints, many problems in one run:
-`profile_intervals` solves both endpoints of several fits of any links at
-once, and `analyze` those of all four measures' crude and common fits.
+iterations. `_joint_endpoints` steps b and the alphas together to solve
+for profile-interval endpoints, each kept in a bracket of its own, many
+problems in one run: `profile_intervals` solves both endpoints of several
+fits of any links at once, and `analyze` those of all four measures'
+crude and common fits.
 Likelihood-ratio tests and profile intervals reuse a finished fit, and
 each table's arrays are built once (`_cells`). The chi-square functions
 are computed here, so there is no stats dependency.
@@ -205,12 +205,18 @@ def _exposure_information(h: np.ndarray) -> float:
     return float((h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1])).sum())
 
 
-def _inside(alpha: np.ndarray, b: float | np.ndarray, link: _Link,
-            ) -> np.ndarray:
-    """``alpha`` with each entry putting a risk outside (MU_EPS, 1 - MU_EPS)
-    at this b moved `START_MARGIN` of the feasible width inside."""
-    lo, hi = link.to_eta(np.array([MU_EPS, 1.0 - MU_EPS]))
-    lo, hi = np.maximum(lo, lo - b), np.minimum(hi, hi - b)
+def _edges(b: float | np.ndarray, lo: float | np.ndarray,
+           hi: float | np.ndarray) -> tuple:
+    """The least and greatest alpha keeping the risks at alpha and alpha + b
+    between the link-scale bounds lo and hi."""
+    return np.maximum(lo, lo - b), np.minimum(hi, hi - b)
+
+
+def _inside(alpha: np.ndarray, b: float | np.ndarray, lo: float | np.ndarray,
+            hi: float | np.ndarray) -> np.ndarray:
+    """``alpha`` with each entry putting a risk outside (lo, hi) at this b
+    moved `START_MARGIN` of the feasible width inside."""
+    lo, hi = _edges(b, lo, hi)
     margin = START_MARGIN * (hi - lo)
     return np.where((alpha > lo) & (alpha < hi), alpha,
                     np.clip(alpha, lo + margin, hi - margin))
@@ -229,27 +235,23 @@ class _FitState:
     log_mu: np.ndarray
     log_nu: np.ndarray
     deviance: float
-    score: float
     iterations: int
 
 
 @dataclass(frozen=True, slots=True)
 class _JointRun:
     b: np.ndarray  # each problem's endpoint, nan where its solve failed
+    beyond: np.ndarray  # its inner end where it closed on an unfittable b
     iterations: int  # Newton passes over the group
 
 
-def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
-          b: float | None = None, start: np.ndarray | None = None,
-          ) -> _FitState:
+def _irls(s: np.ndarray, n: np.ndarray, link: _Link) -> _FitState:
     """Fit the no-interaction model by Newton-Raphson with step halving.
 
     ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
-    (unexposed, exposed). With ``b`` None the fit estimates b and the
-    alphas, started from the smoothed proportions (s + 0.5) / (n + 1) on
-    the link scale; with b given, the alphas alone (a profile-likelihood
-    evaluation), started at ``start``. A start outside the link's domain
-    is moved inside it.
+    (unexposed, exposed). The fit estimates b and the alphas, started from
+    the smoothed proportions (s + 0.5) / (n + 1) on the link scale and moved
+    inside the link's domain.
 
     Newton-Raphson for a GLM is IRLS with observed-information weights.
     Each step solves A delta = g (A the observed information, g the score)
@@ -258,17 +260,12 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
     the domain or raises the deviance by more than `DEVIANCE_ROUNDING`
     times the total count, the deviance's rounding error. The loop stops
     after the step whose Newton decrement delta'g, the deviance left to
-    gain, is at most `DECREMENT_TOL` times the total count. The returned
-    ``score`` is the exposure score of the last cells: with b held fixed,
-    the slope of the profile log-likelihood in b (the envelope theorem).
+    gain, is at most `DECREMENT_TOL` times the total count.
     """
     f = n - s
     total = float(n.sum())
-    free = b is None
-    if free:
-        eta0 = link.to_eta((s + 0.5) / (n + 1.0))
-        b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
-        start = (eta0[:, 0] + eta0[:, 1] - b) / 2.0
+    eta0 = link.to_eta((s + 0.5) / (n + 1.0))
+    b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
     floor_mu, floor_nu = _floors(s, f)
     observed = _log_observed(s, n)
 
@@ -277,32 +274,27 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
             return _deviance(s, n, log_mu, log_nu, observed)
         return math.nan  # outside the domain; fails every comparison
 
-    alpha = _inside(start, b, link)  # infeasible when no alpha fits this b
+    alpha = _inside((eta0[:, 0] + eta0[:, 1] - b) / 2.0, b, *link.to_eta(
+        np.array([MU_EPS, 1.0 - MU_EPS])))
     with np.errstate(all="ignore"):
         cells = link.cells(_eta(alpha, b), s, f)
     dev = deviance(*cells)
-    if math.isnan(dev):
-        raise NonConvergenceError(
-            f"no feasible starting point under the {link.name} link",
-            trace=[])
     trace = [dev]
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         _, _, g, h = cells
         with np.errstate(all="ignore"):
             g_alpha, d = g.sum(axis=1), h.sum(axis=1)
-            g_b = delta_b = 0.0
-            if free:
-                information = _exposure_information(h)
-                if information == 0.0:
-                    raise NonConvergenceError(
-                        "no information on the exposure coefficient: every "
-                        "stratum has a cell with zero curvature, so the "
-                        "maximum lies on the boundary under the "
-                        f"{link.name} link", trace=trace)
-                g_b = float(g[:, 1].sum())
-                cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
-                delta_b = float(cross.sum()) / information
+            information = _exposure_information(h)
+            if information == 0.0:
+                raise NonConvergenceError(
+                    "no information on the exposure coefficient: every "
+                    "stratum has a cell with zero curvature, so the "
+                    "maximum lies on the boundary under the "
+                    f"{link.name} link", trace=trace)
+            g_b = float(g[:, 1].sum())
+            cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
+            delta_b = float(cross.sum()) / information
             delta = (g_alpha - h[:, 1] * delta_b) / d
             decrement = float(delta @ g_alpha) + delta_b * g_b
             # a cell deep in a logit tail has almost no curvature, and
@@ -329,39 +321,54 @@ def _irls(s: np.ndarray, n: np.ndarray, link: _Link, *,
             f"no convergence in {MAX_ITERATIONS} iterations under the "
             f"{link.name} link", trace=trace)
     return _FitState(alpha=alpha, b=float(b), log_mu=cells[0],
-                     log_nu=cells[1], deviance=dev,
-                     score=float(cells[2][:, 1].sum()),
-                     iterations=iterations)
+                     log_nu=cells[1], deviance=dev, iterations=iterations)
 
 
 def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
-                     b: np.ndarray, start: np.ndarray, log_mu_hat: np.ndarray,
-                     log_nu_hat: np.ndarray, cut: float, starts: np.ndarray,
+                     b: np.ndarray, start: np.ndarray, b_hat: np.ndarray,
+                     hat: tuple, cut: float, starts: np.ndarray,
                      ) -> _JointRun:
     """Profile-interval endpoints of several problems in one Newton run.
 
-    Problem j starts at ``b[j]`` on the rows from ``starts[j]`` to the next,
-    under link ``links[j]``. Its b and alphas move together toward the
-    point where every alpha score is 0 and its drop equals ``cut`` (Venzon
-    and Moolgavkar, 1988). Each cell is computed on its own, by its
-    problem's link, and every sum over one problem's rows, so no problem's
-    bits depend on its group. A problem's step is cut to `MAX_ETA_STEP` and
-    halved only to stay in the domain. It is frozen after a step whose b
-    part is at most `PROFILE_BETA_TOL`, and fails, its b nan, when it has no
-    feasible start, when a step leaves the domain at every halving, or
-    after `PROFILE_MAX_STEPS` steps or `PROFILE_STALL_STEPS` in a row that
-    bring its drop no closer to the cut.
+    Problem j starts at ``b[j]`` on one side of its estimate ``b_hat[j]``,
+    on the rows from ``starts[j]`` to the next, under link ``links[j]``,
+    with alphas ``start``; ``hat`` holds log(mu) and log(1 - mu) of the
+    estimate's cells. Its b and alphas move together toward the point where
+    every alpha score is 0 and its drop equals ``cut`` (Venzon and
+    Moolgavkar, 1988). Each cell is computed by its problem's link and
+    every sum covers one problem's rows, so no problem's bits depend on its
+    group.
+
+    Each problem brackets its endpoint by distance from the estimate. The
+    inner end is the last iterate whose drop is below the cut, as the
+    profile drop there is no larger. The outer end is the nearest b found
+    unfittable: a start or a bisected b with no feasible alphas, or, in a
+    problem with a zero cell, a b where a stratum's maximum lies on the
+    `MU_EPS` edge of its domain (tested at the start and at each b aimed
+    at, which is then not taken). A step is cut to `MAX_ETA_STEP` and
+    halved only to stay in the domain. A Newton b outside the bracket, or
+    one after `PROFILE_STALL_STEPS` steps in a row that bring the drop no
+    closer to the cut, is replaced: from an unfittable b, or from inside
+    once there is an outer end, by the bracket's midpoint, the alphas moved
+    inside the domain there; else by the same b, for a step of the alphas
+    alone. A problem is done after a Newton step whose b part is at most
+    `PROFILE_BETA_TOL`. It fails, its b nan, when its bracket closes
+    (``beyond`` then holds the inner end's b) or after `PROFILE_MAX_STEPS`
+    steps.
     """
     f = n - s
     ends = [*starts[1:].tolist(), len(s)]
     rows = [slice(a, e) for a, e in zip(starts.tolist(), ends)]
     owner = np.repeat(np.arange(b.size), np.subtract(ends, starts))
     floor_mu, floor_nu = _floors(s, f)
+    side = np.sign(b - b_hat)
+    lo, hi = np.empty((2, len(s)))  # each row's link-scale risk bounds
     segments, j = [], 0  # one (link, rows, s, f) per run of one link
     for link, group in itertools.groupby(links):
         first, j = j, j + len(list(group))
         r = slice(rows[first].start, rows[j - 1].stop)
         segments.append((link, r, s[r], f[r]))
+        lo[r], hi[r] = link.to_eta(np.array([MU_EPS, 1.0 - MU_EPS]))
 
     def by_problem(x: np.ndarray) -> np.ndarray:
         return np.bincount(owner, x, minlength=b.size)
@@ -380,14 +387,26 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
         return np.where(np.logical_and.reduceat(inside, starts),
                         [2.0 * terms[r].sum() for r in rows], math.nan)
 
+    def unfittable(b: np.ndarray) -> np.ndarray:
+        # some stratum's alpha score at an edge points out of its domain,
+        # which needs a zero cell (a finite floor)
+        if not zero.any():
+            return zero
+        g_lo, g_hi = (cells_at(edge, b[owner])[2].sum(axis=1)
+                      for edge in _edges(b[owner], lo, hi))
+        return zero & np.logical_or.reduceat((g_lo <= 0.0) | (g_hi >= 0.0),
+                                             starts)
+
+    zero = np.logical_or.reduceat(
+        (np.isfinite(floor_mu) | np.isfinite(floor_nu)).any(axis=1), starts)
     with np.errstate(all="ignore"):
-        alpha, b_rows = np.empty_like(start), b[owner]
-        for link, r, _, _ in segments:
-            alpha[r] = _inside(start[r], b_rows[r], link)
-        cells = cells_at(alpha, b_rows)
+        log_mu_hat, log_nu_hat = hat
+        alpha = _inside(start, b[owner], lo, hi)
+        cells = cells_at(alpha, b[owner])
         dev = drops(*cells)
-        active = ~np.isnan(dev)
-        b = np.where(active, b, math.nan)
+        inner, outer = np.zeros(b.size), np.where(
+            np.isnan(dev) | unfittable(b), side * (b - b_hat), math.inf)
+        active, beyond = np.ones(b.size, bool), np.full(b.size, math.nan)
         closest, stalled, iterations = np.abs(dev - cut), 0, 0
         while active.any():
             iterations += 1
@@ -397,37 +416,52 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             # each problem's Newton step on (alphas, b), one O(k) solve
             delta_b = (((dev - cut) / 2.0 - by_problem(ratio * g_alpha))
                        / (by_problem(g[:, 1]) - by_problem(ratio * h[:, 1])))
-            delta_rows = delta_b[owner]
+            away = side * (b - b_hat)
+            fitted = away < outer
+            inner = np.where((dev < cut) & fitted, away, inner)
+            newton = away + side * delta_b
+            bisect = ~((inner <= newton) & (newton <= outer) & fitted) | (
+                stalled >= PROFILE_STALL_STEPS)
+            jump = bisect & (~fitted | (dev < cut) & (outer < math.inf))
+            delta_b = np.where(bisect, np.where(
+                jump, side * ((inner + outer) / 2.0 - away), 0.0), delta_b)
+            aim, delta_rows = b + delta_b, delta_b[owner]
             delta = (g_alpha - h[:, 1] * delta_rows) / d
+            if jump.any():  # the alphas move inside the domain at the aim
+                delta = np.where(jump[owner], _inside(
+                    alpha, aim[owner], lo, hi) - alpha, delta)
+            refused = active & unfittable(aim)  # step 0; aim is the outer end
+            outer = np.where(refused, side * (aim - b_hat), outer)
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
             moving = active & np.isfinite(reach)
-            # a problem not moving has step 0 and keeps its b; its alphas
-            # and cells no longer matter
-            step = np.where(moving, np.where(
+            # a problem not moving, or refused, has step 0 and keeps its b
+            step = np.where(moving & ~refused, np.where(
                 reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
             pending = moving.copy()
             for _ in range(MAX_HALVINGS + 1):
                 alpha_try = alpha + step[owner] * delta
                 b_try = np.where(moving, b + step * delta_b, b)
-                cells = cells_at(alpha_try, b_try[owner])
-                dev = drops(*cells)
-                pending &= np.isnan(dev)
+                trial = cells_at(alpha_try, b_try[owner])
+                dev_try = drops(*trial)
+                pending &= np.isnan(dev_try)
                 if not pending.any():
                     break
                 step = np.where(pending, step / 2.0, step)
-            alpha, b = alpha_try, b_try
+            # a bisected b left at every halving has no feasible alphas
+            outer = np.where(pending & jump, side * (aim - b_hat), outer)
+            alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
             gap = np.abs(dev - cut)
-            stalled = np.where(gap < closest, 0, stalled + 1)
-            closest = np.minimum(gap, closest)
-            done = np.abs(delta_b) <= PROFILE_BETA_TOL
-            took = moving & ~pending
-            lost = active & (~took | ~done & (
-                (stalled >= PROFILE_STALL_STEPS)
-                | (iterations >= PROFILE_MAX_STEPS)))
+            stalled = np.where((gap < closest) | bisect, 0, stalled + 1)
+            closest = np.where(bisect, gap, np.minimum(gap, closest))
+            done = moving & ~pending & ~bisect & (
+                np.abs(delta_b) <= PROFILE_BETA_TOL)
+            closed = active & ~done & (outer - inner <= PROFILE_BETA_TOL)
+            beyond = np.where(closed, b_hat + side * inner, beyond)
+            lost = closed | active & ~done & (iterations >= PROFILE_MAX_STEPS)
             b = np.where(lost, math.nan, b)
             active &= ~done & ~lost
-    return _JointRun(b=b, iterations=iterations)
+    return _JointRun(b=b, beyond=beyond, iterations=iterations)
 
 
 def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
@@ -603,15 +637,14 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     `_joint_endpoints` run, which solves each for b and the alphas
     together, started one Wald half-width out (the standard error from the
     Schur complement of the observed information) with the alphas moved to
-    first order along their profile. Only a side whose solve fails or lands
-    on the far side of the estimate runs `_bracketed_endpoint`.
+    first order along their profile.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
     if not fits:
         return []
     cut = chi_square_quantile(level, 1)
-    problems, rows, b_start, links = [], [], [], []
+    rows, b_start, b_hats, links = [], [], [], []
     for fit_result in fits:
         link = _LINKS[fit_result.spec.link]
         s, n, alpha_hat, _ = _carrier(fit_result)
@@ -622,31 +655,36 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
                  if 0.0 < information < math.inf else 0.5)
         with np.errstate(all="ignore"):
             alpha_slope = h[:, 1] / h.sum(axis=1)
-        problems.append((s, n, alpha_hat, b_hat, hat, first))
         for side in (-1.0, 1.0):  # the lower, then the upper endpoint
             rows.append((s, n, *hat, alpha_hat - side * first * alpha_slope))
             b_start.append(b_hat + side * first)
+            b_hats.append(b_hat)
             links.append(link)
     s, n, log_mu_hat, log_nu_hat, start = map(np.concatenate, zip(*rows))
     starts = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    run = _joint_endpoints(s, n, links, np.array(b_start), start, log_mu_hat,
-                           log_nu_hat, cut, starts)
+    run = _joint_endpoints(s, n, links, np.array(b_start), start,
+                           np.array(b_hats), (log_mu_hat, log_nu_hat), cut,
+                           starts)
 
     intervals = []
-    for problem, link, endpoints in zip(problems, links[::2],
-                                        run.b.reshape(-1, 2).tolist()):
-        b_hat = problem[3]
-        try:
-            lower, upper = (b if side * (b - b_hat) > 0.0 else
-                            _bracketed_endpoint(link, cut, side, *problem)
-                            for side, b in zip((-1.0, 1.0), endpoints))
-        except GlmError as exc:
-            intervals.append(exc)
-            continue
-        intervals.append(LrInterval(
-            estimate=natural_scale(link.name, b_hat),
-            lower=natural_scale(link.name, lower),
-            upper=natural_scale(link.name, upper), level=level))
+    for j, fit_result in enumerate(fits):
+        link, ends = fit_result.spec.link, run.b[2 * j:2 * j + 2].tolist()
+        failed = [(name, last) for name, b, last in zip(
+            ("lower", "upper"), ends, run.beyond[2 * j:2 * j + 2].tolist())
+            if math.isnan(b)]
+        if failed:
+            name, last = failed[0]
+            intervals.append(NonConvergenceError(
+                f"no {name} profile endpoint in {PROFILE_MAX_STEPS} steps "
+                f"under the {link} link" if math.isnan(last) else
+                f"the {name} profile endpoint lies beyond the last exposure "
+                f"coefficient that could be fitted, b = {last!r}, under the "
+                f"{link} link", trace=[]))
+        else:
+            intervals.append(LrInterval(
+                estimate=exposure_estimate(fit_result),
+                lower=natural_scale(link, ends[0]),
+                upper=natural_scale(link, ends[1]), level=level))
     return intervals
 
 
@@ -658,61 +696,6 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
     if isinstance(interval, GlmError):
         raise interval
     return interval
-
-
-def _bracketed_endpoint(link: _Link, cut: float, side: float, s: np.ndarray,
-                        n: np.ndarray, alpha_hat: np.ndarray, b_hat: float,
-                        hat: list, first: float) -> float:
-    """The endpoint on one side of b_hat by Newton steps on the drop alone,
-    each fitting the alphas with b held fixed.
-
-    On each side of the estimate the drop is convex and increasing, with
-    slope -2 U_b in b, U_b the constrained fit's exposure score, so these
-    steps from inside the cut land at or beyond the crossing and from
-    beyond it fall monotonically onto it. They start ``first`` out, never
-    more than double the distance from the estimate, and bisect the bracket
-    between fits below and at or above the cut (a failed fit counts as
-    above) where they would leave it. The search stops at a step of at most
-    `PROFILE_BETA_TOL`. Each constrained fit is warm-started from the
-    previous one's alphas. It raises `NonConvergenceError` after
-    `PROFILE_MAX_STEPS` fits or when its bracket closes on a failed fit;
-    no endpoint is unbounded, as a drop below the cut needs a zero cell,
-    whose `MU_EPS` floor fails the fits first.
-    """
-    name = "upper" if side > 0.0 else "lower"
-    inner, outer, failed = 0.0, math.inf, False
-    warm, d = alpha_hat, first
-    for _ in range(PROFILE_MAX_STEPS):
-        try:
-            state = _irls(s, n, link, b=b_hat + side * d, start=warm)
-        except GlmError:
-            outer, failed, newton = d, True, math.nan  # nan: bisect
-        else:
-            warm = state.alpha
-            gap = _deviance(s, n, state.log_mu, state.log_nu, hat) - cut
-            if gap < 0.0:
-                inner = d
-            else:
-                outer, failed = d, False
-            slope = -2.0 * side * state.score
-            newton = min(d - gap / slope if slope > 0.0 else math.inf,
-                         2.0 * d)
-        bisect = not inner <= newton <= outer
-        d_next = (inner + outer) / 2.0 if bisect else newton
-        if abs(d_next - d) <= PROFILE_BETA_TOL:
-            break
-        d = d_next
-    else:
-        raise NonConvergenceError(
-            f"no {name} profile endpoint in {PROFILE_MAX_STEPS} steps under "
-            f"the {link.name} link", trace=[])
-    if bisect and failed:
-        raise NonConvergenceError(
-            f"the {name} profile endpoint lies beyond the last exposure "
-            f"coefficient that could be fitted, b = "
-            f"{b_hat + side * inner!r}, under the {link.name} link",
-            trace=[])
-    return b_hat + side * d_next
 
 
 def _regularized_gamma(x: float, df: int) -> tuple[float, float]:

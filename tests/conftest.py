@@ -112,13 +112,14 @@ def independence_tables():
 
 @dataclasses.dataclass
 class IrlsCall:
-    """One Newton run of the GLM layer: a `glm._irls` fit, or a
-    `glm._joint_endpoints` run of endpoint problems (``joint``).
+    """One Newton run of the GLM layer: a `glm._irls` fit of the
+    no-interaction model, or a `glm._joint_endpoints` run of endpoint
+    problems (``joint``).
 
     ``strata`` counts the rows of the cells it was given; ``b`` is each
-    endpoint problem's starting b for a joint run, the held b of a
-    constrained fit, or None for a free fit; ``failed`` has one flag a
-    problem (one for a fit, set when it raised)."""
+    endpoint problem's starting b for a joint run, None for a fit;
+    ``failed`` has one flag a problem (one for a fit, set when it
+    raised)."""
 
     joint: bool
     strata: int
@@ -139,11 +140,11 @@ class IrlsRecorder:
         monkeypatch.setattr(glm, "_irls", self.fit)
         monkeypatch.setattr(glm, "_joint_endpoints", self.joint)
 
-    def fit(self, s, *args, **kwargs):
-        call = IrlsCall(False, len(s), kwargs.get("b"), 0, [True])
+    def fit(self, s, n, link):
+        call = IrlsCall(False, len(s), None, 0, [True])
         self.calls.append(call)
         try:
-            state = self._irls(s, *args, **kwargs)
+            state = self._irls(s, n, link)
         except GlmError as exc:
             call.iterations = max(len(exc.trace) - 1, 0)
             raise

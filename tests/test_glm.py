@@ -12,6 +12,7 @@ about two copies of the same code.
 import dataclasses
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -626,11 +627,10 @@ class TestLikelihoodRatioMachinery:
     def test_endpoint_beyond_a_failed_constrained_fit_raises(
             self, irls_recorder, make_table):
         # From b = 0.6385 up, stratum a's unexposed risk (0 cases in 1) has
-        # its maximum at 0, which a constrained fit cannot reach, while the
-        # drop there is only 0.178. The search once closed on the failing b
-        # and reported RD upper 0.638459; the crossing is at 0.754275. No
-        # joint (alpha, b) solve reaches the cut there either, so that side
-        # falls back to the bracketed loop, which raises.
+        # its maximum at 0, which a profile fit cannot reach, while the drop
+        # there is only 0.178. The search once closed on the failing b and
+        # reported RD upper 0.638459; the crossing is at 0.754275. The
+        # grouped run's bracket closes on that unfittable b, and it raises.
         table = make_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)])
         f = fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
                           table=table))
@@ -643,25 +643,34 @@ class TestLikelihoodRatioMachinery:
         assert [b > f.coefficients[1] for b, failed in zip(run.b, run.failed)
                 if failed] == [True]
 
-    @pytest.mark.parametrize("failure", ["fail", "cross"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("terms", ["exposure_only",
                                        "exposure_plus_stratum"])
     @pytest.mark.parametrize("link", LINKS)
-    def test_failed_joint_solve_falls_back_to_the_bracketed_loop(
-            self, irls_recorder, whickham, link, terms, failure):
+    def test_a_failed_joint_solve_raises_its_side_s_error(
+            self, irls_recorder, whickham, link, terms, side):
         # Each endpoint is a problem of one joint (alpha, b) run. One that
-        # fails, or lands on the far side of the estimate, hands its side to
-        # the bracketed loop of constrained fits, which finds the same
-        # endpoint.
+        # fails raises the step-cap text, or, when its bracket closed on an
+        # unfittable b, the text naming the last b inside; no other solver
+        # runs.
         f = fit(ModelSpec(link=link, terms=terms, table=whickham))
-        joint = profile_interval(f)
-        b_hat = f.coefficients[1]
+        irls_recorder.calls.clear()
+        failed = np.arange(2) == ("lower", "upper").index(side)
         irls_recorder.rewrite = lambda run: dataclasses.replace(
-            run, b=np.full_like(run.b, np.nan) if failure == "fail"
-            else 2.0 * b_hat - run.b)
-        bracketed = profile_interval(f)
-        assert bracketed.lower == pytest.approx(joint.lower, rel=1e-9)
-        assert bracketed.upper == pytest.approx(joint.upper, rel=1e-9)
+            run, b=np.where(failed, np.nan, run.b))
+        with pytest.raises(NonConvergenceError, match=(
+                f"^no {side} profile endpoint in {glm.PROFILE_MAX_STEPS} "
+                f"steps under the {link} link$")):
+            profile_interval(f)
+        irls_recorder.rewrite = lambda run: dataclasses.replace(
+            run, b=np.where(failed, np.nan, run.b),
+            beyond=np.where(failed, 0.25, np.nan))
+        with pytest.raises(NonConvergenceError, match=(
+                f"^the {side} profile endpoint lies beyond the last exposure "
+                f"coefficient that could be fitted, b = 0.25, under the "
+                f"{link} link$")):
+            profile_interval(f)
+        assert [call.joint for call in irls_recorder.calls] == [True, True]
 
     def test_wider_level_widens_the_interval(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -673,18 +682,19 @@ class TestLikelihoodRatioMachinery:
         assert iv99.upper > iv95.upper
         assert iv99.estimate == iv95.estimate
 
-    def test_a_cycling_joint_solve_is_handed_on_within_the_cap(
+    def test_a_cycling_joint_solve_bisects_within_the_cap(
             self, irls_recorder, make_table):
         # From its Wald start the lower joint solve's drop swings between
         # ~17 and ~42 (cut 3.84) and never settles; it once held its run for
-        # all 100 iterations before it raised. It now stops, on the stall
-        # rule before the PROFILE_MAX_STEPS cap, and the bracketed loop
-        # finds the same endpoint.
+        # all 100 iterations before it raised, then was handed on after
+        # PROFILE_STALL_STEPS passes to a second solver. The stall now takes
+        # the bisected b, and the same run finds the endpoint.
         table = make_table([("a", 2, 3, 1, 5)])
         f = fit(ModelSpec(link="log", terms="exposure_only", table=table))
-        assert profile_interval(f).lower == 0.5201260467561138
-        run, = irls_recorder.joint_calls
-        assert run.failed == [True, False]
+        assert profile_interval(f).lower == pytest.approx(0.5201260467561138,
+                                                          rel=1e-12)
+        run, = irls_recorder.calls
+        assert run.joint and run.failed == [False, False]
         assert run.iterations < glm.PROFILE_MAX_STEPS
 
     @pytest.mark.parametrize("forced", range(4))
@@ -692,8 +702,8 @@ class TestLikelihoodRatioMachinery:
     def test_a_failed_problem_leaves_its_group_alone(
             self, irls_recorder, whickham, whickham_crude, link, forced):
         # A grouped run of the crude and the common fit's four endpoints in
-        # which one problem fails: the other three keep their bits, and only
-        # the failed side runs the bracketed loop.
+        # which one problem fails: the fit it belongs to gets that side's
+        # error, and the other fit keeps its bits.
         fits = [fit(ModelSpec(link=link, terms=terms, table=table))
                 for terms, table in (("exposure_only", whickham_crude),
                                      ("exposure_plus_stratum", whickham))]
@@ -702,20 +712,12 @@ class TestLikelihoodRatioMachinery:
         irls_recorder.rewrite = lambda run: dataclasses.replace(
             run, b=np.where(np.arange(run.b.size) == forced, np.nan, run.b))
         again = glm.profile_intervals(fits)
-        owner, side = fits[forced // 2], ("lower", "upper")[forced % 2]
-        for f, before, after in zip(fits, grouped, again):
-            for name in ("lower", "upper"):
-                if f is owner and name == side:
-                    assert getattr(after, name) == pytest.approx(
-                        getattr(before, name), rel=1e-9)
-                else:
-                    assert getattr(after, name) == getattr(before, name)
-        joint, *fallback = irls_recorder.calls
-        b_hat = owner.coefficients[1]
+        owner, side = forced // 2, ("lower", "upper")[forced % 2]
+        assert again[1 - owner] == grouped[1 - owner]
+        assert isinstance(again[owner], NonConvergenceError)
+        assert str(again[owner]).startswith(f"no {side} profile endpoint")
+        joint, = irls_recorder.calls
         assert joint.joint and joint.failed == [i == forced for i in range(4)]
-        assert fallback and all(
-            not call.joint and call.strata == len(owner.spec.table.cells)
-            and (call.b > b_hat) == (side == "upper") for call in fallback)
 
 
 positive_cells = st.integers(min_value=1, max_value=400)
@@ -879,24 +881,87 @@ def small_tables(draw):
     return _table(strata)
 
 
+# Tables whose grouped endpoint run once failed on a side and handed it to
+# a second, bracketed solver (rows (ec, et, uc, ut)), with the endpoints it
+# found: identity crude, no feasible start; identity crude and log common,
+# landing on the far side of the estimate; identity crude, log common and
+# log crude, stalling.
+HANDED_OFF = [
+    ("identity", "exposure_only", [(1, 16, 37, 39)],
+     (-0.973137510981562, -0.6884624723589727)),
+    ("identity", "exposure_only", [(14, 33, 3, 5)],
+     (-0.5519008466415138, 0.26749413931164767)),
+    ("log", "exposure_plus_stratum", [(4, 23, 7, 27), (1, 2, 12, 20),
+                                      (4, 6, 19, 27)],
+     (0.4389952221222581, 1.3407860465772115)),
+    ("identity", "exposure_only", [(1, 2, 4, 9)],
+     (-0.5629403376263944, 0.6605222465011632)),
+    ("log", "exposure_plus_stratum", [(3, 4, 4, 8), (5, 37, 2, 3),
+                                      (20, 22, 33, 34)],
+     (0.7661067122796327, 1.0702102447528745)),
+    ("log", "exposure_only", [(2, 3, 1, 5)], (0.5201260467561138, None)),
+]
+
+
+def _rows_table(rows):
+    return _table([(f"s{i}", *row) for i, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("link, terms, rows, expected", HANDED_OFF)
+def test_one_run_finds_the_endpoints_once_handed_off(irls_recorder, link,
+                                                    terms, rows, expected):
+    # One grouped run, no failed problem and no fit beyond the free one:
+    # every endpoint comes from the bracketed joint solve, equals the one
+    # the second solver found, and has an independently profiled drop on
+    # the cut.
+    table = _rows_table(rows)
+    f = fit(ModelSpec(link=link, terms=terms, table=table))
+    iv = profile_interval(f)
+    joint, = irls_recorder.joint_calls
+    assert joint.failed == [False, False]
+    assert len(irls_recorder.calls) == 1 + (terms == "exposure_plus_stratum")
+    top = oracle_profile(table, terms, link, f.coefficients[1])
+    for endpoint, parent in zip((iv.lower, iv.upper), expected):
+        b = endpoint if link == "identity" else math.log(endpoint)
+        if parent is not None:
+            assert endpoint == pytest.approx(parent, rel=1e-12)
+        drop = 2.0 * (top - oracle_profile(table, terms, link, b))
+        assert drop == pytest.approx(CHI2_95_1, abs=1e-6)
+
+
 @given(small_tables())
 @example(_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)]))
 @example(_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)]))
+@example(_rows_table(HANDED_OFF[0][2]))
+@example(_rows_table(HANDED_OFF[1][2]))
+@example(_rows_table(HANDED_OFF[2][2]))
+@example(_rows_table(HANDED_OFF[3][2]))
+@example(_rows_table(HANDED_OFF[4][2]))
+@example(_rows_table(HANDED_OFF[5][2]))
 @settings(max_examples=60, deadline=None)
 def test_profile_endpoints_sit_on_the_cut_or_raise(table):
-    # Each fit and interval either succeeds or raises a GlmError, and every
+    # Each fit and interval either succeeds or raises a GlmError. Every
     # finite endpoint has an independently profiled drop on the chi-square
-    # cut: an endpoint is never a b where a constrained fit gave up.
+    # cut: an endpoint is never a b where a profile fit gave up. An error
+    # naming the last b that could be fitted names one whose independently
+    # profiled drop is below the cut, so the endpoint does lie beyond it.
     for link in LINKS:
         for terms in ("exposure_only", "exposure_plus_stratum"):
             try:
                 f = fit(ModelSpec(link=link, terms=terms, table=table))
-                iv = profile_interval(f)
             except GlmError:
                 continue
+            top = oracle_profile(table, terms, link, f.coefficients[1])
+            try:
+                iv = profile_interval(f)
+            except GlmError as exc:
+                last = re.search(r"lies beyond .* b = (\S+), under", str(exc))
+                if last:
+                    drop = 2.0 * (top - oracle_profile(
+                        table, terms, link, float(last.group(1))))
+                    assert drop < CHI2_95_1, (link, terms, str(exc))
+                continue
             assert iv.lower <= iv.estimate <= iv.upper
-            b_hat = f.coefficients[1]
-            top = oracle_profile(table, terms, link, b_hat)
             for endpoint in (iv.lower, iv.upper):
                 b = endpoint if link == "identity" else (
                     math.log(endpoint) if endpoint > 0.0 else -math.inf)

@@ -40,8 +40,9 @@ def test_figure1_matches_golden():
 
 def small_tables() -> list[StratifiedCohortTable]:
     """Seeded tables of 1-4 strata and 1-20 people per exposure group,
-    zero cells allowed: the boundary fits, failed profile solves and
-    bracketed fallback endpoints that larger tables rarely reach."""
+    zero cells allowed: the boundary fits, and the profile solves whose
+    bracket closes on a coefficient that cannot be fitted, that larger
+    tables rarely reach."""
     rng = random.Random(SMALL_TABLES_SEED)
     tables = []
     for _ in range(SMALL_TABLES):
