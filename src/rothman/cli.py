@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .diagnostics import (analyze, collapsibility_report_json, number_pair,
-                          point_json)
+from .diagnostics import (analyze, collapsibility_report_json, full_number,
+                          number_pair, point_json)
 from .errors import (GlmError, ParseError, RothmanError, ValidationError,
                      ZeroMarginError)
 from .figures import FIGURE_SLUGS, figure_filename, figure_svg
@@ -225,9 +225,10 @@ _COMMANDS = {
 
 
 def _emit_error(code: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps(
-        {"error": {"code": code, "type": type(exc).__name__,
-                   "message": str(exc)}}) + "\n")
+    error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
+    if getattr(exc, "trace", None):  # a failed fit's deviance trace
+        error["trace"] = [full_number(v) for v in exc.trace]
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
 
 
 def run(argv: list[str]) -> int:

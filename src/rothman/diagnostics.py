@@ -93,27 +93,26 @@ def _raise_error(result: object) -> None:
         raise result
 
 
-def _measure_fit(measure: Measure, terms: str, table: StratifiedCohortTable,
-                 ) -> glm.GlmFit | GlmError | None:
-    """The measure's fit, or the error that stopped it. None for the
-    exposure_plus_stratum model of a one-stratum table, which has none."""
-    if terms == "exposure_plus_stratum" and table.k < 2:
-        return None
-    try:
-        return glm.fit(glm.ModelSpec(link=measure.link, terms=terms,
-                                     table=table))
-    except GlmError as exc:
-        return exc
+def _measure_fits(models: list[tuple[str, StratifiedCohortTable]],
+                  ) -> list[dict[Measure, glm.GlmFit | GlmError]]:
+    """Each (terms, table) model's fit of every measure, or the error that
+    stopped it, all from one `glm.fits` call."""
+    results = iter(glm.fits([
+        glm.ModelSpec(link=m.link, terms=terms, table=table)
+        for terms, table in models for m in Measure]))
+    return [{m: next(results) for m in Measure} for _ in models]
 
 
 def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       crude_fit: glm.GlmFit | GlmError,
                       common_fit: glm.GlmFit | GlmError | None,
+                      saturated_fit: glm.GlmFit | GlmError | None,
                       intervals: list[glm.LrInterval | GlmError],
                       stratum_points: tuple[RiskPoint, ...],
                       em_tol: float) -> MeasureAnalysis:
-    """The measure's entry from its crude and common fits and the profile
-    intervals of those that succeeded (none when the crude fit failed)."""
+    """The measure's entry from its crude, common and saturated fits (the
+    last two None on a one-stratum table) and the profile intervals of the
+    crude and common fits that succeeded (none when the crude fit failed)."""
     link = measure.link
     crude: dict = {}  # set once every crude result is in, and kept on error
     common: dict = {}  # likewise for the no-interaction results
@@ -141,10 +140,9 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                 common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
         # The saturated fit's error names the boundary rows, so it goes first.
-        saturated = glm.fit(glm.ModelSpec(
-            link=link, terms="saturated_with_interaction", table=table))
+        _raise_error(saturated_fit)
         _raise_error(common_interval)
-        stratum_estimates = glm.stratum_exposure_estimates(saturated)
+        stratum_estimates = glm.stratum_exposure_estimates(saturated_fit)
         modification = effect_modification(measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
             measure=measure, link=link, **crude, **common,
@@ -168,8 +166,9 @@ def _collapsibility_entry(measure: Measure,
 
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
     """The collapsibility section of the analysis report, on its own."""
-    return [_collapsibility_json(*_collapsibility_entry(
-                m, _measure_fit(m, "exposure_plus_stratum", table)))
+    common_fits, = (_measure_fits([("exposure_plus_stratum", table)])
+                    if table.k >= 2 else [{}])
+    return [_collapsibility_json(*_collapsibility_entry(m, common_fits.get(m)))
             for m in Measure]
 
 
@@ -216,24 +215,28 @@ def analyze(table: StratifiedCohortTable, *,
         covariate_label=table.covariate_label)
 
     # Each fit serves its estimate, interval and test, and the
-    # no-interaction fit the collapsibility entry too.
-    crude_fits = {m: _measure_fit(m, "exposure_only", crude_table)
-                  for m in Measure}
-    common_fits = {m: _measure_fit(m, "exposure_plus_stratum", table)
-                   for m in Measure}
+    # no-interaction fit the collapsibility entry too. A one-stratum table
+    # has no no-interaction or saturated model.
+    models = [("exposure_only", crude_table)]
+    if table.k >= 2:
+        models += [("exposure_plus_stratum", table),
+                   ("saturated_with_interaction", table)]
+    crude_fits, *adjusted = _measure_fits(models)
+    common_fits, saturated_fits = adjusted or ({}, {})
     # All these fits' endpoints are one solve, across links; a measure
     # whose crude fit failed has none, and its entry names that error.
-    solved = {m: [f for f in (crude_fits[m], common_fits[m])
+    solved = {m: [f for f in (crude_fits[m], common_fits.get(m))
                   if isinstance(f, glm.GlmFit)]
               for m in Measure if isinstance(crude_fits[m], glm.GlmFit)}
     fits = [f for group in solved.values() for f in group]
     results = iter(glm.profile_intervals(fits, level=level))
     measures = tuple(
-        _measure_analysis(m, table, crude_fits[m], common_fits[m],
+        _measure_analysis(m, table, crude_fits[m], common_fits.get(m),
+                          saturated_fits.get(m),
                           [next(results) for _ in solved.get(m, [])],
                           stratum_points, em_tol)
         for m in Measure)
-    collapsibility = tuple(_collapsibility_entry(m, common_fits[m])
+    collapsibility = tuple(_collapsibility_entry(m, common_fits.get(m))
                            for m in Measure)
 
     return AnalysisReport(
@@ -245,11 +248,12 @@ def analyze(table: StratifiedCohortTable, *,
 
 
 def _sig6(value: float):
-    value = _full(value)
+    value = full_number(value)
     return value if isinstance(value, str) else float(f"{value:.6g}")
 
 
-def _full(value: float):
+def full_number(value: float):
+    """A float as JSON holds it: non-finite values as strings."""
     value = float(value)
     if math.isnan(value):
         return "nan"
@@ -260,12 +264,12 @@ def _full(value: float):
 
 def number_pair(d: dict, key: str, value: float) -> None:
     d[key] = _sig6(value)
-    d[key + "_full"] = _full(value)
+    d[key + "_full"] = full_number(value)
 
 
 def number_list_pair(d: dict, key: str, values) -> None:
     d[key] = [_sig6(v) for v in values]
-    d[key + "_full"] = [_full(v) for v in values]
+    d[key + "_full"] = [full_number(v) for v in values]
 
 
 def point_json(p: RiskPoint) -> dict:

@@ -11,11 +11,15 @@ alpha_i + b: its log-likelihood is concave in eta under all four links and
 its information diagonal but for b, so `_irls` takes Newton steps solved
 in O(k). It stops when the Newton decrement falls to a fixed multiple of
 the total count, so scaling every count changes neither fit nor
-iterations. `_joint_endpoints` steps b and the alphas together to solve
-for profile-interval endpoints, each kept in a bracket of its own, many
+iterations. `_irls` fits many such models in one run, each with its own
+link, steps and sums, so `fits` fits several models of any links and
+tables at once, and `analyze` every model of the four measures.
+`_joint_endpoints` steps b and the alphas together to solve for
+profile-interval endpoints, each kept in a bracket of its own, many
 problems in one run: `profile_intervals` solves both endpoints of several
 fits of any links at once, and `analyze` those of all four measures'
-crude and common fits.
+crude and common fits. Both runs stack their problems' rows (`_Stack`),
+and grouping changes no problem's bits.
 Likelihood-ratio tests and profile intervals reuse a finished fit, and
 each table's arrays are built once (`_cells`). The chi-square functions
 are computed here, so there is no stats dependency.
@@ -222,20 +226,71 @@ def _inside(alpha: np.ndarray, b: float | np.ndarray, lo: float | np.ndarray,
                     np.clip(alpha, lo + margin, hi - margin))
 
 
-def _floors(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell floors of log(mu) and log(1 - mu), the Newton loops' domain:
-    MU_EPS from a risk of 0 with no cases or of 1 with no non-cases."""
-    return tuple(np.where(c > 0.0, -np.inf, math.log(MU_EPS)) for c in (s, f))
+class _Stack:
+    """Problems stacked row-wise, problem j on the rows from ``starts[j]``
+    to the next under link ``links[j]``. Each row has an ``owner``,
+    link-scale bounds ``lo``, ``hi`` and ``floors`` of log(mu) and
+    log(1 - mu): `MU_EPS` from a risk of 0 with no cases or 1 with no
+    non-cases."""
+
+    def __init__(self, s: np.ndarray, f: np.ndarray, links: Sequence[_Link],
+                 starts: np.ndarray) -> None:
+        ends = [*starts[1:].tolist(), len(s)]
+        self.s, self.f, self.starts, size = s, f, starts, len(starts)
+        self.owner = np.repeat(np.arange(size), np.subtract(ends, starts))
+        self.floors = [np.where(c > 0.0, -np.inf, math.log(MU_EPS))
+                       for c in (s, f)]
+        self.lo, self.hi = np.empty((2, len(s)))
+        self.segments, j = [], 0  # one (link, rows, s, f) per run of one link
+        for link, group in itertools.groupby(links):
+            first, j = j, j + len(list(group))
+            r = slice(starts[first], ends[j - 1])
+            self.segments.append((link, r, s[r], f[r]))
+            self.lo[r], self.hi[r] = link.to_eta(
+                np.array([MU_EPS, 1.0 - MU_EPS]))
+        # np.add.reduceat adds a segment's first entry to the pairwise sum
+        # of the rest; a zero ahead of each segment makes it np.sum's sum
+        self._led = {w: (np.arange(w * len(s)) + np.repeat(self.owner, w) + 1,
+                         w * starts + np.arange(size),
+                         np.zeros(w * len(s) + size)) for w in (1, 2)}
+
+    def cells(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        """log(mu), log(1 - mu), g and h of every row under its problem's
+        link, stacked, shape (4, rows, 2)."""
+        eta, out = _eta(alpha, b_rows), np.empty((4, len(alpha), 2))
+        for link, r, s_r, f_r in self.segments:
+            out[:, r] = link.cells(eta[r], s_r, f_r)
+        return out
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Each problem's sum of ``x`` (one value a row, or a (rows, 2)
+        array), added in the order np.sum adds its rows alone."""
+        at, heads, led = self._led[x.size // len(self.owner)]
+        led[at] = x.ravel()  # the zeros ahead of the segments stay
+        return np.add.reduceat(led, heads)
+
+    def drops(self, ref: tuple, log_mu: np.ndarray, log_nu: np.ndarray,
+              *_) -> np.ndarray:
+        """Each problem's deviance from the cells whose logs are ``ref``,
+        summed as `_deviance` sums it; nan, failing every comparison, where
+        a cell leaves the domain."""
+        s, f, (floor_mu, floor_nu) = self.s, self.f, self.floors
+        inside = ((log_mu > floor_mu) & (log_nu > floor_nu)).all(axis=1)
+        return np.where(np.logical_and.reduceat(inside, self.starts),
+                        2.0 * self.sums(s * (ref[0] - log_mu)
+                                        + f * (ref[1] - log_nu)), math.nan)
 
 
-@dataclass(slots=True)
-class _FitState:
-    alpha: np.ndarray
-    b: float
-    log_mu: np.ndarray
+@dataclass(frozen=True, slots=True)
+class _FitRun:
+    alpha: np.ndarray  # each row's alpha
+    b: np.ndarray  # each problem's exposure coefficient
+    log_mu: np.ndarray  # each row's fitted log(mu) and log(1 - mu)
     log_nu: np.ndarray
-    deviance: float
-    iterations: int
+    deviance: np.ndarray
+    steps: np.ndarray  # each problem's iterations
+    errors: list  # each problem's NonConvergenceError, None if it converged
+    iterations: int  # Newton passes over the group
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,83 +300,97 @@ class _JointRun:
     iterations: int  # Newton passes over the group
 
 
-def _irls(s: np.ndarray, n: np.ndarray, link: _Link) -> _FitState:
-    """Fit the no-interaction model by Newton-Raphson with step halving.
+def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
+          starts: np.ndarray) -> _FitRun:
+    """Fit the no-interaction model of several problems (see `_Stack`) in
+    one run of Newton-Raphson with step halving.
 
-    ``s`` and ``n`` are (k, 2) arrays of cases and totals, columns
-    (unexposed, exposed). The fit estimates b and the alphas, started from
-    the smoothed proportions (s + 0.5) / (n + 1) on the link scale and moved
-    inside the link's domain.
-
-    Newton-Raphson for a GLM is IRLS with observed-information weights.
-    Each step solves A delta = g (A the observed information, g the score)
-    in O(k), eliminating b through the Schur complement. It is cut so that
-    no eta moves by more than `MAX_ETA_STEP`, then halved while it leaves
-    the domain or raises the deviance by more than `DEVIANCE_ROUNDING`
-    times the total count, the deviance's rounding error. The loop stops
-    after the step whose Newton decrement delta'g, the deviance left to
-    gain, is at most `DECREMENT_TOL` times the total count.
+    ``s`` and ``n`` are (rows, 2) arrays of cases and totals, columns
+    (unexposed, exposed). Each fit starts from the smoothed proportions
+    (s + 0.5) / (n + 1) on the link scale, moved inside the domain. Each
+    step solves A delta = g (A the observed information, g the score) in
+    O(k), eliminating b through the Schur complement. It is cut so that no
+    eta moves by more than `MAX_ETA_STEP`, then halved while it leaves the
+    domain or raises the deviance by more than `DEVIANCE_ROUNDING` times
+    the total count, its rounding error. A fit stops after the step whose
+    Newton decrement delta'g is at most `DECREMENT_TOL` times the total
+    count. Each problem has its own steps, stop and sums, so no problem's
+    bits depend on its group; one that fails gets its own error, with its
+    deviance trace, in ``errors``.
     """
     f = n - s
-    total = float(n.sum())
-    eta0 = link.to_eta((s + 0.5) / (n + 1.0))
-    b = float(np.mean(eta0[:, 1] - eta0[:, 0]))
-    floor_mu, floor_nu = _floors(s, f)
+    stack = _Stack(s, f, links, starts)
+    owner, size, total = stack.owner, len(starts), stack.sums(n)
     observed = _log_observed(s, n)
-
-    def deviance(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> float:
-        if (log_mu > floor_mu).all() and (log_nu > floor_nu).all():
-            return _deviance(s, n, log_mu, log_nu, observed)
-        return math.nan  # outside the domain; fails every comparison
-
-    alpha = _inside((eta0[:, 0] + eta0[:, 1] - b) / 2.0, b, *link.to_eta(
-        np.array([MU_EPS, 1.0 - MU_EPS])))
+    mu0 = (s + 0.5) / (n + 1.0)
+    eta0 = np.concatenate([link.to_eta(mu0[r])
+                           for link, r, *_ in stack.segments])
+    b = stack.sums(eta0[:, 1] - eta0[:, 0]) / np.diff([*starts, len(s)])
+    alpha = _inside((eta0[:, 0] + eta0[:, 1] - b[owner]) / 2.0, b[owner],
+                    stack.lo, stack.hi)
     with np.errstate(all="ignore"):
-        cells = link.cells(_eta(alpha, b), s, f)
-    dev = deviance(*cells)
-    trace = [dev]
+        cells = stack.cells(alpha, b[owner])
+        dev = stack.drops(observed, *cells)
+    history, errors = [dev], [None] * size
+    active, steps, iterations = np.ones(size, bool), np.zeros(size, int), 0
+    slack, tol = DEVIANCE_ROUNDING * total, DECREMENT_TOL * total
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    def fail(failed: np.ndarray, text: str) -> None:
+        for j in np.flatnonzero(failed).tolist() if failed.any() else ():
+            errors[j] = NonConvergenceError(
+                text.format(iterations=iterations, link=links[j].name),
+                trace=[float(d[j]) for d in history])
+
+    while active.any():
+        iterations += 1
         _, _, g, h = cells
         with np.errstate(all="ignore"):
             g_alpha, d = g.sum(axis=1), h.sum(axis=1)
-            information = _exposure_information(h)
-            if information == 0.0:
-                raise NonConvergenceError(
-                    "no information on the exposure coefficient: every "
-                    "stratum has a cell with zero curvature, so the "
-                    "maximum lies on the boundary under the "
-                    f"{link.name} link", trace=trace)
-            g_b = float(g[:, 1].sum())
+            information = stack.sums(h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]))
+            blind = active & (information == 0.0)
+            fail(blind, "no information on the exposure coefficient: every "
+                 "stratum has a cell with zero curvature, so the maximum "
+                 "lies on the boundary under the {link} link")
+            g_b = stack.sums(g[:, 1])
             cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
-            delta_b = float(cross.sum()) / information
-            delta = (g_alpha - h[:, 1] * delta_b) / d
-            decrement = float(delta @ g_alpha) + delta_b * g_b
+            delta_b = stack.sums(cross) / information
+            delta_rows = delta_b[owner]
+            delta = (g_alpha - h[:, 1] * delta_rows) / d
+            decrement = stack.sums(delta * g_alpha) + delta_b * g_b
             # a cell deep in a logit tail has almost no curvature, and
             # the uncut Newton step there can be 1e13 long
-            reach = float(np.abs(_eta(delta, delta_b)).max())
-            step = MAX_ETA_STEP / reach if reach > MAX_ETA_STEP else 1.0
+            reach = np.maximum.reduceat(np.maximum(
+                np.abs(delta), np.abs(delta + delta_rows)), starts)
+            step = np.where(reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0)
+            pending = moving = active & ~blind
+            ceiling = dev + slack
             for _ in range(MAX_HALVINGS + 1):
-                alpha_try, b_try = alpha + step * delta, b + step * delta_b
-                trial = link.cells(_eta(alpha_try, b_try), s, f)
-                dev_try = deviance(*trial)
-                if dev_try <= dev + DEVIANCE_ROUNDING * total:
+                alpha_try = alpha + step[owner] * delta
+                b_try = b + step * delta_b
+                trial = stack.cells(alpha_try, b_try[owner])
+                dev_try = stack.drops(observed, *trial)
+                pending = pending & ~(dev_try <= ceiling)
+                if not pending.any():
                     break
-                step /= 2.0
-            else:
-                raise NonConvergenceError(
-                    f"step halving exhausted after {iterations} iterations "
-                    f"under the {link.name} link", trace=trace)
-        alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
-        trace.append(dev)
-        if decrement <= DECREMENT_TOL * total:
+                step = np.where(pending, step / 2.0, step)
+        fail(pending, "step halving exhausted after {iterations} iterations "
+             "under the {link} link")
+        taken = moving & ~pending
+        rows = taken[owner]
+        alpha, cells = np.where(rows, alpha_try, alpha), np.where(
+            rows[:, None], trial, cells)
+        b, dev = np.where(taken, b_try, b), np.where(taken, dev_try, dev)
+        history.append(dev)
+        done = taken & (decrement <= tol)
+        steps[done] = iterations
+        active = taken & ~done
+        if iterations == MAX_ITERATIONS:
+            fail(active, f"no convergence in {MAX_ITERATIONS} iterations "
+                 "under the {link} link")
             break
-    else:
-        raise NonConvergenceError(
-            f"no convergence in {MAX_ITERATIONS} iterations under the "
-            f"{link.name} link", trace=trace)
-    return _FitState(alpha=alpha, b=float(b), log_mu=cells[0],
-                     log_nu=cells[1], deviance=dev, iterations=iterations)
+    return _FitRun(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
+                   deviance=dev, steps=steps, errors=errors,
+                   iterations=iterations)
 
 
 def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
@@ -356,54 +425,29 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
     (``beyond`` then holds the inner end's b) or after `PROFILE_MAX_STEPS`
     steps.
     """
-    f = n - s
-    ends = [*starts[1:].tolist(), len(s)]
-    rows = [slice(a, e) for a, e in zip(starts.tolist(), ends)]
-    owner = np.repeat(np.arange(b.size), np.subtract(ends, starts))
-    floor_mu, floor_nu = _floors(s, f)
+    stack = _Stack(s, n - s, links, starts)
+    owner, lo, hi = stack.owner, stack.lo, stack.hi
     side = np.sign(b - b_hat)
-    lo, hi = np.empty((2, len(s)))  # each row's link-scale risk bounds
-    segments, j = [], 0  # one (link, rows, s, f) per run of one link
-    for link, group in itertools.groupby(links):
-        first, j = j, j + len(list(group))
-        r = slice(rows[first].start, rows[j - 1].stop)
-        segments.append((link, r, s[r], f[r]))
-        lo[r], hi[r] = link.to_eta(np.array([MU_EPS, 1.0 - MU_EPS]))
 
     def by_problem(x: np.ndarray) -> np.ndarray:
         return np.bincount(owner, x, minlength=b.size)
-
-    def cells_at(alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-        # log(mu), log(1 - mu), g and h stacked, shape (4, rows, 2)
-        eta, out = _eta(alpha, b_rows), np.empty((4, len(s), 2))
-        for link, r, s_r, f_r in segments:
-            out[:, r] = link.cells(eta[r], s_r, f_r)
-        return out
-
-    def drops(log_mu: np.ndarray, log_nu: np.ndarray, *_) -> np.ndarray:
-        # each problem's cells summed as `_deviance` sums them
-        terms = s * (log_mu_hat - log_mu) + f * (log_nu_hat - log_nu)
-        inside = ((log_mu > floor_mu) & (log_nu > floor_nu)).all(axis=1)
-        return np.where(np.logical_and.reduceat(inside, starts),
-                        [2.0 * terms[r].sum() for r in rows], math.nan)
 
     def unfittable(b: np.ndarray) -> np.ndarray:
         # some stratum's alpha score at an edge points out of its domain,
         # which needs a zero cell (a finite floor)
         if not zero.any():
             return zero
-        g_lo, g_hi = (cells_at(edge, b[owner])[2].sum(axis=1)
+        g_lo, g_hi = (stack.cells(edge, b[owner])[2].sum(axis=1)
                       for edge in _edges(b[owner], lo, hi))
         return zero & np.logical_or.reduceat((g_lo <= 0.0) | (g_hi >= 0.0),
                                              starts)
 
     zero = np.logical_or.reduceat(
-        (np.isfinite(floor_mu) | np.isfinite(floor_nu)).any(axis=1), starts)
+        np.isfinite(stack.floors).any(axis=(0, 2)), starts)
     with np.errstate(all="ignore"):
-        log_mu_hat, log_nu_hat = hat
         alpha = _inside(start, b[owner], lo, hi)
-        cells = cells_at(alpha, b[owner])
-        dev = drops(*cells)
+        cells = stack.cells(alpha, b[owner])
+        dev = stack.drops(hat, *cells)
         inner, outer = np.zeros(b.size), np.where(
             np.isnan(dev) | unfittable(b), side * (b - b_hat), math.inf)
         active, beyond = np.ones(b.size, bool), np.full(b.size, math.nan)
@@ -422,16 +466,21 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             newton = away + side * delta_b
             bisect = ~((inner <= newton) & (newton <= outer) & fitted) | (
                 stalled >= PROFILE_STALL_STEPS)
-            jump = bisect & (~fitted | (dev < cut) & (outer < math.inf))
-            delta_b = np.where(bisect, np.where(
-                jump, side * ((inner + outer) / 2.0 - away), 0.0), delta_b)
+            # the bracket's own bookkeeping runs only on the passes that
+            # need it: no problem bisects, is refused or closes on most
+            jump = np.zeros(b.size, bool)
+            if bisect.any():
+                jump = bisect & (~fitted | (dev < cut) & (outer < math.inf))
+                delta_b = np.where(bisect, np.where(
+                    jump, side * ((inner + outer) / 2.0 - away), 0.0), delta_b)
             aim, delta_rows = b + delta_b, delta_b[owner]
             delta = (g_alpha - h[:, 1] * delta_rows) / d
             if jump.any():  # the alphas move inside the domain at the aim
                 delta = np.where(jump[owner], _inside(
                     alpha, aim[owner], lo, hi) - alpha, delta)
             refused = active & unfittable(aim)  # step 0; aim is the outer end
-            outer = np.where(refused, side * (aim - b_hat), outer)
+            if refused.any():
+                outer = np.where(refused, side * (aim - b_hat), outer)
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
             moving = active & np.isfinite(reach)
@@ -442,23 +491,26 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             for _ in range(MAX_HALVINGS + 1):
                 alpha_try = alpha + step[owner] * delta
                 b_try = np.where(moving, b + step * delta_b, b)
-                trial = cells_at(alpha_try, b_try[owner])
-                dev_try = drops(*trial)
+                trial = stack.cells(alpha_try, b_try[owner])
+                dev_try = stack.drops(hat, *trial)
                 pending &= np.isnan(dev_try)
                 if not pending.any():
                     break
                 step = np.where(pending, step / 2.0, step)
             # a bisected b left at every halving has no feasible alphas
-            outer = np.where(pending & jump, side * (aim - b_hat), outer)
+            if (pending & jump).any():
+                outer = np.where(pending & jump, side * (aim - b_hat), outer)
             alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
             gap = np.abs(dev - cut)
             stalled = np.where((gap < closest) | bisect, 0, stalled + 1)
             closest = np.where(bisect, gap, np.minimum(gap, closest))
             done = moving & ~pending & ~bisect & (
                 np.abs(delta_b) <= PROFILE_BETA_TOL)
-            closed = active & ~done & (outer - inner <= PROFILE_BETA_TOL)
-            beyond = np.where(closed, b_hat + side * inner, beyond)
-            lost = closed | active & ~done & (iterations >= PROFILE_MAX_STEPS)
+            lost = active & ~done & (iterations >= PROFILE_MAX_STEPS)
+            if (outer < math.inf).any():  # a bracket may have closed
+                closed = active & ~done & (outer - inner <= PROFILE_BETA_TOL)
+                beyond = np.where(closed, b_hat + side * inner, beyond)
+                lost |= closed
             b = np.where(lost, math.nan, b)
             active &= ~done & ~lost
     return _JointRun(b=b, beyond=beyond, iterations=iterations)
@@ -492,28 +544,10 @@ def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
     return (coefficients, *_log_observed(s, n))
 
 
-def fit(spec: ModelSpec) -> GlmFit:
-    """Maximum-likelihood fit of the model.
-
-    The saturated and exposure-only models are fitted in closed form; the
-    no-interaction model by `_irls`, reported in reference coding:
-    intercept = alpha_1 and stratum:i = alpha_i - alpha_1.
-    """
+def _glm_fit(spec: ModelSpec, coefficients: tuple, log_mu: np.ndarray,
+             log_nu: np.ndarray, deviance: float, iterations: int) -> GlmFit:
+    """The fit of ``spec`` from its coefficients and fitted cells' logs."""
     s, n, log_choose = _cells(spec.table)
-    link = _LINKS[spec.link]
-    if spec.terms == "exposure_plus_stratum":
-        state = _irls(s, n, link)
-        coefficients = (state.alpha[0], state.b,
-                        *(state.alpha[1:] - state.alpha[0]))
-        log_mu, log_nu = state.log_mu, state.log_nu
-        deviance, iterations = state.deviance, state.iterations
-    else:
-        coefficients, log_mu, log_nu = _observed_fit(spec, s, n, link)
-        # the saturated fit, like the exposure-only fit of one stratum,
-        # is the observed risks, whose logs it already holds
-        observed = ((log_mu, log_nu) if spec.terms != "exposure_only"
-                    or spec.table.k == 1 else None)
-        deviance, iterations = _deviance(s, n, log_mu, log_nu, observed), 0
     labels = spec.table.labels[1:]
     names = ("intercept", "exposure",
              *(f"stratum:{lbl}" for lbl in labels
@@ -529,6 +563,54 @@ def fit(spec: ModelSpec) -> GlmFit:
                   fitted_risks=tuple((float(x), float(y))
                                      for x, y in np.exp(log_mu)),
                   iterations=iterations)
+
+
+def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
+    """Maximum-likelihood fits of several models, each the fit or the
+    `GlmError` that stopped it. The saturated and exposure-only models are
+    fitted in closed form, and all no-interaction models in one `_irls`
+    run, reported in reference coding: intercept = alpha_1 and stratum:i =
+    alpha_i - alpha_1."""
+    results: list = [None] * len(specs)
+    free = []  # (result index, spec, cases, totals) of each free fit
+    for i, spec in enumerate(specs):
+        try:
+            s, n, _ = _cells(spec.table)
+            if spec.terms == "exposure_plus_stratum":
+                free.append((i, spec, s, n))
+                continue
+            coefficients, *logs = _observed_fit(spec, s, n, _LINKS[spec.link])
+        except GlmError as exc:
+            results[i] = exc
+            continue
+        # the saturated fit, like the exposure-only fit of one stratum,
+        # is the observed risks, whose logs it already holds
+        observed = logs if spec.terms != "exposure_only" or spec.table.k == 1 \
+            else None
+        results[i] = _glm_fit(spec, coefficients, *logs,
+                              _deviance(s, n, *logs, observed), 0)
+    if free:
+        indices, free_specs, s, n = zip(*free)
+        starts = np.cumsum([0, *map(len, s[:-1])])
+        run = _irls(np.concatenate(s), np.concatenate(n),
+                    [_LINKS[spec.link] for spec in free_specs], starts)
+        for j, (i, spec) in enumerate(zip(indices, free_specs)):
+            rows = slice(starts[j], starts[j] + len(s[j]))
+            alpha = run.alpha[rows]
+            results[i] = run.errors[j] or _glm_fit(
+                spec, (alpha[0], run.b[j], *(alpha[1:] - alpha[0])),
+                run.log_mu[rows], run.log_nu[rows], float(run.deviance[j]),
+                int(run.steps[j]))
+    return results
+
+
+def fit(spec: ModelSpec) -> GlmFit:
+    """Maximum-likelihood fit of the model: the one-spec case of `fits`,
+    whose error it raises."""
+    result, = fits([spec])
+    if isinstance(result, GlmError):
+        raise result
+    return result
 
 
 def natural_scale(link: str, value: float) -> float:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rothman import glm
-from rothman.errors import GlmError
 from rothman.tables import CohortCell, StratifiedCohortTable
 from rothman.whickham import (six_strata_table, whickham_crude_table,
                               whickham_table)
@@ -112,14 +111,12 @@ def independence_tables():
 
 @dataclasses.dataclass
 class IrlsCall:
-    """One Newton run of the GLM layer: a `glm._irls` fit of the
-    no-interaction model, or a `glm._joint_endpoints` run of endpoint
-    problems (``joint``).
+    """One Newton run of the GLM layer: a `glm._irls` run of no-interaction
+    fits, or a `glm._joint_endpoints` run of endpoint problems (``joint``).
 
     ``strata`` counts the rows of the cells it was given; ``b`` is each
-    endpoint problem's starting b for a joint run, None for a fit;
-    ``failed`` has one flag a problem (one for a fit, set when it
-    raised)."""
+    endpoint problem's starting b for a joint run, None for a fit run;
+    ``iterations`` counts its passes; ``failed`` has one flag a problem."""
 
     joint: bool
     strata: int
@@ -140,16 +137,11 @@ class IrlsRecorder:
         monkeypatch.setattr(glm, "_irls", self.fit)
         monkeypatch.setattr(glm, "_joint_endpoints", self.joint)
 
-    def fit(self, s, n, link):
-        call = IrlsCall(False, len(s), None, 0, [True])
-        self.calls.append(call)
-        try:
-            state = self._irls(s, n, link)
-        except GlmError as exc:
-            call.iterations = max(len(exc.trace) - 1, 0)
-            raise
-        call.iterations, call.failed = state.iterations, [False]
-        return state
+    def fit(self, s, n, links, starts):
+        run = self._irls(s, n, links, starts)
+        self.calls.append(IrlsCall(False, len(s), None, run.iterations,
+                                   [e is not None for e in run.errors]))
+        return run
 
     def joint(self, s, n, links, b, *args):
         run = self._joint(s, n, links, b, *args)

@@ -7,6 +7,7 @@ through tmp_path.
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import svg_utils as su
-from rothman import __version__, cli
+from rothman import __version__, cli, glm
 from rothman.diagnostics import analyze, collapsibility_report_json
+from rothman.errors import NonConvergenceError
 from rothman.figures import figure_svg
 from rothman.tables import parse_table, serialize_table
 from rothman.whickham import six_strata_table, whickham_table
@@ -153,6 +155,7 @@ class TestAnalyze:
         assert payload["code"] == "validation"
         assert payload["type"] == "ParseError"
         assert payload["message"]
+        assert "trace" not in payload
 
     def test_custom_weights_add_a_standardized_point(self, run):
         code, out, _ = run("analyze", "--weights", "0.5,0.5")
@@ -324,6 +327,15 @@ class TestPlot:
         payload = error_payload(err)
         assert payload["code"] == "numerical"
         assert payload["type"] == "NonConvergenceError"
+        # figure 6 fits the risk difference's no-interaction model
+        with pytest.raises(NonConvergenceError) as failed:
+            glm.fit(glm.ModelSpec(link="identity",
+                                  terms="exposure_plus_stratum",
+                                  table=zero_exposed_cases_table))
+        assert payload["message"] == str(failed.value)
+        assert failed.value.trace
+        assert payload["trace"] == [
+            v if math.isfinite(v) else str(v) for v in failed.value.trace]
 
     def test_unwritable_output_reports_io_error(self, run, tmp_path):
         target = tmp_path / "missing_dir" / "fig.svg"

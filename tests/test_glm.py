@@ -10,6 +10,7 @@ about two copies of the same code.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -36,7 +37,7 @@ from rothman.glm import (LrInterval, LrTest, ModelSpec, _lr, chi_square_cdf,
                          interaction_test, natural_scale, profile_interval,
                          stratum_exposure_estimates)
 from rothman.tables import CohortCell, StratifiedCohortTable
-from rothman.whickham import whickham_table
+from rothman.whickham import six_strata_table, whickham_table
 
 LINKS = ("logit", "log", "identity", "cloglog")
 
@@ -1042,6 +1043,73 @@ def test_a_mixed_link_group_gives_each_fit_its_own_result(irls_recorder,
     assert "lies beyond the last exposure coefficient" in grouped[4][1]
 
 
+def _specs(table):
+    return [ModelSpec(link=link, terms=terms, table=table)
+            for link in LINKS for terms in glm.TERMS
+            if table.k >= 2 or terms != "saturated_with_interaction"]
+
+
+def _fit_bits(result):
+    # repr holds every float's bits, and nan in a trace compares equal
+    if isinstance(result, GlmError):
+        return type(result), str(result), repr(getattr(result, "trace", None))
+    return repr(result)
+
+
+def _assert_fits_group_changes_no_bit(specs):
+    # one fits call gives each spec the fit, or the error and its trace,
+    # that it gets alone
+    assert [_fit_bits(r) for r in glm.fits(specs)] == \
+        [_fit_bits(glm.fits([spec])[0]) for spec in specs]
+
+
+@st.composite
+def large_count_tables(draw):
+    """k = 1-12 strata, group totals up to 1e7, zero cells allowed."""
+    strata = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        totals = [draw(st.integers(min_value=1, max_value=10_000_000))
+                  for _ in range(2)]
+        cases = [draw(st.integers(min_value=0, max_value=t)) for t in totals]
+        strata.append((f"s{i}", cases[0], totals[0], cases[1], totals[1]))
+    return _table(strata)
+
+
+@pytest.mark.parametrize("name", ["whickham", "six_strata"])
+def test_grouped_fits_equal_each_fit_alone(irls_recorder, request, name):
+    specs = _specs(request.getfixturevalue(name))
+    _assert_fits_group_changes_no_bit(specs)
+    grouped = irls_recorder.calls[0]
+    assert grouped.failed == [False] * 4
+
+
+@given(small_tables(), large_count_tables())
+@settings(max_examples=40, deadline=None)
+def test_grouped_fits_equal_each_fit_alone_on_small_and_large_tables(
+        small, large):
+    # Interleaved with Whickham's and six_strata's, so neighbouring free
+    # fits differ in link and in size.
+    tables = [small, whickham_table(), large, six_strata_table()]
+    _assert_fits_group_changes_no_bit(
+        [spec for group in itertools.zip_longest(*map(_specs, tables))
+         for spec in group if spec is not None])
+
+
+def test_a_failed_fit_leaves_its_group_alone(irls_recorder, whickham,
+                                             zero_exposed_cases_table):
+    # The zero cell's identity fit runs out of step halvings in the group
+    # too, with its own trace, and every other fit keeps its bits.
+    specs = [spec for pair in zip(_specs(zero_exposed_cases_table),
+                                  _specs(whickham)) for spec in pair]
+    _assert_fits_group_changes_no_bit(specs)
+    grouped = irls_recorder.calls[0]  # the group's, before each alone
+    assert grouped.failed == [False] * 4 + [True] + [False] * 3
+    failed = glm.fits(specs)[14]
+    assert isinstance(failed, NonConvergenceError)
+    assert str(failed).startswith("step halving exhausted")
+    assert len(failed.trace) > 1
+
+
 def test_no_fits_give_no_intervals():
     # one result per fit; no fits once raised IndexError
     assert glm.profile_intervals([]) == []
@@ -1081,8 +1149,8 @@ def _reference_likelihood(spec):
     s, n, _ = glm._cells(spec.table)
     link = glm._LINKS[spec.link]
     if spec.terms == "exposure_plus_stratum":
-        state = glm._irls(s, n, link)
-        log_mu, log_nu = state.log_mu, state.log_nu
+        run = glm._irls(s, n, [link], np.array([0]))
+        log_mu, log_nu = run.log_mu, run.log_nu
     else:
         _, log_mu, log_nu = glm._observed_fit(spec, s, n, link)
     lgamma = np.vectorize(math.lgamma, otypes=[float])
