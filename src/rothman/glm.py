@@ -188,10 +188,9 @@ def _log_observed(s: np.ndarray, n: np.ndarray) -> tuple:
 
 
 def _deviance(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
-              log_nu: np.ndarray, observed: tuple | None = None) -> float:
-    """Twice the log-likelihood gap to the observed proportions, whose logs
-    (`_log_observed`) may be passed in as ``observed``."""
-    log_p, log_q = observed or _log_observed(s, n)
+              log_nu: np.ndarray) -> float:
+    """Twice the log-likelihood gap to the observed proportions."""
+    log_p, log_q = _log_observed(s, n)
     return 2.0 * float((s * (log_p - log_mu)
                         + (n - s) * (log_q - log_nu)).sum())
 
@@ -583,12 +582,10 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
         except GlmError as exc:
             results[i] = exc
             continue
-        # the saturated fit, like the exposure-only fit of one stratum,
-        # is the observed risks, whose logs it already holds
-        observed = logs if spec.terms != "exposure_only" or spec.table.k == 1 \
-            else None
-        results[i] = _glm_fit(spec, coefficients, *logs,
-                              _deviance(s, n, *logs, observed), 0)
+        # the saturated fit is the observed risks: its deviance is 0
+        deviance = (_deviance(s, n, *logs) if spec.terms == "exposure_only"
+                    else 0.0)
+        results[i] = _glm_fit(spec, coefficients, *logs, deviance, 0)
     if free:
         indices, free_specs, s, n = zip(*free)
         starts = np.cumsum([0, *map(len, s[:-1])])

@@ -248,15 +248,19 @@ def _body(spec: DiagramSpec) -> list[str]:
     return parts
 
 
-def render_diagram(spec: DiagramSpec) -> str:
-    """Render one diagram as a standalone SVG document."""
-    body = "\n".join(_body(spec))
+def _document(width: int, height: int, parts: Sequence[str]) -> str:
+    """An SVG document of the given size holding ``parts``, one a line."""
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">\n'
-        f"{body}\n</svg>\n")
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        + "\n".join(parts) + "\n</svg>\n")
+
+
+def render_diagram(spec: DiagramSpec) -> str:
+    """Render one diagram as a standalone SVG document."""
+    return _document(spec.width, spec.height, _body(spec))
 
 
 def render_grid(specs: Sequence[DiagramSpec], columns: int = 2) -> str:
@@ -269,19 +273,11 @@ def render_grid(specs: Sequence[DiagramSpec], columns: int = 2) -> str:
     if any(s.width != w or s.height != h for s in specs):
         raise ValidationError("all panels must share one canvas size")
     rows = (len(specs) + columns - 1) // columns
-    total_w = w * min(columns, len(specs))
-    total_h = h * rows
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{total_w}" height="{total_h}" '
-        f'viewBox="0 0 {total_w} {total_h}">',
-    ]
+    parts = []
     for i, spec in enumerate(specs):
         tx = (i % columns) * w
         ty = (i // columns) * h
         parts.append(f'<g transform="translate({tx},{ty})">')
         parts.extend(_body(spec))
         parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(w * min(columns, len(specs)), h * rows, parts)

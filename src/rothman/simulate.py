@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -195,9 +194,9 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     observed outcome is D = D_X, so output is reproducible for a given
     nonnegative seed across runs and platforms. Philox is counter-based,
     so any range of people can start its three streams where it begins:
-    the people are split into one range per core (the calling thread
-    takes the first; n <= ``_CHUNK`` starts no thread), each range is
-    counted in chunks of ``_CHUNK``, and the sum is one table for any split.
+    the people are split into one range per core (no more ranges than
+    chunks of ``_CHUNK``), a thread pool counts each range chunk by chunk,
+    and the sum of the counts is one table for any split.
 
     C, the first stratum whose running total exceeds its draw u, steps up
     from a guide table's lowest stratum for bucket floor(u m) (Chen & Asau
@@ -250,27 +249,14 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
             cells += np.bincount(key + d, minlength=4 * k)
         return cells
 
+    # imported here: it loads `logging`, which `import rothman` need not
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = -(-n // _CHUNK)
     workers = min(_WORKERS, chunks)
     ends = [min(n, w * chunks // workers * _CHUNK) for w in range(workers + 1)]
-    counts, errors = [], []
-
-    def work(w: int) -> None:
-        try:
-            counts.append(count(ends[w], ends[w + 1]))
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,))
-               for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    cells = sum(counts).reshape(k, 4)
+    with ThreadPoolExecutor(workers) as pool:
+        cells = sum(pool.map(count, ends[:-1], ends[1:])).reshape(k, 4)
     return StratifiedCohortTable(strata=tuple(
         (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e0 + e1,
                                  unexposed_cases=u1,

@@ -197,8 +197,9 @@ def parse_table(source: str | bytes | IO, format: str = "csv",
 
     CSV requires the exact header ``stratum,exposed_cases,exposed_total,
     unexposed_cases,unexposed_total``; row order becomes stratum order.
+    One leading byte-order mark, which spreadsheets often write, is dropped.
     """
-    text = _as_text(source)
+    text = _as_text(source).removeprefix("\ufeff")
     if format == "csv":
         return _parse_csv(text)
     if format == "json":

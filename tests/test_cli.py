@@ -95,6 +95,16 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["points"]["crude"]["x"] == 0.314208
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_with_a_byte_order_mark(self, run, tmp_path, fmt):
+        path = tmp_path / f"table.{fmt}"
+        path.write_text(serialize_table(whickham_table(), fmt),
+                        encoding="utf-8")
+        plain = run("analyze", str(path))
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert run("analyze", str(path)) == plain
+        assert plain[0] == 0
+
     def test_boundary_maximum_is_reported_per_measure(self, run, tmp_path,
                                                       make_table):
         # Under the log link every stratum has a cell with no curvature

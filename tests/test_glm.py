@@ -430,6 +430,20 @@ class TestFit:
                           table=table))
 
 
+    def test_a_boundary_maximum_the_log_fit_creeps_to_hits_the_cap(
+            self, make_table):
+        # The exposed cell 2/2 of stratum a pulls its fitted risk to 1: the
+        # maximum lies on the boundary (alpha_a = -log 2, b = log 2), and
+        # the run creeps toward it until the iteration cap stops it.
+        table = make_table([("a", 2, 2, 2, 6), ("b", 2, 4, 5, 11)])
+        with pytest.raises(NonConvergenceError, match=(
+                f"^no convergence in {glm.MAX_ITERATIONS} iterations under "
+                "the log link$")) as exc:
+            fit(ModelSpec(link="log", terms="exposure_plus_stratum",
+                          table=table))
+        assert len(exc.value.trace) == glm.MAX_ITERATIONS + 1
+
+
 class TestEstimates:
     @pytest.mark.parametrize("link", LINKS)
     def test_crude_estimate_and_interval(self, whickham_crude, link):
@@ -643,6 +657,27 @@ class TestLikelihoodRatioMachinery:
         # the upper joint solve failed, and only it
         assert [b > f.coefficients[1] for b, failed in zip(run.b, run.failed)
                 if failed] == [True]
+
+    def test_a_bisected_b_with_no_feasible_alphas_bounds_the_bracket(
+            self, make_table):
+        # From b = (sqrt(13) - 5) / 2 = -0.69722 down, stratum a's unexposed
+        # risk (3 cases in 3) has its profile maximum at 1, which a profile
+        # fit cannot reach. A bisected b there is left at every halving and
+        # becomes the lower bracket's outer end, so the bracket closes on
+        # the last b inside, whose drop is below the cut (the crossing is
+        # near b = -0.8817), and the run raises.
+        table = make_table([("a", 3, 12, 3, 3), ("b", 1, 2, 8, 9)])
+        terms, link = "exposure_plus_stratum", "identity"
+        f = fit(ModelSpec(link=link, terms=terms, table=table))
+        with pytest.raises(NonConvergenceError, match=(
+                "^the lower profile endpoint lies beyond the last exposure "
+                "coefficient that could be fitted, b = -0.6972243620360891, "
+                "under the identity link$")):
+            profile_interval(f)
+        top = oracle_profile(table, terms, link, f.coefficients[1])
+        drop = 2.0 * (top - oracle_profile(table, terms, link,
+                                           -0.6972243620360891))
+        assert drop < CHI2_95_1
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("terms", ["exposure_only",

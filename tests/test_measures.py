@@ -278,6 +278,13 @@ class TestEffectModification:
             assert not em.present
             assert em.max_difference == 0.0
 
+    def test_infinite_ratios_have_no_spread(self):
+        # inf - inf is nan, which is no evidence of modification
+        strata = [RiskPoint(0.0, 0.3), RiskPoint(0.0, 0.6)]
+        em = effect_modification(Measure.RISK_RATIO, strata)
+        assert not em.present
+        assert em.max_difference == 0.0
+
     def test_large_tolerance_suppresses_modification(self, whickham):
         _, strata = association_points(whickham)
         em = effect_modification(Measure.RISK_DIFFERENCE, strata, tol=1.0)
@@ -438,6 +445,9 @@ CORNER_SEGMENTS = (
     ((0.0, 0.0), (0.3, 0.9)),
     ((0.943568065208288, 0.6232748664646758), (1.0, 1.0)),
     ((1.0, 1.0), (0.1554584946696973, 0.32371741750073046)),
+    # off the corners, on a side of the square, where the slope is infinite
+    ((0.0, 0.4), (0.5, 0.9)),
+    ((0.3, 1.0), (0.8, 0.6)),
 )
 
 

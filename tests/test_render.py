@@ -526,10 +526,8 @@ class TestFigureGallery:
         assert figure_svg(1, six_strata) == figure1(six_strata)
 
 
-def test_import_pulls_in_no_network_modules():
-    # The runtime needs numpy only, so importing it loads no web or mail stack.
-    modules = ("urllib.request", "http.client", "ssl", "email",
-               "xml.sax.saxutils")
+def _loaded_by_import(modules):
+    """Those of ``modules`` that a fresh ``import rothman`` loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
@@ -537,4 +535,15 @@ def test_import_pulls_in_no_network_modules():
             f"print([m for m in {modules!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_pulls_in_no_network_modules():
+    # The runtime needs numpy only, so importing it loads no web or mail stack.
+    assert _loaded_by_import(("urllib.request", "http.client", "ssl", "email",
+                              "xml.sax.saxutils")) == "[]"
+
+
+def test_import_pulls_in_no_thread_pool_or_logging():
+    # Only sampling needs the thread pool, whose import loads `logging`.
+    assert _loaded_by_import(("concurrent.futures", "logging")) == "[]"

@@ -7,6 +7,7 @@ exact rational arithmetic, so the confounding fuzz below has no tolerance
 knobs at all.
 """
 
+import concurrent.futures
 import json
 import math
 import threading
@@ -445,21 +446,32 @@ class TestChunkedSampling:
         assert whole_array_sample(spec, 3000, 9) == \
             reference_sample(spec, 3000, 9)
 
-    @pytest.mark.parametrize("n,threads", [(1, 0), (CHUNK, 0),
-                                           (CHUNK + 1, 1), (3 * CHUNK, 2),
-                                           (5 * CHUNK, 2)])
-    def test_one_thread_per_extra_range(self, monkeypatch, n, threads):
-        started = []
+    @pytest.mark.parametrize("n,ranges", [(1, 1), (CHUNK, 1),
+                                          (CHUNK + 1, 2), (3 * CHUNK, 3),
+                                          (5 * CHUNK, 3)])
+    def test_one_pool_worker_and_task_per_range(self, monkeypatch, n,
+                                                ranges):
+        pools = []
 
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.workers, self.tasks = max_workers, []
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.tasks.append(args)
+                return super().submit(fn, *args)
 
         monkeypatch.setattr(simulate, "_WORKERS", 3)
-        monkeypatch.setattr(threading, "Thread", Thread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         sample_table(PopulationSpec(**EXAMPLE), n, seed=1)
-        assert len(started) == threads
+        pool, = pools
+        assert pool.workers == ranges == len(pool.tasks)
+        # the tasks are nonempty ranges that tile the people in order
+        firsts, lasts = zip(*pool.tasks)
+        assert firsts == (0, *lasts[:-1]) and lasts[-1] == n
+        assert all(a < b for a, b in pool.tasks)
 
     def test_a_worker_error_is_raised_in_the_caller(self, monkeypatch):
         stream = simulate._stream

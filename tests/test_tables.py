@@ -1,5 +1,6 @@
 """Table model, parsing, and serialization."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -152,6 +153,20 @@ class TestJson:
             parse_table("x", format="xml")
         with pytest.raises(ParseError):
             serialize_table(whickham, format="xml")
+
+
+
+class TestSources:
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("source", [
+        str, str.encode, io.StringIO, lambda text: io.BytesIO(text.encode())],
+        ids=["str", "bytes", "text_file", "binary_file"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_source_reads_the_table(self, whickham, fmt, source, bom):
+        # spreadsheets often save a UTF-8 byte-order mark first
+        text = serialize_table(whickham, format=fmt)
+        assert parse_table(source(bom + text), format=fmt) == \
+            parse_table(text, format=fmt)
 
 
 counts = st.integers(min_value=0, max_value=10_000)
