@@ -307,7 +307,7 @@ def _measure_json(entry: MeasureAnalysis) -> dict:
     number_list_pair(out, "stratum_estimates", entry.stratum_estimates)
     if entry.modification is not None:
         em: dict = {"present": entry.modification.present,
-                    "tol": entry.modification.tol}
+                    "tol": full_number(entry.modification.tol)}
         number_list_pair(em, "stratum_values", entry.modification.stratum_values)
         number_pair(em, "max_difference", entry.modification.max_difference)
         out["effect_modification"] = em

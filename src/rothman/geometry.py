@@ -268,26 +268,46 @@ def segment_weights(k: int, i0: int, i1: int, t: float) -> StandardPopulation:
     return StandardPopulation(weights=tuple(weights), preset="custom")
 
 
+def hull_edges(vertices: Sequence) -> list[tuple]:
+    """The (start, end) edges of a hull given its vertices in order.
+
+    A polygon closes back to its first vertex; a segment is its one edge
+    and a single point the zero-length edge from itself to itself.
+    """
+    n = len(vertices)
+    return list(zip(vertices, vertices[1:] + vertices[:1]))[:n if n > 2 else 1]
+
+
+def _locate(hull: StandardizedHull, p: RiskPoint, tol: float,
+            ) -> tuple[Containment, float, tuple[int, int, float]]:
+    """Place ``p`` against the hull in one scan of its edges.
+
+    Returns the containment verdict, the distance to the boundary and the
+    nearest boundary point as (i0, i1, t): the point a + t(b - a) of the
+    first nearest edge from source point i0 = a to source point i1 = b.
+    The least cross product of ``p`` against the counterclockwise edges is
+    positive strictly inside the polygon, zero or less on or outside it.
+    """
+    if not tol >= 0:  # nan too
+        raise ValidationError("tolerance must be nonnegative")
+    pts = hull.source_points
+    dist, side = math.inf, math.inf
+    for i0, i1 in hull_edges(hull.vertex_source_indices):
+        a, b = pts[i0].coords, pts[i1].coords
+        t, d = _project(p.coords, a, b)
+        if d < dist:
+            dist, nearest = d, (i0, i1, t)
+        side = min(side, _cross(a, b, p.coords))
+    if dist <= tol:
+        return Containment.BOUNDARY, dist, nearest
+    if len(hull.vertices) < 3 or side <= 0:
+        return Containment.OUTSIDE, dist, nearest
+    return Containment.INSIDE, dist, nearest
+
+
 def boundary_distance(hull: StandardizedHull, p: RiskPoint) -> float:
     """Euclidean distance from ``p`` to the hull boundary (vertices included)."""
-    verts = [v.coords for v in hull.vertices]
-    q = p.coords
-    dists = [_project(q, verts[i], verts[(i + 1) % len(verts)])[1]
-             for i in range(len(verts))]
-    if len(verts) == 2:
-        return dists[0]
-    return min(dists)
-
-
-def _least_edge_side(hull: StandardizedHull, p: RiskPoint) -> float:
-    """Least cross product of ``p`` against the counterclockwise hull edges.
-
-    Positive strictly inside the polygon, zero on an edge's line, negative
-    outside.
-    """
-    verts = [v.coords for v in hull.vertices]
-    return min(_cross(verts[i], verts[(i + 1) % len(verts)], p.coords)
-               for i in range(len(verts)))
+    return _locate(hull, p, 0.0)[1]
 
 
 def contains(hull: StandardizedHull, p: RiskPoint,
@@ -299,21 +319,7 @@ def contains(hull: StandardizedHull, p: RiskPoint,
     counterclockwise polygon. Degenerate hulls (point, segment) have no
     interior, so everything is boundary or outside.
     """
-    if not tol >= 0:  # nan too
-        raise ValidationError("tolerance must be nonnegative")
-    d = boundary_distance(hull, p)
-    if d <= tol:
-        return Containment.BOUNDARY
-    if len(hull.vertices) < 3 or _least_edge_side(hull, p) <= 0:
-        return Containment.OUTSIDE
-    return Containment.INSIDE
-
-
-def _weights_on_segment(strata: Sequence[RiskPoint], i0: int, i1: int,
-                        target: RiskPoint, tol: float,
-                        ) -> StandardPopulation | None:
-    t, d = _project(target.coords, strata[i0].coords, strata[i1].coords)
-    return None if d > tol else segment_weights(len(strata), i0, i1, t)
+    return _locate(hull, p, tol)[0]
 
 
 def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
@@ -321,63 +327,40 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
                       ) -> StandardPopulation | None:
     """A standard population whose standardized point is ``target``.
 
-    Returns None when the target lies outside the standardized hull. For
-    two strata the weight on the second stratum is the unique segment
-    parameter t. For k > 2 the hull is fan-triangulated from vertex 0 and
-    the containing triangle is solved; interior points of a hull with more
+    Returns None when the target lies outside the standardized hull. A
+    target on the boundary gets the two ends of its nearest hull edge,
+    weighted by where it projects onto that edge; for two strata that is
+    the unique segment parameter. An interior target gets the fan triangle
+    from hull vertex 0 that holds it; interior points of a hull with more
     than three vertices have infinitely many representations, so this is
     one deterministic choice among them.
     """
-    k = len(strata)
-    if k < 1:
-        raise ValidationError("need at least one stratum point")
-    if not tol >= 0:  # nan too
-        raise ValidationError("tolerance must be nonnegative")
-    if k <= 2:
-        return _weights_on_segment(strata, 0, k - 1, target, tol)
-
     hull = standardized_hull(strata)
-    verts = hull.vertex_source_indices
-    if len(verts) <= 2:
-        return _weights_on_segment(strata, verts[0], verts[-1], target, tol)
-    if contains(hull, target, tol) is Containment.OUTSIDE:
+    verdict, _, nearest = _locate(hull, target, tol)
+    if verdict is Containment.OUTSIDE:
         return None
-
-    coords = [p.coords for p in strata]
-    v0 = coords[verts[0]]
-    for j in range(1, len(verts) - 1):
-        v1 = coords[verts[j]]
-        v2 = coords[verts[j + 1]]
-        det = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-        if det == 0.0:
-            continue
-        rx, ry = target.x - v0[0], target.y - v0[1]
-        b = (rx * (v2[1] - v0[1]) - ry * (v2[0] - v0[0])) / det
-        c = (ry * (v1[0] - v0[0]) - rx * (v1[1] - v0[1])) / det
-        a = 1.0 - b - c
-        if min(a, b, c) < -1e-9:
-            continue
-        bary = [max(a, 0.0), max(b, 0.0), max(c, 0.0)]
-        s = sum(bary)
-        bary = [v / s for v in bary]
-        weights = [0.0] * k
-        for w, vi in zip(bary, (verts[0], verts[j], verts[j + 1])):
-            weights[vi] += w
-        rec_x = sum(w * coords[i][0] for i, w in enumerate(weights))
-        rec_y = sum(w * coords[i][1] for i, w in enumerate(weights))
-        if math.hypot(rec_x - target.x, rec_y - target.y) <= max(tol, 1e-9):
+    verts = hull.vertex_source_indices
+    if verdict is Containment.INSIDE:
+        v0 = strata[verts[0]].coords
+        for j in range(1, len(verts) - 1):
+            v1 = strata[verts[j]].coords
+            v2 = strata[verts[j + 1]].coords
+            det = _cross(v0, v1, v2)
+            if det == 0.0:
+                continue
+            rx, ry = target.x - v0[0], target.y - v0[1]
+            b = (rx * (v2[1] - v0[1]) - ry * (v2[0] - v0[0])) / det
+            c = (ry * (v1[0] - v0[0]) - rx * (v1[1] - v0[1])) / det
+            a = 1.0 - b - c
+            if min(a, b, c) < -1e-9:
+                continue
+            bary = [max(a, 0.0), max(b, 0.0), max(c, 0.0)]
+            s = sum(bary)
+            bary = [v / s for v in bary]
+            weights = [0.0] * len(strata)
+            for w, vi in zip(bary, (verts[0], verts[j], verts[j + 1])):
+                weights[vi] += w
             return StandardPopulation(weights=tuple(weights), preset="custom")
-
-    # Numerically on the boundary but missed by every fan triangle: project
-    # onto the nearest hull edge instead.
-    best = None
-    best_d = math.inf
-    for i in range(len(verts)):
-        i0, i1 = verts[i], verts[(i + 1) % len(verts)]
-        t, d = _project(target.coords, coords[i0], coords[i1])
-        if d < best_d:
-            best_d = d
-            best = (i0, i1, t)
-    if best is not None and best_d <= max(tol, 1e-9):
-        return segment_weights(k, *best)
-    return None
+    # A boundary target, or an interior one every fan triangle missed by
+    # rounding, sits on its nearest edge.
+    return segment_weights(len(strata), *nearest)

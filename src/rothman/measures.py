@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UndefinedMeasureError, ValidationError
 from .geometry import (RiskPoint, StandardPopulation, convex_hull_indices,
-                       segment_weights)
+                       hull_edges, segment_weights)
 
 COLLAPSE_TOL = 1e-9
 CONTOUR_CLIP_TOL = 1e-12
@@ -282,8 +282,10 @@ def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
 
     Vertex values that agree within COLLAPSE_TOL are ties that go to the
     first vertex, so the choice does not turn on rounding error in values
-    that share a contour. A candidate inside an edge replaces the vertex
-    only when it is strictly better.
+    that share a contour: for two strata the first in stratum order, for
+    more the first counterclockwise from the hull vertex of least x (least
+    y among those). A candidate inside an edge replaces the vertex only
+    when it is strictly better.
     """
     best = None
     ends = [values[i] for i in vertices if not math.isnan(values[i])]
@@ -321,9 +323,6 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
         vertices = [0, 1]
     else:
         vertices = convex_hull_indices([p.coords for p in strata])
-    edges = list(zip(vertices, vertices[1:]))
-    if len(vertices) > 2:
-        edges.append((vertices[-1], vertices[0]))
 
     # RD is linear and RR linear-fractional along a segment, so both are
     # monotone along every edge; OR and HR may be extreme at the one
@@ -331,7 +330,7 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
     # candidate that serves the min and the max.
     candidates = []
     if not is_collapsible(m):
-        for i0, i1 in edges:
+        for i0, i1 in hull_edges(vertices):
             found = _edge_candidate(m, strata[i0], strata[i1])
             if found is not None:
                 t, v = found

@@ -208,17 +208,17 @@ def parse_table(source: str | bytes | IO, format: str = "csv",
 
 
 def _parse_csv(text: str) -> StratifiedCohortTable:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(f.strip() for f in r)]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if any(f.strip() for f in r)]
     if not rows:
         raise ParseError("empty CSV input")
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(h.strip() for h in rows[0][1])
     if header != CSV_HEADER:
         raise ParseError(
-            f"line 1: header must be {','.join(CSV_HEADER)!r}, "
+            f"line {rows[0][0]}: header must be {','.join(CSV_HEADER)!r}, "
             f"got {','.join(header)!r}")
     strata = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != 5:
             raise ParseError(f"line {i}: expected 5 fields, got {len(row)}")
         label = row[0].strip()

@@ -1,5 +1,6 @@
-"""The public API: the names `import rothman` exports, and the names the
-benchmark's tracer wraps.
+"""The public API: the names `import rothman` exports, the names the
+benchmark's tracer wraps, the README's quickstart and the Python version
+floor the package declares.
 
 A public name is removed only together with the README and the tests that
 use it, so the frozen list below changes only in such a change.
@@ -7,11 +8,15 @@ use it, so the frozen list below changes only in such a change.
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+import pytest
 
 import rothman
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 PUBLIC_NAMES = [
     "AnalysisReport", "CohortCell", "CollapsibilityReport",
@@ -72,3 +77,32 @@ def test_every_traced_name_resolves():
         for attribute in attributes:
             owner = getattr(owner, attribute, None)
         assert callable(owner), name
+
+
+def test_readme_quickstart_gives_the_numbers_its_comments_state(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quickstart"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    dip = re.search(r"# ([\d.]+) < ([\d.]+)", code).groups()
+    interval = re.search(r"# OR ([\d.]+)-([\d.]+)", code).groups()
+    assert float(dip[0]) < float(dip[1])
+    stated = [float(v) for v in dip + interval]
+    got = [namespace["dip"].min_value, namespace["dip"].stratum_value,
+           namespace["interval"].lower, namespace["interval"].upper]
+    assert got == [pytest.approx(v, abs=5e-5) for v in stated]
+    assert capsys.readouterr().out.startswith("{")
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # Only the running interpreter's grammar is exercised by the other
+    # tests, so syntax newer than the floor would pass them unnoticed.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    version = (int(floor[1]), int(floor[2]))
+    sources = sorted((ROOT / "src" / "rothman").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=version)

@@ -18,10 +18,10 @@ import pytest
 import svg_utils as su
 from rothman import __version__, cli, glm
 from rothman.diagnostics import analyze, collapsibility_report_json
-from rothman.errors import NonConvergenceError
+from rothman.errors import NonConvergenceError, ValidationError
 from rothman.figures import figure_svg
 from rothman.tables import parse_table, serialize_table
-from rothman.whickham import six_strata_table, whickham_table
+from rothman.whickham import builtin_table, six_strata_table, whickham_table
 
 POPULATION_SPEC = {
     "stratum_probs": [0.5, 0.5],
@@ -80,6 +80,8 @@ class TestAnalyze:
         code, out, _ = run("analyze", "six_strata")
         assert code == 0
         assert len(json.loads(out)["points"]["strata"]) == 6
+        with pytest.raises(ValidationError, match="unknown builtin table 'nope'"):
+            builtin_table("nope")
 
     def test_output_file(self, run, tmp_path):
         target = tmp_path / "report.json"

@@ -11,7 +11,7 @@ import oracles
 from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
-                                 collapsibility_report_json)
+                                 collapsibility_report_json, full_number)
 from rothman.errors import NonConvergenceError, ValidationError
 from rothman.geometry import Containment, StandardPopulation
 from rothman.measures import Measure
@@ -127,9 +127,15 @@ class TestAnalyzeFlags:
         assert rd.modification.present
 
     def test_modification_tolerance_forwarded(self, whickham):
-        report = analyze(whickham, em_tol=10.0)
-        for e in report.measures:
-            assert not e.modification.present
+        # an infinite tolerance is written as a string, like every
+        # non-finite number in the report, so strict JSON can hold it
+        for em_tol, written in ((10.0, 10.0), (math.inf, "inf")):
+            report = analyze(whickham, em_tol=em_tol)
+            for e in report.measures:
+                assert not e.modification.present
+            for entry in json.loads(report.to_json())["measures"]:
+                assert entry["effect_modification"]["present"] is False
+                assert entry["effect_modification"]["tol"] == written
 
 
 class TestDegradedTables:
@@ -301,6 +307,8 @@ class TestJsonReport:
         assert entry["interaction_p_value"] == "nan"
         assert entry["interaction_p_value_full"] == "nan"
         json.loads(analyze(whickham_crude).to_json())
+        assert [full_number(v) for v in (math.inf, -math.inf, 0.5)] == [
+            "inf", "-inf", 0.5]
 
     def test_json_is_deterministic(self, whickham):
         assert analyze(whickham).to_json() == analyze(whickham).to_json()

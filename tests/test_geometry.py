@@ -320,6 +320,8 @@ class TestWeightsForPoint:
     def test_outside_point_returns_none(self, whickham):
         crude, strata = association_points(whickham)
         assert weights_for_point(strata, crude) is None
+        # and for k > 2, 1e-6 right of the square of strata
+        assert _weights(self.SQUARE, (0.5 + 1e-6, 0.3)) is None
 
     def test_interior_point_with_three_strata(self, interior_crude_k3_table):
         crude, strata = association_points(interior_crude_k3_table)
@@ -451,3 +453,30 @@ def test_two_point_weight_recovery(ax, ay, bx, by, t):
     assert std is not None
     rebuilt = standardize(strata, std)
     assert math.hypot(rebuilt.x - target.x, rebuilt.y - target.y) <= 1e-9
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=6), st.data(),
+       st.sampled_from([0.0, 1e-9, 1e-6]))
+@settings(max_examples=300)
+def test_weights_exist_exactly_where_the_target_is_not_outside(coords, data,
+                                                               tol):
+    # targets off, on and near the segments between stratum points reach
+    # the outside, boundary and inside verdicts alike
+    strata = [RiskPoint(x, y) for x, y in coords]
+    a, b = (data.draw(st.sampled_from(strata)) for _ in range(2))
+    t = data.draw(unit)
+    nudge = data.draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-7, 0.1]))
+    x = a.x + t * (b.x - a.x) + nudge
+    y = a.y + t * (b.y - a.y) - nudge
+    target = RiskPoint(min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0))
+    std = weights_for_point(strata, target, tol=tol)
+    verdict = contains(standardized_hull(strata), target, tol=tol)
+    assert (std is None) == (verdict is Containment.OUTSIDE)
+    if std is not None:
+        # the fan accepts barycentric coordinates down to -1e-9
+        rebuilt = standardize(strata, std)
+        assert math.hypot(rebuilt.x - target.x, rebuilt.y - target.y) <= \
+            max(tol, 1e-9) + 1e-15

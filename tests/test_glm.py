@@ -220,6 +220,7 @@ class TestChiSquare:
             chi_square_cdf(1.0, 0)
         with pytest.raises(ValidationError):
             chi_square_quantile(1.5, 1)
+        assert chi_square_quantile(0.0, 1) == 0.0
 
 
 # ----------------------------------------------------------- model fitting
@@ -592,11 +593,16 @@ class TestLikelihoodRatioMachinery:
             drop = 2.0 * (f.log_likelihood - ll)
             assert drop == pytest.approx(CHI2_95_1, abs=1e-5)
 
-    def test_interaction_test_needs_the_no_interaction_fit(self, whickham):
+    def test_interaction_test_needs_the_no_interaction_fit(self, whickham,
+                                                           whickham_crude):
         sat = fit(ModelSpec(link="logit", terms="saturated_with_interaction",
                             table=whickham))
         with pytest.raises(ValidationError):
             interaction_test(sat)
+        one = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
+                            table=whickham_crude))
+        with pytest.raises(ValidationError, match="at least two strata"):
+            interaction_test(one)
 
     def test_warm_start_keeps_log_link_endpoints_off_the_estimate(
             self, make_table):

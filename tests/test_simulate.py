@@ -121,6 +121,8 @@ class TestPopulationSpec:
         with pytest.raises(ValidationError):
             PopulationSpec(stratum_probs=(0.5, 0.5), exposure_probs=(0.5,),
                            po_probs=((1, 0, 0, 0), (1, 0, 0, 0)))
+        with pytest.raises(ValidationError, match="at least one stratum"):
+            PopulationSpec(stratum_probs=(), exposure_probs=(), po_probs=())
 
     def test_exposure_probs_in_unit_interval(self):
         with pytest.raises(ValidationError):
@@ -543,3 +545,6 @@ class TestParsePopulationSpec:
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             parse_population_spec("[1, 2]")
+        with pytest.raises(ParseError, match="malformed population spec"):
+            parse_population_spec('{"stratum_probs": [1.0], '
+                                  '"exposure_probs": [0.5], "po_probs": [1]}')

@@ -34,6 +34,9 @@ class TestCohortCell:
         with pytest.raises(ValidationError):
             CohortCell(exposed_cases=5, exposed_total=4,
                        unexposed_cases=0, unexposed_total=1)
+        with pytest.raises(ValidationError, match="unexposed_cases 5 exceeds"):
+            CohortCell(exposed_cases=0, exposed_total=1,
+                       unexposed_cases=5, unexposed_total=4)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
@@ -51,6 +54,8 @@ class TestCohortCell:
         assert cell.has_zero_margin
         with pytest.raises(ValidationError):
             cell.risks()
+        with pytest.raises(ValidationError):
+            cell.risks_exact()
 
     def test_addition_adds_counts(self):
         a = CohortCell(exposed_cases=1, exposed_total=2,
@@ -59,6 +64,8 @@ class TestCohortCell:
                        unexposed_cases=7, unexposed_total=8)
         assert (a + b) == CohortCell(exposed_cases=6, exposed_total=8,
                                      unexposed_cases=10, unexposed_total=12)
+        with pytest.raises(TypeError):
+            a + 1
 
 
 class TestStratifiedCohortTable:
@@ -86,6 +93,8 @@ class TestStratifiedCohortTable:
                           unexposed_cases=1, unexposed_total=2)
         with pytest.raises(ValidationError):
             StratifiedCohortTable(strata=(("a", cell), ("a", cell)))
+        with pytest.raises(ValidationError, match="not a CohortCell"):
+            StratifiedCohortTable(strata=(("a", cell), ("b", (1, 2, 1, 2))))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
@@ -97,6 +106,10 @@ class TestStratifiedCohortTable:
             ("a", CohortCell(exposed_cases=0, exposed_total=0,
                              unexposed_cases=1, unexposed_total=2)),))
         assert t.zero_margin_strata == ("a",)
+
+
+HEADER = ("stratum,exposed_cases,exposed_total,unexposed_cases,"
+          "unexposed_total")
 
 
 class TestCsv:
@@ -133,6 +146,24 @@ class TestCsv:
         with pytest.raises((ParseError, ValidationError)):
             parse_table(text, format="csv")
 
+    @pytest.mark.parametrize("text", ["", "\n \n,,\n"], ids=["none", "blank"])
+    def test_empty_input_rejected(self, text):
+        with pytest.raises(ParseError, match="empty CSV input"):
+            parse_table(text, format="csv")
+
+    @pytest.mark.parametrize("text, error, message", [
+        (HEADER + "\n\n\nx,1,2,oops,4\n", ParseError,
+         "line 4: field 'unexposed_cases' is not an integer"),
+        (HEADER + "\n\n\nx,1,2,5,4\n", ValidationError,
+         "line 4, stratum 'x': unexposed_cases 5 exceeds"),
+        ("\n\na,b,c\n", ParseError, "line 3: header must be"),
+    ], ids=["count", "cases_above_total", "header"])
+    def test_errors_after_blank_lines_name_the_source_line(self, text, error,
+                                                           message):
+        # blank lines are skipped, yet each error names the line it is on
+        with pytest.raises(error, match=message):
+            parse_table(text, format="csv")
+
 
 class TestJson:
     def test_round_trip(self, whickham):
@@ -147,6 +178,30 @@ class TestJson:
     def test_missing_key_rejected(self):
         with pytest.raises(ParseError):
             parse_table('{"strata": [{"label": "a"}]}', format="json")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("[]", ParseError, "must be an object with a 'strata' array"),
+        ('{"labels": {}}', ParseError, "must be an object with a 'strata'"),
+        ('{"strata": []}', ParseError, "'strata' must be a non-empty array"),
+        ('{"strata": {"a": 1}}', ParseError, "must be a non-empty array"),
+        ('{"strata": [1]}', ParseError, r"strata\[0\] must be an object"),
+        ('{"strata": [{"exposed_cases": 1}]}', ParseError,
+         r"strata\[0\] is missing 'label'"),
+        ('{"strata": [{"label": "a", "exposed_cases": 1.0, "exposed_total": 2,'
+         ' "unexposed_cases": 1, "unexposed_total": 2}]}', ParseError,
+         "'exposed_cases' must be an integer, got 1.0"),
+        ('{"strata": [{"label": "a", "exposed_cases": 3, "exposed_total": 2,'
+         ' "unexposed_cases": 1, "unexposed_total": 2}]}', ValidationError,
+         "stratum 'a': exposed_cases 3 exceeds"),
+        ('{"strata": [{"label": "a", "exposed_cases": 1, "exposed_total": 2,'
+         ' "unexposed_cases": 1, "unexposed_total": 2}], "labels": []}',
+         ParseError, "'labels' must be an object"),
+    ], ids=["not_an_object", "no_strata", "empty_strata", "strata_not_a_list",
+            "entry_not_an_object", "missing_label", "float_count",
+            "cases_above_total", "labels_not_an_object"])
+    def test_malformed_json_names_what_is_wrong(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_table(text, format="json")
 
     def test_unknown_format_rejected(self, whickham):
         with pytest.raises(ParseError):
