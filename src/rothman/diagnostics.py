@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import glm
-from .errors import GlmError, ValidationError
+from .errors import GlmError, UndefinedMeasureError, ValidationError
 from .geometry import (DEFAULT_CONTAINMENT_TOL, PRESETS, Containment,
                        ConfoundingRectangle, RiskPoint, StandardPopulation,
                        StandardizedHull, association_points,
@@ -84,7 +84,7 @@ class AnalysisReport:
                           allow_nan=False)
 
 
-def _error_text(exc: GlmError) -> str:
+def _error_text(exc: GlmError | UndefinedMeasureError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -139,7 +139,6 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                 common_estimate=glm.exposure_estimate(common_fit),
                 common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
-        # The saturated fit's error names the boundary rows, so it goes first.
         _raise_error(saturated_fit)
         _raise_error(common_interval)
         stratum_estimates = glm.stratum_exposure_estimates(saturated_fit)
@@ -147,7 +146,7 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         return MeasureAnalysis(
             measure=measure, link=link, **crude, **common,
             stratum_estimates=stratum_estimates, modification=modification)
-    except GlmError as exc:
+    except (GlmError, UndefinedMeasureError) as exc:
         return MeasureAnalysis(measure=measure, link=link, **crude, **common,
                                error=_error_text(exc))
 
@@ -160,8 +159,11 @@ def _collapsibility_entry(measure: Measure,
         return measure, None, "needs at least two strata"
     if isinstance(common_fit, GlmError):
         return measure, None, _error_text(common_fit)
-    points = glm.fitted_stratum_points(common_fit)
-    return measure, collapse_analysis(measure, points), None
+    try:
+        return measure, collapse_analysis(
+            measure, glm.fitted_stratum_points(common_fit)), None
+    except UndefinedMeasureError as exc:
+        return measure, None, _error_text(exc)
 
 
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:

@@ -331,7 +331,9 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     target on the boundary gets the two ends of its nearest hull edge,
     weighted by where it projects onto that edge; for two strata that is
     the unique segment parameter. An interior target gets the fan triangle
-    from hull vertex 0 that holds it; interior points of a hull with more
+    from hull vertex 0 that holds it: of the triangles with area, the first
+    whose least barycentric coordinate is greatest, that coordinate, below
+    0 only by rounding, clamped to 0. Interior points of a hull with more
     than three vertices have infinitely many representations, so this is
     one deterministic choice among them.
     """
@@ -339,28 +341,26 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     verdict, _, nearest = _locate(hull, target, tol)
     if verdict is Containment.OUTSIDE:
         return None
+    if verdict is Containment.BOUNDARY:
+        return segment_weights(len(strata), *nearest)
     verts = hull.vertex_source_indices
-    if verdict is Containment.INSIDE:
-        v0 = strata[verts[0]].coords
-        for j in range(1, len(verts) - 1):
-            v1 = strata[verts[j]].coords
-            v2 = strata[verts[j + 1]].coords
-            det = _cross(v0, v1, v2)
-            if det == 0.0:
-                continue
-            rx, ry = target.x - v0[0], target.y - v0[1]
-            b = (rx * (v2[1] - v0[1]) - ry * (v2[0] - v0[0])) / det
-            c = (ry * (v1[0] - v0[0]) - rx * (v1[1] - v0[1])) / det
-            a = 1.0 - b - c
-            if min(a, b, c) < -1e-9:
-                continue
-            bary = [max(a, 0.0), max(b, 0.0), max(c, 0.0)]
-            s = sum(bary)
-            bary = [v / s for v in bary]
-            weights = [0.0] * len(strata)
-            for w, vi in zip(bary, (verts[0], verts[j], verts[j + 1])):
-                weights[vi] += w
-            return StandardPopulation(weights=tuple(weights), preset="custom")
-    # A boundary target, or an interior one every fan triangle missed by
-    # rounding, sits on its nearest edge.
-    return segment_weights(len(strata), *nearest)
+    v0, best = strata[verts[0]].coords, None
+    for j in range(1, len(verts) - 1):
+        v1 = strata[verts[j]].coords
+        v2 = strata[verts[j + 1]].coords
+        det = _cross(v0, v1, v2)
+        if det == 0.0:
+            continue
+        rx, ry = target.x - v0[0], target.y - v0[1]
+        b = (rx * (v2[1] - v0[1]) - ry * (v2[0] - v0[0])) / det
+        c = (ry * (v1[0] - v0[0]) - rx * (v1[1] - v0[1])) / det
+        bary = (1.0 - b - c, b, c)
+        if best is None or min(bary) > min(best[1]):
+            best = (j, bary)
+    j, bary = best
+    bary = [max(v, 0.0) for v in bary]
+    s = sum(bary)
+    weights = [0.0] * len(strata)
+    for w, vi in zip(bary, (verts[0], verts[j], verts[j + 1])):
+        weights[vi] += w / s
+    return StandardPopulation(weights=tuple(weights), preset="custom")

@@ -5,21 +5,23 @@ complementary log-log links, with coefficients in reference-cell coding
 (first stratum, unexposed group), so the exposure coefficient b is the
 adjusted measure of association on the link scale. The saturated and
 exposure-only models are fitted in closed form by the observed cell and
-pooled exposure-group proportions. The no-interaction model is fitted on
-its cell parameters, stratum i's cells having eta = alpha_i and
-alpha_i + b: its log-likelihood is concave in eta under all four links and
-its information diagonal but for b, so `_irls` takes Newton steps solved
-in O(k). It stops when the Newton decrement falls to a fixed multiple of
-the total count, so scaling every count changes neither fit nor
-iterations. `_irls` fits many such models in one run, each with its own
-link, steps and sums, so `fits` fits several models of any links and
-tables at once, and `analyze` every model of the four measures.
-`_joint_endpoints` steps b and the alphas together to solve for
-profile-interval endpoints, each kept in a bracket of its own, many
-problems in one run: `profile_intervals` solves both endpoints of several
-fits of any links at once, and `analyze` those of all four measures'
-crude and common fits. Both runs stack their problems' rows (`_Stack`),
-and grouping changes no problem's bits.
+pooled exposure-group proportions, 0 and 1 included. The no-interaction
+model is fitted on its cell parameters, stratum i's cells having
+eta = alpha_i and alpha_i + b: its log-likelihood is concave in eta under
+all four links and its information diagonal but for b, so `_irls` takes
+Newton steps solved in O(k). A cell with no cases (non-cases) may have its
+maximum at a risk of exactly 0 (1), on the boundary of the domain, where
+one hold rule (`_Stack.hold`) keeps it in both Newton loops. A fit stops
+when the Newton decrement falls to a fixed multiple of the total count, so
+scaling every count changes neither fit nor iterations. `_irls` fits many
+such models in one run, each with its own link, steps and sums, so `fits`
+fits several models of any links and tables at once, and `analyze` every
+model of the four measures. `_joint_endpoints` steps b and the alphas
+together to solve for profile-interval endpoints, many problems in one
+run: `profile_intervals` solves both endpoints of several fits of any
+links at once, and `analyze` those of all four measures' crude and common
+fits. Both runs stack their problems' rows (`_Stack`), and grouping
+changes no problem's bits.
 Likelihood-ratio tests and profile intervals reuse a finished fit, and
 each table's arrays are built once (`_cells`). The chi-square functions
 are computed here, so there is no stats dependency.
@@ -43,11 +45,11 @@ from .tables import StratifiedCohortTable
 LINKS = ("logit", "log", "identity", "cloglog")
 TERMS = ("exposure_only", "exposure_plus_stratum", "saturated_with_interaction")
 
-MU_EPS = 1e-10
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 32
 MAX_ETA_STEP = 4.0
 START_MARGIN = 0.01
+START_RISK = 1e-10
 DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
@@ -104,6 +106,15 @@ _LINKS = {
 }
 
 
+with np.errstate(divide="ignore"):
+    # each link's bounds of risks 0 and 1, then of the start box, which a
+    # link with no finite bound does without
+    _BOUNDS = {name: (*link.to_eta(np.array([0.0, 1.0])), *(
+        link.to_eta(np.array([START_RISK, 1.0 - START_RISK]))
+        if name in ("log", "identity") else (-math.inf, math.inf)))
+        for name, link in _LINKS.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class ModelSpec:
     """A binomial GLM: link, terms, and the table providing the cells."""
@@ -127,9 +138,10 @@ class GlmFit:
     """A converged maximum-likelihood fit.
 
     ``fitted_risks`` holds one (risk in unexposed, risk in exposed) pair
-    per stratum in table order; all fitted risks are strictly inside (0, 1).
-    ``iterations`` is 0 for the closed-form (saturated and exposure-only)
-    fits.
+    per stratum in table order. A risk of exactly 0 or 1 is a maximum on
+    the boundary, in a cell with no cases or no non-cases, and then an
+    exposure coefficient may be infinite, or nan where the measure is
+    (0/0). ``iterations`` is 0 for the closed-form fits (`_observed_fit`).
     """
 
     spec: ModelSpec
@@ -181,18 +193,28 @@ def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, ...]:
 
 
 def _log_observed(s: np.ndarray, n: np.ndarray) -> tuple:
-    """log(s/n) and log(f/n), 0 where the count is 0 (0 log 0 = 0)."""
+    """log(s/n) and log(f/n), -inf where the count is 0."""
     f = n - s
-    return (np.log(s / n, out=np.zeros_like(s), where=s > 0.0),
-            np.log(f / n, out=np.zeros_like(f), where=f > 0.0))
+    return (np.log(s / n, out=np.full_like(s, -np.inf), where=s > 0.0),
+            np.log(f / n, out=np.full_like(f, -np.inf), where=f > 0.0))
+
+
+def _part(c: np.ndarray, ref: np.ndarray | float, log: np.ndarray,
+          ) -> np.ndarray:
+    """c (ref - log) per cell: 0 where the count c is 0 and log is a number,
+    as 0 log 0 = 0, and nan where log is (the cell left its domain)."""
+    if c.all():
+        return c * (ref - log)
+    with np.errstate(invalid="ignore"):
+        return np.where((c > 0.0) | np.isnan(log), c * (ref - log), 0.0)
 
 
 def _deviance(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
               log_nu: np.ndarray) -> float:
     """Twice the log-likelihood gap to the observed proportions."""
     log_p, log_q = _log_observed(s, n)
-    return 2.0 * float((s * (log_p - log_mu)
-                        + (n - s) * (log_q - log_nu)).sum())
+    return 2.0 * float((_part(s, log_p, log_mu)
+                        + _part(n - s, log_q, log_nu)).sum())
 
 
 def _eta(alpha: np.ndarray, b: float | np.ndarray) -> np.ndarray:
@@ -203,11 +225,6 @@ def _eta(alpha: np.ndarray, b: float | np.ndarray) -> np.ndarray:
     return eta
 
 
-def _exposure_information(h: np.ndarray) -> float:
-    """Schur complement A_bb - sum A_ib^2 / A_ii, cell curvatures h."""
-    return float((h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1])).sum())
-
-
 def _edges(b: float | np.ndarray, lo: float | np.ndarray,
            hi: float | np.ndarray) -> tuple:
     """The least and greatest alpha keeping the risks at alpha and alpha + b
@@ -215,43 +232,57 @@ def _edges(b: float | np.ndarray, lo: float | np.ndarray,
     return np.maximum(lo, lo - b), np.minimum(hi, hi - b)
 
 
-def _inside(alpha: np.ndarray, b: float | np.ndarray, lo: float | np.ndarray,
-            hi: float | np.ndarray) -> np.ndarray:
-    """``alpha`` with each entry putting a risk outside (lo, hi) at this b
-    moved `START_MARGIN` of the feasible width inside."""
-    lo, hi = _edges(b, lo, hi)
-    margin = START_MARGIN * (hi - lo)
-    return np.where((alpha > lo) & (alpha < hi), alpha,
-                    np.clip(alpha, lo + margin, hi - margin))
-
-
 class _Stack:
     """Problems stacked row-wise, problem j on the rows from ``starts[j]``
-    to the next under link ``links[j]``. Each row has an ``owner``,
-    link-scale bounds ``lo``, ``hi`` and ``floors`` of log(mu) and
-    log(1 - mu): `MU_EPS` from a risk of 0 with no cases or 1 with no
-    non-cases."""
+    to the next under link ``links[j]``. Each row has an ``owner``, the
+    link-scale bounds ``lo``, ``hi`` of risks 0 and 1, and those of a start
+    box, risks `START_RISK` and 1 - `START_RISK`, on a link with a finite
+    bound. ``zero`` marks the rows with a count of 0, the only ones a bound
+    can hold, None if there are none, and ``kinks`` the problems with a
+    row whose cells all lack cases (or non-cases) at a finite bound, whose
+    profile has a kink at b = 0."""
 
     def __init__(self, s: np.ndarray, f: np.ndarray, links: Sequence[_Link],
                  starts: np.ndarray) -> None:
         ends = [*starts[1:].tolist(), len(s)]
         self.s, self.f, self.starts, size = s, f, starts, len(starts)
         self.owner = np.repeat(np.arange(size), np.subtract(ends, starts))
-        self.floors = [np.where(c > 0.0, -np.inf, math.log(MU_EPS))
-                       for c in (s, f)]
-        self.lo, self.hi = np.empty((2, len(s)))
+        self.lo, self.hi, self.box_lo, self.box_hi = np.empty((4, len(s)))
         self.segments, j = [], 0  # one (link, rows, s, f) per run of one link
         for link, group in itertools.groupby(links):
             first, j = j, j + len(list(group))
             r = slice(starts[first], ends[j - 1])
             self.segments.append((link, r, s[r], f[r]))
-            self.lo[r], self.hi[r] = link.to_eta(
-                np.array([MU_EPS, 1.0 - MU_EPS]))
+            self.lo[r], self.hi[r], *box = _BOUNDS[link.name]
+            self.box_lo[r], self.box_hi[r] = box
+        zero = (s == 0.0) | (f == 0.0)
+        self.zero = zero.any(axis=1) if zero.any() else None
+        edge = ((s == 0.0).all(axis=1) & np.isfinite(self.lo)
+                | (f == 0.0).all(axis=1) & np.isfinite(self.hi))
+        self.kinks = (np.logical_or.reduceat(edge, starts) if edge.any()
+                      else None)
+        self.up = self.down = np.zeros(len(s), bool)  # rows held at hi, lo
         # np.add.reduceat adds a segment's first entry to the pairwise sum
         # of the rest; a zero ahead of each segment makes it np.sum's sum
         self._led = {w: (np.arange(w * len(s)) + np.repeat(self.owner, w) + 1,
                          w * starts + np.arange(size),
                          np.zeros(w * len(s) + size)) for w in (1, 2)}
+
+    def start(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        """``alpha`` with each entry putting a risk outside the start box at
+        this b moved `START_MARGIN` of the box's width inside, and each row
+        whose cells all lack cases (non-cases) onto its lower (upper) edge
+        (`_edges`), where its alpha score points out whatever b is."""
+        lo, hi = _edges(b_rows, self.box_lo, self.box_hi)
+        with np.errstate(invalid="ignore"):  # no box: inf - inf
+            margin = START_MARGIN * (hi - lo)
+            alpha = np.where((alpha > lo) & (alpha < hi), alpha,
+                             np.clip(alpha, lo + margin, hi - margin))
+        if self.zero is not None:
+            lo, hi = _edges(b_rows, self.lo, self.hi)
+            alpha = np.where((self.s == 0.0).all(axis=1), lo, np.where(
+                (self.f == 0.0).all(axis=1), hi, alpha))
+        return alpha
 
     def cells(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         """log(mu), log(1 - mu), g and h of every row under its problem's
@@ -260,6 +291,78 @@ class _Stack:
         for link, r, s_r, f_r in self.segments:
             out[:, r] = link.cells(eta[r], s_r, f_r)
         return out
+
+    def hold(self, alpha: np.ndarray, b_rows: np.ndarray, g: np.ndarray,
+             h: np.ndarray) -> tuple:
+        """The terms of the O(k) solve under the hold rule: each row's alpha
+        score, curvature sum d, g and h, then None, or the held rows with
+        their information and score on b and the problems whose b stays.
+
+        A row on an edge (`_edges`) whose cells there all lack cases (at a
+        risk of 0) or non-cases (at 1) has them pinned: their
+        log-likelihood terms are exactly their limit, 0, their scores the
+        limit -f or s, and their curvature is left out. The row is held while
+        its alpha score points out of the domain: alpha then moves with b
+        only as the edge does (alpha_i = bound - b where it pins the exposed
+        cell), so the row enters the solve through its other cell alone,
+        its alpha score, exposed score and curvature and d reading 0, that
+        cell's b score, -d alpha / d b and 1. A row pinned in both cells at a
+        finite bound, so at b = 0, has a kink: its b score is -g0 as b rises
+        and g1 as b falls (at a risk of 0, g1 and -g0), and b stays where
+        those bracket the other rows' score. `project` keeps held rows on
+        their edges.
+        """
+        g_alpha, d = g.sum(axis=1), h.sum(axis=1)
+        if self.zero is None:
+            return g_alpha, d, g, h, None
+        lo, hi = _edges(b_rows, self.lo, self.hi)
+        # the cells the upper edge pins, both at b = 0 or an infinite bound,
+        # and those the lower one pins
+        ahead = np.stack([b_rows <= 0.0, b_rows >= 0.0], axis=1)
+        on_hi = ahead | np.isinf(self.hi)[:, None]
+        on_lo = ahead[:, ::-1] | np.isinf(self.lo)[:, None]
+        up = on_hi & ((alpha == hi)
+                      & ~(on_hi & (self.f > 0.0)).any(axis=1))[:, None]
+        pinned = up | on_lo & (
+            (alpha == lo) & ~(on_lo & (self.s > 0.0)).any(axis=1))[:, None]
+        g = np.where(pinned, np.where(up, self.s, -self.f), g)
+        h = np.where(pinned, 0.0, h)
+        g_alpha, d, up = g.sum(axis=1), h.sum(axis=1), up.any(axis=1)
+        held = pinned.any(axis=1) & np.where(up, g_alpha >= 0.0,
+                                             g_alpha <= 0.0)
+        self.up, self.down = held & up, held & ~up
+        if not held.any():
+            return g_alpha, d, g, h, None
+        score = (np.where(pinned[:, 1], 0.0, g[:, 1])
+                 - np.where(pinned[:, 0], 0.0, g[:, 0]))
+        kink, stay = pinned.all(axis=1) & np.isfinite(
+            np.where(up, hi, lo)), None
+        if kink.any():
+            rise = np.where(up, -g[:, 0], g[:, 1])
+            fall = np.where(up, g[:, 1], -g[:, 0])
+            others = self.sums(np.where(kink, 0.0, np.where(
+                held, score, (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d)))
+            climb, sink = (others + self.sums(np.where(kink, x, 0.0))
+                           for x in (rise, fall))
+            climb, sink = climb > 0.0, sink < 0.0
+            score = np.where(kink, np.where(climb[self.owner], rise, np.where(
+                sink[self.owner], fall, 0.0)), score)
+            stay = ~climb & ~sink & np.logical_or.reduceat(kink, self.starts)
+        terms = (held, d, score, stay)
+        g[:, 1] = np.where(held, score, g[:, 1])
+        h[:, 1] = np.where(held, pinned[:, 1] & ~pinned[:, 0], h[:, 1])
+        return (np.where(held, 0.0, g_alpha), np.where(held, 1.0, d), g, h,
+                terms)
+
+    def project(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        """``alpha`` with each row with a count of 0 kept between its edges
+        at these b (`_edges`), and each one the last `hold` held on its
+        edge."""
+        if self.zero is None:
+            return alpha
+        lo, hi = _edges(b_rows, self.lo, self.hi)
+        alpha = np.where(self.zero, np.clip(alpha, lo, hi), alpha)
+        return np.where(self.up, hi, np.where(self.down, lo, alpha))
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Each problem's sum of ``x`` (one value a row, or a (rows, 2)
@@ -271,13 +374,14 @@ class _Stack:
     def drops(self, ref: tuple, log_mu: np.ndarray, log_nu: np.ndarray,
               *_) -> np.ndarray:
         """Each problem's deviance from the cells whose logs are ``ref``,
-        summed as `_deviance` sums it; nan, failing every comparison, where
-        a cell leaves the domain."""
-        s, f, (floor_mu, floor_nu) = self.s, self.f, self.floors
-        inside = ((log_mu > floor_mu) & (log_nu > floor_nu)).all(axis=1)
-        return np.where(np.logical_and.reduceat(inside, self.starts),
-                        2.0 * self.sums(s * (ref[0] - log_mu)
-                                        + f * (ref[1] - log_nu)), math.nan)
+        summed as `_deviance` sums it: nan where a cell leaves its domain,
+        inf where a count meets a risk that rules it out."""
+        s, f = self.s, self.f
+        if self.zero is None:
+            terms = s * (ref[0] - log_mu) + f * (ref[1] - log_nu)
+        else:
+            terms = _part(s, ref[0], log_mu) + _part(f, ref[1], log_nu)
+        return 2.0 * self.sums(terms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,7 +399,6 @@ class _FitRun:
 @dataclass(frozen=True, slots=True)
 class _JointRun:
     b: np.ndarray  # each problem's endpoint, nan where its solve failed
-    beyond: np.ndarray  # its inner end where it closed on an unfittable b
     iterations: int  # Newton passes over the group
 
 
@@ -306,16 +409,18 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
 
     ``s`` and ``n`` are (rows, 2) arrays of cases and totals, columns
     (unexposed, exposed). Each fit starts from the smoothed proportions
-    (s + 0.5) / (n + 1) on the link scale, moved inside the domain. Each
-    step solves A delta = g (A the observed information, g the score) in
-    O(k), eliminating b through the Schur complement. It is cut so that no
-    eta moves by more than `MAX_ETA_STEP`, then halved while it leaves the
-    domain or raises the deviance by more than `DEVIANCE_ROUNDING` times
-    the total count, its rounding error. A fit stops after the step whose
-    Newton decrement delta'g is at most `DECREMENT_TOL` times the total
-    count. Each problem has its own steps, stop and sums, so no problem's
-    bits depend on its group; one that fails gets its own error, with its
-    deviance trace, in ``errors``.
+    (s + 0.5) / (n + 1) on the link scale (`_Stack.start`). Each step
+    solves A delta = g (A the observed information, g the score) in O(k),
+    eliminating b through the Schur complement, under the hold rule of
+    `_Stack.hold`. It is cut so that no eta moves by more than
+    `MAX_ETA_STEP`, its rows with a count of 0 are kept in their domain
+    (`_Stack.project`) and its b stops on a kink, and it is halved while
+    it leaves the domain or raises the deviance by more than
+    `DEVIANCE_ROUNDING` times the total count, its rounding error. A fit
+    stops after the step whose Newton decrement delta'g is at most
+    `DECREMENT_TOL` times the total count. Each problem has its own steps,
+    stop and sums, so no problem's bits depend on its group; one that
+    fails gets its own error, with its deviance trace, in ``errors``.
     """
     f = n - s
     stack = _Stack(s, f, links, starts)
@@ -325,8 +430,8 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
     eta0 = np.concatenate([link.to_eta(mu0[r])
                            for link, r, *_ in stack.segments])
     b = stack.sums(eta0[:, 1] - eta0[:, 0]) / np.diff([*starts, len(s)])
-    alpha = _inside((eta0[:, 0] + eta0[:, 1] - b[owner]) / 2.0, b[owner],
-                    stack.lo, stack.hi)
+    alpha = stack.start((eta0[:, 0] + eta0[:, 1] - b[owner]) / 2.0,
+                        b[owner])
     with np.errstate(all="ignore"):
         cells = stack.cells(alpha, b[owner])
         dev = stack.drops(observed, *cells)
@@ -342,17 +447,25 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
 
     while active.any():
         iterations += 1
-        _, _, g, h = cells
         with np.errstate(all="ignore"):
-            g_alpha, d = g.sum(axis=1), h.sum(axis=1)
-            information = stack.sums(h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]))
-            blind = active & (information == 0.0)
-            fail(blind, "no information on the exposure coefficient: every "
-                 "stratum has a cell with zero curvature, so the maximum "
-                 "lies on the boundary under the {link} link")
-            g_b = stack.sums(g[:, 1])
+            g_alpha, d, g, h, held = stack.hold(alpha, b[owner], *cells[2:])
+            information = h[:, 0] * h[:, 1] / d
             cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
-            delta_b = stack.sums(cross) / information
+            stay = None
+            if held is not None:  # each held row's information and b score
+                kept, curvature, score, stay = held
+                information = np.where(kept, curvature, information)
+                cross = np.where(kept, score, cross)
+            information, cross = stack.sums(information), stack.sums(cross)
+            g_b = stack.sums(g[:, 1])
+            delta_b = cross / information
+            if stack.zero is not None:
+                # with no information the profile is linear in b: a step up
+                # its slope reaches the bound that ends it
+                delta_b = np.where(information == 0.0,
+                                   np.sign(cross) * MAX_ETA_STEP, delta_b)
+            if stay is not None:
+                delta_b = np.where(stay, 0.0, delta_b)
             delta_rows = delta_b[owner]
             delta = (g_alpha - h[:, 1] * delta_rows) / d
             decrement = stack.sums(delta * g_alpha) + delta_b * g_b
@@ -361,11 +474,19 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
             step = np.where(reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0)
-            pending = moving = active & ~blind
+            if stack.kinks is not None:  # a step across a kink stops on it
+                full = np.where(stack.kinks & (b * (b + step * delta_b) < 0.0),
+                                -b / delta_b, math.nan)
+                step = np.where(np.isnan(full), step, full)
+            pending = moving = active
             ceiling = dev + slack
             for _ in range(MAX_HALVINGS + 1):
-                alpha_try = alpha + step[owner] * delta
                 b_try = b + step * delta_b
+                if stack.kinks is not None:  # on it exactly, or short of it
+                    b_try = np.where(np.isnan(full), b_try,
+                                     b * (1.0 - step / full))
+                alpha_try = stack.project(alpha + step[owner] * delta,
+                                          b_try[owner])
                 trial = stack.cells(alpha_try, b_try[owner])
                 dev_try = stack.drops(observed, *trial)
                 pending = pending & ~(dev_try <= ceiling)
@@ -402,103 +523,73 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
     on the rows from ``starts[j]`` to the next, under link ``links[j]``,
     with alphas ``start``; ``hat`` holds log(mu) and log(1 - mu) of the
     estimate's cells. Its b and alphas move together toward the point where
-    every alpha score is 0 and its drop equals ``cut`` (Venzon and
-    Moolgavkar, 1988). Each cell is computed by its problem's link and
-    every sum covers one problem's rows, so no problem's bits depend on its
-    group.
+    every free alpha score is 0 and its drop equals ``cut`` (Venzon and
+    Moolgavkar, 1988), under the hold rule of `_Stack.hold`. Each cell is
+    computed by its problem's link and every sum covers one problem's rows,
+    so no problem's bits depend on its group.
 
-    Each problem brackets its endpoint by distance from the estimate. The
-    inner end is the last iterate whose drop is below the cut, as the
-    profile drop there is no larger. The outer end is the nearest b found
-    unfittable: a start or a bisected b with no feasible alphas, or, in a
-    problem with a zero cell, a b where a stratum's maximum lies on the
-    `MU_EPS` edge of its domain (tested at the start and at each b aimed
-    at, which is then not taken). A step is cut to `MAX_ETA_STEP` and
-    halved only to stay in the domain. A Newton b outside the bracket, or
-    one after `PROFILE_STALL_STEPS` steps in a row that bring the drop no
-    closer to the cut, is replaced: from an unfittable b, or from inside
-    once there is an outer end, by the bracket's midpoint, the alphas moved
-    inside the domain there; else by the same b, for a step of the alphas
-    alone. A problem is done after a Newton step whose b part is at most
-    `PROFILE_BETA_TOL`. It fails, its b nan, when its bracket closes
-    (``beyond`` then holds the inner end's b) or after `PROFILE_MAX_STEPS`
+    Each problem measures b by its distance from the estimate, or from its
+    start where the estimate is infinite. Its inner end is the last iterate
+    whose drop is below the cut, as the profile drop there is no larger
+    (none yet at an infinite estimate). A step is cut to `MAX_ETA_STEP`,
+    its rows with a count of 0 kept in their domain (`_Stack.project`),
+    and halved only to keep the drop finite. A Newton b that is not finite,
+    the profile flat to rounding, is replaced by one `MAX_ETA_STEP` further
+    out below the cut; one above the cut, one back inside the inner end,
+    or one after `PROFILE_STALL_STEPS` steps in a row that bring the drop
+    no closer to the cut, by the same b, for a step of the alphas alone. A
+    problem is done after a Newton step whose b part is at most
+    `PROFILE_BETA_TOL`. It fails, its b nan, after `PROFILE_MAX_STEPS`
     steps.
     """
     stack = _Stack(s, n - s, links, starts)
-    owner, lo, hi = stack.owner, stack.lo, stack.hi
+    owner = stack.owner
     side = np.sign(b - b_hat)
+    origin = np.where(np.isfinite(b_hat), b_hat, b)
 
     def by_problem(x: np.ndarray) -> np.ndarray:
         return np.bincount(owner, x, minlength=b.size)
 
-    def unfittable(b: np.ndarray) -> np.ndarray:
-        # some stratum's alpha score at an edge points out of its domain,
-        # which needs a zero cell (a finite floor)
-        if not zero.any():
-            return zero
-        g_lo, g_hi = (stack.cells(edge, b[owner])[2].sum(axis=1)
-                      for edge in _edges(b[owner], lo, hi))
-        return zero & np.logical_or.reduceat((g_lo <= 0.0) | (g_hi >= 0.0),
-                                             starts)
-
-    zero = np.logical_or.reduceat(
-        np.isfinite(stack.floors).any(axis=(0, 2)), starts)
     with np.errstate(all="ignore"):
-        alpha = _inside(start, b[owner], lo, hi)
+        alpha = stack.start(start, b[owner])
         cells = stack.cells(alpha, b[owner])
         dev = stack.drops(hat, *cells)
-        inner, outer = np.zeros(b.size), np.where(
-            np.isnan(dev) | unfittable(b), side * (b - b_hat), math.inf)
-        active, beyond = np.ones(b.size, bool), np.full(b.size, math.nan)
+        inner, active = side * (b_hat - origin), np.ones(b.size, bool)
         closest, stalled, iterations = np.abs(dev - cut), 0, 0
         while active.any():
             iterations += 1
-            _, _, g, h = cells
-            g_alpha, d = g[:, 0] + g[:, 1], h[:, 0] + h[:, 1]
+            g_alpha, d, g, h, _ = stack.hold(alpha, b[owner], *cells[2:])
             ratio = g_alpha / d
             # each problem's Newton step on (alphas, b), one O(k) solve
             delta_b = (((dev - cut) / 2.0 - by_problem(ratio * g_alpha))
                        / (by_problem(g[:, 1]) - by_problem(ratio * h[:, 1])))
-            away = side * (b - b_hat)
-            fitted = away < outer
-            inner = np.where((dev < cut) & fitted, away, inner)
-            newton = away + side * delta_b
-            bisect = ~((inner <= newton) & (newton <= outer) & fitted) | (
-                stalled >= PROFILE_STALL_STEPS)
-            # the bracket's own bookkeeping runs only on the passes that
-            # need it: no problem bisects, is refused or closes on most
-            jump = np.zeros(b.size, bool)
-            if bisect.any():
-                jump = bisect & (~fitted | (dev < cut) & (outer < math.inf))
-                delta_b = np.where(bisect, np.where(
-                    jump, side * ((inner + outer) / 2.0 - away), 0.0), delta_b)
-            aim, delta_rows = b + delta_b, delta_b[owner]
+            flat = ~np.isfinite(delta_b)  # the profile is flat to rounding
+            if flat.any():
+                delta_b = np.where(flat, side * MAX_ETA_STEP, delta_b)
+            away = side * (b - origin)
+            inner = np.where(dev < cut, away, inner)
+            bisect = ~(inner <= away + side * delta_b) | flat & ~(
+                dev < cut) | (stalled >= PROFILE_STALL_STEPS)
+            delta_b = np.where(bisect, 0.0, delta_b)
+            delta_rows = delta_b[owner]
             delta = (g_alpha - h[:, 1] * delta_rows) / d
-            if jump.any():  # the alphas move inside the domain at the aim
-                delta = np.where(jump[owner], _inside(
-                    alpha, aim[owner], lo, hi) - alpha, delta)
-            refused = active & unfittable(aim)  # step 0; aim is the outer end
-            if refused.any():
-                outer = np.where(refused, side * (aim - b_hat), outer)
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
             moving = active & np.isfinite(reach)
-            # a problem not moving, or refused, has step 0 and keeps its b
-            step = np.where(moving & ~refused, np.where(
+            # a problem not moving has step 0 and keeps its b
+            step = np.where(moving, np.where(
                 reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
             pending = moving.copy()
             for _ in range(MAX_HALVINGS + 1):
-                alpha_try = alpha + step[owner] * delta
                 b_try = np.where(moving, b + step * delta_b, b)
+                alpha_try = stack.project(alpha + step[owner] * delta,
+                                          b_try[owner])
                 trial = stack.cells(alpha_try, b_try[owner])
                 dev_try = stack.drops(hat, *trial)
-                pending &= np.isnan(dev_try)
+                pending &= ~np.isfinite(dev_try)
                 if not pending.any():
                     break
                 step = np.where(pending, step / 2.0, step)
-            # a bisected b left at every halving has no feasible alphas
-            if (pending & jump).any():
-                outer = np.where(pending & jump, side * (aim - b_hat), outer)
             alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
             gap = np.abs(dev - cut)
             stalled = np.where((gap < closest) | bisect, 0, stalled + 1)
@@ -506,40 +597,53 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             done = moving & ~pending & ~bisect & (
                 np.abs(delta_b) <= PROFILE_BETA_TOL)
             lost = active & ~done & (iterations >= PROFILE_MAX_STEPS)
-            if (outer < math.inf).any():  # a bracket may have closed
-                closed = active & ~done & (outer - inner <= PROFILE_BETA_TOL)
-                beyond = np.where(closed, b_hat + side * inner, beyond)
-                lost |= closed
             b = np.where(lost, math.nan, b)
             active &= ~done & ~lost
-    return _JointRun(b=b, beyond=beyond, iterations=iterations)
+    return _JointRun(b=b, iterations=iterations)
 
 
-def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
-                  ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Coefficients, log(mu) and log(1 - mu) of a closed-form fit: every
-    saturated cell and exposure-only group has a free risk, fitted by its
-    observed (pooled) proportion, and the coefficients are read off its
-    link-scale value."""
-    if spec.terms == "exposure_only":
-        s, n = (np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n))
-    edge = ((s == 0.0) | (s == n)).ravel()
-    if edge.any():
-        raise NonConvergenceError(
-            f"observed risks of 0 or 1 at rows {np.nonzero(edge)[0].tolist()} "
-            "put the maximum-likelihood fit on the boundary under the "
-            f"{link.name} link", trace=[])
+def _observed(s: np.ndarray, n: np.ndarray, link: _Link) -> tuple:
+    """The observed risks on the link scale and each stratum's effect,
+    infinite or nan where risks of 0 or 1 make them so."""
     eta = link.to_eta(s / n)
     if link.name == "identity":
         # p1 - p0 from the counts, rounded once (the products are exact
         # below 2**53), not the difference of two rounded proportions
-        effect = ((s[:, 1] * n[:, 0] - s[:, 0] * n[:, 1])
-                  / (n[:, 0] * n[:, 1]))
-    else:
-        effect = eta[:, 1] - eta[:, 0]
-    coefficients = (eta[0, 0], effect[0])
-    if spec.terms == "saturated_with_interaction":
-        coefficients += (*(eta[1:, 0] - eta[0, 0]), *(effect[1:] - effect[0]))
+        return eta, ((s[:, 1] * n[:, 0] - s[:, 0] * n[:, 1])
+                     / (n[:, 0] * n[:, 1]))
+    return eta, eta[:, 1] - eta[:, 0]
+
+
+def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
+                  ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray] | None:
+    """Coefficients, log(mu) and log(1 - mu) of a closed-form fit, or None.
+
+    Every saturated cell and exposure-only group has a free risk, fitted by
+    its observed (pooled) proportion, 0 and 1 included, and the
+    coefficients are read off its link-scale value. An effect is finite on
+    the identity link; on the others it is infinite where one risk of a
+    stratum sits on a bound of the link and the other does not, and nan
+    where both share one. The no-interaction model has the same fit when a
+    risk of 0 or 1 is observed and the strata's effects agree, nan ones
+    aside: b is then their value, or nan if all are nan. Any other
+    no-interaction fit is left to `_irls` (None).
+    """
+    if spec.terms == "exposure_plus_stratum" and ((0.0 < s) & (s < n)).all():
+        return None
+    if spec.terms == "exposure_only":
+        s, n = (np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta, effect = _observed(s, n, link)
+        if spec.terms == "exposure_plus_stratum":
+            common = set(effect[~np.isnan(effect)].tolist()) or {math.nan}
+            if len(common) > 1:
+                return None
+            coefficients = (eta[0, 0], *common, *(eta[1:, 0] - eta[0, 0]))
+        else:
+            coefficients = (eta[0, 0], effect[0])
+        if spec.terms == "saturated_with_interaction":
+            coefficients += (*(eta[1:, 0] - eta[0, 0]),
+                             *(effect[1:] - effect[0]))
     return (coefficients, *_log_observed(s, n))
 
 
@@ -557,7 +661,8 @@ def _glm_fit(spec: ModelSpec, coefficients: tuple, log_mu: np.ndarray,
                   coefficients=tuple(float(c) for c in coefficients),
                   coefficient_names=names,
                   log_likelihood=float(np.sum(
-                      log_choose + s * log_mu + (n - s) * log_nu)),
+                      log_choose - _part(s, 0.0, log_mu)
+                      - _part(n - s, 0.0, log_nu))),
                   deviance=deviance,
                   fitted_risks=tuple((float(x), float(y))
                                      for x, y in np.exp(log_mu)),
@@ -566,23 +671,24 @@ def _glm_fit(spec: ModelSpec, coefficients: tuple, log_mu: np.ndarray,
 
 def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
     """Maximum-likelihood fits of several models, each the fit or the
-    `GlmError` that stopped it. The saturated and exposure-only models are
-    fitted in closed form, and all no-interaction models in one `_irls`
-    run, reported in reference coding: intercept = alpha_1 and stratum:i =
-    alpha_i - alpha_1."""
+    `GlmError` that stopped it. The closed-form fits (`_observed_fit`)
+    come from the observed proportions, and all other no-interaction models
+    are fitted in one `_irls` run, reported in reference coding: intercept =
+    alpha_1 and stratum:i = alpha_i - alpha_1."""
     results: list = [None] * len(specs)
     free = []  # (result index, spec, cases, totals) of each free fit
     for i, spec in enumerate(specs):
         try:
             s, n, _ = _cells(spec.table)
-            if spec.terms == "exposure_plus_stratum":
-                free.append((i, spec, s, n))
-                continue
-            coefficients, *logs = _observed_fit(spec, s, n, _LINKS[spec.link])
         except GlmError as exc:
             results[i] = exc
             continue
-        # the saturated fit is the observed risks: its deviance is 0
+        observed = _observed_fit(spec, s, n, _LINKS[spec.link])
+        if observed is None:
+            free.append((i, spec, s, n))
+            continue
+        coefficients, *logs = observed
+        # a fit of the observed risks has deviance 0
         deviance = (_deviance(s, n, *logs) if spec.terms == "exposure_only"
                     else 0.0)
         results[i] = _glm_fit(spec, coefficients, *logs, deviance, 0)
@@ -594,10 +700,11 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
         for j, (i, spec) in enumerate(zip(indices, free_specs)):
             rows = slice(starts[j], starts[j] + len(s[j]))
             alpha = run.alpha[rows]
+            with np.errstate(invalid="ignore"):  # inf - inf
+                coefficients = (alpha[0], run.b[j], *(alpha[1:] - alpha[0]))
             results[i] = run.errors[j] or _glm_fit(
-                spec, (alpha[0], run.b[j], *(alpha[1:] - alpha[0])),
-                run.log_mu[rows], run.log_nu[rows], float(run.deviance[j]),
-                int(run.steps[j]))
+                spec, coefficients, run.log_mu[rows], run.log_nu[rows],
+                float(run.deviance[j]), int(run.steps[j]))
     return results
 
 
@@ -614,7 +721,7 @@ def natural_scale(link: str, value: float) -> float:
     """Map a link-scale coefficient to the measure's reporting scale."""
     if link not in LINKS:
         raise ValidationError(f"unknown link {link!r}")
-    if link != "identity":
+    if link != "identity" and not math.isnan(value):
         return math.exp(value)
     return value
 
@@ -637,6 +744,11 @@ def stratum_exposure_estimates(fit_result: GlmFit) -> tuple[float, ...]:
         return tuple(natural_scale(spec.link, beta_x) for _ in range(k))
     interactions = fit_result.coefficients[2 + (k - 1):]
     effects = [beta_x] + [beta_x + g for g in interactions]
+    if any(map(math.isnan, effects)):  # reference coding lost inf - inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, direct = _observed(*_cells(spec.table)[:2], _LINKS[spec.link])
+        effects = [d if math.isnan(e) else e
+                   for e, d in zip(effects, direct.tolist())]
     return tuple(natural_scale(spec.link, e) for e in effects)
 
 
@@ -659,16 +771,22 @@ def _lr(stat: float, df: int) -> LrTest:
 
 def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray,
                                            np.ndarray, float]:
-    """Cases, totals, fitted alphas and deviance of the cells that the
-    exposure coefficient b alone carries, as strata of a no-interaction
-    model: the collapsed cells of the exposure-only model, all strata of
-    the no-interaction model, and the reference stratum of the saturated
-    model (its other strata keep their observed risks whatever b is)."""
+    """Cases, totals, fitted alphas (None at an infinite or nan b) and
+    deviance of the cells that the exposure coefficient b alone carries, as
+    strata of a no-interaction model: the collapsed cells of the
+    exposure-only model, all strata of the no-interaction model, and the
+    reference stratum of the saturated model (its other strata keep their
+    observed risks whatever b is)."""
     spec = fit_result.spec
     s, n, _ = _cells(spec.table)
     c = fit_result.coefficients
     if spec.terms == "exposure_plus_stratum":
-        return s, n, c[0] + np.array((0.0, *c[2:])), fit_result.deviance
+        alpha = None  # a profile needs no alphas at an infinite b
+        if all(map(math.isfinite, c)):
+            alpha = c[0] + np.array((0.0, *c[2:]))
+        elif math.isfinite(c[1]):  # reference coding loses infinite alphas
+            alpha = _irls(s, n, [_LINKS[spec.link]], np.zeros(1, int)).alpha
+        return s, n, alpha, fit_result.deviance
     if spec.terms == "exposure_only":
         s, n = s.sum(axis=0, keepdims=True), n.sum(axis=0, keepdims=True)
     return s[:1], n[:1], np.array(c[:1]), 0.0
@@ -712,58 +830,78 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     endpoint is the b where the profile drop, the likelihood-ratio
     statistic taken as one sum of per-cell differences from the fitted
     cells, reaches the chi-square(1) quantile (Venzon and Moolgavkar,
-    1988). All the endpoints, whatever their links, are one
-    `_joint_endpoints` run, which solves each for b and the alphas
-    together, started one Wald half-width out (the standard error from the
-    Schur complement of the observed information) with the alphas moved to
-    first order along their profile.
+    1988). The drop rises to infinity toward every limit of b (+-1 on the
+    identity link, +-inf on the others) but one the estimate sits at, whose
+    endpoint is that limit; a nan estimate (0/0) has both. All the other
+    endpoints, whatever their links, are one `_joint_endpoints` run, which
+    solves each for b and the alphas together. A finite estimate's start
+    one Wald half-width out (from the Schur complement of the observed
+    information, held rows left out), at most `MAX_ETA_STEP` or half way to
+    a nearer limit, the alphas moved to first order along their profile.
+    An infinite estimate's fit is the observed risks; its endpoint starts
+    at the smoothed proportions' b, as a fit does (`_irls`), each stratum
+    keeping its risk off the bound.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
     if not fits:
         return []
     cut = chi_square_quantile(level, 1)
-    rows, b_start, b_hats, links = [], [], [], []
+    problems, ends = [], []
     for fit_result in fits:
         link = _LINKS[fit_result.spec.link]
         s, n, alpha_hat, _ = _carrier(fit_result)
         b_hat = fit_result.coefficients[1]
-        *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
-        information = _exposure_information(h)
-        first = (math.sqrt(cut / information)
-                 if 0.0 < information < math.inf else 0.5)
+        limit = 1.0 if link.name == "identity" else math.inf
         with np.errstate(all="ignore"):
-            alpha_slope = h[:, 1] / h.sum(axis=1)
-        for side in (-1.0, 1.0):  # the lower, then the upper endpoint
-            rows.append((s, n, *hat, alpha_hat - side * first * alpha_slope))
-            b_start.append(b_hat + side * first)
-            b_hats.append(b_hat)
-            links.append(link)
-    s, n, log_mu_hat, log_nu_hat, start = map(np.concatenate, zip(*rows))
-    starts = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    run = _joint_endpoints(s, n, links, np.array(b_start), start,
-                           np.array(b_hats), (log_mu_hat, log_nu_hat), cut,
-                           starts)
+            if math.isfinite(b_hat):
+                *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
+                # a held row, its curvature nan at its bound, is left out
+                information, alpha_slope = (
+                    np.where(np.isnan(x), 0.0, x) for x in (
+                        h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]),
+                        h[:, 1] / h.sum(axis=1)))
+                information = float(information.sum())
+                first = (min(math.sqrt(cut / information), MAX_ETA_STEP)
+                         if 0.0 < information < math.inf else 0.5)
+                begin = [(b_hat + side * w, alpha_hat - side * w * alpha_slope)
+                         for side in (-1.0, 1.0) for w in [
+                             first if side * b_hat + first < limit
+                             else (limit - side * b_hat) / 2.0]]
+            else:
+                hat, (eta, _) = _log_observed(s, n), _observed(s, n, link)
+                smooth = link.to_eta((s + 0.5) / (n + 1.0))
+                b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
+                alpha = np.where(np.isfinite(eta[:, 0]), eta[:, 0], np.where(
+                    np.isfinite(eta[:, 1]), eta[:, 1] - b0, -b0 / 2.0))
+                begin = [(b0, alpha)] * 2
+        for side, (b, alpha) in zip((-1.0, 1.0), begin):  # lower, upper
+            inside = side * b_hat < limit
+            ends.append(None if inside else side * limit)
+            if inside:
+                problems.append((s, n, *hat, alpha, b, b_hat, link))
+    if problems:
+        s, n, log_mu, log_nu, start, b, b_hat, links = zip(*problems)
+        starts = np.cumsum([0, *map(len, s[:-1])])
+        solved = iter(_joint_endpoints(
+            *map(np.concatenate, (s, n)), links, np.array(b),
+            np.concatenate(start), np.array(b_hat),
+            tuple(map(np.concatenate, (log_mu, log_nu))), cut, starts).b)
+        ends = [float(next(solved)) if end is None else end for end in ends]
 
     intervals = []
     for j, fit_result in enumerate(fits):
-        link, ends = fit_result.spec.link, run.b[2 * j:2 * j + 2].tolist()
-        failed = [(name, last) for name, b, last in zip(
-            ("lower", "upper"), ends, run.beyond[2 * j:2 * j + 2].tolist())
-            if math.isnan(b)]
-        if failed:
-            name, last = failed[0]
+        link, (lower, upper) = fit_result.spec.link, ends[2 * j:2 * j + 2]
+        if math.isnan(lower) or math.isnan(upper):
             intervals.append(NonConvergenceError(
-                f"no {name} profile endpoint in {PROFILE_MAX_STEPS} steps "
-                f"under the {link} link" if math.isnan(last) else
-                f"the {name} profile endpoint lies beyond the last exposure "
-                f"coefficient that could be fitted, b = {last!r}, under the "
-                f"{link} link", trace=[]))
+                f"no {'lower' if math.isnan(lower) else 'upper'} profile "
+                f"endpoint in {PROFILE_MAX_STEPS} steps under the {link} "
+                "link", trace=[]))
         else:
             intervals.append(LrInterval(
                 estimate=exposure_estimate(fit_result),
-                lower=natural_scale(link, ends[0]),
-                upper=natural_scale(link, ends[1]), level=level))
+                lower=natural_scale(link, lower),
+                upper=natural_scale(link, upper), level=level))
     return intervals
 
 

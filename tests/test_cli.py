@@ -110,9 +110,9 @@ class TestAnalyze:
     def test_boundary_maximum_is_reported_per_measure(self, run, tmp_path,
                                                       make_table):
         # Under the log link every stratum has a cell with no curvature
-        # (4/4 exposed, 30/30 unexposed), so the RR no-interaction fit has
-        # no exposure information: its entries carry the error, and the
-        # report is still written.
+        # (4/4 exposed, 30/30 unexposed). The RR entries once carried a
+        # no-information error; the fit now holds stratum b's unexposed
+        # risk at exactly 1, and every entry has its results.
         table = make_table([("a", 4, 4, 16, 20), ("b", 10, 30, 30, 30)])
         path = tmp_path / "boundary.csv"
         path.write_text(serialize_table(table, "csv"))
@@ -120,12 +120,46 @@ class TestAnalyze:
         assert code == 0
         assert err == ""
         doc = json.loads(out)
-        rr = [entry for entry in doc["measures"] + doc["collapsibility"]
+        assert all(entry["error"] is None
+                   for entry in doc["measures"] + doc["collapsibility"])
+        rr = [entry for entry in doc["collapsibility"]
               if entry["short"] == "RR"]
-        assert len(rr) == 2
-        assert all(entry["error"].startswith("NonConvergenceError")
-                   for entry in rr)
-        assert "on the boundary" in rr[1]["error"]
+        assert rr[0]["stratum_values_full"][1] == pytest.approx(0.411765,
+                                                                abs=1e-6)
+
+    def test_an_endpoint_past_a_zero_cell_from_a_csv_file(self, run, tmp_path,
+                                                           make_table):
+        # The RD upper endpoint lies past the b where stratum a's unexposed
+        # risk (0 cases in 1) reaches 0; it once came out as an error.
+        table = make_table([("a", 13, 20, 0, 1), ("b", 14, 22, 1, 17)])
+        path = tmp_path / "zero.csv"
+        path.write_text(serialize_table(table, "csv"))
+        code, out, err = run("analyze", str(path))
+        assert (code, err) == (0, "")
+        rd, = [entry for entry in json.loads(out)["measures"]
+               if entry["short"] == "RD"]
+        assert rd["common_interval"]["upper_full"] == pytest.approx(
+            0.754275, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["analyze", "collapse"])
+    def test_a_stratum_without_cases(self, run, tmp_path, make_table,
+                                     command):
+        # Stratum s0 has no cases (0/5 vs 0/5): RR, OR and HR are undefined
+        # there, which is an entry's error, not the command's.
+        table = make_table([("s0", 0, 5, 0, 5), ("s1", 3, 10, 2, 10)])
+        path = tmp_path / "no_cases.csv"
+        path.write_text(serialize_table(table, "csv"))
+        code, out, err = run(command, str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        rr, = [entry for entry in doc["collapsibility"]
+               if entry["short"] == "RR"]
+        assert rr["error"] is None
+        assert rr["stratum_values_full"][0] == "nan"
+        if command == "analyze":
+            rr, = [entry for entry in doc["measures"]
+                   if entry["short"] == "RR"]
+            assert rr["error"].startswith("UndefinedMeasureError")
 
     def test_json_extension_inferred(self, run, tmp_path):
         path = tmp_path / "table.json"
@@ -329,8 +363,10 @@ class TestPlot:
         assert code == 1
         assert "invalid choice" in err
 
-    def test_nonconvergent_fit_exits_two(self, run, tmp_path,
+    def test_nonconvergent_fit_exits_two(self, run, tmp_path, monkeypatch,
                                           zero_exposed_cases_table):
+        # figure 6's RD fit takes 6 iterations, 3 past the cap set here
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", 3)
         path = tmp_path / "boundary.csv"
         path.write_text(serialize_table(zero_exposed_cases_table, "csv"))
         code, _, err = run("plot", str(path), "--figure", "6",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+import test_golden
 from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
@@ -139,9 +140,11 @@ class TestAnalyzeFlags:
 
 
 class TestDegradedTables:
-    def test_crude_results_survive_a_stratified_failure(self):
+    def test_a_boundary_table_gets_crude_and_stratified_results(self):
         # Every stratified fit meets the 4/4 and 30/30 cells, on the
-        # boundary; the crude table, 14/34 vs 46/50, has none.
+        # boundary; the crude table, 14/34 vs 46/50, has none. The RR and
+        # RD no-interaction fits once failed there, and their entries
+        # carried only the crude results; a bound now holds those cells.
         table = StratifiedCohortTable(strata=(
             ("a", CohortCell(exposed_cases=4, exposed_total=4,
                              unexposed_cases=16, unexposed_total=20)),
@@ -154,8 +157,7 @@ class TestDegradedTables:
                        Measure.HAZARD_RATIO:
                            math.log(20 / 34) / math.log(4 / 50)}
         for e, entry in zip(report.measures, report.to_json_dict()["measures"]):
-            assert e.error.startswith("NonConvergenceError")
-            assert "on the boundary" in e.error
+            assert e.error is None
             assert e.crude_estimate == pytest.approx(closed_form[e.measure],
                                                      rel=1e-12)
             expected = oracles.profile_interval(table, e.link, "exposure_only")
@@ -168,21 +170,23 @@ class TestDegradedTables:
             assert entry["crude_interval"]["lower_full"] == \
                 e.crude_interval.lower
             assert entry["crude_p_value_full"] == e.crude_p_value
-            # the OR and HR no-interaction fits succeed, and their common
-            # results survive the saturated fit's error
-            assert ("common_estimate" in entry) == (
-                e.measure in (Measure.ODDS_RATIO, Measure.HAZARD_RATIO))
+            assert len(e.stratum_estimates) == 2
+            assert "common_estimate" in entry
 
-    def test_common_results_survive_a_saturated_failure(self, whickham):
-        # Exposed 1/3 vs unexposed 0/5 has no saturated MLE under any link,
-        # but every no-interaction fit, interval and test succeeds.
+    def test_a_zero_cell_stratum_keeps_every_result(self, whickham):
+        # Exposed 1/3 vs unexposed 0/5 once had no saturated fit under any
+        # link, and each entry kept only the crude and common results. The
+        # saturated fit is now the observed risks: the stratum's effect is
+        # 1/3 on the RD and infinite on the ratios.
         sparse = CohortCell(exposed_cases=1, exposed_total=3,
                             unexposed_cases=0, unexposed_total=5)
         table = StratifiedCohortTable(strata=whickham.strata
                                       + (("sparse", sparse),))
         report = analyze(table)
         for e, entry in zip(report.measures, report.to_json_dict()["measures"]):
-            assert "observed risks of 0 or 1 at rows [4]" in e.error
+            assert e.error is None
+            assert e.stratum_estimates[2] == (
+                math.inf if e.measure.is_ratio else 1 / 3)
             fit = glm.fit(glm.ModelSpec(link=e.link,
                                         terms="exposure_plus_stratum",
                                         table=table))
@@ -193,7 +197,6 @@ class TestDegradedTables:
             assert entry["common_interval"]["upper_full"] == \
                 e.common_interval.upper
             assert entry["interaction_p_value_full"] == e.interaction_p_value
-            assert "stratum_estimates" not in entry
         odds_ratio, risk_difference = report.measures[0], report.measures[2]
         assert (odds_ratio.common_estimate, odds_ratio.common_interval.lower,
                 odds_ratio.common_interval.upper) == pytest.approx(
@@ -203,29 +206,44 @@ class TestDegradedTables:
                 risk_difference.common_interval.upper) == pytest.approx(
                     (0.0544315, 0.0154628, 0.0929423), rel=1e-5)
 
-    def test_boundary_data_degrades_measures_not_geometry(
-            self, zero_exposed_cases_table):
+    def test_boundary_data_gets_every_measure(self, zero_exposed_cases_table):
+        # Stratum a's exposed cell has no cases in 200. Every entry once
+        # carried an error and the RD had no collapsibility report; now each
+        # has its results, stratum a's effect 0 on the ratios and -0.25 on
+        # the RD.
         report = analyze(zero_exposed_cases_table)
         assert report.confounding_flag == ON_SEGMENT
         crude = dict(zip(Measure, CRUDE_ZERO_EXPOSED_CASES))
         for e in report.measures:
-            assert e.error is not None
-            assert e.error.startswith("NonConvergenceError")
+            assert e.error is None
             # the crude table (30/300 vs 90/300) has no boundary cell
             assert e.crude_estimate == pytest.approx(crude[e.measure],
                                                      rel=1e-12)
-            assert e.stratum_estimates == ()
-        by_measure = {m: (rep, err) for m, rep, err in report.collapsibility}
+            assert e.stratum_estimates[0] == (
+                0.0 if e.measure.is_ratio else -0.25)
+        for _, rep, err in report.collapsibility:
+            assert rep is not None and err is None
+
+    def test_an_undefined_stratum_measure_is_its_entry_s_error(
+            self, make_table):
+        # Stratum s0 has no cases: its risks are (0, 0), where RR, OR and
+        # HR are undefined (0/0). Effect modification raised that out of
+        # analyze; now it is the entry's error, after its crude and common
+        # results, and the RD, defined everywhere, keeps every result.
+        table = make_table([("s0", 0, 5, 0, 5), ("s1", 3, 10, 2, 10)])
+        report = analyze(table)
         for e in report.measures:
-            # a common estimate exactly where the no-interaction fit succeeded
-            assert math.isnan(e.common_estimate) == (
-                by_measure[e.measure][0] is None)
-        assert by_measure[Measure.RISK_DIFFERENCE][0] is None
-        assert by_measure[Measure.RISK_DIFFERENCE][1].startswith(
-            "NonConvergenceError")
-        for m in (Measure.ODDS_RATIO, Measure.RISK_RATIO,
-                  Measure.HAZARD_RATIO):
-            assert by_measure[m][0] is not None
+            assert e.crude_interval is not None
+            assert e.common_interval is not None
+            if e.measure.is_ratio:
+                assert e.error == (
+                    f"UndefinedMeasureError: {e.measure.label} is undefined "
+                    "at stratum stratum:s0 (0.0, 0.0)")
+                assert e.stratum_estimates == ()
+            else:
+                assert e.error is None
+                assert e.stratum_estimates == (0.0, 0.1)
+        assert all(err is None for _, _, err in report.collapsibility)
 
     def test_single_stratum_report(self, whickham_crude):
         report = analyze(whickham_crude)
@@ -318,11 +336,12 @@ class TestJsonReport:
         assert whickham_report.to_json_dict()["collapsibility"] == \
             collapsibility_report_json(whickham)
 
-    def test_measure_error_entries_are_compact(self,
-                                               zero_exposed_cases_table):
-        doc = analyze(zero_exposed_cases_table).to_json_dict()
+    def test_measure_error_entries_are_compact(self, make_table):
+        # the OR is undefined at stratum s0, which has no cases
+        table = make_table([("s0", 0, 5, 0, 5), ("s1", 3, 10, 2, 10)])
+        doc = analyze(table).to_json_dict()
         entry = doc["measures"][0]
-        assert entry["error"].startswith("NonConvergenceError")
+        assert entry["error"].startswith("UndefinedMeasureError")
         # the crude and common results were computed; nothing after them was
         assert {"crude_estimate", "crude_interval", "crude_p_value",
                 "common_estimate", "common_interval",
@@ -338,29 +357,29 @@ COMMON_KEYS = {"common_estimate", "common_interval", "interaction_p_value"}
 @pytest.mark.parametrize("forced", ["crude_interval", "common_fit",
                                     "common_interval"])
 def test_an_entry_reports_crude_then_saturated_then_common_errors(
-        irls_recorder, monkeypatch, whickham, zero_exposed_cases_table,
-        forced, saturated_fails):
-    # One forced failure among a measure's crude and common results, on a
-    # table whose saturated fit succeeds (Whickham) or fails (a zero cell).
-    # The entry names the first error of the crude results, the saturated
-    # fit and the common results, in that order, and keeps the results
-    # that were all in before it. A failed endpoint problem gives its
-    # side's error text.
+        irls_recorder, monkeypatch, whickham, forced, saturated_fails):
+    # One forced failure among a measure's crude and common results, on
+    # Whickham, with its saturated fit forced to fail or not. The entry
+    # names the first error of the crude results, the saturated fit and
+    # the common results, in that order, and keeps the results that were
+    # all in before it. A failed endpoint problem gives its side's error
+    # text.
+    failing = {"saturated_with_interaction": saturated_fails,
+               "exposure_plus_stratum": forced == "common_fit"}
+
     def fits(specs):
-        return [NonConvergenceError("forced common fit failure")
-                if spec.terms == "exposure_plus_stratum" else result
+        return [NonConvergenceError(f"forced {spec.terms} failure")
+                if failing.get(spec.terms) else result
                 for spec, result in zip(specs, real_fits(specs))]
 
     real_fits = glm.fits
-    if forced == "common_fit":
-        monkeypatch.setattr(glm, "fits", fits)
-    else:
+    monkeypatch.setattr(glm, "fits", fits)
+    if forced != "common_fit":
         # the lower endpoint of the crude (problem 0) or common (2) fit
         failed = 0 if forced == "crude_interval" else 2
         irls_recorder.rewrite = lambda run: dataclasses.replace(
             run, b=np.where(np.arange(run.b.size) == failed, np.nan, run.b))
-    table = zero_exposed_cases_table if saturated_fails else whickham
-    entry = analyze(table).to_json_dict()["measures"][0]
+    entry = analyze(whickham).to_json_dict()["measures"][0]
     endpoint_error = (f"NonConvergenceError: no lower profile endpoint in "
                       f"{glm.PROFILE_MAX_STEPS} steps under the logit link")
     if forced == "crude_interval":
@@ -369,11 +388,12 @@ def test_an_entry_reports_crude_then_saturated_then_common_errors(
     else:
         kept = CRUDE_KEYS
         if saturated_fails:
-            assert entry["error"].startswith(
-                "NonConvergenceError: observed risks of 0 or 1 at rows [1] ")
+            assert entry["error"] == (
+                "NonConvergenceError: forced saturated_with_interaction "
+                "failure")
         elif forced == "common_fit":
             assert entry["error"] == (
-                "NonConvergenceError: forced common fit failure")
+                "NonConvergenceError: forced exposure_plus_stratum failure")
         else:
             assert entry["error"] == endpoint_error
     assert set(entry) & (CRUDE_KEYS | COMMON_KEYS) == kept
@@ -404,3 +424,23 @@ def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
     # grouped run a measure 8 in 44, four free fits and one grouped
     # endpoint run 5 in 32; the free fits take 5/10/7/5 iterations alone.
     _assert_analysis_work(irls_recorder, six_strata, 15)
+
+
+def test_boundary_fits_finish_within_the_work_bound(irls_recorder,
+                                                    make_table):
+    # Work gate on tables with zero cells: the log fit of 2/2 vs 2/6 and
+    # 2/4 vs 5/11 once crept toward its boundary maximum for all 100
+    # iterations, and the free-fit runs of analyze on the golden small
+    # tables took up to 38 passes. A bound now holds each zero cell on its
+    # boundary. These bounds may only go down.
+    table = make_table([("a", 2, 2, 2, 6), ("b", 2, 4, 5, 11)])
+    glm.fit(glm.ModelSpec(link="log", terms="exposure_plus_stratum",
+                          table=table))
+    run, = irls_recorder.calls
+    assert run.iterations <= 5
+    irls_recorder.calls.clear()
+    for small in test_golden.small_tables():
+        analyze(small)
+    free = [call for call in irls_recorder.calls if not call.joint]
+    assert free and not any(any(call.failed) for call in free)
+    assert max(call.iterations for call in free) <= 10

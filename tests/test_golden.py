@@ -2,7 +2,8 @@
 
 These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the files
-with the snippet in each test's assertion message.
+with the snippet in each test's assertion message; ``small_tables.json``
+is rewritten by running this file, ``python tests/test_golden.py``.
 """
 
 import hashlib
@@ -40,9 +41,9 @@ def test_figure1_matches_golden():
 
 def small_tables() -> list[StratifiedCohortTable]:
     """Seeded tables of 1-4 strata and 1-20 people per exposure group,
-    zero cells allowed: the boundary fits, and the profile solves whose
-    bracket closes on a coefficient that cannot be fitted, that larger
-    tables rarely reach."""
+    zero cells allowed: fits held on the boundary, estimates and endpoints
+    at b's limits, and undefined stratum measures, that larger tables
+    rarely reach."""
     rng = random.Random(SMALL_TABLES_SEED)
     tables = []
     for _ in range(SMALL_TABLES):
@@ -75,6 +76,11 @@ def test_small_tables_match_golden():
         encoding="utf-8"))
     assert [small_table_digest(t) for t in small_tables()] == expected, (
         "a small table's report or profile interval drifted; regenerate "
-        "tests/golden/small_tables.json as the JSON list "
-        "[small_table_digest(t) for t in small_tables()] if the change is "
-        "intentional")
+        "tests/golden/small_tables.json with python tests/test_golden.py "
+        "if the change is intentional")
+
+
+if __name__ == "__main__":
+    (GOLDEN / "small_tables.json").write_text(json.dumps(
+        [small_table_digest(t) for t in small_tables()], indent=1) + "\n",
+        encoding="utf-8")
