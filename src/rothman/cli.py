@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .diagnostics import (analyze, collapsibility_report_json, full_number,
-                          number_pair, point_json)
+                          json_text, number_pair, point_json)
 from .errors import (GlmError, ParseError, RothmanError, ValidationError,
                      ZeroMarginError)
 from .figures import FIGURE_SLUGS, figure_filename, figure_svg
@@ -166,17 +166,14 @@ def _cmd_standardize(args: argparse.Namespace) -> int:
         number_pair(entry, "x", p.x)
         number_pair(entry, "y", p.y)
         points.append(entry)
-    out = json.dumps({"standardized": points}, indent=2, sort_keys=True,
-                     allow_nan=False)
-    _write(out, args.output)
+    _write(json_text({"standardized": points}), args.output)
     return EXIT_OK
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
     table = _load_table(args.input, args.format)
-    out = json.dumps({"collapsibility": collapsibility_report_json(table)},
-                     indent=2, sort_keys=True, allow_nan=False)
-    _write(out, args.output)
+    _write(json_text({"collapsibility": collapsibility_report_json(table)}),
+           args.output)
     return EXIT_OK
 
 
@@ -197,7 +194,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError(f"--n must be positive, got {args.n}")
     truth = population_truth(spec)
     table = sample_table(spec, args.n, args.seed)
-    out = json.dumps({
+    out = json_text({
         "spec": spec.to_json_dict(),
         "n": args.n,
         "seed": args.seed,
@@ -210,7 +207,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "crude_point": point_json(truth.crude_point),
             "confounded": truth.confounded,
         },
-    }, indent=2, sort_keys=True, allow_nan=False)
+    })
     _write(out, args.output)
     return EXIT_OK
 

@@ -80,8 +80,7 @@ class AnalysisReport:
         return _report_json(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
+        return json_text(self.to_json_dict())
 
 
 def _error_text(exc: GlmError | UndefinedMeasureError) -> str:
@@ -93,14 +92,14 @@ def _raise_error(result: object) -> None:
         raise result
 
 
-def _measure_fits(models: list[tuple[str, StratifiedCohortTable]],
+def _measure_fits(table: StratifiedCohortTable, terms: list[str],
                   ) -> list[dict[Measure, glm.GlmFit | GlmError]]:
-    """Each (terms, table) model's fit of every measure, or the error that
-    stopped it, all from one `glm.fits` call."""
+    """The fits of every measure on ``table`` under each of ``terms``, or
+    the errors that stopped them, all from one `glm.fits` call."""
     results = iter(glm.fits([
-        glm.ModelSpec(link=m.link, terms=terms, table=table)
-        for terms, table in models for m in Measure]))
-    return [{m: next(results) for m in Measure} for _ in models]
+        glm.ModelSpec(link=m.link, terms=t, table=table)
+        for t in terms for m in Measure]))
+    return [{m: next(results) for m in Measure} for _ in terms]
 
 
 def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
@@ -168,7 +167,7 @@ def _collapsibility_entry(measure: Measure,
 
 def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
     """The collapsibility section of the analysis report, on its own."""
-    common_fits, = (_measure_fits([("exposure_plus_stratum", table)])
+    common_fits, = (_measure_fits(table, ["exposure_plus_stratum"])
                     if table.k >= 2 else [{}])
     return [_collapsibility_json(*_collapsibility_entry(m, common_fits.get(m)))
             for m in Measure]
@@ -210,20 +209,13 @@ def analyze(table: StratifiedCohortTable, *,
                 f"{table.k} strata")
         standardized.append((name, standardized_point(table, std)))
 
-    crude_table = StratifiedCohortTable(
-        strata=(("all", table.collapse()),),
-        exposure_label=table.exposure_label,
-        outcome_label=table.outcome_label,
-        covariate_label=table.covariate_label)
-
     # Each fit serves its estimate, interval and test, and the
-    # no-interaction fit the collapsibility entry too. A one-stratum table
-    # has no no-interaction or saturated model.
-    models = [("exposure_only", crude_table)]
+    # no-interaction fit the collapsibility entry too; the exposure-only fit
+    # pools the strata. A one-stratum table has no other models.
+    terms = ["exposure_only"]
     if table.k >= 2:
-        models += [("exposure_plus_stratum", table),
-                   ("saturated_with_interaction", table)]
-    crude_fits, *adjusted = _measure_fits(models)
+        terms += ["exposure_plus_stratum", "saturated_with_interaction"]
+    crude_fits, *adjusted = _measure_fits(table, terms)
     common_fits, saturated_fits = adjusted or ({}, {})
     # All these fits' endpoints are one solve, across links; a measure
     # whose crude fit failed has none, and its entry names that error.
@@ -262,6 +254,11 @@ def full_number(value: float):
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
+
+
+def json_text(doc: dict) -> str:
+    """The JSON text of a report or CLI output: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def number_pair(d: dict, key: str, value: float) -> None:

@@ -734,22 +734,16 @@ def exposure_estimate(fit_result: GlmFit) -> float:
 def stratum_exposure_estimates(fit_result: GlmFit) -> tuple[float, ...]:
     """Per-stratum exposure effect on the natural scale.
 
-    Only the saturated model has stratum-specific effects; the other term
-    structures repeat the common effect.
+    Only the saturated model has stratum-specific effects, each read off
+    its stratum's two cells as `_observed` gives it (a risk difference
+    rounded once); the other term structures repeat the common effect.
     """
     spec = fit_result.spec
-    k = spec.table.k
-    beta_x = fit_result.coefficients[1]
     if spec.terms != "saturated_with_interaction":
-        return tuple(natural_scale(spec.link, beta_x) for _ in range(k))
-    interactions = fit_result.coefficients[2 + (k - 1):]
-    effects = [beta_x] + [beta_x + g for g in interactions]
-    if any(map(math.isnan, effects)):  # reference coding lost inf - inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, direct = _observed(*_cells(spec.table)[:2], _LINKS[spec.link])
-        effects = [d if math.isnan(e) else e
-                   for e, d in zip(effects, direct.tolist())]
-    return tuple(natural_scale(spec.link, e) for e in effects)
+        return (exposure_estimate(fit_result),) * spec.table.k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, effects = _observed(*_cells(spec.table)[:2], _LINKS[spec.link])
+    return tuple(natural_scale(spec.link, e) for e in effects.tolist())
 
 
 def fitted_stratum_points(fit_result: GlmFit) -> tuple[RiskPoint, ...]:
@@ -769,27 +763,19 @@ def _lr(stat: float, df: int) -> LrTest:
     return LrTest(statistic=stat, df=df, p_value=chi_square_sf(stat, df))
 
 
-def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray,
-                                           np.ndarray, float]:
-    """Cases, totals, fitted alphas (None at an infinite or nan b) and
-    deviance of the cells that the exposure coefficient b alone carries, as
-    strata of a no-interaction model: the collapsed cells of the
-    exposure-only model, all strata of the no-interaction model, and the
-    reference stratum of the saturated model (its other strata keep their
-    observed risks whatever b is)."""
+def _carrier(fit_result: GlmFit) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cases, totals and deviance of the cells that the exposure
+    coefficient b alone carries, as strata of a no-interaction model: the
+    collapsed cells of the exposure-only model, all strata of the
+    no-interaction model, and the reference stratum of the saturated model
+    (its other strata keep their observed risks whatever b is)."""
     spec = fit_result.spec
     s, n, _ = _cells(spec.table)
-    c = fit_result.coefficients
     if spec.terms == "exposure_plus_stratum":
-        alpha = None  # a profile needs no alphas at an infinite b
-        if all(map(math.isfinite, c)):
-            alpha = c[0] + np.array((0.0, *c[2:]))
-        elif math.isfinite(c[1]):  # reference coding loses infinite alphas
-            alpha = _irls(s, n, [_LINKS[spec.link]], np.zeros(1, int)).alpha
-        return s, n, alpha, fit_result.deviance
+        return s, n, fit_result.deviance
     if spec.terms == "exposure_only":
         s, n = s.sum(axis=0, keepdims=True), n.sum(axis=0, keepdims=True)
-    return s[:1], n[:1], np.array(c[:1]), 0.0
+    return s[:1], n[:1], 0.0
 
 
 def exposure_test(fit_result: GlmFit) -> LrTest:
@@ -799,7 +785,7 @@ def exposure_test(fit_result: GlmFit) -> LrTest:
     that it carries (`_carrier`) share one risk, and the null fit is their
     pooled proportion.
     """
-    s, n, _, deviance = _carrier(fit_result)
+    s, n, deviance = _carrier(fit_result)
     pooled = _log_observed(s.sum(axis=1, keepdims=True),
                            n.sum(axis=1, keepdims=True))
     return _lr(_deviance(s, n, *pooled) - deviance, 1)
@@ -834,10 +820,12 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     identity link, +-inf on the others) but one the estimate sits at, whose
     endpoint is that limit; a nan estimate (0/0) has both. All the other
     endpoints, whatever their links, are one `_joint_endpoints` run, which
-    solves each for b and the alphas together. A finite estimate's start
-    one Wald half-width out (from the Schur complement of the observed
-    information, held rows left out), at most `MAX_ETA_STEP` or half way to
-    a nearer limit, the alphas moved to first order along their profile.
+    solves each for b and the alphas together. A finite estimate's alphas
+    are read off its fit's coefficients, or refitted (`_irls`) where
+    reference coding lost an infinite one; its endpoints start one Wald
+    half-width out (from the Schur complement of the observed information,
+    held rows left out), at most `MAX_ETA_STEP` or half way to a nearer
+    limit, the alphas moved to first order along their profile.
     An infinite estimate's fit is the observed risks; its endpoint starts
     at the smoothed proportions' b, as a fit does (`_irls`), each stratum
     keeping its risk off the bound.
@@ -850,11 +838,17 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     problems, ends = [], []
     for fit_result in fits:
         link = _LINKS[fit_result.spec.link]
-        s, n, alpha_hat, _ = _carrier(fit_result)
-        b_hat = fit_result.coefficients[1]
+        s, n, _ = _carrier(fit_result)
+        # the intercept, b and the carried strata's coefficients
+        c = fit_result.coefficients[:len(s) + 1]
+        b_hat = c[1]
         limit = 1.0 if link.name == "identity" else math.inf
         with np.errstate(all="ignore"):
             if math.isfinite(b_hat):
+                alpha_hat = c[0] + np.array((0.0, *c[2:]))
+                if not np.isfinite(alpha_hat).all():
+                    # reference coding loses infinite alphas
+                    alpha_hat = _irls(s, n, [link], np.zeros(1, int)).alpha
                 *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
                 # a held row, its curvature nan at its bound, is left out
                 information, alpha_slope = (

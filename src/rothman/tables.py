@@ -19,9 +19,6 @@ from .errors import ParseError, ValidationError
 CSV_HEADER = ("stratum", "exposed_cases", "exposed_total",
               "unexposed_cases", "unexposed_total")
 
-_COUNT_FIELDS = ("exposed_cases", "exposed_total",
-                 "unexposed_cases", "unexposed_total")
-
 
 @dataclass(frozen=True, slots=True)
 class CohortCell:
@@ -38,7 +35,7 @@ class CohortCell:
     unexposed_total: int
 
     def __post_init__(self) -> None:
-        for name in _COUNT_FIELDS:
+        for name in CSV_HEADER[1:]:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValidationError(f"{name} must be an integer, got {v!r}")
@@ -250,7 +247,7 @@ def _parse_json(text: str) -> StratifiedCohortTable:
             raise ParseError(f"strata[{i}] is missing 'label'")
         label = str(entry["label"])
         counts = []
-        for field in _COUNT_FIELDS:
+        for field in CSV_HEADER[1:]:
             if field not in entry:
                 raise ParseError(f"strata[{i}] ({label!r}) is missing {field!r}")
             v = entry[field]

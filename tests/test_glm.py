@@ -25,6 +25,7 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import test_golden
 
 from rothman.errors import (GlmError, NestingError, NonConvergenceError,
                             ValidationError, ZeroMarginError)
@@ -484,13 +485,17 @@ class TestEstimates:
 
     def test_risk_difference_stratum_estimates_round_once(self, whickham):
         # p1 - p0 of two rounded proportions lost digits to cancellation:
-        # the 65+ stratum's 0.00222 was 3.9e-14 relative off
-        f = fit(ModelSpec(link="identity", terms="saturated_with_interaction",
-                          table=whickham))
-        for estimate, c in zip(stratum_exposure_estimates(f), whickham.cells):
-            exact = (Fraction(c.exposed_cases, c.exposed_total)
-                     - Fraction(c.unexposed_cases, c.unexposed_total))
-            assert abs(Fraction(estimate) - exact) <= 1e-14 * abs(exact)
+        # the 65+ stratum's 0.00222 was 3.9e-14 relative off. Rebuilt from
+        # the reference-coded coefficients it was still an ulp off,
+        # 0.002220577350111032; read off its two cells it is exact.
+        for table in (whickham, *(t for t in test_golden.small_tables()
+                                  if t.k >= 2)):
+            f = fit(ModelSpec(link="identity",
+                              terms="saturated_with_interaction", table=table))
+            for estimate, c in zip(stratum_exposure_estimates(f), table.cells):
+                assert estimate == float(
+                    Fraction(c.exposed_cases, c.exposed_total)
+                    - Fraction(c.unexposed_cases, c.unexposed_total))
 
     def test_non_saturated_models_repeat_the_common_effect(self, whickham):
         f = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -573,6 +578,22 @@ class TestLikelihoodRatioMachinery:
     def test_df_validation(self):
         with pytest.raises(ValidationError):
             _lr(0.0, df=0)
+
+    def test_the_exposure_test_makes_no_fit(self, irls_recorder, make_table):
+        # The logit no-interaction fit of this table is closed form, its
+        # reference stratum held at a risk of 0, so reference coding loses
+        # its alphas. Only the profile, which needs them, refits; the test
+        # once refitted too.
+        table = make_table([("a", 0, 5, 0, 7), ("b", 3, 10, 1, 9)])
+        f = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
+                          table=table))
+        assert f.coefficients == (-math.inf, 1.2321436812926323, math.inf)
+        assert f.iterations == 0
+        assert exposure_test(f).statistic == 1.0605565200268647
+        assert irls_recorder.calls == []
+        iv = profile_interval(f)
+        assert (iv.lower, iv.upper) == (0.34540086215169535, 78.55921648587939)
+        assert [call.joint for call in irls_recorder.calls] == [False, True]
 
     def test_result_types(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",

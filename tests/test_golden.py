@@ -1,9 +1,10 @@
 """Byte-for-byte regression pins against checked-in golden outputs.
 
 These catch any drift in numeric formatting, JSON key layout, or SVG
-element ordering. If an intentional change lands, regenerate the files
-with the snippet in each test's assertion message; ``small_tables.json``
-is rewritten by running this file, ``python tests/test_golden.py``.
+element ordering. If an intentional change lands, regenerate the report
+goldens, ``analyze_whickham.json`` and ``small_tables.json``, by running
+this file: ``PYTHONPATH=src python tests/test_golden.py``. The figure
+golden, ``fig1_standardized_points.svg``, is the text of ``figure_svg(1)``.
 """
 
 import hashlib
@@ -27,7 +28,8 @@ def test_analyze_report_matches_golden():
     expected = (GOLDEN / "analyze_whickham.json").read_text(encoding="utf-8")
     assert analyze(whickham_table()).to_json() + "\n" == expected, (
         "analyze(whickham_table()).to_json() drifted; regenerate "
-        "tests/golden/analyze_whickham.json if the change is intentional")
+        "tests/golden/analyze_whickham.json with python tests/test_golden.py "
+        "if the change is intentional")
 
 
 def test_figure1_matches_golden():
@@ -81,6 +83,8 @@ def test_small_tables_match_golden():
 
 
 if __name__ == "__main__":
+    (GOLDEN / "analyze_whickham.json").write_text(
+        analyze(whickham_table()).to_json() + "\n", encoding="utf-8")
     (GOLDEN / "small_tables.json").write_text(json.dumps(
         [small_table_digest(t) for t in small_tables()], indent=1) + "\n",
         encoding="utf-8")
