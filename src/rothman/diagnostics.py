@@ -105,48 +105,40 @@ def _measure_fits(table: StratifiedCohortTable, terms: list[str],
 def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       crude_fit: glm.GlmFit | GlmError,
                       common_fit: glm.GlmFit | GlmError | None,
-                      saturated_fit: glm.GlmFit | GlmError | None,
                       intervals: list[glm.LrInterval | GlmError],
                       stratum_points: tuple[RiskPoint, ...],
                       em_tol: float) -> MeasureAnalysis:
-    """The measure's entry from its crude, common and saturated fits (the
-    last two None on a one-stratum table) and the profile intervals of the
-    crude and common fits that succeeded (none when the crude fit failed)."""
+    """The measure's entry from its crude and common fits (the latter None
+    on a one-stratum table), the profile intervals of those that succeeded
+    (none when the crude fit failed) and each stratum's two cells."""
     link = measure.link
-    crude: dict = {}  # set once every crude result is in, and kept on error
-    common: dict = {}  # likewise for the no-interaction results
+    results: dict = {}  # each group added once all of it is in; kept on error
     try:
         _raise_error(crude_fit)
         crude_estimate = glm.exposure_estimate(crude_fit)
         crude_interval, *common_interval = intervals
         _raise_error(crude_interval)
-        crude = dict(crude_estimate=crude_estimate,
-                     crude_interval=crude_interval,
-                     crude_p_value=glm.exposure_test(crude_fit).p_value)
-
-        if table.k < 2:
-            return MeasureAnalysis(
-                measure=measure, link=link, **crude,
-                stratum_estimates=(crude_estimate,),
-                common_estimate=crude_estimate,
-                common_interval=crude_interval)
-
-        # A common fit that failed has no interval; its error stands in.
-        common_interval, = common_interval or [common_fit]
-        if isinstance(common_interval, glm.LrInterval):
-            common = dict(
+        results.update(crude_estimate=crude_estimate,
+                       crude_interval=crude_interval,
+                       crude_p_value=glm.exposure_test(crude_fit).p_value)
+        if table.k < 2:  # the crude fit is the common one
+            results.update(common_estimate=crude_estimate,
+                           common_interval=crude_interval)
+        else:
+            # A common fit that failed has no interval; its error stands in.
+            common_interval, = common_interval or [common_fit]
+            _raise_error(common_interval)
+            results.update(
                 common_estimate=glm.exposure_estimate(common_fit),
                 common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
-        _raise_error(saturated_fit)
-        _raise_error(common_interval)
-        stratum_estimates = glm.stratum_exposure_estimates(saturated_fit)
-        modification = effect_modification(measure, stratum_points, tol=em_tol)
+            results["modification"] = effect_modification(
+                measure, stratum_points, tol=em_tol)
         return MeasureAnalysis(
-            measure=measure, link=link, **crude, **common,
-            stratum_estimates=stratum_estimates, modification=modification)
+            measure=measure, link=link, **results,
+            stratum_estimates=glm._stratum_effects(table, link))
     except (GlmError, UndefinedMeasureError) as exc:
-        return MeasureAnalysis(measure=measure, link=link, **crude, **common,
+        return MeasureAnalysis(measure=measure, link=link, **results,
                                error=_error_text(exc))
 
 
@@ -211,12 +203,12 @@ def analyze(table: StratifiedCohortTable, *,
 
     # Each fit serves its estimate, interval and test, and the
     # no-interaction fit the collapsibility entry too; the exposure-only fit
-    # pools the strata. A one-stratum table has no other models.
+    # pools the strata. A one-stratum table has no other model.
     terms = ["exposure_only"]
     if table.k >= 2:
-        terms += ["exposure_plus_stratum", "saturated_with_interaction"]
+        terms.append("exposure_plus_stratum")
     crude_fits, *adjusted = _measure_fits(table, terms)
-    common_fits, saturated_fits = adjusted or ({}, {})
+    common_fits, = adjusted or [{}]
     # All these fits' endpoints are one solve, across links; a measure
     # whose crude fit failed has none, and its entry names that error.
     solved = {m: [f for f in (crude_fits[m], common_fits.get(m))
@@ -226,7 +218,6 @@ def analyze(table: StratifiedCohortTable, *,
     results = iter(glm.profile_intervals(fits, level=level))
     measures = tuple(
         _measure_analysis(m, table, crude_fits[m], common_fits.get(m),
-                          saturated_fits.get(m),
                           [next(results) for _ in solved.get(m, [])],
                           stratum_points, em_tol)
         for m in Measure)

@@ -15,13 +15,14 @@ one hold rule (`_Stack.hold`) keeps it in both Newton loops. A fit stops
 when the Newton decrement falls to a fixed multiple of the total count, so
 scaling every count changes neither fit nor iterations. `_irls` fits many
 such models in one run, each with its own link, steps and sums, so `fits`
-fits several models of any links and tables at once, and `analyze` every
-model of the four measures. `_joint_endpoints` steps b and the alphas
-together to solve for profile-interval endpoints, many problems in one
-run: `profile_intervals` solves both endpoints of several fits of any
-links at once, and `analyze` those of all four measures' crude and common
-fits. Both runs stack their problems' rows (`_Stack`), and grouping
-changes no problem's bits.
+fits several models of any links and tables at once, and `analyze` the
+crude and no-interaction models of the four measures, each stratum's
+effect read off its two cells (`_stratum_effects`). `_joint_endpoints`
+steps b and the alphas together to solve for profile-interval endpoints,
+many problems in one run: `profile_intervals` solves both endpoints of
+several fits of any links at once, and `analyze` those of all four
+measures' crude and common fits. Both runs stack their problems' rows
+(`_Stack`), and grouping changes no problem's bits.
 Likelihood-ratio tests and profile intervals reuse a finished fit, and
 each table's arrays are built once (`_cells`). The chi-square functions
 are computed here, so there is no stats dependency.
@@ -731,19 +732,22 @@ def exposure_estimate(fit_result: GlmFit) -> float:
     return natural_scale(fit_result.spec.link, fit_result.coefficients[1])
 
 
-def stratum_exposure_estimates(fit_result: GlmFit) -> tuple[float, ...]:
-    """Per-stratum exposure effect on the natural scale.
+def _stratum_effects(table: StratifiedCohortTable, link: str,
+                     ) -> tuple[float, ...]:
+    """Each stratum's exposure effect on the natural scale, read off its two
+    cells (`_observed`): the saturated model's, with no fit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, effects = _observed(*_cells(table)[:2], _LINKS[link])
+    return tuple(natural_scale(link, e) for e in effects.tolist())
 
-    Only the saturated model has stratum-specific effects, each read off
-    its stratum's two cells as `_observed` gives it (a risk difference
-    rounded once); the other term structures repeat the common effect.
-    """
+
+def stratum_exposure_estimates(fit_result: GlmFit) -> tuple[float, ...]:
+    """Per-stratum exposure effect on the natural scale: the saturated
+    model's own, the common one repeated under the other term structures."""
     spec = fit_result.spec
     if spec.terms != "saturated_with_interaction":
         return (exposure_estimate(fit_result),) * spec.table.k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, effects = _observed(*_cells(spec.table)[:2], _LINKS[spec.link])
-    return tuple(natural_scale(spec.link, e) for e in effects.tolist())
+    return _stratum_effects(spec.table, spec.link)
 
 
 def fitted_stratum_points(fit_result: GlmFit) -> tuple[RiskPoint, ...]:

@@ -275,10 +275,10 @@ def _agree(m: Measure, u: float, v: float) -> bool:
 
 
 def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
-             candidates: Sequence[tuple[float, StandardPopulation]],
-             sign: float) -> tuple[float, StandardPopulation] | None:
-    """(value, weights) where sign*value is least over the standardized
-    domain, or None when the measure is undefined all over it.
+             candidates: Sequence[tuple[float, tuple[int, int, float]]],
+             sign: float) -> tuple[float, tuple[int, int, float]] | None:
+    """(value, `segment_weights` arguments) where sign*value is least over
+    the standardized domain, or None when the measure is undefined all over it.
 
     Vertex values that agree within COLLAPSE_TOL are ties that go to the
     first vertex, so the choice does not turn on rounding error in values
@@ -292,10 +292,10 @@ def _extreme(m: Measure, values: Sequence[float], vertices: Sequence[int],
     if ends:
         least = min(ends, key=lambda v: sign * v)
         i = next(i for i in vertices if _agree(m, values[i], least))
-        best = (values[i], segment_weights(len(values), i, i, 0.0))
-    for v, weights in candidates:
+        best = (values[i], (i, i, 0.0))
+    for v, where in candidates:
         if not math.isnan(v) and (best is None or sign * v < sign * best[0]):
-            best = (v, weights)
+            best = (v, where)
     return best
 
 
@@ -334,7 +334,7 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
             found = _edge_candidate(m, strata[i0], strata[i1])
             if found is not None:
                 t, v = found
-                candidates.append((v, segment_weights(k, i0, i1, t)))
+                candidates.append((v, (i0, i1, t)))
     low = _extreme(m, values, vertices, candidates, 1.0)
     high = _extreme(m, values, vertices, candidates, -1.0)
     if low is None or high is None:
@@ -346,5 +346,6 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
     return CollapsibilityReport(
         measure=m, stratum_values=values, stratum_value=stratum_value,
         min_value=low[0], max_value=high[0],
-        argmin_weights=low[1], argmax_weights=high[1],
+        argmin_weights=segment_weights(k, *low[1]),
+        argmax_weights=segment_weights(k, *high[1]),
         collapsible_here=collapsible_here)

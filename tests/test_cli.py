@@ -385,6 +385,22 @@ class TestPlot:
         assert payload["trace"] == [
             v if math.isfinite(v) else str(v) for v in failed.value.trace]
 
+    def test_an_undefined_measure_exits_one(self, run, tmp_path, make_table):
+        # Neither stratum has cases, so the fitted points sit at (0, 0),
+        # where the odds ratio of figure 7 is 0/0 over the whole domain.
+        path = tmp_path / "no_cases.csv"
+        path.write_text(serialize_table(make_table(
+            [("s0", 0, 5, 0, 7), ("s1", 0, 4, 0, 9)]), "csv"))
+        target = tmp_path / "fig.svg"
+        code, out, err = run("plot", str(path), "--figure", "7",
+                             "-o", str(target))
+        assert (code, out) == (1, "")
+        assert error_payload(err) == {
+            "code": "validation", "type": "UndefinedMeasureError",
+            "message": "odds ratio is undefined over the whole standardized "
+                       "domain"}
+        assert not target.exists()
+
     def test_unwritable_output_reports_io_error(self, run, tmp_path):
         target = tmp_path / "missing_dir" / "fig.svg"
         code, _, err = run("plot", "--figure", "1", "-o", str(target))

@@ -257,6 +257,24 @@ class TestDegradedTables:
             assert rep is None
             assert err == "needs at least two strata"
 
+    def test_a_measure_undefined_on_every_fitted_point_has_no_report(
+            self, make_table):
+        # Neither stratum has cases, so every fitted risk is 0 and the
+        # standardized domain is the one point (0, 0), where OR, RR and HR
+        # are 0/0. Their collapsibility entries carry that error; the RD,
+        # 0 there, gets its report.
+        table = make_table([("s0", 0, 5, 0, 7), ("s1", 0, 4, 0, 9)])
+        for m, rep, err in analyze(table).collapsibility:
+            if m.is_ratio:
+                assert rep is None
+                assert err == (f"UndefinedMeasureError: {m.label} is "
+                               "undefined over the whole standardized "
+                               "domain")
+            else:
+                assert err is None
+                assert rep.min_value == rep.max_value == 0.0
+                assert rep.collapsible_here
+
     @pytest.mark.parametrize("cases", [(97, 65), (0, 0)])
     def test_a_bad_level_is_rejected_whatever_the_fits_do(self, make_table,
                                                           cases):
@@ -353,23 +371,18 @@ CRUDE_KEYS = {"crude_estimate", "crude_interval", "crude_p_value"}
 COMMON_KEYS = {"common_estimate", "common_interval", "interaction_p_value"}
 
 
-@pytest.mark.parametrize("saturated_fails", [False, True])
 @pytest.mark.parametrize("forced", ["crude_interval", "common_fit",
                                     "common_interval"])
-def test_an_entry_reports_crude_then_saturated_then_common_errors(
-        irls_recorder, monkeypatch, whickham, forced, saturated_fails):
+def test_an_entry_reports_crude_then_common_errors(
+        irls_recorder, monkeypatch, whickham, forced):
     # One forced failure among a measure's crude and common results, on
-    # Whickham, with its saturated fit forced to fail or not. The entry
-    # names the first error of the crude results, the saturated fit and
-    # the common results, in that order, and keeps the results that were
-    # all in before it. A failed endpoint problem gives its side's error
-    # text.
-    failing = {"saturated_with_interaction": saturated_fails,
-               "exposure_plus_stratum": forced == "common_fit"}
-
+    # Whickham. The entry names the first error of the crude results and
+    # then of the common results, and keeps the results that were all in
+    # before it. A failed endpoint problem gives its side's error text.
     def fits(specs):
         return [NonConvergenceError(f"forced {spec.terms} failure")
-                if failing.get(spec.terms) else result
+                if forced == "common_fit"
+                and spec.terms == "exposure_plus_stratum" else result
                 for spec, result in zip(specs, real_fits(specs))]
 
     real_fits = glm.fits
@@ -387,17 +400,34 @@ def test_an_entry_reports_crude_then_saturated_then_common_errors(
         kept = set()
     else:
         kept = CRUDE_KEYS
-        if saturated_fails:
-            assert entry["error"] == (
-                "NonConvergenceError: forced saturated_with_interaction "
-                "failure")
-        elif forced == "common_fit":
+        if forced == "common_fit":
             assert entry["error"] == (
                 "NonConvergenceError: forced exposure_plus_stratum failure")
         else:
             assert entry["error"] == endpoint_error
     assert set(entry) & (CRUDE_KEYS | COMMON_KEYS) == kept
     assert not {"stratum_estimates", "effect_modification"} & set(entry)
+
+
+@pytest.mark.parametrize("name", ["whickham", "six_strata"])
+def test_analyze_fits_only_the_crude_and_common_models(monkeypatch, request,
+                                                      name):
+    # Each stratum's effect is read off its two cells, so no saturated
+    # model is fitted: one glm.fits call holds the four measures'
+    # exposure-only and no-interaction models, and nothing else.
+    calls = []
+
+    def fits(specs):
+        calls.append([(spec.link, spec.terms) for spec in specs])
+        return real_fits(specs)
+
+    real_fits = glm.fits
+    monkeypatch.setattr(glm, "fits", fits)
+    report = analyze(request.getfixturevalue(name))
+    assert calls == [[(m.link, terms) for terms in ("exposure_only",
+                                                    "exposure_plus_stratum")
+                      for m in Measure]]
+    assert [e.error for e in report.measures] == [None] * 4
 
 
 def _assert_analysis_work(recorder, table, passes):

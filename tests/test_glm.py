@@ -706,6 +706,26 @@ class TestLikelihoodRatioMachinery:
         drop = 2.0 * (top - oracle_profile(table, terms, link, lower))
         assert drop == pytest.approx(CHI2_95_1, abs=1e-6)
 
+    def test_a_flat_profile_steps_out_to_the_endpoint(self, irls_recorder,
+                                                      make_table):
+        # Exposed 0/324 vs unexposed 44/44: the HR estimate is 0 (b = -inf).
+        # In one of the upper endpoint's Newton passes the profile is flat
+        # to rounding, its Newton b not finite, and b steps MAX_ETA_STEP
+        # further out below the cut; the run still lands on the cut.
+        table = make_table([("a", 0, 324, 44, 44)])
+        terms, link = "exposure_only", "cloglog"
+        f = fit(ModelSpec(link=link, terms=terms, table=table))
+        iv = profile_interval(f)
+        # the lower endpoint is the estimate's; only the upper is solved
+        run, = irls_recorder.joint_calls
+        assert run.failed == [False]
+        assert run.iterations < glm.PROFILE_MAX_STEPS
+        assert iv.estimate == iv.lower == 0.0
+        assert iv.upper == pytest.approx(0.0010027053995724934, rel=1e-9)
+        drop = 2.0 * (oracle_fit_kernel(f) - oracle_profile(
+            table, terms, link, math.log(iv.upper)))
+        assert drop == pytest.approx(CHI2_95_1, abs=1e-9)
+
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("terms", ["exposure_only",
                                        "exposure_plus_stratum"])

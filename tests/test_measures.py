@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from rothman import measures
 from rothman.diagnostics import analyze
 from rothman.errors import UndefinedMeasureError, ValidationError
 from rothman.geometry import (RiskPoint, association_points, standardize)
@@ -333,6 +334,25 @@ class TestCollapseAnalysis:
         assert r.argmin_weights.as_floats() == pytest.approx(
             SHARED_OR_ARGMIN, abs=1e-6)
         assert not r.collapsible_here
+
+    def test_weights_are_built_for_the_two_extremes_only(self, monkeypatch):
+        # Five points on one OR contour: every edge of their hull dips
+        # below it inside, so there are five edge candidates, but only the
+        # reported extremes get a standard population.
+        built = []
+
+        def weights(*args):
+            built.append(real_weights(*args))
+            return built[-1]
+
+        real_weights = measures.segment_weights
+        monkeypatch.setattr(measures, "segment_weights", weights)
+        xs = (0.1, 0.3, 0.5, 0.7, 0.9)
+        pts = [RiskPoint(x, contour(Measure.ODDS_RATIO, 2.0, x)) for x in xs]
+        r = collapse_analysis(Measure.ODDS_RATIO, pts)
+        assert built == [r.argmin_weights, r.argmax_weights]
+        assert r.min_value < 2.0 - 1e-3
+        assert r.max_value == pytest.approx(2.0, rel=1e-12)
 
     def test_shared_or_min_beats_the_grid(self):
         a, b = (RiskPoint(x, y) for x, y in SHARED_OR_POINTS)

@@ -462,6 +462,17 @@ class TestFigureGallery:
         assert "OR 1.018" in texts
         assert "RD 0.061" in texts
 
+    def test_figure3_skips_repeated_and_undefined_values(self, make_table):
+        # Strata at (0, 0) and (0.3, 0.3): both have RD 0, drawn once, and
+        # the ratios are undefined (0/0) at the first, so each panel gets
+        # the one contour of the second stratum.
+        table = make_table([("s0", 0, 5, 0, 7), ("s1", 3, 10, 3, 10)])
+        root = su.parse_svg(figure_svg(3, table))
+        assert len(su.polylines(root)) == 4
+        texts = su.texts(root)
+        for label in ("OR 1.000", "RR 1.000", "RD 0.000", "HR 1.000"):
+            assert texts.count(label) == 1
+
     def test_figure4_hull_and_rectangle(self, six_strata):
         root = su.parse_svg(figure_svg(4))
         circles = su.circles(root)
