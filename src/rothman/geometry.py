@@ -331,11 +331,11 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
     target on the boundary gets the two ends of its nearest hull edge,
     weighted by where it projects onto that edge; for two strata that is
     the unique segment parameter. An interior target gets the fan triangle
-    from hull vertex 0 that holds it: of the triangles with area, the first
-    whose least barycentric coordinate is greatest, that coordinate, below
-    0 only by rounding, clamped to 0. Interior points of a hull with more
-    than three vertices have infinitely many representations, so this is
-    one deterministic choice among them.
+    from hull vertex 0 that holds it: of the triangles whose barycentric
+    coordinates are finite, the first whose least coordinate is greatest,
+    that coordinate, below 0 only by rounding, clamped to 0. Interior
+    points of a hull with more than three vertices have infinitely many
+    representations, so this is one deterministic choice among them.
     """
     hull = standardized_hull(strata)
     verdict, _, nearest = _locate(hull, target, tol)
@@ -355,6 +355,8 @@ def weights_for_point(strata: Sequence[RiskPoint], target: RiskPoint,
         b = (rx * (v2[1] - v0[1]) - ry * (v2[0] - v0[0])) / det
         c = (ry * (v1[0] - v0[0]) - rx * (v1[1] - v0[1])) / det
         bary = (1.0 - b - c, b, c)
+        if not all(map(math.isfinite, bary)):  # det too small to divide by
+            continue
         if best is None or min(bary) > min(best[1]):
             best = (j, bary)
     j, bary = best

@@ -377,12 +377,8 @@ class _Stack:
         """Each problem's deviance from the cells whose logs are ``ref``,
         summed as `_deviance` sums it: nan where a cell leaves its domain,
         inf where a count meets a risk that rules it out."""
-        s, f = self.s, self.f
-        if self.zero is None:
-            terms = s * (ref[0] - log_mu) + f * (ref[1] - log_nu)
-        else:
-            terms = _part(s, ref[0], log_mu) + _part(f, ref[1], log_nu)
-        return 2.0 * self.sums(terms)
+        return 2.0 * self.sums(_part(self.s, ref[0], log_mu)
+                               + _part(self.f, ref[1], log_nu))
 
 
 @dataclass(frozen=True, slots=True)
@@ -548,9 +544,6 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
     side = np.sign(b - b_hat)
     origin = np.where(np.isfinite(b_hat), b_hat, b)
 
-    def by_problem(x: np.ndarray) -> np.ndarray:
-        return np.bincount(owner, x, minlength=b.size)
-
     with np.errstate(all="ignore"):
         alpha = stack.start(start, b[owner])
         cells = stack.cells(alpha, b[owner])
@@ -562,8 +555,8 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             g_alpha, d, g, h, _ = stack.hold(alpha, b[owner], *cells[2:])
             ratio = g_alpha / d
             # each problem's Newton step on (alphas, b), one O(k) solve
-            delta_b = (((dev - cut) / 2.0 - by_problem(ratio * g_alpha))
-                       / (by_problem(g[:, 1]) - by_problem(ratio * h[:, 1])))
+            delta_b = (((dev - cut) / 2.0 - stack.sums(ratio * g_alpha))
+                       / (stack.sums(g[:, 1]) - stack.sums(ratio * h[:, 1])))
             flat = ~np.isfinite(delta_b)  # the profile is flat to rounding
             if flat.any():
                 delta_b = np.where(flat, side * MAX_ETA_STEP, delta_b)

@@ -65,17 +65,10 @@ _NAMES = {
 
 def _ratio(num: float, den: float) -> float:
     """num/den for nonnegative extended reals, nan at 0/0 and inf/inf."""
-    if math.isinf(num) and math.isinf(den):
-        return math.nan
-    if den == 0.0:
+    try:
+        return num / den
+    except ZeroDivisionError:
         return math.nan if num == 0.0 else math.inf
-    if math.isinf(den):
-        return 0.0
-    return num / den
-
-
-def _odds(p: float) -> float:
-    return math.inf if p == 1.0 else p / (1.0 - p)
 
 
 def _cumulative_hazard(p: float) -> float:
@@ -90,7 +83,7 @@ def measure_value(m: Measure, p: RiskPoint) -> float:
     if m is Measure.RISK_RATIO:
         return _ratio(y, x)
     if m is Measure.ODDS_RATIO:
-        return _ratio(_odds(y), _odds(x))
+        return _ratio(_ratio(y, 1.0 - y), _ratio(x, 1.0 - x))
     return _ratio(_cumulative_hazard(y), _cumulative_hazard(x))
 
 
@@ -208,15 +201,9 @@ class CollapsibilityReport:
     collapsible_here: bool
 
 
-def _lerp(a: RiskPoint, b: RiskPoint, t: float) -> RiskPoint:
-    x = min(max(a.x + t * (b.x - a.x), 0.0), 1.0)
-    y = min(max(a.y + t * (b.y - a.y), 0.0), 1.0)
-    return RiskPoint(x, y)
-
-
-def _log_slope(m: Measure, p: RiskPoint, dx: float, dy: float) -> float:
-    """d/dt log m at p moving along (dx, dy): dy*L'(y) - dx*L'(x) for the
-    link L (logit for OR, cloglog for HR); nan at (0,0) and (1,1)."""
+def _log_slope(m: Measure, x: float, y: float, dx: float, dy: float) -> float:
+    """d/dt log m at (x, y) moving along (dx, dy): dy*L'(y) - dx*L'(x) for
+    the link L (logit for OR, cloglog for HR); nan at (0,0) and (1,1)."""
 
     def term(d: float, q: float) -> float:
         if d == 0.0:
@@ -227,7 +214,7 @@ def _log_slope(m: Measure, p: RiskPoint, dx: float, dy: float) -> float:
             return d / (q * (1.0 - q))
         return -d / ((1.0 - q) * math.log1p(-q))
 
-    return term(dy, p.y) - term(dx, p.x)
+    return term(dy, y) - term(dx, x)
 
 
 def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
@@ -240,32 +227,38 @@ def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
     into the (0,0) or (1,1) corner, where m is undefined, log m is monotone
     and the candidate is the corner with m's limit: OR and HR tend to dy/dx
     at (0,0); at (1,1) OR tends to dx/dy and HR to 1, off the square's
-    sides. The diagonal, a corner at each end, gives its midpoint.
+    sides. The diagonal, a corner at each end, gives its midpoint. The
+    bisection runs on the edge's coordinates, clamped to the square.
     """
-    at_corner = [p.coords in ((0.0, 0.0), (1.0, 1.0)) for p in (a, b)]
+    (x0, y0), (x1, y1) = a.coords, b.coords
+    dx, dy = x1 - x0, y1 - y0
+
+    def at(t: float) -> tuple[float, float]:
+        return min(max(x0 + t * dx, 0.0), 1.0), min(max(y0 + t * dy, 0.0), 1.0)
+
+    at_corner = [p in ((0.0, 0.0), (1.0, 1.0)) for p in (a.coords, b.coords)]
     if all(at_corner):
-        return 0.5, measure_value(m, _lerp(a, b, 0.5))
-    if any(at_corner):
-        t, corner, other = (0.0, a, b) if at_corner[0] else (1.0, b, a)
-        dx, dy = abs(other.x - corner.x), abs(other.y - corner.y)
-        if corner.x == 0.0:
-            return t, _ratio(dy, dx)
-        if m is Measure.HAZARD_RATIO and dx > 0.0 and dy > 0.0:
+        t = 0.5
+    elif any(at_corner):
+        t, corner_x = (0.0, x0) if at_corner[0] else (1.0, x1)
+        if corner_x == 0.0:
+            return t, _ratio(abs(dy), abs(dx))
+        if m is Measure.HAZARD_RATIO and dx != 0.0 and dy != 0.0:
             return t, 1.0
-        return t, _ratio(dx, dy)
-    dx, dy = b.x - a.x, b.y - a.y
-    s0, s1 = (_log_slope(m, p, dx, dy) for p in (a, b))
-    if not s0 * s1 < 0.0:
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > SEGMENT_T_TOL:
+        return t, _ratio(abs(dx), abs(dy))
+    else:
+        s0 = _log_slope(m, x0, y0, dx, dy)
+        if not s0 * _log_slope(m, x1, y1, dx, dy) < 0.0:
+            return None
+        lo, hi = 0.0, 1.0
+        while hi - lo > SEGMENT_T_TOL:
+            t = (lo + hi) / 2.0
+            if (_log_slope(m, *at(t), dx, dy) > 0.0) == (s0 > 0.0):
+                lo = t
+            else:
+                hi = t
         t = (lo + hi) / 2.0
-        if (_log_slope(m, _lerp(a, b, t), dx, dy) > 0.0) == (s0 > 0.0):
-            lo = t
-        else:
-            hi = t
-    t = (lo + hi) / 2.0
-    return t, measure_value(m, _lerp(a, b, t))
+    return t, measure_value(m, RiskPoint(*at(t)))
 
 
 def _agree(m: Measure, u: float, v: float) -> bool:
@@ -312,12 +305,9 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
     if k < 2:
         raise ValidationError("collapsibility analysis needs at least two strata")
     values = tuple(measure_value(m, p) for p in strata)
-    comps = [comparison_value(m, v) for v in values]
-    finite = [c for c in comps if not math.isnan(c)]
-    if finite and max(finite) - min(finite) <= COLLAPSE_TOL and len(finite) == k:
-        stratum_value = values[0]
-    else:
-        stratum_value = math.nan
+    shared = (not any(map(math.isnan, values))
+              and _agree(m, min(values), max(values)))
+    stratum_value = values[0] if shared else math.nan
 
     if k == 2:
         vertices = [0, 1]
@@ -341,11 +331,9 @@ def collapse_analysis(m: Measure, strata: Sequence[RiskPoint],
         raise UndefinedMeasureError(
             f"{m.label} is undefined over the whole standardized domain")
 
-    spread = comparison_value(m, high[0]) - comparison_value(m, low[0])
-    collapsible_here = (not math.isnan(spread)) and spread <= COLLAPSE_TOL
     return CollapsibilityReport(
         measure=m, stratum_values=values, stratum_value=stratum_value,
         min_value=low[0], max_value=high[0],
         argmin_weights=segment_weights(k, *low[1]),
         argmax_weights=segment_weights(k, *high[1]),
-        collapsible_here=collapsible_here)
+        collapsible_here=_agree(m, low[0], high[0]))

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rothman.errors import ValidationError
 from rothman.geometry import (Containment, ConfoundingRectangle, RiskPoint,
@@ -461,17 +461,21 @@ def test_two_point_weight_recovery(ax, ay, bx, by, t):
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
-@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=6), st.data(),
+@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=6),
+       st.integers(0, 5), st.integers(0, 5), unit,
+       st.sampled_from([0.0, 1e-12, -1e-9, 1e-7, 0.1]),
        st.sampled_from([0.0, 1e-9, 1e-6]))
+# the first fan triangle's det is 5e-324, so its barycentric coordinates
+# are nan and +-inf; the INSIDE target gets 0.5 on (0, 5e-324) and (1, 1)
+@example(coords=[(0.5, 0.5), (0.0, 1.0), (0.0, 5e-324), (1.0, 0.0),
+                 (1.0, 1.0), (0.5, 0.0)], i=0, j=0, t=0.0, nudge=0.0, tol=0.0)
 @settings(max_examples=300)
-def test_weights_exist_exactly_where_the_target_is_not_outside(coords, data,
-                                                               tol):
+def test_weights_exist_exactly_where_the_target_is_not_outside(
+        coords, i, j, t, nudge, tol):
     # targets off, on and near the segments between stratum points reach
     # the outside, boundary and inside verdicts alike
     strata = [RiskPoint(x, y) for x, y in coords]
-    a, b = (data.draw(st.sampled_from(strata)) for _ in range(2))
-    t = data.draw(unit)
-    nudge = data.draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-7, 0.1]))
+    a, b = strata[i % len(strata)], strata[j % len(strata)]
     x = a.x + t * (b.x - a.x) + nudge
     y = a.y + t * (b.y - a.y) - nudge
     target = RiskPoint(min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0))

@@ -453,6 +453,21 @@ class TestFit:
         assert f.coefficients[1] == pytest.approx(math.log(2.0), abs=1e-9)
         assert f.fitted_risks[0][1] == 1.0
 
+    def test_a_step_halved_short_of_a_bound_creeps_until_halving_runs_out(
+            self, make_table):
+        # Pins today's error, ROADMAP item 2's open bullet "a step halved
+        # short of a bound never reaches it": `project` clips the zero-count
+        # row at its bound while b takes its full share of the step, the
+        # deviance rises, and the halved steps creep toward the bound.
+        # test_every_fit_is_the_bounded_maximum draws such tables now and
+        # then; this one fails every time.
+        table = make_table([("a", 0, 1, 0, 1), ("b", 0, 12, 2, 242)])
+        with pytest.raises(NonConvergenceError, match=(
+                "^step halving exhausted after 17 iterations under the "
+                "identity link$")):
+            fit(ModelSpec(link="identity", terms="exposure_plus_stratum",
+                          table=table))
+
 
 class TestEstimates:
     @pytest.mark.parametrize("link", LINKS)

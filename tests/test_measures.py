@@ -396,6 +396,37 @@ class TestCollapseAnalysis:
             assert r.min_value <= lo + 1e-12
             assert r.max_value >= hi - 1e-12
 
+    @pytest.mark.parametrize("m", CURVED_MEASURES)
+    def test_a_contour_shared_at_infinity_is_collapsible_here(self, m):
+        # every standardized point of (0.2, 1) and (0.5, 1) has y = 1, so
+        # OR and HR are inf all along the segment; inf - inf once made the
+        # stratum value nan and the verdict false
+        r = collapse_analysis(m, [RiskPoint(0.2, 1.0), RiskPoint(0.5, 1.0)])
+        assert r.stratum_value == r.min_value == r.max_value == math.inf
+        assert r.collapsible_here
+
+    @pytest.mark.parametrize("m", [Measure.ODDS_RATIO, Measure.RISK_RATIO,
+                                   Measure.HAZARD_RATIO])
+    def test_a_contour_shared_at_zero_is_collapsible_here(self, m):
+        r = collapse_analysis(m, [RiskPoint(0.2, 0.0), RiskPoint(0.5, 0.0)])
+        assert r.stratum_value == r.min_value == r.max_value == 0.0
+        assert r.collapsible_here
+
+    def test_analysis_entries_agree_on_a_contour_shared_at_infinity(
+            self, make_table):
+        # 5/5 and 7/7 exposed: the fitted OR and HR points are the observed
+        # ones, (0.2, 1) and (0.5, 1), on the inf contour
+        doc = analyze(make_table([("a", 5, 5, 2, 10),
+                                  ("b", 7, 7, 5, 10)])).to_json_dict()
+        for entry, collapse in zip(doc["measures"], doc["collapsibility"]):
+            if entry["short"] in ("OR", "HR"):
+                em = entry["effect_modification"]
+                assert not em["present"]
+                assert em["stratum_values"] == collapse["stratum_values"] \
+                    == ["inf", "inf"]
+                assert collapse["stratum_value"] == "inf"
+                assert collapse["collapsible_here"]
+
     def test_needs_two_strata(self):
         with pytest.raises(ValidationError):
             collapse_analysis(Measure.ODDS_RATIO, [RiskPoint(0.1, 0.2)])
