@@ -46,17 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", default="whickham",
-                       help="table file, '-' for stdin, or a builtin name "
-                            f"({', '.join(sorted(BUILTIN_TABLES))})")
+    def add_input(p: argparse.ArgumentParser, default: str | None = "whickham",
+                  help: str = "table file, '-' for stdin, or a builtin name "
+                              f"({', '.join(sorted(BUILTIN_TABLES))})",
+                  ) -> None:
+        p.add_argument("input", nargs="?", default=default, help=help)
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="input format (default: by file extension, csv "
                             "otherwise)")
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", default=None,
-                       help="output path (default: stdout)")
+    def add_output(p: argparse.ArgumentParser,
+                   help: str = "output path (default: stdout)") -> None:
+        p.add_argument("-o", "--output", default=None, help=help)
 
     p = sub.add_parser("analyze", help="full analysis report as JSON")
     add_input(p)
@@ -82,17 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("plot", help="write a figure as an SVG file")
-    p.add_argument("input", nargs="?", default=None,
-                   help="table file, '-', or builtin name (default: the "
-                        "figure's bundled fixture)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="input format (default: by file extension, csv "
-                        "otherwise)")
+    add_input(p, None, "table file, '-', or builtin name (default: the "
+                       "figure's bundled fixture)")
     p.add_argument("--figure", type=int, required=True,
                    choices=sorted(FIGURE_SLUGS),
                    help="figure number to render")
-    p.add_argument("-o", "--output", default=None,
-                   help="output path (default: fig<N>_<slug>.svg)")
+    add_output(p, "output path (default: fig<N>_<slug>.svg)")
 
     p = sub.add_parser("simulate",
                        help="sample a table from a population spec")
@@ -178,13 +174,12 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    table = None
-    if args.input is not None:
-        table = _load_table(args.input, args.format)
-    svg = figure_svg(args.figure, table)
+    table = (None if args.input is None
+             else _load_table(args.input, args.format))
     output = args.output or figure_filename(args.figure)
-    Path(output).write_text(svg, encoding="utf-8")
-    sys.stdout.write(output + "\n")
+    _write(figure_svg(args.figure, table), output)
+    if output != "-":
+        sys.stdout.write(output + "\n")
     return EXIT_OK
 
 

@@ -106,8 +106,7 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       crude_fit: glm.GlmFit | GlmError,
                       common_fit: glm.GlmFit | GlmError | None,
                       intervals: list[glm.LrInterval | GlmError],
-                      stratum_points: tuple[RiskPoint, ...],
-                      em_tol: float) -> MeasureAnalysis:
+                      stratum_points: tuple[RiskPoint, ...]) -> MeasureAnalysis:
     """The measure's entry from its crude and common fits (the latter None
     on a one-stratum table), the profile intervals of those that succeeded
     (none when the crude fit failed) and each stratum's two cells."""
@@ -133,7 +132,7 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                 common_interval=common_interval,
                 interaction_p_value=glm.interaction_test(common_fit).p_value)
             results["modification"] = effect_modification(
-                measure, stratum_points, tol=em_tol)
+                measure, stratum_points)
         return MeasureAnalysis(
             measure=measure, link=link, **results,
             stratum_estimates=glm._stratum_effects(table, link))
@@ -168,7 +167,6 @@ def collapsibility_report_json(table: StratifiedCohortTable) -> list[dict]:
 def analyze(table: StratifiedCohortTable, *,
             level: float = glm.DEFAULT_LEVEL,
             containment_tol: float = DEFAULT_CONTAINMENT_TOL,
-            em_tol: float = 1e-6,
             custom_standards: Mapping[str, StandardPopulation] | None = None,
             ) -> AnalysisReport:
     """Run the whole pipeline on one table.
@@ -219,7 +217,7 @@ def analyze(table: StratifiedCohortTable, *,
     measures = tuple(
         _measure_analysis(m, table, crude_fits[m], common_fits.get(m),
                           [next(results) for _ in solved.get(m, [])],
-                          stratum_points, em_tol)
+                          stratum_points)
         for m in Measure)
     collapsibility = tuple(_collapsibility_entry(m, common_fits.get(m))
                            for m in Measure)
@@ -262,19 +260,20 @@ def number_list_pair(d: dict, key: str, values) -> None:
     d[key + "_full"] = [full_number(v) for v in values]
 
 
-def point_json(p: RiskPoint) -> dict:
-    out: dict = {"tag": p.tag}
-    number_pair(out, "x", p.x)
-    number_pair(out, "y", p.y)
+def _numbers(out: dict, record, *fields: str) -> dict:
+    """``out`` with the `number_pair` of each named field of ``record``."""
+    for field in fields:
+        number_pair(out, field, getattr(record, field))
     return out
+
+
+def point_json(p: RiskPoint) -> dict:
+    return _numbers({"tag": p.tag}, p, "x", "y")
 
 
 def _interval_json(interval: glm.LrInterval) -> dict:
-    out: dict = {"level": interval.level}
-    number_pair(out, "estimate", interval.estimate)
-    number_pair(out, "lower", interval.lower)
-    number_pair(out, "upper", interval.upper)
-    return out
+    return _numbers({"level": interval.level}, interval,
+                    "estimate", "lower", "upper")
 
 
 def _measure_json(entry: MeasureAnalysis) -> dict:
@@ -285,21 +284,19 @@ def _measure_json(entry: MeasureAnalysis) -> dict:
         "error": entry.error,
     }
     if entry.crude_interval is not None:
-        number_pair(out, "crude_estimate", entry.crude_estimate)
+        _numbers(out, entry, "crude_estimate", "crude_p_value")
         out["crude_interval"] = _interval_json(entry.crude_interval)
-        number_pair(out, "crude_p_value", entry.crude_p_value)
     if entry.common_interval is not None:
-        number_pair(out, "common_estimate", entry.common_estimate)
+        _numbers(out, entry, "common_estimate", "interaction_p_value")
         out["common_interval"] = _interval_json(entry.common_interval)
-        number_pair(out, "interaction_p_value", entry.interaction_p_value)
     if entry.error is not None:
         return out
     number_list_pair(out, "stratum_estimates", entry.stratum_estimates)
     if entry.modification is not None:
-        em: dict = {"present": entry.modification.present,
-                    "tol": full_number(entry.modification.tol)}
+        em = _numbers({"present": entry.modification.present,
+                       "tol": full_number(entry.modification.tol)},
+                      entry.modification, "max_difference")
         number_list_pair(em, "stratum_values", entry.modification.stratum_values)
-        number_pair(em, "max_difference", entry.modification.max_difference)
         out["effect_modification"] = em
     else:
         out["effect_modification"] = None
@@ -317,10 +314,8 @@ def _collapsibility_json(measure: Measure, report: CollapsibilityReport | None,
     if report is None:
         return out
     out["collapsible_here"] = report.collapsible_here
-    number_pair(out, "stratum_value", report.stratum_value)
+    _numbers(out, report, "stratum_value", "min_value", "max_value")
     number_list_pair(out, "stratum_values", report.stratum_values)
-    number_pair(out, "min_value", report.min_value)
-    number_pair(out, "max_value", report.max_value)
     number_list_pair(out, "argmin_weights", report.argmin_weights.as_floats())
     number_list_pair(out, "argmax_weights", report.argmax_weights.as_floats())
     return out
@@ -337,13 +332,9 @@ def _report_json(report: AnalysisReport) -> dict:
             name: point_json(p) for name, p in report.standardized_points
         },
         "hull_vertices": [point_json(p) for p in report.hull.vertices],
+        "rectangle": _numbers({}, report.rectangle,
+                              "x_min", "x_max", "y_min", "y_max"),
     }
-    rect: dict = {}
-    number_pair(rect, "x_min", report.rectangle.x_min)
-    number_pair(rect, "x_max", report.rectangle.x_max)
-    number_pair(rect, "y_min", report.rectangle.y_min)
-    number_pair(rect, "y_max", report.rectangle.y_max)
-    points["rectangle"] = rect
     return {
         "labels": {
             "exposure": report.table.exposure_label,

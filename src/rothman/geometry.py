@@ -179,12 +179,9 @@ def standard_population(table: StratifiedCohortTable, preset: str,
     """
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    if preset == "study_sample":
-        counts = [cell.total for cell in table.cells]
-    elif preset == "exposed":
-        counts = [cell.exposed_total for cell in table.cells]
-    else:
-        counts = [cell.unexposed_total for cell in table.cells]
+    field = {"study_sample": "total", "exposed": "exposed_total",
+             "unexposed": "unexposed_total"}[preset]
+    counts = [getattr(cell, field) for cell in table.cells]
     denom = sum(counts)
     if denom == 0:
         raise ValidationError(

@@ -32,59 +32,52 @@ DASH_PATTERN = "6,4"
 FONT = "font-family=\"sans-serif\""
 
 
-def _check_style(style: str, allowed: tuple[str, ...]) -> str:
-    if style not in allowed:
-        raise ValidationError(f"unknown style {style!r}; expected one of {allowed}")
-    return style
+class _Styled:
+    """A spec whose ``style`` must be one of its class's ``STYLES``."""
+
+    __slots__ = ()
+    STYLES = LINE_STYLES
+
+    def __post_init__(self) -> None:
+        if self.style not in self.STYLES:
+            raise ValidationError(
+                f"unknown style {self.style!r}; expected one of {self.STYLES}")
 
 
 @dataclass(frozen=True, slots=True)
-class PointSpec:
+class PointSpec(_Styled):
+    STYLES = POINT_STYLES
+
     point: RiskPoint
     style: str = "solid_circle"
     label: str = ""
 
-    def __post_init__(self) -> None:
-        _check_style(self.style, POINT_STYLES)
-
 
 @dataclass(frozen=True, slots=True)
-class SegmentSpec:
+class SegmentSpec(_Styled):
     a: RiskPoint
     b: RiskPoint
     style: str = "solid"
 
-    def __post_init__(self) -> None:
-        _check_style(self.style, LINE_STYLES)
-
 
 @dataclass(frozen=True, slots=True)
-class HullSpec:
+class HullSpec(_Styled):
     hull: StandardizedHull
     style: str = "solid"
 
-    def __post_init__(self) -> None:
-        _check_style(self.style, LINE_STYLES)
-
 
 @dataclass(frozen=True, slots=True)
-class RectangleSpec:
+class RectangleSpec(_Styled):
     rectangle: ConfoundingRectangle
     style: str = "dashed"
 
-    def __post_init__(self) -> None:
-        _check_style(self.style, LINE_STYLES)
-
 
 @dataclass(frozen=True, slots=True)
-class ContourSpec:
+class ContourSpec(_Styled):
     measure: Measure
     value: float
     style: str = "solid"
     label: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_style(self.style, LINE_STYLES)
 
     @property
     def final_label(self) -> str:

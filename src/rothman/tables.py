@@ -142,8 +142,7 @@ class StratifiedCohortTable:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for label, c in self.strata:
-            writer.writerow([label, c.exposed_cases, c.exposed_total,
-                             c.unexposed_cases, c.unexposed_total])
+            writer.writerow([label, *(getattr(c, f) for f in CSV_HEADER[1:])])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -154,13 +153,7 @@ class StratifiedCohortTable:
                 "covariate": self.covariate_label,
             },
             "strata": [
-                {
-                    "label": label,
-                    "exposed_cases": c.exposed_cases,
-                    "exposed_total": c.exposed_total,
-                    "unexposed_cases": c.unexposed_cases,
-                    "unexposed_total": c.unexposed_total,
-                }
+                {"label": label, **{f: getattr(c, f) for f in CSV_HEADER[1:]}}
                 for label, c in self.strata
             ],
         }

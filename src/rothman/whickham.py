@@ -13,6 +13,9 @@ from __future__ import annotations
 from .errors import ValidationError
 from .tables import CohortCell, StratifiedCohortTable
 
+_LABELS = {"exposure_label": "smoker", "outcome_label": "death",
+           "covariate_label": "age"}
+
 
 def whickham_crude_table() -> StratifiedCohortTable:
     """All 1,314 women in one stratum: smokers 139/582, nonsmokers 230/732."""
@@ -21,10 +24,7 @@ def whickham_crude_table() -> StratifiedCohortTable:
             ("all", CohortCell(exposed_cases=139, exposed_total=582,
                                unexposed_cases=230, unexposed_total=732)),
         ),
-        exposure_label="smoker",
-        outcome_label="death",
-        covariate_label="age",
-    )
+        **_LABELS)
 
 
 def whickham_table() -> StratifiedCohortTable:
@@ -36,10 +36,7 @@ def whickham_table() -> StratifiedCohortTable:
             ("65+", CohortCell(exposed_cases=42, exposed_total=49,
                                unexposed_cases=165, unexposed_total=193)),
         ),
-        exposure_label="smoker",
-        outcome_label="death",
-        covariate_label="age",
-    )
+        **_LABELS)
 
 
 def six_strata_table() -> StratifiedCohortTable:
@@ -53,14 +50,8 @@ def six_strata_table() -> StratifiedCohortTable:
         ("65+", 44, 50, 170, 200),
     )
     return StratifiedCohortTable(
-        strata=tuple(
-            (label, CohortCell(exposed_cases=ec, exposed_total=et,
-                               unexposed_cases=uc, unexposed_total=ut))
-            for label, ec, et, uc, ut in rows),
-        exposure_label="smoker",
-        outcome_label="death",
-        covariate_label="age",
-    )
+        strata=tuple((label, CohortCell(*counts)) for label, *counts in rows),
+        **_LABELS)
 
 
 BUILTIN_TABLES = {

@@ -1,6 +1,6 @@
 """The public API: the names `import rothman` exports, the names the
-benchmark's tracer wraps, the README's quickstart and the Python version
-floor the package declares.
+benchmark's tracer wraps, the README's quickstart and list of benchmark
+records, and the Python version floor the package declares.
 
 A public name is removed only together with the README and the tests that
 use it, so the frozen list below changes only in such a change.
@@ -93,6 +93,15 @@ def test_readme_quickstart_gives_the_numbers_its_comments_state(capsys):
            namespace["interval"].lower, namespace["interval"].upper]
     assert got == [pytest.approx(v, abs=5e-5) for v in stated]
     assert capsys.readouterr().out.startswith("{")
+
+
+def test_readme_names_every_benchmark_record():
+    # Each BENCH_<n>.json at the root holds one change's paired benchmark
+    # runs; the README's Performance paragraph lists them all.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    records = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert records
+    assert [r for r in records if f"`{r}`" not in readme] == []
 
 
 def test_sources_parse_at_the_declared_python_floor():

@@ -336,6 +336,15 @@ class TestPlot:
         assert out == f"{target}\n"
         assert target.read_text() == figure_svg(2)
 
+    def test_dash_output_writes_the_svg_to_stdout(self, run, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run("plot", "--figure", "1", "-o", "-")
+        assert code == 0
+        assert out.startswith("<?xml")
+        assert out == figure_svg(1)
+        assert not (tmp_path / "-").exists()
+
     def test_figure4_defaults_to_six_strata_fixture(self, run, tmp_path):
         target = tmp_path / "hull.svg"
         code, _, _ = run("plot", "--figure", "4", "-o", str(target))

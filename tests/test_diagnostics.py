@@ -127,17 +127,6 @@ class TestAnalyzeFlags:
         rd = report.measures[2]
         assert rd.modification.present
 
-    def test_modification_tolerance_forwarded(self, whickham):
-        # an infinite tolerance is written as a string, like every
-        # non-finite number in the report, so strict JSON can hold it
-        for em_tol, written in ((10.0, 10.0), (math.inf, "inf")):
-            report = analyze(whickham, em_tol=em_tol)
-            for e in report.measures:
-                assert not e.modification.present
-            for entry in json.loads(report.to_json())["measures"]:
-                assert entry["effect_modification"]["present"] is False
-                assert entry["effect_modification"]["tol"] == written
-
 
 class TestDegradedTables:
     def test_a_boundary_table_gets_crude_and_stratified_results(self):

@@ -8,6 +8,7 @@ is rounded to 0.01px on a 480px plot area, so an inverted coordinate
 carries at most ~1.05e-5 of rounding error.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -377,17 +378,26 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="too small"):
             DiagramSpec(width=100, margin=50)
 
-    @pytest.mark.parametrize("build", [
-        lambda: SegmentSpec(RiskPoint(0, 0), RiskPoint(1, 1), style="dotted"),
-        lambda: HullSpec(standardized_hull([RiskPoint(0.5, 0.5)]),
-                         style="bold"),
-        lambda: RectangleSpec(confounding_rectangle([RiskPoint(0.5, 0.5)]),
-                              style="thin"),
-        lambda: ContourSpec(Measure.ODDS_RATIO, 2.0, style="wavy"),
-    ])
-    def test_unknown_line_styles_rejected(self, build):
-        with pytest.raises(ValidationError, match="unknown style"):
-            build()
+    @pytest.mark.parametrize("spec, args, style, allowed, fields", [
+        (PointSpec, (RiskPoint(0.5, 0.5),), "hollow",
+         "('open_circle', 'solid_circle')", ("point", "style", "label")),
+        (SegmentSpec, (RiskPoint(0, 0), RiskPoint(1, 1)), "dotted",
+         "('solid', 'dashed')", ("a", "b", "style")),
+        (HullSpec, (standardized_hull([RiskPoint(0.5, 0.5)]),), "bold",
+         "('solid', 'dashed')", ("hull", "style")),
+        (RectangleSpec, (confounding_rectangle([RiskPoint(0.5, 0.5)]),),
+         "thin", "('solid', 'dashed')", ("rectangle", "style")),
+        (ContourSpec, (Measure.ODDS_RATIO, 2.0), "wavy",
+         "('solid', 'dashed')", ("measure", "value", "style", "label")),
+    ], ids=["point", "segment", "hull", "rectangle", "contour"])
+    def test_unknown_line_styles_rejected(self, spec, args, style, allowed,
+                                          fields):
+        with pytest.raises(ValidationError) as info:
+            spec(*args, style=style)
+        assert str(info.value) == (
+            f"unknown style '{style}'; expected one of {allowed}")
+        # the allowed styles belong to the class, not to each spec
+        assert tuple(f.name for f in dataclasses.fields(spec)) == fields
 
 
 class TestFigureGallery:

@@ -110,9 +110,18 @@ class TestStratifiedCohortTable:
 
 HEADER = ("stratum,exposed_cases,exposed_total,unexposed_cases,"
           "unexposed_total")
+# labels that CSV must quote: a comma, and double quotes
+QUOTED = StratifiedCohortTable(strata=(
+    ("a,b", CohortCell(1, 2, 0, 3)), ('say "hi"', CohortCell(0, 1, 1, 1))))
 
 
 class TestCsv:
+    def test_text_is_pinned(self, whickham):
+        assert serialize_table(whickham, format="csv") == (
+            HEADER + "\n18-64,97,533,65,539\n65+,42,49,165,193\n")
+        assert serialize_table(QUOTED, format="csv") == (
+            HEADER + '\n"a,b",1,2,0,3\n"say ""hi""",0,1,1,1\n')
+
     def test_round_trip_preserves_strata(self, whickham):
         # CSV carries counts only, so compare strata rather than labels
         text = serialize_table(whickham, format="csv")
@@ -166,6 +175,56 @@ class TestCsv:
 
 
 class TestJson:
+    def test_text_is_pinned(self, whickham):
+        assert serialize_table(whickham, format="json") == """{
+  "labels": {
+    "exposure": "smoker",
+    "outcome": "death",
+    "covariate": "age"
+  },
+  "strata": [
+    {
+      "label": "18-64",
+      "exposed_cases": 97,
+      "exposed_total": 533,
+      "unexposed_cases": 65,
+      "unexposed_total": 539
+    },
+    {
+      "label": "65+",
+      "exposed_cases": 42,
+      "exposed_total": 49,
+      "unexposed_cases": 165,
+      "unexposed_total": 193
+    }
+  ]
+}
+"""
+        assert serialize_table(QUOTED, format="json") == r"""{
+  "labels": {
+    "exposure": "exposure",
+    "outcome": "outcome",
+    "covariate": "stratum"
+  },
+  "strata": [
+    {
+      "label": "a,b",
+      "exposed_cases": 1,
+      "exposed_total": 2,
+      "unexposed_cases": 0,
+      "unexposed_total": 3
+    },
+    {
+      "label": "say \"hi\"",
+      "exposed_cases": 0,
+      "exposed_total": 1,
+      "unexposed_cases": 1,
+      "unexposed_total": 1
+    }
+  ]
+}
+"""
+
     def test_round_trip(self, whickham):
         text = serialize_table(whickham, format="json")
         assert parse_table(text, format="json") == whickham
