@@ -8,10 +8,11 @@ JSON form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import glm
 from .errors import GlmError, UndefinedMeasureError, ValidationError
@@ -106,10 +107,12 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
                       crude_fit: glm.GlmFit | GlmError,
                       common_fit: glm.GlmFit | GlmError | None,
                       intervals: list[glm.LrInterval | GlmError],
+                      crude_test: Callable[[], glm.LrTest],
                       stratum_points: tuple[RiskPoint, ...]) -> MeasureAnalysis:
     """The measure's entry from its crude and common fits (the latter None
     on a one-stratum table), the profile intervals of those that succeeded
-    (none when the crude fit failed) and each stratum's two cells."""
+    (none when the crude fit failed), its exposure test and each stratum's
+    two cells."""
     link = measure.link
     results: dict = {}  # each group added once all of it is in; kept on error
     try:
@@ -119,7 +122,7 @@ def _measure_analysis(measure: Measure, table: StratifiedCohortTable,
         _raise_error(crude_interval)
         results.update(crude_estimate=crude_estimate,
                        crude_interval=crude_interval,
-                       crude_p_value=glm.exposure_test(crude_fit).p_value)
+                       crude_p_value=crude_test().p_value)
         if table.k < 2:  # the crude fit is the common one
             results.update(common_estimate=crude_estimate,
                            common_interval=crude_interval)
@@ -172,7 +175,8 @@ def analyze(table: StratifiedCohortTable, *,
     """Run the whole pipeline on one table.
 
     Per-measure GLM failures are recorded in that measure's entry instead
-    of aborting; geometry always succeeds on a valid table.
+    of aborting; geometry always succeeds on a valid table. A custom
+    standard may not take a preset's name (`PRESETS`).
     """
     crude_point, stratum_points = association_points(table)
     hull = standardized_hull(stratum_points)
@@ -193,6 +197,9 @@ def analyze(table: StratifiedCohortTable, *,
         std = standard_population(table, preset)
         standardized.append((preset, standardized_point(table, std)))
     for name, std in (custom_standards or {}).items():
+        if name in PRESETS:  # the report keeps one point a name
+            raise ValidationError(
+                f"custom standard {name!r} has a preset's name")
         if std.k != table.k:
             raise ValidationError(
                 f"custom standard {name!r} has {std.k} weights for "
@@ -214,10 +221,12 @@ def analyze(table: StratifiedCohortTable, *,
               for m in Measure if isinstance(crude_fits[m], glm.GlmFit)}
     fits = [f for group in solved.values() for f in group]
     results = iter(glm.profile_intervals(fits, level=level))
+    # every crude fit's test is of the same collapsed 2x2, whatever its link
+    crude_test = functools.cache(lambda: glm.exposure_test(fits[0]))
     measures = tuple(
         _measure_analysis(m, table, crude_fits[m], common_fits.get(m),
                           [next(results) for _ in solved.get(m, [])],
-                          stratum_points)
+                          crude_test, stratum_points)
         for m in Measure)
     collapsibility = tuple(_collapsibility_entry(m, common_fits.get(m))
                            for m in Measure)
@@ -230,9 +239,8 @@ def analyze(table: StratifiedCohortTable, *,
         measures=measures, collapsibility=collapsibility)
 
 
-def _sig6(value: float):
-    value = full_number(value)
-    return value if isinstance(value, str) else float(f"{value:.6g}")
+def _sig6(full: float | str):
+    return full if isinstance(full, str) else float(f"{full:.6g}")
 
 
 def full_number(value: float):
@@ -246,18 +254,44 @@ def full_number(value: float):
 
 
 def json_text(doc: dict) -> str:
-    """The JSON text of a report or CLI output: indented, keys sorted."""
+    """The JSON text of a report or CLI output: indented, keys sorted, the
+    bytes and errors of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False)``, which writes indented text in pure Python. The C
+    encoder writes one item a line here, and each bracket outside a string
+    then indents or outdents the lines after it (a string escapes its
+    newlines). Text whose strings hold a quote or bracket is left to
+    ``json.dumps``, as is all text where Python has no C encoder."""
+    encoder = json.encoder.c_make_encoder
+    if encoder is not None:
+        text = "".join(encoder(  # json.dumps's encoder, one item a line
+            {}, json.JSONEncoder().default,
+            json.encoder.encode_basestring_ascii, None, ": ", ",\n", True,
+            False, False)(doc, 0))
+        if '\\"' not in text:
+            # \1, \2 hold the empty containers, \0 each other bracket's edge
+            pieces = (text.replace("{}", "\1").replace("[]", "\2")
+                      .replace("{", "{\0").replace("[", "[\0")
+                      .replace("]", "\0]").replace("}", "\0}").split("\0"))
+            out, depth = [pieces[0]], 0
+            for piece in pieces[1:]:
+                if piece.count('"') % 2:  # a bracket inside a string
+                    break
+                depth += -1 if piece[:1] in "]}" else 1
+                newline = "\n" + "  " * depth
+                out += (newline, piece.replace("\n", newline))
+            else:
+                return "".join(out).replace("\1", "{}").replace("\2", "[]")
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def number_pair(d: dict, key: str, value: float) -> None:
-    d[key] = _sig6(value)
-    d[key + "_full"] = full_number(value)
+    full = full_number(value)
+    d[key], d[key + "_full"] = _sig6(full), full
 
 
 def number_list_pair(d: dict, key: str, values) -> None:
-    d[key] = [_sig6(v) for v in values]
-    d[key + "_full"] = [full_number(v) for v in values]
+    full = [full_number(v) for v in values]
+    d[key], d[key + "_full"] = [_sig6(v) for v in full], full
 
 
 def _numbers(out: dict, record, *fields: str) -> dict:

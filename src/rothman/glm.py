@@ -22,10 +22,14 @@ steps b and the alphas together to solve for profile-interval endpoints,
 many problems in one run: `profile_intervals` solves both endpoints of
 several fits of any links at once, and `analyze` those of all four
 measures' crude and common fits. Both runs stack their problems' rows
-(`_Stack`), and grouping changes no problem's bits.
-Likelihood-ratio tests and profile intervals reuse a finished fit, and
-each table's arrays are built once (`_cells`). The chi-square functions
-are computed here, so there is no stats dependency.
+(`_Stack`), and grouping changes no problem's bits; the fit records and
+the endpoints' starts are read off those rows too. Likelihood-ratio tests
+and profile intervals reuse a finished fit, and each table's arrays are
+built once (`_cells`). What no link changes is shared: the fits of one
+table and terms share their names, and the closed-form ones their fitted
+cells, so the exposure-only fits of all links have one likelihood and
+`analyze` one crude exposure test. The chi-square functions are computed
+here, so there is no stats dependency.
 """
 
 from __future__ import annotations
@@ -218,14 +222,6 @@ def _deviance(s: np.ndarray, n: np.ndarray, log_mu: np.ndarray,
                         + _part(n - s, log_q, log_nu)).sum())
 
 
-def _eta(alpha: np.ndarray, b: float | np.ndarray) -> np.ndarray:
-    """Each stratum's cells, alpha and alpha + b (one b, or one a row)."""
-    eta = np.empty((alpha.size, 2))
-    eta[:, 0] = alpha
-    np.add(alpha, b, out=eta[:, 1])
-    return eta
-
-
 def _edges(b: float | np.ndarray, lo: float | np.ndarray,
            hi: float | np.ndarray) -> tuple:
     """The least and greatest alpha keeping the risks at alpha and alpha + b
@@ -248,20 +244,21 @@ class _Stack:
         ends = [*starts[1:].tolist(), len(s)]
         self.s, self.f, self.starts, size = s, f, starts, len(starts)
         self.owner = np.repeat(np.arange(size), np.subtract(ends, starts))
-        self.lo, self.hi, self.box_lo, self.box_hi = np.empty((4, len(s)))
+        self.lo, self.hi, self.box_lo, self.box_hi = np.array(
+            [_BOUNDS[link.name] for link in links]).T[:, self.owner]
         self.segments, j = [], 0  # one (link, rows, s, f) per run of one link
         for link, group in itertools.groupby(links):
             first, j = j, j + len(list(group))
             r = slice(starts[first], ends[j - 1])
             self.segments.append((link, r, s[r], f[r]))
-            self.lo[r], self.hi[r], *box = _BOUNDS[link.name]
-            self.box_lo[r], self.box_hi[r] = box
         zero = (s == 0.0) | (f == 0.0)
-        self.zero = zero.any(axis=1) if zero.any() else None
-        edge = ((s == 0.0).all(axis=1) & np.isfinite(self.lo)
-                | (f == 0.0).all(axis=1) & np.isfinite(self.hi))
-        self.kinks = (np.logical_or.reduceat(edge, starts) if edge.any()
-                      else None)
+        self.zero = self.kinks = None
+        if zero.any():  # only a row with a count of 0 can be on an edge
+            self.zero = zero.any(axis=1)
+            edge = ((s == 0.0).all(axis=1) & np.isfinite(self.lo)
+                    | (f == 0.0).all(axis=1) & np.isfinite(self.hi))
+            self.kinks = (np.logical_or.reduceat(edge, starts) if edge.any()
+                          else None)
         self.up = self.down = np.zeros(len(s), bool)  # rows held at hi, lo
         # np.add.reduceat adds a segment's first entry to the pairwise sum
         # of the rest; a zero ahead of each segment makes it np.sum's sum
@@ -287,8 +284,11 @@ class _Stack:
 
     def cells(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         """log(mu), log(1 - mu), g and h of every row under its problem's
-        link, stacked, shape (4, rows, 2)."""
-        eta, out = _eta(alpha, b_rows), np.empty((4, len(alpha), 2))
+        link, stacked, shape (4, rows, 2), each row's cells at alpha and
+        alpha + b."""
+        eta, out = np.empty((len(alpha), 2)), np.empty((4, len(alpha), 2))
+        eta[:, 0] = alpha
+        np.add(alpha, b_rows, out=eta[:, 1])
         for link, r, s_r, f_r in self.segments:
             out[:, r] = link.cells(eta[r], s_r, f_r)
         return out
@@ -377,6 +377,9 @@ class _Stack:
         """Each problem's deviance from the cells whose logs are ``ref``,
         summed as `_deviance` sums it: nan where a cell leaves its domain,
         inf where a count meets a risk that rules it out."""
+        if self.zero is None:  # every count positive: `_part`'s product
+            return 2.0 * self.sums(self.s * (ref[0] - log_mu)
+                                   + self.f * (ref[1] - log_nu))
         return 2.0 * self.sums(_part(self.s, ref[0], log_mu)
                                + _part(self.f, ref[1], log_nu))
 
@@ -391,6 +394,7 @@ class _FitRun:
     steps: np.ndarray  # each problem's iterations
     errors: list  # each problem's NonConvergenceError, None if it converged
     iterations: int  # Newton passes over the group
+    stack: _Stack  # the problems' rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -507,7 +511,7 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             break
     return _FitRun(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
                    deviance=dev, steps=steps, errors=errors,
-                   iterations=iterations)
+                   iterations=iterations, stack=stack)
 
 
 def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
@@ -608,9 +612,10 @@ def _observed(s: np.ndarray, n: np.ndarray, link: _Link) -> tuple:
     return eta, eta[:, 1] - eta[:, 0]
 
 
-def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
-                  ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray] | None:
-    """Coefficients, log(mu) and log(1 - mu) of a closed-form fit, or None.
+def _observed_fit(terms: str, s: np.ndarray, n: np.ndarray, link: _Link,
+                  ) -> tuple[float, ...] | None:
+    """Coefficients of a closed-form fit of the cells ``s``, ``n`` (pooled
+    for the exposure-only model), or None.
 
     Every saturated cell and exposure-only group has a free risk, fitted by
     its observed (pooled) proportion, 0 and 1 included, and the
@@ -618,49 +623,29 @@ def _observed_fit(spec: ModelSpec, s: np.ndarray, n: np.ndarray, link: _Link,
     the identity link; on the others it is infinite where one risk of a
     stratum sits on a bound of the link and the other does not, and nan
     where both share one. The no-interaction model has the same fit when a
-    risk of 0 or 1 is observed and the strata's effects agree, nan ones
-    aside: b is then their value, or nan if all are nan. Any other
-    no-interaction fit is left to `_irls` (None).
+    risk of 0 or 1 is observed (`fits` asks only then) and the strata's
+    effects agree, nan ones aside: b is then their value, or nan if all
+    are nan. Any other no-interaction fit is left to `_irls` (None).
     """
-    if spec.terms == "exposure_plus_stratum" and ((0.0 < s) & (s < n)).all():
-        return None
-    if spec.terms == "exposure_only":
-        s, n = (np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         eta, effect = _observed(s, n, link)
-        if spec.terms == "exposure_plus_stratum":
+        if terms == "exposure_plus_stratum":
             common = set(effect[~np.isnan(effect)].tolist()) or {math.nan}
             if len(common) > 1:
                 return None
             coefficients = (eta[0, 0], *common, *(eta[1:, 0] - eta[0, 0]))
         else:
             coefficients = (eta[0, 0], effect[0])
-        if spec.terms == "saturated_with_interaction":
+        if terms == "saturated_with_interaction":
             coefficients += (*(eta[1:, 0] - eta[0, 0]),
                              *(effect[1:] - effect[0]))
-    return (coefficients, *_log_observed(s, n))
+    return tuple(float(c) for c in coefficients)
 
 
-def _glm_fit(spec: ModelSpec, coefficients: tuple, log_mu: np.ndarray,
-             log_nu: np.ndarray, deviance: float, iterations: int) -> GlmFit:
-    """The fit of ``spec`` from its coefficients and fitted cells' logs."""
-    s, n, log_choose = _cells(spec.table)
-    labels = spec.table.labels[1:]
-    names = ("intercept", "exposure",
-             *(f"stratum:{lbl}" for lbl in labels
-               if spec.terms != "exposure_only"),
-             *(f"exposure:stratum:{lbl}" for lbl in labels
-               if spec.terms == "saturated_with_interaction"))
-    return GlmFit(spec=spec,
-                  coefficients=tuple(float(c) for c in coefficients),
-                  coefficient_names=names,
-                  log_likelihood=float(np.sum(
-                      log_choose - _part(s, 0.0, log_mu)
-                      - _part(n - s, 0.0, log_nu))),
-                  deviance=deviance,
-                  fitted_risks=tuple((float(x), float(y))
-                                     for x, y in np.exp(log_mu)),
-                  iterations=iterations)
+def _log_likelihoods(s: np.ndarray, n: np.ndarray, log_choose: np.ndarray,
+                     log_mu: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
+    """Each cell's log-likelihood at the fitted logs, 0 log 0 = 0."""
+    return log_choose - _part(s, 0.0, log_mu) - _part(n - s, 0.0, log_nu)
 
 
 def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
@@ -668,37 +653,65 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
     `GlmError` that stopped it. The closed-form fits (`_observed_fit`)
     come from the observed proportions, and all other no-interaction models
     are fitted in one `_irls` run, reported in reference coding: intercept =
-    alpha_1 and stratum:i = alpha_i - alpha_1."""
+    alpha_1 and stratum:i = alpha_i - alpha_1. The fits of one table and
+    terms share their coefficient names, and the closed-form ones their
+    fitted cells, log-likelihood and deviance, which no link changes."""
     results: list = [None] * len(specs)
-    free = []  # (result index, spec, cases, totals) of each free fit
+    groups: dict = {}  # the result indices of each table and terms
     for i, spec in enumerate(specs):
+        groups.setdefault((spec.table, spec.terms), []).append(i)
+    free = []  # (result index, names, cases, totals, log C) of each free fit
+    for (table, terms), members in groups.items():
         try:
-            s, n, _ = _cells(spec.table)
+            s, n, log_choose = _cells(table)
         except GlmError as exc:
-            results[i] = exc
+            for i in members:
+                results[i] = exc
             continue
-        observed = _observed_fit(spec, s, n, _LINKS[spec.link])
-        if observed is None:
-            free.append((i, spec, s, n))
-            continue
-        coefficients, *logs = observed
-        # a fit of the observed risks has deviance 0
-        deviance = (_deviance(s, n, *logs) if spec.terms == "exposure_only"
-                    else 0.0)
-        results[i] = _glm_fit(spec, coefficients, *logs, deviance, 0)
+        labels = table.labels[1:]
+        names = ("intercept", "exposure",
+                 *(f"stratum:{lbl}" for lbl in labels
+                   if terms != "exposure_only"),
+                 *(f"exposure:stratum:{lbl}" for lbl in labels
+                   if terms == "saturated_with_interaction"))
+        cells = (s, n) if terms != "exposure_only" else [
+            np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n)]
+        mixed = (terms == "exposure_plus_stratum"
+                 and ((0.0 < s) & (s < n)).all())
+        shared = None  # the closed-form fits' log-likelihood, deviance, risks
+        for i in members:
+            coefficients = None if mixed else _observed_fit(
+                terms, *cells, _LINKS[specs[i].link])
+            if coefficients is None:
+                free.append((i, names, s, n, log_choose))
+                continue
+            if shared is None:
+                logs = _log_observed(*cells)
+                # a fit of the observed risks has deviance 0
+                shared = (float(np.sum(_log_likelihoods(s, n, log_choose,
+                                                        *logs))),
+                          _deviance(s, n, *logs)
+                          if terms == "exposure_only" else 0.0,
+                          tuple(map(tuple, np.exp(logs[0]).tolist())))
+            results[i] = GlmFit(specs[i], coefficients, names, *shared, 0)
     if free:
-        indices, free_specs, s, n = zip(*free)
-        starts = np.cumsum([0, *map(len, s[:-1])])
-        run = _irls(np.concatenate(s), np.concatenate(n),
-                    [_LINKS[spec.link] for spec in free_specs], starts)
-        for j, (i, spec) in enumerate(zip(indices, free_specs)):
-            rows = slice(starts[j], starts[j] + len(s[j]))
-            alpha = run.alpha[rows]
-            with np.errstate(invalid="ignore"):  # inf - inf
-                coefficients = (alpha[0], run.b[j], *(alpha[1:] - alpha[0]))
-            results[i] = run.errors[j] or _glm_fit(
-                spec, coefficients, run.log_mu[rows], run.log_nu[rows],
-                float(run.deviance[j]), int(run.steps[j]))
+        free.sort(key=lambda problem: problem[0])
+        indices, names, s, n, log_choose = zip(*free)
+        ends = np.cumsum([0, *map(len, s)])  # each fit's rows, from-to
+        s, n = np.concatenate(s), np.concatenate(n)
+        run = _irls(s, n, [_LINKS[specs[i].link] for i in indices], ends[:-1])
+        # every free fit's record from the run's stacked rows at once
+        log_likelihoods = run.stack.sums(_log_likelihoods(
+            s, n, np.concatenate(log_choose), run.log_mu, run.log_nu))
+        alphas, risks = run.alpha.tolist(), np.exp(run.log_mu).tolist()
+        for j, i in enumerate(indices):
+            rows = slice(*ends[j:j + 2].tolist())
+            alpha = alphas[rows]
+            results[i] = run.errors[j] or GlmFit(
+                specs[i], (alpha[0], float(run.b[j]),
+                           *(a - alpha[0] for a in alpha[1:])),
+                names[j], float(log_likelihoods[j]), float(run.deviance[j]),
+                tuple(map(tuple, risks[rows])), int(run.steps[j]))
     return results
 
 
@@ -832,57 +845,63 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     if not fits:
         return []
     cut = chi_square_quantile(level, 1)
-    problems, ends = [], []
-    for fit_result in fits:
-        link = _LINKS[fit_result.spec.link]
-        s, n, _ = _carrier(fit_result)
-        # the intercept, b and the carried strata's coefficients
-        c = fit_result.coefficients[:len(s) + 1]
-        b_hat = c[1]
-        limit = 1.0 if link.name == "identity" else math.inf
-        with np.errstate(all="ignore"):
-            if math.isfinite(b_hat):
-                alpha_hat = c[0] + np.array((0.0, *c[2:]))
-                if not np.isfinite(alpha_hat).all():
-                    # reference coding loses infinite alphas
-                    alpha_hat = _irls(s, n, [link], np.zeros(1, int)).alpha
-                *hat, _, h = link.cells(_eta(alpha_hat, b_hat), s, n - s)
-                # a held row, its curvature nan at its bound, is left out
-                information, alpha_slope = (
-                    np.where(np.isnan(x), 0.0, x) for x in (
-                        h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]),
-                        h[:, 1] / h.sum(axis=1)))
-                information = float(information.sum())
-                first = (min(math.sqrt(cut / information), MAX_ETA_STEP)
-                         if 0.0 < information < math.inf else 0.5)
-                begin = [(b_hat + side * w, alpha_hat - side * w * alpha_slope)
-                         for side in (-1.0, 1.0) for w in [
-                             first if side * b_hat + first < limit
-                             else (limit - side * b_hat) / 2.0]]
-            else:
-                hat, (eta, _) = _log_observed(s, n), _observed(s, n, link)
-                smooth = link.to_eta((s + 0.5) / (n + 1.0))
-                b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
-                alpha = np.where(np.isfinite(eta[:, 0]), eta[:, 0], np.where(
-                    np.isfinite(eta[:, 1]), eta[:, 1] - b0, -b0 / 2.0))
-                begin = [(b0, alpha)] * 2
-        for side, (b, alpha) in zip((-1.0, 1.0), begin):  # lower, upper
-            inside = side * b_hat < limit
-            ends.append(None if inside else side * limit)
-            if inside:
-                problems.append((s, n, *hat, alpha, b, b_hat, link))
-    if problems:
-        s, n, log_mu, log_nu, start, b, b_hat, links = zip(*problems)
-        starts = np.cumsum([0, *map(len, s[:-1])])
-        solved = iter(_joint_endpoints(
-            *map(np.concatenate, (s, n)), links, np.array(b),
-            np.concatenate(start), np.array(b_hat),
-            tuple(map(np.concatenate, (log_mu, log_nu))), cut, starts).b)
-        ends = [float(next(solved)) if end is None else end for end in ends]
+    carried = [_carrier(fit_result)[:2] for fit_result in fits]
+    links = [_LINKS[fit_result.spec.link] for fit_result in fits]
+    sizes = np.array([len(s) for s, _ in carried])
+    s, n = (np.concatenate(a) for a in zip(*carried))
+    stack = _Stack(s, n - s, links, np.cumsum(sizes) - sizes)
+    starts, owner = stack.starts, stack.owner
+    b_hat = np.array([fit_result.coefficients[1] for fit_result in fits])
+    alpha_hat = []  # each fit's intercept plus its carried strata's terms
+    for fit_result, (s_j, n_j), link in zip(fits, carried, links):
+        c = fit_result.coefficients[:len(s_j) + 1]
+        alpha = [c[0] + x for x in (0.0, *c[2:])]
+        if math.isfinite(c[1]) and not all(map(math.isfinite, alpha)):
+            # reference coding loses infinite alphas
+            alpha = _irls(s_j, n_j, [link], np.zeros(1, int)).alpha.tolist()
+        alpha_hat += alpha
+    alpha_hat = np.array(alpha_hat)
+    limits = np.array([1.0 if link.name == "identity" else math.inf
+                       for link in links])
+    sides = np.array([[-1.0], [1.0]])  # lower, upper
+    with np.errstate(all="ignore"):
+        log_mu, log_nu, _, h = stack.cells(alpha_hat, b_hat[owner])
+        # a held row, its curvature nan at its bound, is left out
+        information, alpha_slope = (
+            np.where(np.isnan(x), 0.0, x) for x in (
+                h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]),
+                h[:, 1] / h.sum(axis=1)))
+        information = stack.sums(information)
+        first = np.where((0.0 < information) & (information < math.inf),
+                         np.minimum(np.sqrt(cut / information), MAX_ETA_STEP),
+                         0.5)
+        w = sides * np.where(sides * b_hat + first < limits, first,
+                             (limits - sides * b_hat) / 2.0)
+        b, start = b_hat + w, alpha_hat - w[:, owner] * alpha_slope
+        for j in np.flatnonzero(~np.isfinite(b_hat)).tolist():
+            (s_j, n_j), link, r = carried[j], links[j], owner == j
+            (log_mu[r], log_nu[r]), (eta, _) = (_log_observed(s_j, n_j),
+                                                _observed(s_j, n_j, link))
+            smooth = link.to_eta((s_j + 0.5) / (n_j + 1.0))
+            b[:, j] = b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
+            start[:, r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0], np.where(
+                np.isfinite(eta[:, 1]), eta[:, 1] - b0, -b0 / 2.0))
+    inside = sides * b_hat < limits
+    ends = sides * limits  # each fit's lower and upper endpoints
+    if inside.any():
+        # the problems by fit, then side, and their rows
+        fit_of, side_of = np.nonzero(inside.T)
+        size = sizes[fit_of]
+        at = np.cumsum(size) - size
+        rows = np.repeat(starts[fit_of] - at, size) + np.arange(size.sum())
+        ends.T[inside.T] = _joint_endpoints(
+            s[rows], n[rows], [links[j] for j in fit_of.tolist()],
+            b[side_of, fit_of], start[np.repeat(side_of, size), rows],
+            b_hat[fit_of], (log_mu[rows], log_nu[rows]), cut, at).b
 
     intervals = []
-    for j, fit_result in enumerate(fits):
-        link, (lower, upper) = fit_result.spec.link, ends[2 * j:2 * j + 2]
+    for fit_result, (lower, upper) in zip(fits, ends.T.tolist()):
+        link = fit_result.spec.link
         if math.isnan(lower) or math.isnan(upper):
             intervals.append(NonConvergenceError(
                 f"no {'lower' if math.isnan(lower) else 'upper'} profile "

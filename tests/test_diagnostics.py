@@ -6,15 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import test_golden
 from rothman import glm
 from rothman.diagnostics import (CONFOUNDING_NOTE, INDETERMINATE, OFF_SEGMENT,
                                  ON_SEGMENT, AnalysisReport, analyze,
-                                 collapsibility_report_json, full_number)
+                                 collapsibility_report_json, full_number,
+                                 json_text)
 from rothman.errors import NonConvergenceError, ValidationError
-from rothman.geometry import Containment, StandardPopulation
+from rothman.geometry import (Containment, StandardPopulation,
+                              standard_population)
 from rothman.measures import Measure
 from rothman.tables import CohortCell, StratifiedCohortTable
 
@@ -290,6 +293,15 @@ class TestCustomStandards:
         with pytest.raises(ValidationError, match="'bad'"):
             analyze(whickham, custom_standards={"bad": std})
 
+    def test_a_preset_name_is_rejected_before_any_fit(self, monkeypatch,
+                                                      whickham):
+        # The report keys its standardized points by name, so a custom
+        # standard named after a preset once silently replaced it in JSON.
+        std = standard_population(whickham, "exposed")
+        monkeypatch.setattr(glm, "fits", None)  # any fit would fail
+        with pytest.raises(ValidationError, match="'study_sample'"):
+            analyze(whickham, custom_standards={"study_sample": std})
+
 
 class TestJsonReport:
     def test_round_trips_through_json(self, whickham_report):
@@ -354,6 +366,71 @@ class TestJsonReport:
                 "common_estimate", "common_interval",
                 "interaction_p_value"} <= set(entry)
         assert not {"stratum_estimates", "effect_modification"} & set(entry)
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+# escapes, non-ASCII and control characters, and (last) a quote or a
+# bracket, which sends json_text to json.dumps
+_STRINGS = st.text() | st.text(st.sampled_from(
+    'ab \u00e9\u20ac\U0001f600\\\n\t\x00\x1f:,')) | st.text(
+        st.sampled_from('a"{}[]'))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _STRINGS
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.dictionaries(_STRINGS, st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_STRINGS, inner, max_size=4)), max_leaves=25),
+    max_size=6))
+@example({"a": -0.0, "b": 1e308, "c": -5e-324, "d": 10**30, "e": [],
+          "f": {}, "g": [[], {}, [[1]], {"h": {}}], 'q"': 'x"y', "\\": "[",
+          "\n": "\x00", "\u00e9": "}", "i": "{}", "j": ["]", "["]})
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps(doc):
+    assert json_text(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_text_rejects_a_non_finite_float(value):
+    with pytest.raises(ValueError):
+        json_text({"a": [1, {"b": value}]})
+
+
+def test_json_text_falls_back_without_the_c_encoder(monkeypatch,
+                                                    whickham_report):
+    doc = whickham_report.to_json_dict()
+    expected = _dumps(doc)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert json_text(doc) == expected
+    with pytest.raises(ValueError):
+        json_text({"a": math.nan})
+
+
+def test_a_report_is_written_by_the_c_encoder(monkeypatch, whickham_report):
+    doc = whickham_report.to_json_dict()
+    expected = _dumps(doc)
+    monkeypatch.setattr(json, "dumps", None)  # the fallback would fail
+    assert json_text(doc) == expected
+
+
+@pytest.mark.parametrize("name", ["whickham", "six_strata",
+                                  "zero_exposed_cases_table",
+                                  "no_exposed_cases"])
+def test_crude_inference_is_link_free(request, make_table, name):
+    # The four crude fits pool the same 2x2: only their coefficients
+    # differ by link, and their exposure tests are one test.
+    table = (make_table([("a", 0, 20, 5, 20), ("b", 0, 30, 4, 25)])
+             if name == "no_exposed_cases" else request.getfixturevalue(name))
+    p_values = {e.crude_p_value.hex() for e in analyze(table).measures}
+    assert len(p_values) == 1 and "nan" not in p_values
+    crude = glm.fits([glm.ModelSpec(link=m.link, terms="exposure_only",
+                                    table=table) for m in Measure])
+    assert len({(f.log_likelihood.hex(), f.deviance.hex(),
+                 tuple(x.hex() for pair in f.fitted_risks for x in pair))
+                for f in crude}) == 1
 
 
 CRUDE_KEYS = {"crude_estimate", "crude_interval", "crude_p_value"}

@@ -1242,6 +1242,35 @@ def test_a_mixed_link_group_gives_each_fit_its_own_result(irls_recorder,
     assert grouped[4].upper == pytest.approx(0.754275, abs=1e-6)
 
 
+def test_one_batch_of_every_kind_of_start_equals_each_fit_alone(
+        irls_recorder, whickham):
+    # Whickham's crude and common fits under all four links, with an
+    # infinite estimate (no exposed cases), an identity estimate within a
+    # Wald half-width of 1 and a fit whose reference coding loses an alpha
+    # (a stratum with no cases), all in one batch: every result has the
+    # bits of its own profile_interval call.
+    infinite = fit(ModelSpec(link="log", terms="exposure_only", table=_table(
+        [("a", 0, 20, 5, 20), ("b", 0, 30, 4, 25)])))
+    near_one = fit(ModelSpec(link="identity", terms="exposure_only",
+                             table=_table([("a", 19, 20, 1, 20)])))
+    lost = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
+                         table=_table([("a", 5, 20, 3, 20),
+                                       ("b", 0, 10, 0, 10)])))
+    assert infinite.coefficients[1] == -math.inf
+    wald = 1.96 * math.sqrt(2 * 0.95 * 0.05 / 20)
+    assert near_one.coefficients[1] == 0.9 and 0.9 + wald > 1.0
+    assert math.isfinite(lost.coefficients[1])
+    assert lost.coefficients[2] == -math.inf
+    fits = [*_crude_and_common(whickham), infinite, near_one, lost]
+    irls_recorder.calls.clear()
+    grouped = glm.profile_intervals(fits)
+    # one refit of the lost alpha, then one run of every endpoint
+    assert [call.joint for call in irls_recorder.calls] == [False, True]
+    assert all(isinstance(iv, LrInterval) for iv in grouped)
+    assert [repr(iv) for iv in grouped] == \
+        [repr(profile_interval(f)) for f in fits]
+
+
 def _specs(table):
     return [ModelSpec(link=link, terms=terms, table=table)
             for link in LINKS for terms in glm.TERMS
@@ -1345,17 +1374,18 @@ def test_a_zero_margin_raises_on_every_call(make_table):
             glm._cells(table)
 
 
-def _reference_likelihood(spec):
+def _reference_likelihood(fit_result):
     """Log-likelihood and deviance as three lgamma calls and a second
     `_log_observed` gave them, from the fitted logs, 0 log 0 = 0."""
+    spec = fit_result.spec
     s, n, _ = glm._cells(spec.table)
-    link = glm._LINKS[spec.link]
-    observed = glm._observed_fit(spec, s, n, link)
-    if observed is None:
-        run = glm._irls(s, n, [link], np.array([0]))
+    if fit_result.iterations:  # a free fit: its own run's logs
+        run = glm._irls(s, n, [glm._LINKS[spec.link]], np.array([0]))
         log_mu, log_nu = run.log_mu, run.log_nu
-    else:
-        _, log_mu, log_nu = observed
+    else:  # a closed-form fit: the observed, or pooled, proportions
+        log_mu, log_nu = glm._log_observed(*(
+            (s, n) if spec.terms != "exposure_only" else
+            [np.broadcast_to(a.sum(axis=0), a.shape) for a in (s, n)]))
     lgamma = np.vectorize(math.lgamma, otypes=[float])
     f = n - s
     with np.errstate(invalid="ignore"):  # 0 * -inf
@@ -1375,7 +1405,7 @@ def _assert_fit_likelihoods_keep_their_bits(table):
             except (GlmError, ValidationError):
                 continue
             assert (f.log_likelihood, f.deviance) == \
-                _reference_likelihood(spec), (link, terms)
+                _reference_likelihood(f), (link, terms)
 
 
 @pytest.mark.parametrize("name", ["whickham", "whickham_crude", "six_strata"])
