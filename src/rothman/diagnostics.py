@@ -256,31 +256,27 @@ def full_number(value: float):
 def json_text(doc: dict) -> str:
     """The JSON text of a report or CLI output: indented, keys sorted, the
     bytes and errors of ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False)``, which writes indented text in pure Python. The C
-    encoder writes one item a line here, and each bracket outside a string
-    then indents or outdents the lines after it (a string escapes its
-    newlines). Text whose strings hold a quote or bracket is left to
-    ``json.dumps``, as is all text where Python has no C encoder."""
-    encoder = json.encoder.c_make_encoder
-    if encoder is not None:
-        text = "".join(encoder(  # json.dumps's encoder, one item a line
-            {}, json.JSONEncoder().default,
-            json.encoder.encode_basestring_ascii, None, ": ", ",\n", True,
-            False, False)(doc, 0))
-        if '\\"' not in text:
-            # \1, \2 hold the empty containers, \0 each other bracket's edge
-            pieces = (text.replace("{}", "\1").replace("[]", "\2")
-                      .replace("{", "{\0").replace("[", "[\0")
-                      .replace("]", "\0]").replace("}", "\0}").split("\0"))
-            out, depth = [pieces[0]], 0
-            for piece in pieces[1:]:
-                if piece.count('"') % 2:  # a bracket inside a string
-                    break
-                depth += -1 if piece[:1] in "]}" else 1
-                newline = "\n" + "  " * depth
-                out += (newline, piece.replace("\n", newline))
-            else:
-                return "".join(out).replace("\1", "{}").replace("\2", "[]")
+    allow_nan=False)``, which writes indented text in pure Python. Without
+    an indent the encoder runs in C, writing one item a line here, and each
+    bracket outside a string then indents or outdents the lines after it
+    (a string escapes its newlines). Text whose strings hold a quote or
+    bracket is left to ``json.dumps``."""
+    text = json.JSONEncoder(separators=(",\n", ": "), sort_keys=True,
+                            allow_nan=False).encode(doc)
+    if '\\"' not in text:
+        # \1, \2 hold the empty containers, \0 each other bracket's edge
+        pieces = (text.replace("{}", "\1").replace("[]", "\2")
+                  .replace("{", "{\0").replace("[", "[\0")
+                  .replace("]", "\0]").replace("}", "\0}").split("\0"))
+        out, depth = [pieces[0]], 0
+        for piece in pieces[1:]:
+            if piece.count('"') % 2:  # a bracket inside a string
+                break
+            depth += -1 if piece[:1] in "]}" else 1
+            newline = "\n" + "  " * depth
+            out += (newline, piece.replace("\n", newline))
+        else:
+            return "".join(out).replace("\1", "{}").replace("\2", "[]")
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -21,10 +21,12 @@ effect read off its two cells (`_stratum_effects`). `_joint_endpoints`
 steps b and the alphas together to solve for profile-interval endpoints,
 many problems in one run: `profile_intervals` solves both endpoints of
 several fits of any links at once, and `analyze` those of all four
-measures' crude and common fits. Both runs stack their problems' rows
-(`_Stack`), and grouping changes no problem's bits; the fit records and
-the endpoints' starts are read off those rows too. Likelihood-ratio tests
-and profile intervals reuse a finished fit, and each table's arrays are
+measures' crude and common fits. Each run takes the one `_Stack` of its
+problems' rows that its caller built, and grouping changes no problem's
+bits; the fit records and the endpoints' starts are read off that stack
+too. Likelihood-ratio tests and profile intervals reuse a finished fit,
+but for one `_irls` refit where an alpha is infinite or lost behind an
+infinite intercept in reference coding, and each table's arrays are
 built once (`_cells`). What no link changes is shared: the fits of one
 table and terms share their names, and the closed-form ones their fitted
 cells, so the exposure-only fits of all links have one likelihood and
@@ -230,24 +232,27 @@ def _edges(b: float | np.ndarray, lo: float | np.ndarray,
 
 
 class _Stack:
-    """Problems stacked row-wise, problem j on the rows from ``starts[j]``
-    to the next under link ``links[j]``. Each row has an ``owner``, the
-    link-scale bounds ``lo``, ``hi`` of risks 0 and 1, and those of a start
-    box, risks `START_RISK` and 1 - `START_RISK`, on a link with a finite
-    bound. ``zero`` marks the rows with a count of 0, the only ones a bound
-    can hold, None if there are none, and ``kinks`` the problems with a
-    row whose cells all lack cases (or non-cases) at a finite bound, whose
-    profile has a kink at b = 0."""
+    """Problems, each (cases, totals, link) with (rows, 2) arrays, stacked
+    row-wise: problem j on the rows from ``starts[j]`` to ``ends[j]``. Each
+    row has an ``owner``, the link-scale bounds ``lo``, ``hi`` of risks 0
+    and 1, and those of a start box, risks `START_RISK` and 1 -
+    `START_RISK`, on a link with a finite bound. ``zero`` marks the rows
+    with a count of 0, the only ones a bound can hold, None if there are
+    none, and ``kinks`` the problems with a row whose cells all lack cases
+    (or non-cases) at a finite bound, whose profile has a kink at b = 0."""
 
-    def __init__(self, s: np.ndarray, f: np.ndarray, links: Sequence[_Link],
-                 starts: np.ndarray) -> None:
-        ends = [*starts[1:].tolist(), len(s)]
-        self.s, self.f, self.starts, size = s, f, starts, len(starts)
-        self.owner = np.repeat(np.arange(size), np.subtract(ends, starts))
+    def __init__(self, problems: Sequence[tuple]) -> None:
+        s, n, self.links = zip(*problems)
+        sizes, size = [len(rows) for rows in s], len(s)
+        self.ends = ends = np.cumsum(sizes)
+        self.starts = starts = ends - sizes
+        self.s, self.n = s, n = np.concatenate(s), np.concatenate(n)
+        self.f = f = n - s
+        self.owner = np.repeat(np.arange(size), sizes)
         self.lo, self.hi, self.box_lo, self.box_hi = np.array(
-            [_BOUNDS[link.name] for link in links]).T[:, self.owner]
+            [_BOUNDS[link.name] for link in self.links]).T[:, self.owner]
         self.segments, j = [], 0  # one (link, rows, s, f) per run of one link
-        for link, group in itertools.groupby(links):
+        for link, group in itertools.groupby(self.links):
             first, j = j, j + len(list(group))
             r = slice(starts[first], ends[j - 1])
             self.segments.append((link, r, s[r], f[r]))
@@ -394,7 +399,6 @@ class _FitRun:
     steps: np.ndarray  # each problem's iterations
     errors: list  # each problem's NonConvergenceError, None if it converged
     iterations: int  # Newton passes over the group
-    stack: _Stack  # the problems' rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,34 +407,31 @@ class _JointRun:
     iterations: int  # Newton passes over the group
 
 
-def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
-          starts: np.ndarray) -> _FitRun:
-    """Fit the no-interaction model of several problems (see `_Stack`) in
-    one run of Newton-Raphson with step halving.
+def _irls(stack: _Stack) -> _FitRun:
+    """Fit the no-interaction model of each problem of ``stack`` in one run
+    of Newton-Raphson with step halving.
 
-    ``s`` and ``n`` are (rows, 2) arrays of cases and totals, columns
-    (unexposed, exposed). Each fit starts from the smoothed proportions
-    (s + 0.5) / (n + 1) on the link scale (`_Stack.start`). Each step
-    solves A delta = g (A the observed information, g the score) in O(k),
-    eliminating b through the Schur complement, under the hold rule of
-    `_Stack.hold`. It is cut so that no eta moves by more than
-    `MAX_ETA_STEP`, its rows with a count of 0 are kept in their domain
-    (`_Stack.project`) and its b stops on a kink, and it is halved while
-    it leaves the domain or raises the deviance by more than
-    `DEVIANCE_ROUNDING` times the total count, its rounding error. A fit
-    stops after the step whose Newton decrement delta'g is at most
-    `DECREMENT_TOL` times the total count. Each problem has its own steps,
-    stop and sums, so no problem's bits depend on its group; one that
-    fails gets its own error, with its deviance trace, in ``errors``.
+    Each fit starts from the smoothed proportions (s + 0.5) / (n + 1) on
+    the link scale (`_Stack.start`). Each step solves A delta = g (A the
+    observed information, g the score) in O(k), eliminating b through the
+    Schur complement, under the hold rule of `_Stack.hold`. It is cut so
+    that no eta moves by more than `MAX_ETA_STEP`, its rows with a count
+    of 0 are kept in their domain (`_Stack.project`) and its b stops on a
+    kink, and it is halved while it leaves the domain or raises the
+    deviance by more than `DEVIANCE_ROUNDING` times the total count, its
+    rounding error. A fit stops after the step whose Newton decrement
+    delta'g is at most `DECREMENT_TOL` times the total count. Each problem
+    has its own steps, stop and sums, so no problem's bits depend on its
+    group; one that fails gets its own error, with its deviance trace, in
+    ``errors``.
     """
-    f = n - s
-    stack = _Stack(s, f, links, starts)
+    s, n, links, starts = stack.s, stack.n, stack.links, stack.starts
     owner, size, total = stack.owner, len(starts), stack.sums(n)
     observed = _log_observed(s, n)
     mu0 = (s + 0.5) / (n + 1.0)
     eta0 = np.concatenate([link.to_eta(mu0[r])
                            for link, r, *_ in stack.segments])
-    b = stack.sums(eta0[:, 1] - eta0[:, 0]) / np.diff([*starts, len(s)])
+    b = stack.sums(eta0[:, 1] - eta0[:, 0]) / (stack.ends - starts)
     alpha = stack.start((eta0[:, 0] + eta0[:, 1] - b[owner]) / 2.0,
                         b[owner])
     with np.errstate(all="ignore"):
@@ -511,17 +512,14 @@ def _irls(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
             break
     return _FitRun(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
                    deviance=dev, steps=steps, errors=errors,
-                   iterations=iterations, stack=stack)
+                   iterations=iterations)
 
 
-def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
-                     b: np.ndarray, start: np.ndarray, b_hat: np.ndarray,
-                     hat: tuple, cut: float, starts: np.ndarray,
-                     ) -> _JointRun:
-    """Profile-interval endpoints of several problems in one Newton run.
+def _joint_endpoints(stack: _Stack, b: np.ndarray, start: np.ndarray,
+                     b_hat: np.ndarray, hat: tuple, cut: float) -> _JointRun:
+    """Profile-interval endpoints of ``stack``'s problems in one Newton run.
 
     Problem j starts at ``b[j]`` on one side of its estimate ``b_hat[j]``,
-    on the rows from ``starts[j]`` to the next, under link ``links[j]``,
     with alphas ``start``; ``hat`` holds log(mu) and log(1 - mu) of the
     estimate's cells. Its b and alphas move together toward the point where
     every free alpha score is 0 and its drop equals ``cut`` (Venzon and
@@ -543,8 +541,7 @@ def _joint_endpoints(s: np.ndarray, n: np.ndarray, links: Sequence[_Link],
     `PROFILE_BETA_TOL`. It fails, its b nan, after `PROFILE_MAX_STEPS`
     steps.
     """
-    stack = _Stack(s, n - s, links, starts)
-    owner = stack.owner
+    owner, starts = stack.owner, stack.starts
     side = np.sign(b - b_hat)
     origin = np.where(np.isfinite(b_hat), b_hat, b)
 
@@ -660,7 +657,7 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
     groups: dict = {}  # the result indices of each table and terms
     for i, spec in enumerate(specs):
         groups.setdefault((spec.table, spec.terms), []).append(i)
-    free = []  # (result index, names, cases, totals, log C) of each free fit
+    free = []  # (result index, names, problem, log C) of each free fit
     for (table, terms), members in groups.items():
         try:
             s, n, log_choose = _cells(table)
@@ -683,7 +680,8 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
             coefficients = None if mixed else _observed_fit(
                 terms, *cells, _LINKS[specs[i].link])
             if coefficients is None:
-                free.append((i, names, s, n, log_choose))
+                free.append((i, names, (s, n, _LINKS[specs[i].link]),
+                             log_choose))
                 continue
             if shared is None:
                 logs = _log_observed(*cells)
@@ -696,16 +694,16 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
             results[i] = GlmFit(specs[i], coefficients, names, *shared, 0)
     if free:
         free.sort(key=lambda problem: problem[0])
-        indices, names, s, n, log_choose = zip(*free)
-        ends = np.cumsum([0, *map(len, s)])  # each fit's rows, from-to
-        s, n = np.concatenate(s), np.concatenate(n)
-        run = _irls(s, n, [_LINKS[specs[i].link] for i in indices], ends[:-1])
+        indices, names, problems, log_choose = zip(*free)
+        stack = _Stack(problems)
+        run = _irls(stack)
         # every free fit's record from the run's stacked rows at once
-        log_likelihoods = run.stack.sums(_log_likelihoods(
-            s, n, np.concatenate(log_choose), run.log_mu, run.log_nu))
+        log_likelihoods = stack.sums(_log_likelihoods(
+            stack.s, stack.n, np.concatenate(log_choose), run.log_mu,
+            run.log_nu))
         alphas, risks = run.alpha.tolist(), np.exp(run.log_mu).tolist()
         for j, i in enumerate(indices):
-            rows = slice(*ends[j:j + 2].tolist())
+            rows = slice(stack.starts[j], stack.ends[j])
             alpha = alphas[rows]
             results[i] = run.errors[j] or GlmFit(
                 specs[i], (alpha[0], float(run.b[j]),
@@ -829,10 +827,12 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     1988). The drop rises to infinity toward every limit of b (+-1 on the
     identity link, +-inf on the others) but one the estimate sits at, whose
     endpoint is that limit; a nan estimate (0/0) has both. All the other
-    endpoints, whatever their links, are one `_joint_endpoints` run, which
-    solves each for b and the alphas together. A finite estimate's alphas
-    are read off its fit's coefficients, or refitted (`_irls`) where
-    reference coding lost an infinite one; its endpoints start one Wald
+    endpoints, whatever their links, are the problems of one `_Stack`, on
+    which their starts are computed, and of one `_joint_endpoints` run,
+    which solves each for b and the alphas together. A finite estimate's
+    alphas are read off its fit's coefficients, so the fit is reused, but
+    are refitted (one `_irls` run) where one is infinite, or lost behind an
+    infinite intercept in reference coding. Its endpoints start one Wald
     half-width out (from the Schur complement of the observed information,
     held rows left out), at most `MAX_ETA_STEP` or half way to a nearer
     limit, the alphas moved to first order along their profile.
@@ -847,57 +847,53 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     cut = chi_square_quantile(level, 1)
     carried = [_carrier(fit_result)[:2] for fit_result in fits]
     links = [_LINKS[fit_result.spec.link] for fit_result in fits]
-    sizes = np.array([len(s) for s, _ in carried])
-    s, n = (np.concatenate(a) for a in zip(*carried))
-    stack = _Stack(s, n - s, links, np.cumsum(sizes) - sizes)
-    starts, owner = stack.starts, stack.owner
-    b_hat = np.array([fit_result.coefficients[1] for fit_result in fits])
     alpha_hat = []  # each fit's intercept plus its carried strata's terms
     for fit_result, (s_j, n_j), link in zip(fits, carried, links):
         c = fit_result.coefficients[:len(s_j) + 1]
         alpha = [c[0] + x for x in (0.0, *c[2:])]
         if math.isfinite(c[1]) and not all(map(math.isfinite, alpha)):
             # reference coding loses infinite alphas
-            alpha = _irls(s_j, n_j, [link], np.zeros(1, int)).alpha.tolist()
-        alpha_hat += alpha
-    alpha_hat = np.array(alpha_hat)
+            alpha = _irls(_Stack([(s_j, n_j, link)])).alpha.tolist()
+        alpha_hat.append(alpha)
+    b_hat = np.array([fit_result.coefficients[1] for fit_result in fits])
     limits = np.array([1.0 if link.name == "identity" else math.inf
                        for link in links])
     sides = np.array([[-1.0], [1.0]])  # lower, upper
-    with np.errstate(all="ignore"):
-        log_mu, log_nu, _, h = stack.cells(alpha_hat, b_hat[owner])
-        # a held row, its curvature nan at its bound, is left out
-        information, alpha_slope = (
-            np.where(np.isnan(x), 0.0, x) for x in (
-                h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]),
-                h[:, 1] / h.sum(axis=1)))
-        information = stack.sums(information)
-        first = np.where((0.0 < information) & (information < math.inf),
-                         np.minimum(np.sqrt(cut / information), MAX_ETA_STEP),
-                         0.5)
-        w = sides * np.where(sides * b_hat + first < limits, first,
-                             (limits - sides * b_hat) / 2.0)
-        b, start = b_hat + w, alpha_hat - w[:, owner] * alpha_slope
-        for j in np.flatnonzero(~np.isfinite(b_hat)).tolist():
-            (s_j, n_j), link, r = carried[j], links[j], owner == j
-            (log_mu[r], log_nu[r]), (eta, _) = (_log_observed(s_j, n_j),
-                                                _observed(s_j, n_j, link))
-            smooth = link.to_eta((s_j + 0.5) / (n_j + 1.0))
-            b[:, j] = b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
-            start[:, r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0], np.where(
-                np.isfinite(eta[:, 1]), eta[:, 1] - b0, -b0 / 2.0))
     inside = sides * b_hat < limits
     ends = sides * limits  # each fit's lower and upper endpoints
     if inside.any():
-        # the problems by fit, then side, and their rows
-        fit_of, side_of = np.nonzero(inside.T)
-        size = sizes[fit_of]
-        at = np.cumsum(size) - size
-        rows = np.repeat(starts[fit_of] - at, size) + np.arange(size.sum())
-        ends.T[inside.T] = _joint_endpoints(
-            s[rows], n[rows], [links[j] for j in fit_of.tolist()],
-            b[side_of, fit_of], start[np.repeat(side_of, size), rows],
-            b_hat[fit_of], (log_mu[rows], log_nu[rows]), cut, at).b
+        # one problem for each endpoint not at a limit, by fit, then side
+        fit_of, side_of = (x.tolist() for x in np.nonzero(inside.T))
+        problems = [(*carried[j], links[j]) for j in fit_of]
+        stack = _Stack(problems)
+        owner, side = stack.owner, sides[side_of, 0]
+        alpha_hat = np.concatenate([alpha_hat[j] for j in fit_of])
+        b_hat, limits = b_hat[fit_of], limits[fit_of]
+        with np.errstate(all="ignore"):
+            log_mu, log_nu, _, h = stack.cells(alpha_hat, b_hat[owner])
+            # a held row, its curvature nan at its bound, is left out
+            information, alpha_slope = (
+                np.where(np.isnan(x), 0.0, x) for x in (
+                    h[:, 0] * h[:, 1] / (h[:, 0] + h[:, 1]),
+                    h[:, 1] / h.sum(axis=1)))
+            information = stack.sums(information)
+            first = np.where((0.0 < information) & (information < math.inf),
+                             np.minimum(np.sqrt(cut / information),
+                                        MAX_ETA_STEP), 0.5)
+            w = side * np.where(side * b_hat + first < limits, first,
+                                (limits - side * b_hat) / 2.0)
+            b, start = b_hat + w, alpha_hat - w[owner] * alpha_slope
+            for p in np.flatnonzero(~np.isfinite(b_hat)).tolist():
+                (s_p, n_p, link), r = problems[p], owner == p
+                (log_mu[r], log_nu[r]), (eta, _) = (
+                    _log_observed(s_p, n_p), _observed(s_p, n_p, link))
+                smooth = link.to_eta((s_p + 0.5) / (n_p + 1.0))
+                b[p] = b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
+                start[r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0],
+                                    np.where(np.isfinite(eta[:, 1]),
+                                             eta[:, 1] - b0, -b0 / 2.0))
+        ends.T[inside.T] = _joint_endpoints(stack, b, start, b_hat,
+                                            (log_mu, log_nu), cut).b
 
     intervals = []
     for fit_result, (lower, upper) in zip(fits, ends.T.tolist()):

@@ -114,13 +114,11 @@ class IrlsCall:
     """One Newton run of the GLM layer: a `glm._irls` run of no-interaction
     fits, or a `glm._joint_endpoints` run of endpoint problems (``joint``).
 
-    ``strata`` counts the rows of the cells it was given; ``b`` is each
-    endpoint problem's starting b for a joint run, None for a fit run;
-    ``iterations`` counts its passes; ``failed`` has one flag a problem."""
+    ``strata`` counts the rows of the stack it was given; ``iterations``
+    counts its passes; ``failed`` has one flag a problem."""
 
     joint: bool
     strata: int
-    b: list | float | None
     iterations: int
     failed: list[bool]
 
@@ -133,23 +131,21 @@ class IrlsRecorder:
     def __init__(self, monkeypatch):
         self.calls: list[IrlsCall] = []
         self.rewrite = None
-        self._irls, self._joint = glm._irls, glm._joint_endpoints
-        monkeypatch.setattr(glm, "_irls", self.fit)
-        monkeypatch.setattr(glm, "_joint_endpoints", self.joint)
+        for name in ("_irls", "_joint_endpoints"):
+            monkeypatch.setattr(glm, name, self._recorded(
+                getattr(glm, name), joint=name == "_joint_endpoints"))
 
-    def fit(self, s, n, links, starts):
-        run = self._irls(s, n, links, starts)
-        self.calls.append(IrlsCall(False, len(s), None, run.iterations,
-                                   [e is not None for e in run.errors]))
-        return run
-
-    def joint(self, s, n, links, b, *args):
-        run = self._joint(s, n, links, b, *args)
-        if self.rewrite is not None:
-            run = self.rewrite(run)
-        self.calls.append(IrlsCall(True, len(s), b.tolist(), run.iterations,
-                                   np.isnan(run.b).tolist()))
-        return run
+    def _recorded(self, newton_run, joint):
+        def recorded(stack, *args):
+            run = newton_run(stack, *args)
+            if joint and self.rewrite is not None:
+                run = self.rewrite(run)
+            failed = (np.isnan(run.b).tolist() if joint
+                      else [e is not None for e in run.errors])
+            self.calls.append(IrlsCall(joint, len(stack.s), run.iterations,
+                                       failed))
+            return run
+        return recorded
 
     @property
     def joint_calls(self) -> list[IrlsCall]:

@@ -522,6 +522,24 @@ def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
     _assert_analysis_work(irls_recorder, six_strata, 15)
 
 
+@pytest.mark.parametrize("name, stacks", [
+    ("whickham", 2), ("six_strata", 2), ("whickham_crude", 1)])
+def test_analysis_stacks_each_newton_run_once(monkeypatch, request, name,
+                                              stacks):
+    # One `_Stack` per Newton run: the free fits', then the endpoint
+    # problems', on which their starts are computed too (whickham_crude has
+    # no free fit).
+    built, stack = [], glm._Stack
+
+    def counted(problems):
+        built.append(len(problems))
+        return stack(problems)
+
+    monkeypatch.setattr(glm, "_Stack", counted)
+    analyze(request.getfixturevalue(name))
+    assert len(built) == stacks
+
+
 def test_boundary_fits_finish_within_the_work_bound(irls_recorder,
                                                     make_table):
     # Work gate on tables with zero cells: the log fit of 2/2 vs 2/6 and
