@@ -13,6 +13,7 @@ increases upward as on the printed diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,9 @@ NULL_LINE_COLOR = "#999999"
 FRAME_COLOR = "#000000"
 DASH_PATTERN = "6,4"
 FONT = "font-family=\"sans-serif\""
+
+# the x of every contour sample
+_GRID = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
 
 
 class _Styled:
@@ -109,6 +113,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _coords(pts: Iterable[tuple[float, float]]) -> str:
+    """The ``points`` text of a polyline or polygon through ``pts``."""
+    return " ".join("%.2f,%.2f" % pt for pt in pts)
+
+
+@lru_cache(maxsize=8)
+def _grid_text(x0: float, plot_w: float) -> tuple[str, ...]:
+    """The "x," text of every contour sample on a canvas at x0, plot_w."""
+    return tuple(["%.2f," % v for v in (x0 + _GRID * plot_w).tolist()])
+
+
 class _Canvas:
     def __init__(self, spec: DiagramSpec) -> None:
         self.spec = spec
@@ -128,10 +143,8 @@ class _Canvas:
                 f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
                 f'stroke="{stroke}" stroke-width="{width:g}"{dash}/>')
 
-    def polyline(self, pts: Iterable[tuple[float, float]], stroke: str,
-                 width: float = 1.0, dashed: bool = False,
-                 closed: bool = False) -> str:
-        coords = " ".join("%.2f,%.2f" % pt for pt in pts)
+    def polyline(self, coords: str, stroke: str, width: float = 1.0,
+                 dashed: bool = False, closed: bool = False) -> str:
         dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
         tag = "polygon" if closed else "polyline"
         return (f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
@@ -149,7 +162,7 @@ def _axes(c: _Canvas) -> list[str]:
     spec = c.spec
     parts = []
     parts.append(c.polyline(
-        [c.px(0, 0), c.px(1, 0), c.px(1, 1), c.px(0, 1)],
+        _coords([c.px(0, 0), c.px(1, 0), c.px(1, 1), c.px(0, 1)]),
         FRAME_COLOR, closed=True))
     parts.append(c.line(c.px(0, 0), c.px(1, 1), NULL_LINE_COLOR, width=1.0))
     for i in range(11):
@@ -178,21 +191,26 @@ def _contour_runs(measure: Measure, value: float,
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sampled contour (x, y) split into runs where it stays in the unit
     square, each of at least two points."""
-    x = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
-    y = contour(measure, value, x)
+    y = contour(measure, value, _GRID)
     # a run starts where NaN gives way to a number and stops where it resumes
     edges = np.flatnonzero(np.diff(np.isnan(y), prepend=True, append=True))
-    return [(x[a:b], y[a:b]) for a, b in zip(edges[0::2], edges[1::2])
+    return [(_GRID[a:b], y[a:b]) for a, b in zip(edges[0::2], edges[1::2])
             if b - a >= 2]
 
 
 def _contour_elements(c: _Canvas, spec: ContourSpec) -> list[str]:
     parts = []
     anchor, most = None, 0
+    grid_text = _grid_text(c.x0, c.plot_w)
     for x, y in _contour_runs(spec.measure, spec.value):
         px, py = c.px(x, y)
-        parts.append(c.polyline(zip(px.tolist(), py.tolist()), FRAME_COLOR,
-                                width=1.2, dashed=spec.style == "dashed"))
+        first = round(x[0] * CONTOUR_SAMPLES)  # exact: x[0] is a grid value
+        values = [None] * (2 * len(x))
+        values[0::2] = grid_text[first:first + len(x)]
+        values[1::2] = py.tolist()
+        coords = " ".join(["%s%.2f"] * len(x)) % tuple(values)
+        parts.append(c.polyline(coords, FRAME_COLOR, width=1.2,
+                                dashed=spec.style == "dashed"))
         if len(x) > most:  # the label sits mid-way along the first longest run
             most, anchor = len(x), (px[len(x) // 2], py[len(x) // 2])
     label = spec.final_label
@@ -212,14 +230,14 @@ def _body(spec: DiagramSpec) -> list[str]:
     for rect_spec in spec.rectangles:
         r = rect_spec.rectangle
         pts = [c.px(x, y) for x, y in r.corners]
-        parts.append(c.polyline(pts, FRAME_COLOR, width=1.2,
+        parts.append(c.polyline(_coords(pts), FRAME_COLOR, width=1.2,
                                 dashed=rect_spec.style == "dashed",
                                 closed=True))
     for hull_spec in spec.hulls:
         verts = hull_spec.hull.vertices
         pts = [c.px(p.x, p.y) for p in verts]
         if len(pts) >= 3:
-            parts.append(c.polyline(pts, FRAME_COLOR, width=1.5,
+            parts.append(c.polyline(_coords(pts), FRAME_COLOR, width=1.5,
                                     dashed=hull_spec.style == "dashed",
                                     closed=True))
         elif len(pts) == 2:

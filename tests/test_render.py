@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svg_utils as su
-from rothman import glm
+from rothman import glm, render
 from rothman.errors import ValidationError
 from rothman.figures import FIGURE_SLUGS, figure1, figure_filename, figure_svg
 from rothman.geometry import (RiskPoint, association_points,
@@ -320,6 +321,27 @@ class TestContours:
                                              style="dashed"),))
         (_, el), = su.polylines(root)
         assert el.get("stroke-dasharray") == "6,4"
+
+    def test_grid_text_rounds_a_tie_as_the_pairwise_format_does(self):
+        # 60 + 480 / 256 = 61.875 exactly, and "%.2f" rounds it to even
+        assert render._grid_text(60.0, 480.0)[1] == "61.88,"
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure=st.sampled_from(list(Measure)),
+           value=st.floats(-1.0, 20.0),
+           size=st.integers(130, 900), margin=st.integers(0, 64))
+    def test_run_text_matches_the_pairwise_format(self, measure, value,
+                                                  size, margin):
+        spec = DiagramSpec(width=size, height=size + margin, margin=margin)
+        c = render._Canvas(spec)
+        got = [re.search(r'points="([^"]*)"', el).group(1)
+               for el in render._contour_elements(c, ContourSpec(measure,
+                                                                 value))
+               if el.startswith("<polyline")]
+        expected = [" ".join("%.2f,%.2f" % p
+                             for p in zip(*(a.tolist() for a in c.px(x, y))))
+                    for x, y in render._contour_runs(measure, value)]
+        assert got == expected
 
 
 class TestGrid:

@@ -11,6 +11,7 @@ import concurrent.futures
 import json
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -420,11 +421,11 @@ def _boundary_spec(k):
                        for i in range(k)))
 
 
-CHUNK = 2**16
+CHUNK = simulate._CHUNK
 
 
 class TestChunkedSampling:
-    """sample_table counts in chunks of 2**16 people, one range of chunks
+    """sample_table counts in chunks of CHUNK people, one range of chunks
     per core; every split gives the whole-array table."""
 
     @pytest.mark.parametrize("k", [1, 6, 200])
@@ -474,6 +475,20 @@ class TestChunkedSampling:
         firsts, lasts = zip(*pool.tasks)
         assert firsts == (0, *lasts[:-1]) and lasts[-1] == n
         assert all(a < b for a, b in pool.tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_worker_counts_in_at_most_a_mebibyte(self, monkeypatch,
+                                                      workers):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        spec = PopulationSpec(**EXAMPLE)
+        sample_table(spec, 1, seed=1)  # loads the thread pool's modules
+        tracemalloc.start()
+        try:
+            sample_table(spec, 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 2**20, peak / 2**20
 
     def test_a_worker_error_is_raised_in_the_caller(self, monkeypatch):
         stream = simulate._stream
