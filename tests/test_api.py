@@ -1,4 +1,5 @@
-"""The public API: the names `import rothman` exports, the names the
+"""The public API: the names `import rothman` exports and how it loads them
+(each on first use, from its module's binding of the moment), the names the
 benchmark's tracer wraps, the README's quickstart and list of benchmark
 records, and the Python version floor the package declares.
 
@@ -8,12 +9,17 @@ use it, so the frozen list below changes only in such a change.
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import rothman
+from rothman import glm
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "benchmarks" / "tracing.py"
@@ -47,8 +53,66 @@ def test_public_names_are_frozen():
 
 
 def test_every_public_name_resolves():
+    # To its defining module's binding, which the package never caches.
     for name in rothman.__all__:
-        assert getattr(rothman, name) is not None, name
+        value = getattr(rothman, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name not in vars(rothman), name
+
+
+def test_a_public_name_reads_its_module_s_binding_of_the_moment(monkeypatch):
+    # The benchmark's tracer patches a function in every rothman namespace
+    # that binds it and restores those bindings on exit; a name cached in
+    # the package would keep the tracer's wrapper.
+    sentinel = object()
+    monkeypatch.setattr(glm, "fit", sentinel)
+    assert rothman.fit is sentinel
+    monkeypatch.undo()
+    assert rothman.fit is glm.fit
+    assert "fit" not in vars(rothman)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from rothman import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(rothman.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(rothman.__all__) <= set(dir(rothman))
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'rothman'.*'nope'"):
+        rothman.nope
+
+
+STANDARDIZE = """
+table = rothman.whickham_table()
+std = rothman.standard_population(table, "study_sample")
+point = rothman.standardized_point(table, std)
+result = repr((point, rothman.standardized_hull(
+    rothman.association_points(table)[1])))
+"""
+FRESH_PROCESS = """
+import json, sys
+import rothman
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in
+                ("rothman", "numpy"))
+""" + STANDARDIZE + """
+print(json.dumps([loaded, result, "numpy" in sys.modules]))
+"""
+
+
+def test_import_loads_no_submodule_and_standardization_needs_no_numpy():
+    # A fresh interpreter, since this one already holds numpy.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
+                         cwd=ROOT, check=True, capture_output=True,
+                         text=True).stdout
+    here = {"rothman": rothman}
+    exec(STANDARDIZE, here)
+    assert json.loads(out) == [["rothman"], here["result"], False]
 
 
 def _traced_names() -> list[str]:
