@@ -115,10 +115,6 @@ class ConfoundingRectangle:
         return ((self.x_min, self.y_min), (self.x_max, self.y_min),
                 (self.x_max, self.y_max), (self.x_min, self.y_max))
 
-    def contains_point(self, p: RiskPoint, tol: float = 0.0) -> bool:
-        return (self.x_min - tol <= p.x <= self.x_max + tol
-                and self.y_min - tol <= p.y <= self.y_max + tol)
-
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -300,11 +296,6 @@ def _locate(hull: StandardizedHull, p: RiskPoint, tol: float,
     if len(hull.vertices) < 3 or side <= 0:
         return Containment.OUTSIDE, dist, nearest
     return Containment.INSIDE, dist, nearest
-
-
-def boundary_distance(hull: StandardizedHull, p: RiskPoint) -> float:
-    """Euclidean distance from ``p`` to the hull boundary (vertices included)."""
-    return _locate(hull, p, 0.0)[1]
 
 
 def contains(hull: StandardizedHull, p: RiskPoint,

@@ -1,37 +1,36 @@
 """Binomial generalized linear models on the stratified cohort design.
 
 Exposure/stratum/interaction models under the logit, log, identity and
-complementary log-log links, with coefficients in reference-cell coding
-(first stratum, unexposed group), so the exposure coefficient b is the
-adjusted measure of association on the link scale. The saturated and
-exposure-only models are fitted in closed form by the observed cell and
-pooled exposure-group proportions, 0 and 1 included. The no-interaction
-model is fitted on its cell parameters, stratum i's cells having
-eta = alpha_i and alpha_i + b: its log-likelihood is concave in eta under
-all four links and its information diagonal but for b, so `_irls` takes
-Newton steps solved in O(k). A cell with no cases (non-cases) may have its
-maximum at a risk of exactly 0 (1), on the boundary of the domain, where
-one hold rule (`_Stack.hold`) keeps it in both Newton loops. A fit stops
-when the Newton decrement falls to a fixed multiple of the total count, so
-scaling every count changes neither fit nor iterations. `_irls` fits many
-such models in one run, each with its own link, steps and sums, so `fits`
-fits several models of any links and tables at once, and `analyze` the
-crude and no-interaction models of the four measures, each stratum's
-effect read off its two cells (`_stratum_effects`). `_joint_endpoints`
-steps b and the alphas together to solve for profile-interval endpoints,
-many problems in one run: `profile_intervals` solves both endpoints of
-several fits of any links at once, and `analyze` those of all four
-measures' crude and common fits. Each run takes the one `_Stack` of its
-problems' rows that its caller built, and grouping changes no problem's
-bits; the fit records and the endpoints' starts are read off that stack
-too. Likelihood-ratio tests and profile intervals reuse a finished fit,
-but for one `_irls` refit where an alpha is infinite or lost behind an
-infinite intercept in reference coding, and each table's arrays are
-built once (`_cells`). What no link changes is shared: the fits of one
-table and terms share their names, and the closed-form ones their fitted
-cells, so the exposure-only fits of all links have one likelihood and
-`analyze` one crude exposure test. The chi-square functions are computed
-here, so there is no stats dependency.
+complementary log-log links, with coefficients in reference-cell coding (first
+stratum, unexposed group), so the exposure coefficient b is the adjusted
+measure of association on the link scale. The saturated and exposure-only
+models are fitted in closed form by the observed cell and pooled exposure-group
+proportions, 0 and 1 included. The no-interaction model is fitted on its cell
+parameters, stratum i's cells having eta = alpha_i and alpha_i + b: its
+log-likelihood is concave in eta under all four links and its information
+diagonal but for b, so one Newton core (`_newton`) takes steps on b and the
+alphas solved in O(k), for free fits and profile-interval endpoints alike: the
+two differ only in b's equation (score 0, or drop on the cut), the step-halving
+test and the stop rule. A cell with no cases (non-cases) may have its maximum
+at a risk of exactly 0 (1), on the boundary of the domain, where one hold rule
+(`_Stack.hold`) keeps it. A fit stops when the Newton decrement falls to a
+fixed multiple of the total count, so scaling every count changes neither fit
+nor iterations. A run solves many problems, each with its own link, steps and
+sums: `fits` fits several models of any links and tables in one run (`_irls`),
+and `analyze` the crude and no-interaction models of the four measures, each
+stratum's effect read off its two cells (`_stratum_effects`);
+`profile_intervals` solves both endpoints of several fits in one run, and
+`analyze` those of all four measures' crude and common fits. Each run takes the
+one `_Stack` of its problems' rows that its caller built, and grouping changes
+no problem's bits; the fit records and the endpoints' starts are read off that
+stack too. Likelihood-ratio tests and profile intervals reuse a finished fit,
+but for one `_irls` refit where an alpha is infinite or lost behind an infinite
+intercept in reference coding, and each table's arrays are built once
+(`_cells`). What no link changes is shared: the fits of one table and terms
+share their names, and the closed-form ones their fitted cells, so the
+exposure-only fits of all links have one likelihood and `analyze` one crude
+exposure test. The chi-square functions are computed here, so there is no stats
+dependency.
 """
 
 from __future__ import annotations
@@ -390,56 +389,72 @@ class _Stack:
 
 
 @dataclass(frozen=True, slots=True)
-class _FitRun:
+class _Run:
     alpha: np.ndarray  # each row's alpha
-    b: np.ndarray  # each problem's exposure coefficient
-    log_mu: np.ndarray  # each row's fitted log(mu) and log(1 - mu)
+    b: np.ndarray  # each problem's b, nan where its endpoint solve failed
+    log_mu: np.ndarray  # each row's log(mu) and log(1 - mu) at the end
     log_nu: np.ndarray
-    deviance: np.ndarray
-    steps: np.ndarray  # each problem's iterations
-    errors: list  # each problem's NonConvergenceError, None if it converged
+    deviance: np.ndarray  # each problem's deviance from ``ref``
+    steps: np.ndarray  # each problem's passes until done, 0 if never
+    errors: list  # each fit's NonConvergenceError, None if it converged
     iterations: int  # Newton passes over the group
 
 
-@dataclass(frozen=True, slots=True)
-class _JointRun:
-    b: np.ndarray  # each problem's endpoint, nan where its solve failed
-    iterations: int  # Newton passes over the group
-
-
-def _irls(stack: _Stack) -> _FitRun:
-    """Fit the no-interaction model of each problem of ``stack`` in one run
-    of Newton-Raphson with step halving.
-
-    Each fit starts from the smoothed proportions (s + 0.5) / (n + 1) on
-    the link scale (`_Stack.start`). Each step solves A delta = g (A the
-    observed information, g the score) in O(k), eliminating b through the
-    Schur complement, under the hold rule of `_Stack.hold`. It is cut so
-    that no eta moves by more than `MAX_ETA_STEP`, its rows with a count
-    of 0 are kept in their domain (`_Stack.project`) and its b stops on a
-    kink, and it is halved while it leaves the domain or raises the
-    deviance by more than `DEVIANCE_ROUNDING` times the total count, its
-    rounding error. A fit stops after the step whose Newton decrement
-    delta'g is at most `DECREMENT_TOL` times the total count. Each problem
-    has its own steps, stop and sums, so no problem's bits depend on its
-    group; one that fails gets its own error, with its deviance trace, in
-    ``errors``.
-    """
-    s, n, links, starts = stack.s, stack.n, stack.links, stack.starts
-    owner, size, total = stack.owner, len(starts), stack.sums(n)
-    observed = _log_observed(s, n)
-    mu0 = (s + 0.5) / (n + 1.0)
+def _irls(stack: _Stack) -> _Run:
+    """Fit the no-interaction model of each problem of ``stack`` in one
+    `_newton` run, from the smoothed proportions (s + 0.5) / (n + 1) on the
+    link scale, b the mean of the strata's effects there."""
+    mu0 = (stack.s + 0.5) / (stack.n + 1.0)
     eta0 = np.concatenate([link.to_eta(mu0[r])
                            for link, r, *_ in stack.segments])
-    b = stack.sums(eta0[:, 1] - eta0[:, 0]) / (stack.ends - starts)
-    alpha = stack.start((eta0[:, 0] + eta0[:, 1] - b[owner]) / 2.0,
-                        b[owner])
-    with np.errstate(all="ignore"):
-        cells = stack.cells(alpha, b[owner])
-        dev = stack.drops(observed, *cells)
-    history, errors = [dev], [None] * size
+    b = stack.sums(eta0[:, 1] - eta0[:, 0]) / (stack.ends - stack.starts)
+    return _newton(stack, b, (eta0[:, 0] + eta0[:, 1] - b[stack.owner]) / 2.0,
+                   _log_observed(stack.s, stack.n))
+
+
+def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
+            b_hat: np.ndarray | None = None, cut: float | None = None,
+            ) -> _Run:
+    """One run of Newton-Raphson over the problems of ``stack``: free fits
+    of the no-interaction model, or, given a ``cut``, profile-interval
+    endpoints.
+
+    Problem j starts at ``b[j]`` with alphas ``alpha`` (`_Stack.start`), its
+    deviance taken from the cells whose logs are ``ref``: the observed
+    proportions of a fit, the estimate ``b_hat[j]``'s cells of an endpoint.
+    Each step on b and the alphas solves the alphas' score equations and one in
+    b (Venzon and Moolgavkar, 1988) in O(k), under the hold rule of
+    `_Stack.hold`: a fit's b score is 0, b eliminated through the Schur
+    complement, and an endpoint's drop is ``cut``. The step is cut so that no
+    eta moves by more than `MAX_ETA_STEP`, its rows with a count of 0 are kept
+    in their domain (`_Stack.project`), and it is halved, at most
+    `MAX_HALVINGS` times, while a fit's raises the deviance by more than
+    `DEVIANCE_ROUNDING` times the total count, its rounding error, or an
+    endpoint's leaves the drop not finite. Each cell is computed by its
+    problem's link and every sum covers one problem's rows, so no problem's
+    bits depend on its group.
+
+    A fit's b stops on a kink, and the fit after the step whose Newton
+    decrement delta'g is at most `DECREMENT_TOL` times the total count; one
+    whose halvings run out, or that runs `MAX_ITERATIONS` passes, gets its own
+    error, with its deviance trace, in ``errors``.
+
+    An endpoint measures b by its distance from the estimate, or from its start
+    where the estimate is infinite. Its inner end is the last iterate whose
+    drop is below the cut, as the profile drop there is no larger (none yet at
+    an infinite estimate). A Newton b that is not finite, the profile flat to
+    rounding, is replaced by one `MAX_ETA_STEP` further out below the cut; one
+    above the cut, one back inside the inner end, or one after
+    `PROFILE_STALL_STEPS` steps in a row that bring the drop no closer to the
+    cut, by the same b, for a step of the alphas alone. It is done after a
+    Newton step whose b part is at most `PROFILE_BETA_TOL`, and fails, its b
+    nan, after `PROFILE_MAX_STEPS` steps.
+    """
+    owner, starts, links, size = stack.owner, stack.starts, stack.links, b.size
+    fit = cut is None
+    kinks = stack.kinks if fit else None
     active, steps, iterations = np.ones(size, bool), np.zeros(size, int), 0
-    slack, tol = DEVIANCE_ROUNDING * total, DECREMENT_TOL * total
+    errors: list = [None] * size
 
     def fail(failed: np.ndarray, text: str) -> None:
         for j in np.flatnonzero(failed).tolist() if failed.any() else ():
@@ -447,154 +462,111 @@ def _irls(stack: _Stack) -> _FitRun:
                 text.format(iterations=iterations, link=links[j].name),
                 trace=[float(d[j]) for d in history])
 
-    while active.any():
-        iterations += 1
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        alpha = stack.start(alpha, b[owner])
+        cells = stack.cells(alpha, b[owner])
+        dev = stack.drops(ref, *cells)
+        if fit:
+            total, history = stack.sums(stack.n), [dev]
+            slack, tol = DEVIANCE_ROUNDING * total, DECREMENT_TOL * total
+        else:
+            side = np.sign(b - b_hat)
+            origin = np.where(np.isfinite(b_hat), b_hat, b)
+            inner, closest = side * (b_hat - origin), np.abs(dev - cut)
+            stalled = 0
+        while active.any():
+            iterations += 1
             g_alpha, d, g, h, held = stack.hold(alpha, b[owner], *cells[2:])
-            information = h[:, 0] * h[:, 1] / d
-            cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
-            stay = None
-            if held is not None:  # each held row's information and b score
-                kept, curvature, score, stay = held
-                information = np.where(kept, curvature, information)
-                cross = np.where(kept, score, cross)
-            information, cross = stack.sums(information), stack.sums(cross)
             g_b = stack.sums(g[:, 1])
-            delta_b = cross / information
-            if stack.zero is not None:
-                # with no information the profile is linear in b: a step up
-                # its slope reaches the bound that ends it
-                delta_b = np.where(information == 0.0,
-                                   np.sign(cross) * MAX_ETA_STEP, delta_b)
-            if stay is not None:
+            if fit:
+                information = h[:, 0] * h[:, 1] / d
+                cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
+                stay = None
+                if held is not None:  # each held row's information, b score
+                    kept, curvature, score, stay = held
+                    information = np.where(kept, curvature, information)
+                    cross = np.where(kept, score, cross)
+                information, cross = stack.sums(information), stack.sums(cross)
+                delta_b = cross / information
+                if stack.zero is not None:
+                    # with no information the profile is linear in b: a
+                    # step up its slope reaches the bound that ends it
+                    delta_b = np.where(information == 0.0,
+                                       np.sign(cross) * MAX_ETA_STEP, delta_b)
+            else:
+                ratio = g_alpha / d
+                delta_b = (((dev - cut) / 2.0 - stack.sums(ratio * g_alpha))
+                           / (g_b - stack.sums(ratio * h[:, 1])))
+                flat = ~np.isfinite(delta_b)  # the profile flat to rounding
+                if flat.any():
+                    delta_b = np.where(flat, side * MAX_ETA_STEP, delta_b)
+                away = side * (b - origin)
+                inner = np.where(dev < cut, away, inner)
+                stay = ~(inner <= away + side * delta_b) | flat & ~(
+                    dev < cut) | (stalled >= PROFILE_STALL_STEPS)
+            if stay is not None:  # b stays, for a step of the alphas alone
                 delta_b = np.where(stay, 0.0, delta_b)
             delta_rows = delta_b[owner]
             delta = (g_alpha - h[:, 1] * delta_rows) / d
-            decrement = stack.sums(delta * g_alpha) + delta_b * g_b
-            # a cell deep in a logit tail has almost no curvature, and
-            # the uncut Newton step there can be 1e13 long
+            # a cell deep in a logit tail has almost no curvature, and the
+            # uncut Newton step there can be 1e13 long
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
-            step = np.where(reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0)
-            if stack.kinks is not None:  # a step across a kink stops on it
-                full = np.where(stack.kinks & (b * (b + step * delta_b) < 0.0),
+            # a problem not moving has step 0 and keeps its b
+            moving = active if fit else active & np.isfinite(reach)
+            step = np.where(moving, np.where(
+                reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
+            if kinks is not None:  # a step across a kink stops on it
+                full = np.where(kinks & (b * (b + step * delta_b) < 0.0),
                                 -b / delta_b, math.nan)
                 step = np.where(np.isnan(full), step, full)
-            pending = moving = active
-            ceiling = dev + slack
+            pending = moving
             for _ in range(MAX_HALVINGS + 1):
-                b_try = b + step * delta_b
-                if stack.kinks is not None:  # on it exactly, or short of it
+                b_try = np.where(moving, b + step * delta_b, b)
+                if kinks is not None:  # on it exactly, or short of it
                     b_try = np.where(np.isnan(full), b_try,
                                      b * (1.0 - step / full))
                 alpha_try = stack.project(alpha + step[owner] * delta,
                                           b_try[owner])
                 trial = stack.cells(alpha_try, b_try[owner])
-                dev_try = stack.drops(observed, *trial)
-                pending = pending & ~(dev_try <= ceiling)
+                dev_try = stack.drops(ref, *trial)
+                pending = pending & ~(dev_try <= dev + slack if fit
+                                      else np.isfinite(dev_try))
                 if not pending.any():
                     break
                 step = np.where(pending, step / 2.0, step)
-        fail(pending, "step halving exhausted after {iterations} iterations "
-             "under the {link} link")
-        taken = moving & ~pending
-        rows = taken[owner]
-        alpha, cells = np.where(rows, alpha_try, alpha), np.where(
-            rows[:, None], trial, cells)
-        b, dev = np.where(taken, b_try, b), np.where(taken, dev_try, dev)
-        history.append(dev)
-        done = taken & (decrement <= tol)
-        steps[done] = iterations
-        active = taken & ~done
-        if iterations == MAX_ITERATIONS:
-            fail(active, f"no convergence in {MAX_ITERATIONS} iterations "
-                 "under the {link} link")
-            break
-    return _FitRun(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
-                   deviance=dev, steps=steps, errors=errors,
-                   iterations=iterations)
-
-
-def _joint_endpoints(stack: _Stack, b: np.ndarray, start: np.ndarray,
-                     b_hat: np.ndarray, hat: tuple, cut: float) -> _JointRun:
-    """Profile-interval endpoints of ``stack``'s problems in one Newton run.
-
-    Problem j starts at ``b[j]`` on one side of its estimate ``b_hat[j]``,
-    with alphas ``start``; ``hat`` holds log(mu) and log(1 - mu) of the
-    estimate's cells. Its b and alphas move together toward the point where
-    every free alpha score is 0 and its drop equals ``cut`` (Venzon and
-    Moolgavkar, 1988), under the hold rule of `_Stack.hold`. Each cell is
-    computed by its problem's link and every sum covers one problem's rows,
-    so no problem's bits depend on its group.
-
-    Each problem measures b by its distance from the estimate, or from its
-    start where the estimate is infinite. Its inner end is the last iterate
-    whose drop is below the cut, as the profile drop there is no larger
-    (none yet at an infinite estimate). A step is cut to `MAX_ETA_STEP`,
-    its rows with a count of 0 kept in their domain (`_Stack.project`),
-    and halved only to keep the drop finite. A Newton b that is not finite,
-    the profile flat to rounding, is replaced by one `MAX_ETA_STEP` further
-    out below the cut; one above the cut, one back inside the inner end,
-    or one after `PROFILE_STALL_STEPS` steps in a row that bring the drop
-    no closer to the cut, by the same b, for a step of the alphas alone. A
-    problem is done after a Newton step whose b part is at most
-    `PROFILE_BETA_TOL`. It fails, its b nan, after `PROFILE_MAX_STEPS`
-    steps.
-    """
-    owner, starts = stack.owner, stack.starts
-    side = np.sign(b - b_hat)
-    origin = np.where(np.isfinite(b_hat), b_hat, b)
-
-    with np.errstate(all="ignore"):
-        alpha = stack.start(start, b[owner])
-        cells = stack.cells(alpha, b[owner])
-        dev = stack.drops(hat, *cells)
-        inner, active = side * (b_hat - origin), np.ones(b.size, bool)
-        closest, stalled, iterations = np.abs(dev - cut), 0, 0
-        while active.any():
-            iterations += 1
-            g_alpha, d, g, h, _ = stack.hold(alpha, b[owner], *cells[2:])
-            ratio = g_alpha / d
-            # each problem's Newton step on (alphas, b), one O(k) solve
-            delta_b = (((dev - cut) / 2.0 - stack.sums(ratio * g_alpha))
-                       / (stack.sums(g[:, 1]) - stack.sums(ratio * h[:, 1])))
-            flat = ~np.isfinite(delta_b)  # the profile is flat to rounding
-            if flat.any():
-                delta_b = np.where(flat, side * MAX_ETA_STEP, delta_b)
-            away = side * (b - origin)
-            inner = np.where(dev < cut, away, inner)
-            bisect = ~(inner <= away + side * delta_b) | flat & ~(
-                dev < cut) | (stalled >= PROFILE_STALL_STEPS)
-            delta_b = np.where(bisect, 0.0, delta_b)
-            delta_rows = delta_b[owner]
-            delta = (g_alpha - h[:, 1] * delta_rows) / d
-            reach = np.maximum.reduceat(np.maximum(
-                np.abs(delta), np.abs(delta + delta_rows)), starts)
-            moving = active & np.isfinite(reach)
-            # a problem not moving has step 0 and keeps its b
-            step = np.where(moving, np.where(
-                reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
-            pending = moving.copy()
-            for _ in range(MAX_HALVINGS + 1):
-                b_try = np.where(moving, b + step * delta_b, b)
-                alpha_try = stack.project(alpha + step[owner] * delta,
-                                          b_try[owner])
-                trial = stack.cells(alpha_try, b_try[owner])
-                dev_try = stack.drops(hat, *trial)
-                pending &= ~np.isfinite(dev_try)
-                if not pending.any():
-                    break
-                step = np.where(pending, step / 2.0, step)
-            alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
-            gap = np.abs(dev - cut)
-            stalled = np.where((gap < closest) | bisect, 0, stalled + 1)
-            closest = np.where(bisect, gap, np.minimum(gap, closest))
-            done = moving & ~pending & ~bisect & (
-                np.abs(delta_b) <= PROFILE_BETA_TOL)
-            lost = active & ~done & (iterations >= PROFILE_MAX_STEPS)
-            b = np.where(lost, math.nan, b)
-            active &= ~done & ~lost
-    return _JointRun(b=b, iterations=iterations)
+            taken = moving & ~pending
+            # an endpoint takes every trial, a fit only those it accepts
+            if not fit or taken.all():
+                alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
+            else:
+                rows = taken[owner]
+                alpha, cells = np.where(rows, alpha_try, alpha), np.where(
+                    rows[:, None], trial, cells)
+                b, dev = (np.where(taken, b_try, b),
+                          np.where(taken, dev_try, dev))
+            if fit:
+                fail(pending, "step halving exhausted after {iterations} "
+                     "iterations under the {link} link")
+                history.append(dev)
+                active = taken  # one whose halvings ran out has failed
+                done = active & (stack.sums(delta * g_alpha) + delta_b * g_b
+                                 <= tol)
+                lost = active & ~done & (iterations >= MAX_ITERATIONS)
+                fail(lost, f"no convergence in {MAX_ITERATIONS} iterations "
+                     "under the {link} link")
+            else:
+                gap = np.abs(dev - cut)
+                stalled = np.where((gap < closest) | stay, 0, stalled + 1)
+                closest = np.where(stay, gap, np.minimum(gap, closest))
+                done = taken & ~stay & (np.abs(delta_b) <= PROFILE_BETA_TOL)
+                lost = active & ~done & (iterations >= PROFILE_MAX_STEPS)
+                b = np.where(lost, math.nan, b)
+            steps[done] = iterations
+            active = active & ~done & ~lost
+    return _Run(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
+                deviance=dev, steps=steps, errors=errors,
+                iterations=iterations)
 
 
 def _observed(s: np.ndarray, n: np.ndarray, link: _Link) -> tuple:
@@ -649,8 +621,10 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
     """Maximum-likelihood fits of several models, each the fit or the
     `GlmError` that stopped it. The closed-form fits (`_observed_fit`)
     come from the observed proportions, and all other no-interaction models
-    are fitted in one `_irls` run, reported in reference coding: intercept =
-    alpha_1 and stratum:i = alpha_i - alpha_1. The fits of one table and
+    are fitted in one free-fit run of the Newton core that also solves
+    profile endpoints (`_irls`, `_newton`), reported in reference coding:
+    intercept = alpha_1 and stratum:i = alpha_i - alpha_1. The fits of one
+    table and
     terms share their coefficient names, and the closed-form ones their
     fitted cells, log-likelihood and deviance, which no link changes."""
     results: list = [None] * len(specs)
@@ -828,11 +802,13 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     identity link, +-inf on the others) but one the estimate sits at, whose
     endpoint is that limit; a nan estimate (0/0) has both. All the other
     endpoints, whatever their links, are the problems of one `_Stack`, on
-    which their starts are computed, and of one `_joint_endpoints` run,
-    which solves each for b and the alphas together. A finite estimate's
-    alphas are read off its fit's coefficients, so the fit is reused, but
-    are refitted (one `_irls` run) where one is infinite, or lost behind an
-    infinite intercept in reference coding. Its endpoints start one Wald
+    which their starts are computed, and of one endpoint run of the fits'
+    Newton core (`_newton`), which solves each for b and the alphas
+    together and differs from a fit only in b's equation, halving test and
+    stop rule. A finite estimate's alphas are read off its fit's
+    coefficients, so the fit is reused, but are refitted (one `_irls` run)
+    where one is infinite, or lost behind an infinite intercept in
+    reference coding. Its endpoints start one Wald
     half-width out (from the Schur complement of the observed information,
     held rows left out), at most `MAX_ETA_STEP` or half way to a nearer
     limit, the alphas moved to first order along their profile.
@@ -892,8 +868,8 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
                 start[r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0],
                                     np.where(np.isfinite(eta[:, 1]),
                                              eta[:, 1] - b0, -b0 / 2.0))
-        ends.T[inside.T] = _joint_endpoints(stack, b, start, b_hat,
-                                            (log_mu, log_nu), cut).b
+        ends.T[inside.T] = _newton(stack, b, start, (log_mu, log_nu), b_hat,
+                                   cut).b
 
     intervals = []
     for fit_result, (lower, upper) in zip(fits, ends.T.tolist()):

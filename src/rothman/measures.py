@@ -49,10 +49,6 @@ class Measure(Enum):
     def is_ratio(self) -> bool:
         return self.link != "identity"
 
-    @property
-    def null_value(self) -> float:
-        return 1.0 if self.is_ratio else 0.0
-
 
 # (short name, GLM link) per measure
 _NAMES = {

@@ -117,25 +117,12 @@ class StratifiedCohortTable:
     def cells(self) -> tuple[CohortCell, ...]:
         return tuple(cell for _, cell in self.strata)
 
-    @property
-    def zero_margin_strata(self) -> tuple[str, ...]:
-        """Labels of strata flagged for a zero-total exposure margin."""
-        return tuple(label for label, cell in self.strata
-                     if cell.has_zero_margin)
-
     def collapse(self) -> CohortCell:
         """Marginal 2x2 cell: elementwise sum over strata."""
         total = self.cells[0]
         for cell in self.cells[1:]:
             total = total + cell
         return total
-
-    def verify_crude(self, crude: CohortCell) -> None:
-        """Check that a supplied marginal table equals the stratum sum."""
-        summed = self.collapse()
-        if summed != crude:
-            raise ValidationError(
-                f"marginal counts {crude} do not equal the stratum sum {summed}")
 
     def to_csv(self) -> str:
         buf = io.StringIO()

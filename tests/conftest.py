@@ -111,8 +111,8 @@ def independence_tables():
 
 @dataclasses.dataclass
 class IrlsCall:
-    """One Newton run of the GLM layer: a `glm._irls` run of no-interaction
-    fits, or a `glm._joint_endpoints` run of endpoint problems (``joint``).
+    """One run of the GLM layer's Newton core (`glm._newton`): a run of
+    no-interaction fits, or one of endpoint problems (``joint``).
 
     ``strata`` counts the rows of the stack it was given; ``iterations``
     counts its passes; ``failed`` has one flag a problem."""
@@ -124,20 +124,18 @@ class IrlsCall:
 
 
 class IrlsRecorder:
-    """Records every `glm._irls` and `glm._joint_endpoints` call in
-    ``calls``. ``rewrite``, when set, maps each joint run's result to the
-    one its caller receives."""
+    """Records every `glm._newton` run in ``calls``, an endpoint run told by
+    its ``cut``. ``rewrite``, when set, maps each endpoint run's result to
+    the one its caller receives."""
 
     def __init__(self, monkeypatch):
         self.calls: list[IrlsCall] = []
         self.rewrite = None
-        for name in ("_irls", "_joint_endpoints"):
-            monkeypatch.setattr(glm, name, self._recorded(
-                getattr(glm, name), joint=name == "_joint_endpoints"))
+        newton = glm._newton
 
-    def _recorded(self, newton_run, joint):
-        def recorded(stack, *args):
-            run = newton_run(stack, *args)
+        def recorded(stack, b, alpha, ref, b_hat=None, cut=None):
+            run = newton(stack, b, alpha, ref, b_hat, cut)
+            joint = cut is not None
             if joint and self.rewrite is not None:
                 run = self.rewrite(run)
             failed = (np.isnan(run.b).tolist() if joint
@@ -145,7 +143,8 @@ class IrlsRecorder:
             self.calls.append(IrlsCall(joint, len(stack.s), run.iterations,
                                        failed))
             return run
-        return recorded
+
+        monkeypatch.setattr(glm, "_newton", recorded)
 
     @property
     def joint_calls(self) -> list[IrlsCall]:

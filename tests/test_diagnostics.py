@@ -496,13 +496,17 @@ def test_analyze_fits_only_the_crude_and_common_models(monkeypatch, request,
     assert [e.error for e in report.measures] == [None] * 4
 
 
-def _assert_analysis_work(recorder, table, passes):
+def _assert_analysis_work(recorder, table, free, endpoint):
     # One grouped run of the four free fits, then one holding the crude and
-    # common endpoints of all four measures. These bounds may only go down.
+    # common endpoints of all four measures, each run within its own bound,
+    # so no change can move passes from one run to the other unseen. These
+    # bounds may only go down.
     analyze(table)
     assert [call.joint for call in recorder.calls] == [False, True]
     assert not any(any(call.failed) for call in recorder.calls)
-    assert sum(call.iterations for call in recorder.calls) <= passes
+    fits_run, endpoint_run = recorder.calls
+    assert fits_run.iterations <= free
+    assert endpoint_run.iterations <= endpoint
 
 
 def test_whickham_analysis_irls_fit_count(irls_recorder, whickham):
@@ -512,14 +516,14 @@ def test_whickham_analysis_irls_fit_count(irls_recorder, whickham):
     # measure 8 in 37, four free fits and one grouped endpoint run 5 in 25.
     # One grouped free-fit run takes the passes of its slowest link: the
     # four links' fits take 4/7/5/4 iterations alone.
-    _assert_analysis_work(irls_recorder, whickham, 12)
+    _assert_analysis_work(irls_recorder, whickham, 7, 5)
 
 
 def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
     # One joint solve an endpoint made 20 runs in 93 iterations, one
     # grouped run a measure 8 in 44, four free fits and one grouped
     # endpoint run 5 in 32; the free fits take 5/10/7/5 iterations alone.
-    _assert_analysis_work(irls_recorder, six_strata, 15)
+    _assert_analysis_work(irls_recorder, six_strata, 10, 5)
 
 
 @pytest.mark.parametrize("name, stacks", [

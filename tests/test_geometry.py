@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rothman.errors import ValidationError
 from rothman.geometry import (Containment, ConfoundingRectangle, RiskPoint,
-                              StandardPopulation, association_points,
-                              boundary_distance, confounding_rectangle,
+                              StandardPopulation, _locate,
+                              association_points, confounding_rectangle,
                               contains, convex_hull_indices,
                               standard_population, standardize,
                               standardized_hull, standardized_point,
@@ -248,16 +248,24 @@ class TestConfoundingRectangle:
         rect = ConfoundingRectangle(0.1, 0.4, 0.2, 0.8)
         assert rect.corners == ((0.1, 0.2), (0.4, 0.2), (0.4, 0.8), (0.1, 0.8))
 
-    def test_contains_point(self):
-        rect = ConfoundingRectangle(0.1, 0.4, 0.2, 0.8)
-        assert rect.contains_point(RiskPoint(0.2, 0.5))
-        assert rect.contains_point(RiskPoint(0.1, 0.2))
-        assert not rect.contains_point(RiskPoint(0.05, 0.5))
-        assert rect.contains_point(RiskPoint(0.0405, 0.5), tol=0.06)
+    def test_the_rectangle_is_the_least_holding_its_points(self):
+        points = [RiskPoint(0.2, 0.5), RiskPoint(0.1, 0.8),
+                  RiskPoint(0.4, 0.2)]
+        rect = confounding_rectangle(points)
+        assert rect.corners == ((0.1, 0.2), (0.4, 0.2), (0.4, 0.8), (0.1, 0.8))
+        for p in points:
+            assert rect.x_min <= p.x <= rect.x_max
+            assert rect.y_min <= p.y <= rect.y_max
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValidationError):
             ConfoundingRectangle(0.4, 0.1, 0.2, 0.8)
+
+
+def _boundary_distance(hull, p):
+    """Euclidean distance from ``p`` to the hull boundary, vertices
+    included."""
+    return _locate(hull, p, 0.0)[1]
 
 
 class TestContainment:
@@ -265,7 +273,7 @@ class TestContainment:
         crude, strata = association_points(whickham)
         hull = standardized_hull(strata)
         assert contains(hull, crude) is Containment.OUTSIDE
-        assert boundary_distance(hull, crude) > 0.05
+        assert _boundary_distance(hull, crude) > 0.05
         assert contains(hull, crude, tol=0.05) is Containment.OUTSIDE
 
     def test_standardized_points_on_the_segment(self, whickham):
@@ -281,7 +289,7 @@ class TestContainment:
         crude, strata = association_points(identical_strata_table)
         hull = standardized_hull(strata)
         assert len(hull.vertices) == 1
-        assert boundary_distance(hull, crude) == 0.0
+        assert _boundary_distance(hull, crude) == 0.0
         assert contains(hull, crude) is Containment.BOUNDARY
 
     def test_interior_crude_point_with_three_strata(self, interior_crude_k3_table):
@@ -289,7 +297,7 @@ class TestContainment:
         hull = standardized_hull(strata)
         assert contains(hull, crude) is Containment.INSIDE
         assert contains(hull, crude, tol=0.0) is Containment.INSIDE
-        assert boundary_distance(hull, crude) > 0
+        assert _boundary_distance(hull, crude) > 0
 
     def test_vertex_is_boundary(self, six_strata):
         _, strata = association_points(six_strata)
@@ -412,9 +420,9 @@ class TestDegenerateHulls:
 
     def test_boundary_distance_to_a_one_vertex_hull(self):
         hull = standardized_hull([RiskPoint(0.2, 0.4)] * 3)
-        assert boundary_distance(hull, RiskPoint(0.5, 0.8)) == 0.5
-        assert boundary_distance(hull, RiskPoint(0.2, 0.4)) == 0.0
-        assert boundary_distance(hull, RiskPoint(0.1, 0.7)) == 0.3162277660168379
+        assert _boundary_distance(hull, RiskPoint(0.5, 0.8)) == 0.5
+        assert _boundary_distance(hull, RiskPoint(0.2, 0.4)) == 0.0
+        assert _boundary_distance(hull, RiskPoint(0.1, 0.7)) == 0.3162277660168379
 
 
 rational =st.fractions(min_value=0, max_value=1, max_denominator=50)
@@ -442,7 +450,8 @@ def test_standardized_point_always_in_hull(coords, data):
     hull = standardized_hull(strata)
     assert contains(hull, p, tol=1e-9) is not Containment.OUTSIDE
     rect = confounding_rectangle(strata)
-    assert rect.contains_point(p, tol=1e-9)
+    assert rect.x_min - 1e-9 <= p.x <= rect.x_max + 1e-9
+    assert rect.y_min - 1e-9 <= p.y <= rect.y_max + 1e-9
 
 
 @given(rational, rational, rational, rational,

@@ -95,9 +95,11 @@ class TestMeasureEnum:
         assert Measure.RISK_DIFFERENCE.label == "risk difference"
 
     def test_null_values(self):
-        assert Measure.RISK_DIFFERENCE.null_value == 0.0
+        # equal risks read 0 on the difference scale and 1 on the ratios
+        diagonal = RiskPoint(0.3, 0.3)
+        assert measure_value(Measure.RISK_DIFFERENCE, diagonal) == 0.0
         for m in (Measure.ODDS_RATIO, Measure.RISK_RATIO, Measure.HAZARD_RATIO):
-            assert m.null_value == 1.0
+            assert measure_value(m, diagonal) == 1.0
 
     def test_ratio_flags(self):
         assert not Measure.RISK_DIFFERENCE.is_ratio
@@ -172,7 +174,8 @@ class TestContour:
     @pytest.mark.parametrize("m", ALL_MEASURES)
     def test_null_contour_is_the_diagonal(self, m):
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert contour(m, m.null_value, x) == pytest.approx(x, abs=1e-15)
+            assert contour(m, float(m.is_ratio), x) == pytest.approx(
+                x, abs=1e-15)
 
     def test_out_of_square_returns_none(self):
         assert contour(Measure.RISK_DIFFERENCE, 0.5, 0.8) is None
