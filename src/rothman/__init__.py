@@ -35,8 +35,7 @@ _MODULES = {
     "measures": ("CollapsibilityReport", "EffectModification", "Measure",
                  "collapse_analysis", "contour", "effect_modification",
                  "is_collapsible", "measure_value"),
-    "render": ("ContourSpec", "DiagramSpec", "HullSpec", "PointSpec",
-               "RectangleSpec", "SegmentSpec", "render_diagram",
+    "render": ("ContourSpec", "DiagramSpec", "PointSpec", "render_diagram",
                "render_grid"),
     "simulate": ("PopulationSpec", "PopulationTruth", "parse_population_spec",
                  "population_truth", "sample_table"),

@@ -16,8 +16,8 @@ from .geometry import (PRESETS, association_points, confounding_rectangle,
                        standard_population, standardized_hull,
                        standardized_point, standardize)
 from .measures import Measure, collapse_analysis, measure_value
-from .render import (ContourSpec, DiagramSpec, HullSpec, PointSpec,
-                     RectangleSpec, SegmentSpec, render_diagram, render_grid)
+from .render import (ContourSpec, DiagramSpec, PointSpec, render_diagram,
+                     render_grid)
 from .tables import StratifiedCohortTable
 from .whickham import six_strata_table, whickham_table
 
@@ -48,8 +48,8 @@ def _stratum_edges(table: StratifiedCohortTable) -> tuple[tuple, tuple]:
     """(segments, hulls): a segment for two strata, hull edges otherwise."""
     _, strata = association_points(table)
     if len(strata) == 2:
-        return (SegmentSpec(strata[0], strata[1]),), ()
-    return (), (HullSpec(standardized_hull(strata)),)
+        return ((strata[0], strata[1]),), ()
+    return (), (standardized_hull(strata),)
 
 
 def figure1(table: StratifiedCohortTable) -> str:
@@ -75,7 +75,7 @@ def figure2(table: StratifiedCohortTable) -> str:
     return render_diagram(DiagramSpec(
         title="Confounding rectangle",
         points=tuple(points), segments=segments, hulls=hulls,
-        rectangles=(RectangleSpec(confounding_rectangle(strata)),)))
+        rectangles=(confounding_rectangle(strata),)))
 
 
 def figure3(table: StratifiedCohortTable) -> str:
@@ -96,7 +96,7 @@ def figure3(table: StratifiedCohortTable) -> str:
             title=f"Stratum contours: {m.label}",
             points=_stratum_point_specs(table),
             contours=tuple(contours)))
-    return render_grid(panels, columns=2)
+    return render_grid(panels)
 
 
 def figure4(table: StratifiedCohortTable) -> str:
@@ -104,8 +104,8 @@ def figure4(table: StratifiedCohortTable) -> str:
     return render_diagram(DiagramSpec(
         title="Standardized hull and confounding rectangle",
         points=_stratum_point_specs(table),
-        hulls=(HullSpec(standardized_hull(strata)),),
-        rectangles=(RectangleSpec(confounding_rectangle(strata)),)))
+        hulls=(standardized_hull(strata),),
+        rectangles=(confounding_rectangle(strata),)))
 
 
 def figure5() -> str:
@@ -115,7 +115,7 @@ def figure5() -> str:
                          for v in _GALLERY_VALUES[m.is_ratio])
         panels.append(DiagramSpec(title=f"Contours of the {m.label}",
                                   contours=contours))
-    return render_grid(panels, columns=2)
+    return render_grid(panels)
 
 
 def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
@@ -129,7 +129,7 @@ def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
               for p, label in zip(fitted, table.labels)]
     segments = []
     if len(fitted) == 2:
-        segments.append(SegmentSpec(fitted[0], fitted[1]))
+        segments.append((fitted[0], fitted[1]))
     extreme = standardize(fitted, report.argmin_weights)
     if measure is not Measure.RISK_DIFFERENCE:
         points.append(PointSpec(

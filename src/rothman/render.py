@@ -4,7 +4,8 @@ Emits standalone SVG 1.1 documents with no graphics dependency: the unit
 square with the null line, association points, standardized segments and
 hulls, confounding rectangles, and measure contours sampled as
 polylines. Output is deterministic, so identical specs give byte-identical
-documents.
+documents. Every panel is one fixed CANVAS-pixel square, so its frame
+and the x text of the contour samples are built once, at import.
 
 Document y-coordinates grow downward, so the transform inverts y: risk
 increases upward as on the printed diagrams.
@@ -12,8 +13,8 @@ increases upward as on the printed diagrams.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,9 +23,11 @@ from .errors import ValidationError
 from .geometry import ConfoundingRectangle, RiskPoint, StandardizedHull
 from .measures import Measure, contour
 
-POINT_STYLES = ("open_circle", "solid_circle")
-LINE_STYLES = ("solid", "dashed")
-
+CANVAS = 600  # pixels a side of every panel
+MARGIN = 60
+COLUMNS = 2  # panels a row of a grid
+X_LABEL = "risk in unexposed"
+Y_LABEL = "risk in exposed"
 CONTOUR_SAMPLES = 256
 POINT_RADIUS = 4.0
 NULL_LINE_COLOR = "#999999"
@@ -32,15 +35,19 @@ FRAME_COLOR = "#000000"
 DASH_PATTERN = "6,4"
 FONT = "font-family=\"sans-serif\""
 
+_PLOT = float(CANVAS - 2 * MARGIN)  # pixels a side of the unit square
 # the x of every contour sample
 _GRID = np.arange(CONTOUR_SAMPLES + 1) / CONTOUR_SAMPLES
+# a character outside XML 1.0's Char production
+_NOT_XML = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class _Styled:
     """A spec whose ``style`` must be one of its class's ``STYLES``."""
 
     __slots__ = ()
-    STYLES = LINE_STYLES
+    STYLES = ("solid", "dashed")
 
     def __post_init__(self) -> None:
         if self.style not in self.STYLES:
@@ -50,30 +57,11 @@ class _Styled:
 
 @dataclass(frozen=True, slots=True)
 class PointSpec(_Styled):
-    STYLES = POINT_STYLES
+    STYLES = ("open_circle", "solid_circle")
 
     point: RiskPoint
     style: str = "solid_circle"
     label: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class SegmentSpec(_Styled):
-    a: RiskPoint
-    b: RiskPoint
-    style: str = "solid"
-
-
-@dataclass(frozen=True, slots=True)
-class HullSpec(_Styled):
-    hull: StandardizedHull
-    style: str = "solid"
-
-
-@dataclass(frozen=True, slots=True)
-class RectangleSpec(_Styled):
-    rectangle: ConfoundingRectangle
-    style: str = "dashed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,21 +80,14 @@ class ContourSpec(_Styled):
 
 @dataclass(frozen=True, slots=True)
 class DiagramSpec:
+    """One panel: rectangles are drawn dashed, segments and hulls solid."""
+
     title: str = ""
     points: tuple[PointSpec, ...] = ()
-    segments: tuple[SegmentSpec, ...] = ()
-    hulls: tuple[HullSpec, ...] = ()
-    rectangles: tuple[RectangleSpec, ...] = ()
+    segments: tuple[tuple[RiskPoint, RiskPoint], ...] = ()
+    hulls: tuple[StandardizedHull, ...] = ()
+    rectangles: tuple[ConfoundingRectangle, ...] = ()
     contours: tuple[ContourSpec, ...] = ()
-    width: int = 600
-    height: int = 600
-    margin: int = 60
-    x_label: str = "risk in unexposed"
-    y_label: str = "risk in exposed"
-
-    def __post_init__(self) -> None:
-        if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
-            raise ValidationError("canvas too small for its margins")
 
 
 def _fmt(v: float) -> str:
@@ -118,144 +99,124 @@ def _coords(pts: Iterable[tuple[float, float]]) -> str:
     return " ".join("%.2f,%.2f" % pt for pt in pts)
 
 
-@lru_cache(maxsize=8)
-def _grid_text(x0: float, plot_w: float) -> tuple[str, ...]:
-    """The "x," text of every contour sample on a canvas at x0, plot_w."""
-    return tuple(["%.2f," % v for v in (x0 + _GRID * plot_w).tolist()])
+def _px(x, y):
+    """The canvas position of risk point (x, y), for scalars or arrays."""
+    return MARGIN + x * _PLOT, MARGIN + (1.0 - y) * _PLOT
 
 
-class _Canvas:
-    def __init__(self, spec: DiagramSpec) -> None:
-        self.spec = spec
-        self.x0 = float(spec.margin)
-        self.y0 = float(spec.margin)
-        self.plot_w = float(spec.width - 2 * spec.margin)
-        self.plot_h = float(spec.height - 2 * spec.margin)
-
-    def px(self, x: float, y: float) -> tuple[float, float]:
-        return (self.x0 + x * self.plot_w,
-                self.y0 + (1.0 - y) * self.plot_h)
-
-    def line(self, a: tuple[float, float], b: tuple[float, float],
-             stroke: str, width: float = 1.0, dashed: bool = False) -> str:
-        dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
-        return (f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
-                f'stroke="{stroke}" stroke-width="{width:g}"{dash}/>')
-
-    def polyline(self, coords: str, stroke: str, width: float = 1.0,
-                 dashed: bool = False, closed: bool = False) -> str:
-        dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
-        tag = "polygon" if closed else "polyline"
-        return (f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
-                f'stroke-width="{width:g}"{dash}/>')
-
-    def text(self, pos: tuple[float, float], s: str, size: int = 12,
-             anchor: str = "start", extra: str = "") -> str:
-        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        return (f'<text x="{_fmt(pos[0])}" y="{_fmt(pos[1])}" {FONT} '
-                f'font-size="{size}" text-anchor="{anchor}"{extra}>'
-                f'{s}</text>')
+def _line(a, b, stroke: str = FRAME_COLOR, width: float = 1.0) -> str:
+    return (f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
+            f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
+            f'stroke="{stroke}" stroke-width="{width:g}"/>')
 
 
-def _axes(c: _Canvas) -> list[str]:
-    spec = c.spec
-    parts = []
-    parts.append(c.polyline(
-        _coords([c.px(0, 0), c.px(1, 0), c.px(1, 1), c.px(0, 1)]),
-        FRAME_COLOR, closed=True))
-    parts.append(c.line(c.px(0, 0), c.px(1, 1), NULL_LINE_COLOR, width=1.0))
+def _polyline(coords: str, width: float = 1.0, dashed: bool = False,
+              closed: bool = False) -> str:
+    dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
+    tag = "polygon" if closed else "polyline"
+    return (f'<{tag} points="{coords}" fill="none" stroke="{FRAME_COLOR}" '
+            f'stroke-width="{width:g}"{dash}/>')
+
+
+def _text(pos: tuple[float, float], s: str, size: int = 12,
+          anchor: str = "start", extra: str = "") -> str:
+    if _NOT_XML.search(s):
+        raise ValidationError(
+            f"text {s!r} holds a character that XML 1.0 does not allow")
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{_fmt(pos[0])}" y="{_fmt(pos[1])}" {FONT} '
+            f'font-size="{size}" text-anchor="{anchor}"{extra}>'
+            f'{s}</text>')
+
+
+def _frame() -> tuple[str, ...]:
+    """The background, square, null line, ticks and axis labels."""
+    parts = [f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" '
+             f'fill="white"/>',
+             _polyline(_coords([_px(0, 0), _px(1, 0), _px(1, 1), _px(0, 1)]),
+                       closed=True),
+             _line(_px(0, 0), _px(1, 1), NULL_LINE_COLOR)]
     for i in range(11):
         v = i / 10.0
-        bx, by = c.px(v, 0.0)
-        parts.append(c.line((bx, by), (bx, by + 5.0), FRAME_COLOR))
-        lx, ly = c.px(0.0, v)
-        parts.append(c.line((lx, ly), (lx - 5.0, ly), FRAME_COLOR))
+        bx, by = _px(v, 0.0)
+        parts.append(_line((bx, by), (bx, by + 5.0)))
+        lx, ly = _px(0.0, v)
+        parts.append(_line((lx, ly), (lx - 5.0, ly)))
         if i % 2 == 0:
-            parts.append(c.text((bx, by + 18.0), f"{v:.1f}", anchor="middle"))
-            parts.append(c.text((lx - 8.0, ly + 4.0), f"{v:.1f}", anchor="end"))
-    xl_x, xl_y = c.px(0.5, 0.0)
-    parts.append(c.text((xl_x, xl_y + 36.0), spec.x_label, size=14,
-                        anchor="middle"))
-    yl_x, yl_y = c.px(0.0, 0.5)
-    parts.append(c.text(
-        (yl_x - 36.0, yl_y), spec.y_label, size=14, anchor="middle",
+            parts.append(_text((bx, by + 18.0), f"{v:.1f}", anchor="middle"))
+            parts.append(_text((lx - 8.0, ly + 4.0), f"{v:.1f}", anchor="end"))
+    xl_x, xl_y = _px(0.5, 0.0)
+    parts.append(_text((xl_x, xl_y + 36.0), X_LABEL, size=14,
+                       anchor="middle"))
+    yl_x, yl_y = _px(0.0, 0.5)
+    parts.append(_text(
+        (yl_x - 36.0, yl_y), Y_LABEL, size=14, anchor="middle",
         extra=f' transform="rotate(-90 {_fmt(yl_x - 36.0)} {_fmt(yl_y)})"'))
-    if spec.title:
-        parts.append(c.text((spec.width / 2.0, spec.margin / 2.0), spec.title,
-                            size=15, anchor="middle"))
-    return parts
+    return tuple(parts)
 
 
-def _contour_runs(measure: Measure, value: float,
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sampled contour (x, y) split into runs where it stays in the unit
-    square, each of at least two points."""
+_FRAME = _frame()
+# the "x," text of every contour sample
+_GRID_TEXT = tuple(["%.2f," % v for v in _px(_GRID, 0.0)[0].tolist()])
+
+
+def _contour_run(measure: Measure, value: float,
+                 ) -> tuple[slice, np.ndarray] | None:
+    """The grid slice from the contour's first to its last sample in the
+    unit square and its y there, or None below two samples: a contour is
+    the graph of a monotone y(x), so it meets the square in one run."""
     y = contour(measure, value, _GRID)
-    # a run starts where NaN gives way to a number and stops where it resumes
-    edges = np.flatnonzero(np.diff(np.isnan(y), prepend=True, append=True))
-    return [(_GRID[a:b], y[a:b]) for a, b in zip(edges[0::2], edges[1::2])
-            if b - a >= 2]
+    inside = np.flatnonzero(~np.isnan(y))
+    if len(inside) < 2:
+        return None
+    run = slice(int(inside[0]), int(inside[-1]) + 1)
+    return run, y[run]
 
 
-def _contour_elements(c: _Canvas, spec: ContourSpec) -> list[str]:
-    parts = []
-    anchor, most = None, 0
-    grid_text = _grid_text(c.x0, c.plot_w)
-    for x, y in _contour_runs(spec.measure, spec.value):
-        px, py = c.px(x, y)
-        first = round(x[0] * CONTOUR_SAMPLES)  # exact: x[0] is a grid value
-        values = [None] * (2 * len(x))
-        values[0::2] = grid_text[first:first + len(x)]
-        values[1::2] = py.tolist()
-        coords = " ".join(["%s%.2f"] * len(x)) % tuple(values)
-        parts.append(c.polyline(coords, FRAME_COLOR, width=1.2,
-                                dashed=spec.style == "dashed"))
-        if len(x) > most:  # the label sits mid-way along the first longest run
-            most, anchor = len(x), (px[len(x) // 2], py[len(x) // 2])
+def _contour_elements(spec: ContourSpec) -> list[str]:
+    found = _contour_run(spec.measure, spec.value)
+    if found is None:
+        return []
+    run, y = found
+    px, py = _px(_GRID[run], y)
+    values = [None] * (2 * len(y))
+    values[0::2] = _GRID_TEXT[run]
+    values[1::2] = py.tolist()
+    coords = " ".join(["%s%.2f"] * len(y)) % tuple(values)
+    parts = [_polyline(coords, width=1.2, dashed=spec.style == "dashed")]
     label = spec.final_label
-    if label and anchor is not None:
-        parts.append(c.text((anchor[0] + 4.0, anchor[1] - 4.0), label,
-                            size=11))
+    if label:  # mid-way along the run
+        mid = len(y) // 2
+        parts.append(_text((px[mid] + 4.0, py[mid] - 4.0), label, size=11))
     return parts
 
 
 def _body(spec: DiagramSpec) -> list[str]:
-    c = _Canvas(spec)
-    parts = [f'<rect x="0" y="0" width="{spec.width}" '
-             f'height="{spec.height}" fill="white"/>']
-    parts.extend(_axes(c))
+    parts = list(_FRAME)
+    if spec.title:
+        parts.append(_text((CANVAS / 2.0, MARGIN / 2.0), spec.title,
+                           size=15, anchor="middle"))
     for contour_spec in spec.contours:
-        parts.extend(_contour_elements(c, contour_spec))
-    for rect_spec in spec.rectangles:
-        r = rect_spec.rectangle
-        pts = [c.px(x, y) for x, y in r.corners]
-        parts.append(c.polyline(_coords(pts), FRAME_COLOR, width=1.2,
-                                dashed=rect_spec.style == "dashed",
-                                closed=True))
-    for hull_spec in spec.hulls:
-        verts = hull_spec.hull.vertices
-        pts = [c.px(p.x, p.y) for p in verts]
+        parts.extend(_contour_elements(contour_spec))
+    for rect in spec.rectangles:
+        parts.append(_polyline(_coords(_px(x, y) for x, y in rect.corners),
+                               width=1.2, dashed=True, closed=True))
+    for hull in spec.hulls:
+        pts = [_px(p.x, p.y) for p in hull.vertices]
         if len(pts) >= 3:
-            parts.append(c.polyline(_coords(pts), FRAME_COLOR, width=1.5,
-                                    dashed=hull_spec.style == "dashed",
-                                    closed=True))
+            parts.append(_polyline(_coords(pts), width=1.5, closed=True))
         elif len(pts) == 2:
-            parts.append(c.line(pts[0], pts[1], FRAME_COLOR, width=1.5,
-                                dashed=hull_spec.style == "dashed"))
-    for seg in spec.segments:
-        parts.append(c.line(c.px(seg.a.x, seg.a.y), c.px(seg.b.x, seg.b.y),
-                            FRAME_COLOR, width=1.5,
-                            dashed=seg.style == "dashed"))
-    for point_spec in spec.points:
-        px, py = c.px(point_spec.point.x, point_spec.point.y)
-        fill = "white" if point_spec.style == "open_circle" else "black"
+            parts.append(_line(pts[0], pts[1], width=1.5))
+    for a, b in spec.segments:
+        parts.append(_line(_px(a.x, a.y), _px(b.x, b.y), width=1.5))
+    for p in spec.points:
+        px, py = _px(p.point.x, p.point.y)
+        fill = "white" if p.style == "open_circle" else "black"
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
                      f'r="{POINT_RADIUS:g}" fill="{fill}" stroke="black" '
                      f'stroke-width="1"/>')
-        if point_spec.label:
-            parts.append(c.text((px + 7.0, py - 7.0), point_spec.label,
-                                size=11))
+        if p.label:
+            parts.append(_text((px + 7.0, py - 7.0), p.label, size=11))
     return parts
 
 
@@ -271,24 +232,18 @@ def _document(width: int, height: int, parts: Sequence[str]) -> str:
 
 def render_diagram(spec: DiagramSpec) -> str:
     """Render one diagram as a standalone SVG document."""
-    return _document(spec.width, spec.height, _body(spec))
+    return _document(CANVAS, CANVAS, _body(spec))
 
 
-def render_grid(specs: Sequence[DiagramSpec], columns: int = 2) -> str:
-    """Render diagrams as panels of one SVG document, row-major."""
+def render_grid(specs: Sequence[DiagramSpec]) -> str:
+    """Render diagrams as panels of one SVG document, COLUMNS a row."""
     if not specs:
         raise ValidationError("need at least one panel")
-    if columns < 1:
-        raise ValidationError("columns must be positive")
-    w, h = specs[0].width, specs[0].height
-    if any(s.width != w or s.height != h for s in specs):
-        raise ValidationError("all panels must share one canvas size")
-    rows = (len(specs) + columns - 1) // columns
     parts = []
     for i, spec in enumerate(specs):
-        tx = (i % columns) * w
-        ty = (i // columns) * h
-        parts.append(f'<g transform="translate({tx},{ty})">')
+        parts.append(f'<g transform="translate({i % COLUMNS * CANVAS},'
+                     f'{i // COLUMNS * CANVAS})">')
         parts.extend(_body(spec))
         parts.append("</g>")
-    return _document(w * min(columns, len(specs)), h * rows, parts)
+    rows = (len(specs) + COLUMNS - 1) // COLUMNS
+    return _document(CANVAS * min(COLUMNS, len(specs)), CANVAS * rows, parts)

@@ -27,14 +27,13 @@ TRACING = ROOT / "benchmarks" / "tracing.py"
 PUBLIC_NAMES = [
     "AnalysisReport", "CohortCell", "CollapsibilityReport",
     "ConfoundingRectangle", "Containment", "ContourSpec", "DiagramSpec",
-    "EffectModification", "GlmError", "GlmFit", "HullSpec", "LrInterval",
-    "LrTest", "Measure", "MeasureAnalysis", "ModelSpec", "NestingError",
+    "EffectModification", "GlmError", "GlmFit", "LrInterval", "LrTest",
+    "Measure", "MeasureAnalysis", "ModelSpec", "NestingError",
     "NonConvergenceError", "ParseError", "PointSpec", "PopulationSpec",
-    "PopulationTruth", "RectangleSpec", "RiskPoint", "RothmanError",
-    "SegmentSpec", "StandardPopulation", "StandardizedHull",
-    "StratifiedCohortTable", "UndefinedMeasureError", "ValidationError",
-    "ZeroMarginError", "analyze", "association_points", "builtin_table",
-    "chi_square_cdf", "chi_square_quantile", "chi_square_sf",
+    "PopulationTruth", "RiskPoint", "RothmanError", "StandardPopulation",
+    "StandardizedHull", "StratifiedCohortTable", "UndefinedMeasureError",
+    "ValidationError", "ZeroMarginError", "analyze", "association_points",
+    "builtin_table", "chi_square_cdf", "chi_square_quantile", "chi_square_sf",
     "collapse_analysis", "confounding_rectangle", "contains", "contour",
     "effect_modification", "exposure_estimate", "exposure_test",
     "figure_filename", "figure_svg", "fit", "fitted_stratum_points",

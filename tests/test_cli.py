@@ -410,6 +410,37 @@ class TestPlot:
                        "domain"}
         assert not target.exists()
 
+    @pytest.mark.parametrize("name, label", [
+        ("table.csv", "a\x0bb"), ("table.csv", "a\x00b"),
+        ("table.json", "a\ud800b")], ids=["vt-csv", "nul-csv", "lone-json"])
+    def test_a_label_xml_cannot_hold_exits_one(self, run, tmp_path, make_table,
+                                               name, label):
+        table = make_table([(label, 97, 533, 65, 539),
+                            ("65+", 42, 49, 165, 193)])
+        path = tmp_path / name
+        path.write_text(serialize_table(table, name.split(".")[1]),
+                        encoding="utf-8")
+        target = tmp_path / "out.svg"
+        code, out, err = run("plot", str(path), "--figure", "1",
+                             "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert error_payload(err) == {
+            "code": "validation", "type": "ValidationError",
+            "message": f"text {label!r} holds a character that XML 1.0 does "
+                       f"not allow"}
+        assert not target.exists()
+
+    def test_a_label_with_markup_characters_renders(self, run, tmp_path,
+                                                    make_table):
+        path = tmp_path / "table.csv"
+        path.write_text(serialize_table(make_table(
+            [("a&<>b", 97, 533, 65, 539), ("65+", 42, 49, 165, 193)]), "csv"))
+        target = tmp_path / "out.svg"
+        code, _, _ = run("plot", str(path), "--figure", "1", "-o", str(target))
+        assert code == 0
+        assert "a&<>b" in su.texts(su.parse_svg(target.read_text()))
+
     def test_unwritable_output_reports_io_error(self, run, tmp_path):
         target = tmp_path / "missing_dir" / "fig.svg"
         code, _, err = run("plot", "--figure", "1", "-o", str(target))

@@ -208,6 +208,27 @@ class TestContour:
             assert recovered is not None
             assert recovered == pytest.approx(y, abs=1e-9)
 
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(-0.5)
+    @example(1.0 - 1e-12)
+    @example(1.0 + 1e-12)
+    @settings(max_examples=300, deadline=None)
+    def test_a_sampled_contour_is_one_run(self, value):
+        # Each contour is the graph of a monotone y(x), so it meets the
+        # unit square in one run of x: the renderer draws it as one
+        # polyline, from its first sample in the square to its last.
+        for m in ALL_MEASURES:
+            inside = np.flatnonzero(
+                ~np.isnan(contour(m, value, np.arange(257) / 256)))
+            assert len(inside) == 0 or \
+                inside[-1] - inside[0] + 1 == len(inside), (m, value)
+
 
 class TestCollapsibleFlag:
     def test_straight_contour_measures(self):

@@ -31,8 +31,8 @@ from rothman.geometry import (RiskPoint, association_points,
                               standardized_hull)
 from rothman.measures import Measure, collapse_analysis, contour
 from rothman.render import (CONTOUR_SAMPLES, ContourSpec, DiagramSpec,
-                            HullSpec, PointSpec, RectangleSpec, SegmentSpec,
-                            render_diagram, render_grid)
+                            PointSpec, render_diagram, render_grid)
+from rothman.simulate import PopulationSpec, sample_table
 
 INVERT_TOL = 2e-5
 
@@ -49,6 +49,45 @@ FIGURE_DIGESTS = {
     6: "4c1fd3ee96f1dab37c3978947be1f7579074718c7f271ba36658709d5a685be3",
     7: "104f6595bb00986b49a3cef88c2201c5081c09bcf7e7d79913f70dfb112006f5",
 }
+
+# A population whose seeded sample gives figure 3 six contours a panel
+SAMPLED_SIX = PopulationSpec(
+    stratum_probs=(0.1, 0.15, 0.2, 0.25, 0.2, 0.1),
+    exposure_probs=(0.2, 0.35, 0.5, 0.65, 0.4, 0.75),
+    po_probs=((0.6, 0.2, 0.1, 0.1), (0.5, 0.25, 0.1, 0.15),
+              (0.7, 0.1, 0.15, 0.05), (0.4, 0.3, 0.1, 0.2),
+              (0.55, 0.15, 0.2, 0.1), (0.3, 0.3, 0.2, 0.2)))
+# s0 has no unexposed case, so its OR, RR and HR are infinite and figure 3
+# skips them
+ZERO_CELL_ROWS = [("s0", 2, 6, 0, 8), ("s1", 3, 10, 2, 9), ("s2", 5, 8, 3, 7)]
+
+# SHA-256 of each figure on those two tables
+MORE_DIGESTS = {
+    "sampled_six": {
+        1: "6dfe797e4d1b37b156803b7092f4fd667c254353043c8d0ab94d23560846f474",
+        2: "743a05db75ec64ed3dae8fbb5d382b4a8e031111f3dc5d80982f39fa2bbee0ff",
+        3: "be12e4951b3ace4a95883e4c74c2df0e8f4216e467711c5b90c94a184b92ecaa",
+        4: "b71428bff256d1688a74fe874dc16deb14f51deacff5538f281f303059e4def6",
+        5: "7c73a3e1c4c17f004ad13cb1f739e973323418c6022a3da2cb73ae3ca8e3dc79",
+        6: "29bbab5b5a101edaf5e9f2e6707bc8e5529b62dc963f5665dee492fd2dd51a4f",
+        7: "d818d41dc194d4b1046e1e6a6df9c2228b6cfde4873bd80a4d29204714d61f6d",
+    },
+    "zero_cell": {
+        1: "d5355fe64421ee012a20d6498c3ab75b3e57fdc78a2d11a8642ea7870c72aa07",
+        2: "61e9ebf1ed7d2901efe8fe6213d36d97c2bffe2a8025f05f409fd37369de7f5f",
+        3: "d7009025de8283b7d25cfe223d808a4b1846ff1ed253e8e14975de940db4d508",
+        4: "045ff71026fff5b16a15299cac8391a8186e90eefbd21f96ec3a67a7ef28f565",
+        5: "7c73a3e1c4c17f004ad13cb1f739e973323418c6022a3da2cb73ae3ca8e3dc79",
+        6: "938383ac225e9079d943934b324ea810911f29eb7673b8c2f08e89d1d47d0ec5",
+        7: "072b50b47cf4eff4cfd84a4bcb4a84f51c37ed4901e6e14df16eebbc3dbd080b",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_tables(make_table):
+    return {"sampled_six": sample_table(SAMPLED_SIX, 20_000, seed=20261020),
+            "zero_cell": make_table(ZERO_CELL_ROWS)}
 
 
 def diagram(**kwargs):
@@ -114,9 +153,8 @@ class TestDocument:
         assert "risk in exposed" in texts
 
     def test_y_label_is_rotated(self):
-        root = diagram(y_label="vertical axis")
-        el = next(el for el, _, _ in su._walk(root, 0, 0)
-                  if el.text == "vertical axis")
+        el = next(el for el, _, _ in su._walk(diagram(), 0, 0)
+                  if el.text == "risk in exposed")
         assert "rotate(-90" in el.get("transform")
 
     def test_title_only_when_set(self):
@@ -176,6 +214,27 @@ class TestPoints:
         assert float(el.get("x")) == pytest.approx(cx + 7.0)
         assert float(el.get("y")) == pytest.approx(cy - 7.0)
 
+    @pytest.mark.parametrize("label", [
+        "a\x0bb", "a\x00b", "a\ud800b", "\ufffe", "\x1f"])
+    def test_a_label_xml_cannot_hold_is_rejected(self, label):
+        spec = DiagramSpec(points=(point_spec(0.5, 0.5, label=label),))
+        with pytest.raises(ValidationError) as info:
+            render_diagram(spec)
+        assert str(info.value) == (
+            f"text {label!r} holds a character that XML 1.0 does not allow")
+
+    def test_titles_and_contour_labels_are_checked_too(self):
+        for spec in (DiagramSpec(title="t\x01"),
+                     DiagramSpec(contours=(ContourSpec(
+                         Measure.ODDS_RATIO, 2.0, label="\udfff"),))):
+            with pytest.raises(ValidationError, match="XML 1.0"):
+                render_diagram(spec)
+
+    def test_tabs_newlines_and_astral_characters_render(self):
+        label = "a\tb\nc \U0001f600 \u00e9 \ud7ff\ue000\ufffd"
+        assert label in su.texts(diagram(points=(point_spec(0.5, 0.5,
+                                                            label=label),)))
+
     def test_unknown_point_style_rejected(self):
         with pytest.raises(ValidationError, match="unknown style"):
             point_spec(0.5, 0.5, style="dotted")
@@ -184,7 +243,7 @@ class TestPoints:
 class TestSegmentsHullsRectangles:
     def test_segment_endpoints_invert(self):
         a, b = RiskPoint(0.1, 0.2), RiskPoint(0.9, 0.6)
-        root = diagram(segments=(SegmentSpec(a, b),))
+        root = diagram(segments=((a, b),))
         extra = [item for item in su.lines(root)
                  if item[1].get("stroke-width") == "1.5"]
         assert len(extra) == 1
@@ -193,18 +252,22 @@ class TestSegmentsHullsRectangles:
         assert_close_pairs([su.to_data(*p0), su.to_data(*p1)],
                            [(0.1, 0.2), (0.9, 0.6)])
 
-    def test_dashed_segment(self):
-        root = diagram(segments=(SegmentSpec(RiskPoint(0.1, 0.2),
-                                             RiskPoint(0.9, 0.6),
-                                             style="dashed"),))
-        el = next(el for _, el in su.lines(root)
-                  if el.get("stroke-width") == "1.5")
-        assert el.get("stroke-dasharray") == "6,4"
+    def test_segments_and_hulls_solid_and_rectangles_dashed(self,
+                                                            six_strata):
+        _, strata = association_points(six_strata)
+        root = diagram(segments=((RiskPoint(0.1, 0.2), RiskPoint(0.9, 0.6)),),
+                       hulls=(standardized_hull(strata),),
+                       rectangles=(confounding_rectangle(strata),))
+        drawn = [(el.get("stroke-width"), el.get("stroke-dasharray"))
+                 for _, el in su.polygons(root) + su.lines(root)
+                 if el.get("stroke-width") != "1"]
+        # the rectangle, the hull, then the segment
+        assert drawn == [("1.2", "6,4"), ("1.5", None), ("1.5", None)]
 
     def test_hull_with_three_plus_vertices_is_polygon(self, six_strata):
         _, strata = association_points(six_strata)
         hull = standardized_hull(strata)
-        root = diagram(hulls=(HullSpec(hull),))
+        root = diagram(hulls=(hull,))
         hull_polys = [(coords, el) for coords, el in su.polygons(root)
                       if el.get("stroke-width") == "1.5"]
         assert len(hull_polys) == 1
@@ -215,20 +278,20 @@ class TestSegmentsHullsRectangles:
 
     def test_two_vertex_hull_is_a_line(self, whickham):
         _, strata = association_points(whickham)
-        root = diagram(hulls=(HullSpec(standardized_hull(strata)),))
+        root = diagram(hulls=(standardized_hull(strata),))
         assert len(su.polygons(root)) == 1  # only the frame
         assert len(su.lines(root)) == BARE_LINES + 1
 
     def test_single_vertex_hull_draws_nothing(self):
         hull = standardized_hull([RiskPoint(0.4, 0.6)])
-        root = diagram(hulls=(HullSpec(hull),))
+        root = diagram(hulls=(hull,))
         assert len(su.polygons(root)) == 1
         assert len(su.lines(root)) == BARE_LINES
 
     def test_rectangle_renders_as_dashed_polygon(self, whickham):
         _, strata = association_points(whickham)
         rect = confounding_rectangle(strata)
-        root = diagram(rectangles=(RectangleSpec(rect),))
+        root = diagram(rectangles=(rect,))
         coords, el = su.polygons(root)[1]
         assert el.get("stroke-dasharray") == "6,4"
         assert_close_pairs([su.to_data(x, y) for x, y in coords],
@@ -324,30 +387,28 @@ class TestContours:
 
     def test_grid_text_rounds_a_tie_as_the_pairwise_format_does(self):
         # 60 + 480 / 256 = 61.875 exactly, and "%.2f" rounds it to even
-        assert render._grid_text(60.0, 480.0)[1] == "61.88,"
+        assert render._GRID_TEXT[1] == "61.88,"
 
     @settings(max_examples=60, deadline=None)
     @given(measure=st.sampled_from(list(Measure)),
-           value=st.floats(-1.0, 20.0),
-           size=st.integers(130, 900), margin=st.integers(0, 64))
-    def test_run_text_matches_the_pairwise_format(self, measure, value,
-                                                  size, margin):
-        spec = DiagramSpec(width=size, height=size + margin, margin=margin)
-        c = render._Canvas(spec)
+           value=st.floats(-1.0, 20.0))
+    def test_run_text_matches_the_pairwise_format(self, measure, value):
         got = [re.search(r'points="([^"]*)"', el).group(1)
-               for el in render._contour_elements(c, ContourSpec(measure,
-                                                                 value))
+               for el in render._contour_elements(ContourSpec(measure, value))
                if el.startswith("<polyline")]
-        expected = [" ".join("%.2f,%.2f" % p
-                             for p in zip(*(a.tolist() for a in c.px(x, y))))
-                    for x, y in render._contour_runs(measure, value)]
+        found = render._contour_run(measure, value)
+        expected = []
+        if found is not None:
+            px, py = render._px(render._GRID[found[0]], found[1])
+            expected.append(" ".join(
+                "%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist())))
         assert got == expected
 
 
 class TestGrid:
     def test_four_panels_tile_two_by_two(self):
         spec = DiagramSpec()
-        text = render_grid([spec] * 4, columns=2)
+        text = render_grid([spec] * 4)
         root = su.parse_svg(text)
         assert root.get("width") == "1200"
         assert root.get("height") == "1200"
@@ -355,7 +416,7 @@ class TestGrid:
             assert f'<g transform="translate{offset}">' in text
 
     def test_three_panels_leave_last_cell_empty(self):
-        text = render_grid([DiagramSpec()] * 3, columns=2)
+        text = render_grid([DiagramSpec()] * 3)
         root = su.parse_svg(text)
         assert root.get("width") == "1200"
         assert root.get("height") == "1200"
@@ -366,16 +427,11 @@ class TestGrid:
         assert root.get("width") == "600"
         assert root.get("height") == "600"
 
-    def test_single_column_stacks_panels(self):
-        root = su.parse_svg(render_grid([DiagramSpec()] * 3, columns=1))
-        assert root.get("width") == "600"
-        assert root.get("height") == "1800"
-
     def test_circles_land_in_their_panels(self):
         panels = [DiagramSpec(points=(point_spec(0.25, 0.75),)),
                   DiagramSpec(points=(point_spec(0.5, 0.5),)),
                   DiagramSpec(points=(point_spec(0.9, 0.1),))]
-        root = su.parse_svg(render_grid(panels, columns=2))
+        root = su.parse_svg(render_grid(panels))
         circles = su.circles(root)
         assert [(int(cx // 600), int(cy // 600)) for cx, cy, _ in circles] \
             == [(0, 0), (1, 0), (0, 1)]
@@ -386,32 +442,14 @@ class TestGrid:
         with pytest.raises(ValidationError, match="at least one panel"):
             render_grid([])
 
-    def test_nonpositive_columns_rejected(self):
-        with pytest.raises(ValidationError, match="columns"):
-            render_grid([DiagramSpec()], columns=0)
-
-    def test_mixed_panel_sizes_rejected(self):
-        with pytest.raises(ValidationError, match="canvas size"):
-            render_grid([DiagramSpec(), DiagramSpec(width=800)])
-
 
 class TestSpecValidation:
-    def test_canvas_too_small_for_margins(self):
-        with pytest.raises(ValidationError, match="too small"):
-            DiagramSpec(width=100, margin=50)
-
     @pytest.mark.parametrize("spec, args, style, allowed, fields", [
         (PointSpec, (RiskPoint(0.5, 0.5),), "hollow",
          "('open_circle', 'solid_circle')", ("point", "style", "label")),
-        (SegmentSpec, (RiskPoint(0, 0), RiskPoint(1, 1)), "dotted",
-         "('solid', 'dashed')", ("a", "b", "style")),
-        (HullSpec, (standardized_hull([RiskPoint(0.5, 0.5)]),), "bold",
-         "('solid', 'dashed')", ("hull", "style")),
-        (RectangleSpec, (confounding_rectangle([RiskPoint(0.5, 0.5)]),),
-         "thin", "('solid', 'dashed')", ("rectangle", "style")),
         (ContourSpec, (Measure.ODDS_RATIO, 2.0), "wavy",
          "('solid', 'dashed')", ("measure", "value", "style", "label")),
-    ], ids=["point", "segment", "hull", "rectangle", "contour"])
+    ], ids=["point", "contour"])
     def test_unknown_line_styles_rejected(self, spec, args, style, allowed,
                                           fields):
         with pytest.raises(ValidationError) as info:
@@ -447,6 +485,22 @@ class TestFigureGallery:
     def test_figure_bytes_are_pinned(self, number):
         digest = hashlib.sha256(figure_svg(number).encode("utf-8"))
         assert digest.hexdigest() == FIGURE_DIGESTS[number]
+
+    @pytest.mark.parametrize("number", sorted(FIGURE_SLUGS))
+    @pytest.mark.parametrize("name", sorted(MORE_DIGESTS))
+    def test_figure_bytes_are_pinned_on_more_tables(self, pinned_tables,
+                                                    name, number):
+        text = figure_svg(number, pinned_tables[name])
+        su.parse_svg(text)
+        digest = hashlib.sha256(text.encode("utf-8"))
+        assert digest.hexdigest() == MORE_DIGESTS[name][number]
+
+    def test_figure3_contours_on_more_tables(self, pinned_tables):
+        # six strata give six contours a panel; the zero cell's stratum
+        # adds only its risk difference
+        for name, count in (("sampled_six", 24), ("zero_cell", 9)):
+            root = su.parse_svg(figure_svg(3, pinned_tables[name]))
+            assert len(su.polylines(root)) == count, name
 
     def test_figures_are_deterministic(self):
         assert figure_svg(1) == figure_svg(1)
