@@ -36,50 +36,48 @@ _GALLERY_VALUES = {
     True: (0.25, 0.5, 1.0, 2.0, 4.0),
     False: (-0.5, -0.25, 0.0, 0.25, 0.5),
 }
+# figures 6 and 7: the measure each fits and draws, and its title
+_FITTED = {
+    6: (Measure.RISK_DIFFERENCE, "Collapsibility of the risk difference"),
+    7: (Measure.ODDS_RATIO, "Noncollapsibility of the odds ratio"),
+}
 
 
-def _stratum_point_specs(table: StratifiedCohortTable) -> tuple:
-    _, strata = association_points(table)
-    return tuple(PointSpec(p, style="solid_circle", label=label)
-                 for p, label in zip(strata, table.labels))
-
-
-def _stratum_edges(table: StratifiedCohortTable) -> tuple[tuple, tuple]:
-    """(segments, hulls): a segment for two strata, hull edges otherwise."""
-    _, strata = association_points(table)
-    if len(strata) == 2:
-        return ((strata[0], strata[1]),), ()
-    return (), (standardized_hull(strata),)
+def _read(table: StratifiedCohortTable) -> tuple:
+    """(crude spec, stratum points, their specs, (segments, hulls)): the
+    table's association points, read once, and what joins the strata: a
+    segment for two, their hull otherwise."""
+    crude, strata = association_points(table)
+    specs = tuple(PointSpec(p, style="solid_circle", label=label)
+                  for p, label in zip(strata, table.labels))
+    joins = ((((strata[0], strata[1]),), ()) if len(strata) == 2
+             else ((), (standardized_hull(strata),)))
+    return (PointSpec(crude, style="open_circle", label="crude"), strata,
+            specs, joins)
 
 
 def figure1(table: StratifiedCohortTable) -> str:
-    crude, strata = association_points(table)
-    points = [PointSpec(crude, style="open_circle", label="crude")]
-    points.extend(_stratum_point_specs(table))
-    for preset in PRESETS:
-        std = standard_population(table, preset)
-        p = standardized_point(table, std)
-        points.append(PointSpec(p, style="open_circle",
-                                label=preset.replace("_", " ")))
-    segments, hulls = _stratum_edges(table)
+    crude, _, specs, (segments, hulls) = _read(table)
+    standardized = tuple(PointSpec(
+        standardized_point(table, standard_population(table, preset)),
+        style="open_circle", label=preset.replace("_", " "))
+        for preset in PRESETS)
     return render_diagram(DiagramSpec(
         title="Crude, stratum, and standardized points",
-        points=tuple(points), segments=segments, hulls=hulls))
+        points=(crude, *specs, *standardized), segments=segments,
+        hulls=hulls))
 
 
 def figure2(table: StratifiedCohortTable) -> str:
-    crude, strata = association_points(table)
-    points = [PointSpec(crude, style="open_circle", label="crude")]
-    points.extend(_stratum_point_specs(table))
-    segments, hulls = _stratum_edges(table)
+    crude, strata, specs, (segments, hulls) = _read(table)
     return render_diagram(DiagramSpec(
-        title="Confounding rectangle",
-        points=tuple(points), segments=segments, hulls=hulls,
+        title="Confounding rectangle", points=(crude, *specs),
+        segments=segments, hulls=hulls,
         rectangles=(confounding_rectangle(strata),)))
 
 
 def figure3(table: StratifiedCohortTable) -> str:
-    _, strata = association_points(table)
+    _, strata, specs, _ = _read(table)
     panels = []
     for m in Measure:
         contours = []
@@ -92,19 +90,17 @@ def figure3(table: StratifiedCohortTable) -> str:
                 continue
             seen.append(v)
             contours.append(ContourSpec(m, v, label=f"{m.short_name} {v:.3f}"))
-        panels.append(DiagramSpec(
-            title=f"Stratum contours: {m.label}",
-            points=_stratum_point_specs(table),
-            contours=tuple(contours)))
+        panels.append(DiagramSpec(title=f"Stratum contours: {m.label}",
+                                  points=specs, contours=tuple(contours)))
     return render_grid(panels)
 
 
 def figure4(table: StratifiedCohortTable) -> str:
-    _, strata = association_points(table)
+    _, strata, specs, (_, hulls) = _read(table)
+    # _read joins two strata by a segment; this figure draws their hull
     return render_diagram(DiagramSpec(
-        title="Standardized hull and confounding rectangle",
-        points=_stratum_point_specs(table),
-        hulls=(standardized_hull(strata),),
+        title="Standardized hull and confounding rectangle", points=specs,
+        hulls=hulls or (standardized_hull(strata),),
         rectangles=(confounding_rectangle(strata),)))
 
 
@@ -127,31 +123,16 @@ def _fitted_collapse_figure(table: StratifiedCohortTable, measure: Measure,
     common = report.stratum_value
     points = [PointSpec(p, style="solid_circle", label=label)
               for p, label in zip(fitted, table.labels)]
-    segments = []
-    if len(fitted) == 2:
-        segments.append((fitted[0], fitted[1]))
-    extreme = standardize(fitted, report.argmin_weights)
     if measure is not Measure.RISK_DIFFERENCE:
         points.append(PointSpec(
-            extreme, style="open_circle",
+            standardize(fitted, report.argmin_weights), style="open_circle",
             label=f"min {measure.short_name} {report.min_value:.3f}"))
     contours = (ContourSpec(
         measure, common, style="dashed",
         label=f"{measure.short_name} {common:.3f}"),)
     return render_diagram(DiagramSpec(
-        title=title, points=tuple(points), segments=tuple(segments),
-        contours=contours))
-
-
-def figure6(table: StratifiedCohortTable) -> str:
-    return _fitted_collapse_figure(
-        table, Measure.RISK_DIFFERENCE,
-        "Collapsibility of the risk difference")
-
-
-def figure7(table: StratifiedCohortTable) -> str:
-    return _fitted_collapse_figure(
-        table, Measure.ODDS_RATIO, "Noncollapsibility of the odds ratio")
+        title=title, points=tuple(points), contours=contours,
+        segments=((fitted[0], fitted[1]),) if len(fitted) == 2 else ()))
 
 
 def figure_filename(number: int) -> str:
@@ -168,6 +149,6 @@ def figure_svg(number: int, table: StratifiedCohortTable | None = None) -> str:
         return figure5()
     if table is None:
         table = six_strata_table() if number == 4 else whickham_table()
-    builders = {1: figure1, 2: figure2, 3: figure3, 4: figure4,
-                6: figure6, 7: figure7}
-    return builders[number](table)
+    if number in _FITTED:
+        return _fitted_collapse_figure(table, *_FITTED[number])
+    return (figure1, figure2, figure3, figure4)[number - 1](table)

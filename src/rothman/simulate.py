@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Sequence
 
 import numpy as np
@@ -213,6 +213,9 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     counting the category itself. Strata are labeled s1..sk in spec order;
     strata with no sampled individuals keep empty cells.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n!r}")
     if seed < 0:

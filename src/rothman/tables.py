@@ -125,10 +125,19 @@ class StratifiedCohortTable:
         return total
 
     def to_csv(self) -> str:
+        """CSV text of the strata, refusing each label that ``parse_table``
+        would change: it strips whitespace around a label, ends a row at the
+        carriage return the writer leaves unquoted, and reads no field past
+        ``csv.field_size_limit()``."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for label, c in self.strata:
+            if (label != label.strip() or "\r" in label
+                    or len(label) > csv.field_size_limit()):
+                raise ValidationError(
+                    f"stratum label {label!r} cannot be written to CSV, "
+                    "which would not read it back; use JSON")
             writer.writerow([label, *(getattr(c, f) for f in CSV_HEADER[1:])])
         return buf.getvalue()
 
@@ -185,8 +194,12 @@ def parse_table(source: str | bytes | IO, format: str = "csv",
 
 
 def _parse_csv(text: str) -> StratifiedCohortTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, r) for r in reader if any(f.strip() for f in r)]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, r) for r in reader
+                if any(f.strip() for f in r)]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError("empty CSV input")
     header = tuple(h.strip() for h in rows[0][1])

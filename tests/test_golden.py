@@ -16,12 +16,18 @@ from rothman.diagnostics import analyze
 from rothman.errors import GlmError
 from rothman.figures import figure_svg
 from rothman.glm import LINKS, ModelSpec, fit, profile_interval
+from rothman.simulate import PopulationSpec, sample_table
 from rothman.tables import CohortCell, StratifiedCohortTable
 from rothman.whickham import whickham_table
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL_TABLES_SEED = 2026
 SMALL_TABLES = 24
+SAMPLED_K2_SEED = 20261020
+SAMPLED_K2_TABLES = 32
+# sha256 over the reports of the sampled two-stratum tables, one a line
+SAMPLED_K2_DIGEST = (
+    "5c95b5559f86baa988f1e29d1448def4a031ff8819b0c1db912e2222c07ac243")
 
 
 def test_analyze_report_matches_golden():
@@ -80,6 +86,39 @@ def test_small_tables_match_golden():
         "a small table's report or profile interval drifted; regenerate "
         "tests/golden/small_tables.json with python tests/test_golden.py "
         "if the change is intentional")
+
+
+def sampled_k2_tables() -> list[StratifiedCohortTable]:
+    """Seeded two-stratum tables of 2,000 people, every cell mixed: each
+    stratum and exposure group has a case and a non-case, as in a
+    Whickham-sized study, where every fit is interior."""
+    rng = random.Random(SAMPLED_K2_SEED)
+    tables = []
+    while len(tables) < SAMPLED_K2_TABLES:
+        weight = rng.uniform(0.2, 0.8)
+        exposure = (rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
+        po = []
+        for _ in range(2):
+            p0 = rng.uniform(0.05, 0.6)
+            p1 = p0 * rng.uniform(0.8, min(2.5, 0.95 / p0))
+            po.append(((1 - p0) * (1 - p1), (1 - p0) * p1,
+                       p0 * (1 - p1), p0 * p1))
+        table = sample_table(PopulationSpec(
+            stratum_probs=(weight, 1 - weight), exposure_probs=exposure,
+            po_probs=tuple(po)), 2_000, rng.randrange(2**63))
+        if all(0 < c.exposed_cases < c.exposed_total
+               and 0 < c.unexposed_cases < c.unexposed_total
+               for c in table.cells):
+            tables.append(table)
+    return tables
+
+
+def test_sampled_k2_reports_match_digest():
+    text = "\n".join(analyze(t).to_json() for t in sampled_k2_tables())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        SAMPLED_K2_DIGEST), (
+        "a sampled two-stratum report drifted; if the change is intentional, "
+        "set SAMPLED_K2_DIGEST to the new digest")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svg_utils as su
-from rothman import glm, render
+from rothman import figures, glm, render
 from rothman.errors import ValidationError
 from rothman.figures import FIGURE_SLUGS, figure1, figure_filename, figure_svg
 from rothman.geometry import (RiskPoint, association_points,
@@ -621,6 +621,21 @@ class TestFigureGallery:
         assert len(su.circles(root)) == 10
         assert len(su.polygons(root)) == 2
         assert figure_svg(1, six_strata) == figure1(six_strata)
+
+    @pytest.mark.parametrize("number", [1, 2, 3, 4])
+    @pytest.mark.parametrize("table", ["whickham", "six_strata"])
+    def test_a_figure_reads_its_table_once(self, monkeypatch, request, number,
+                                           table):
+        table = request.getfixturevalue(table)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return association_points(t)
+
+        monkeypatch.setattr(figures, "association_points", counted)
+        figure_svg(number, table)
+        assert len(calls) == 1 and calls[0] is table
 
 
 def _loaded_by_import(modules):

@@ -345,6 +345,26 @@ class TestSampleTable:
         with pytest.raises(ValidationError, match="seed"):
             sample_table(PopulationSpec(**EXAMPLE), 10, seed=-1)
 
+    @pytest.mark.parametrize("n, seed, name", [
+        (1e6, 1, "n"), (2000.0, 1, "n"), (True, 1, "n"),
+        (np.float64(10), 1, "n"), ("10", 1, "n"), (10, 1.5, "seed"),
+        (10, False, "seed"), (10, np.bool_(True), "seed"), (10, None, "seed"),
+    ], ids=["1e6", "float_n", "bool_n", "numpy_float_n", "str_n", "float_seed",
+            "bool_seed", "numpy_bool_seed", "none_seed"])
+    def test_non_integer_arguments_rejected_before_sampling(
+            self, monkeypatch, n, seed, name):
+        def no_draws(*args):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(simulate, "_stream", no_draws)
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be an integer, got "):
+            sample_table(PopulationSpec(**EXAMPLE), n, seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = PopulationSpec(**EXAMPLE)
+        assert sample_table(spec, np.int64(500), np.uint64(9)) == \
+            sample_table(spec, 500, 9)
+
 
 def _pick(probs, u):
     """Index of the first category whose running float total exceeds u.

@@ -1,11 +1,12 @@
 """Table model, parsing, and serialization."""
 
+import csv
 import io
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rothman.errors import ParseError, ValidationError, ZeroMarginError
 from rothman.glm import ModelSpec, fit
@@ -129,6 +130,38 @@ class TestCsv:
         # CSV carries counts only, so compare strata rather than labels
         text = serialize_table(whickham, format="csv")
         assert parse_table(text, format="csv").strata == whickham.strata
+
+    @given(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    @example(["b\rc"])
+    @example([" a"])
+    def test_every_label_round_trips_or_is_refused(self, labels):
+        # the reader strips whitespace around a label and ends a row at the
+        # carriage return the writer leaves unquoted, so the writer refuses
+        # exactly those labels; every other label reads back unchanged
+        table = StratifiedCohortTable(strata=tuple(
+            (label, CohortCell(1, 2, 0, 3)) for label in labels))
+        refused = any(label != label.strip() or "\r" in label
+                      for label in labels)
+        try:
+            text = serialize_table(table, format="csv")
+        except ValidationError as exc:
+            assert refused and "cannot be written to CSV" in str(exc)
+            return
+        assert not refused
+        assert parse_table(text, format="csv") == table
+
+    def test_a_label_longer_than_the_field_limit_is_refused(self):
+        label = "x" * (csv.field_size_limit() + 1)
+        table = StratifiedCohortTable(strata=((label, CohortCell(1, 2, 0, 3)),))
+        with pytest.raises(ValidationError, match="cannot be written to CSV"):
+            serialize_table(table, format="csv")
+        with pytest.raises(ParseError, match="line 2: field larger than"):
+            parse_table(HEADER + f"\n{label},1,2,0,3\n", format="csv")
+
+    def test_carriage_returns_end_rows(self):
+        # old Mac line ends, and a quoted carriage return kept in its label
+        text = HEADER + '\ra,1,2,0,3\r"b\rc",0,1,1,1\r'
+        assert parse_table(text, format="csv").labels == ("a", "b\rc")
 
     def test_header_must_match(self):
         with pytest.raises(ParseError, match="header"):
