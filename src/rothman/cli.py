@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -243,13 +244,25 @@ def run(argv: list[str]) -> int:
     except RothmanError as exc:
         _emit_error("validation", exc)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        raise  # stdout's reader has gone, which main handles
     except OSError as exc:
         _emit_error("io", exc)
         return EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else list(argv))
+    """`run` as a process, stdout flushed. When stdout's reader has gone, as
+    in `rothman analyze whickham | head -1`, the status is 1 with nothing on
+    stderr, and stdout points at devnull so that the interpreter's last
+    flush cannot fail, as Python's note on SIGPIPE advises."""
+    try:
+        code = run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .geometry import (RiskPoint, StandardPopulation, convex_hull_indices,
 
 COLLAPSE_TOL = 1e-9
 CONTOUR_CLIP_TOL = 1e-12
-SEGMENT_T_TOL = 1e-10
 
 
 class Measure(Enum):
@@ -197,20 +196,25 @@ class CollapsibilityReport:
     collapsible_here: bool
 
 
-def _log_slope(m: Measure, x: float, y: float, dx: float, dy: float) -> float:
-    """d/dt log m at (x, y) moving along (dx, dy): dy*L'(y) - dx*L'(x) for
-    the link L (logit for OR, cloglog for HR); nan at (0,0) and (1,1)."""
+def _log_slope(m: Measure, x: float, y: float, dx: float, dy: float) -> tuple:
+    """d/dt log m at (x, y) along (dx, dy), dy*L'(y) - dx*L'(x) for the link
+    L (logit for OR, cloglog for HR), nan at (0,0) and (1,1), and its
+    t-derivative dy^2*L''(y) - dx^2*L''(x), nan on the square's sides."""
 
-    def term(d: float, q: float) -> float:
+    def term(d: float, q: float) -> tuple[float, float]:
         if d == 0.0:
-            return 0.0
+            return 0.0, 0.0
         if q == 0.0 or q == 1.0:
-            return math.copysign(math.inf, d)
-        if m is Measure.ODDS_RATIO:
-            return d / (q * (1.0 - q))
-        return -d / ((1.0 - q) * math.log1p(-q))
+            return math.copysign(math.inf, d), math.nan
+        if m is Measure.ODDS_RATIO:  # L' = 1/den and L'' = curve*L'^2
+            den, curve = q * (1.0 - q), 2.0 * q - 1.0
+        else:
+            hazard = _cumulative_hazard(q)
+            den, curve = (1.0 - q) * hazard, hazard - 1.0
+        return d / den, d / den * d / den * curve
 
-    return term(dy, y) - term(dx, x)
+    (sy, cy), (sx, cx) = term(dy, y), term(dx, x)
+    return sy - sx, cy - cx
 
 
 def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
@@ -218,13 +222,14 @@ def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
     """(t, value) of the one point of edge a->b that may beat both ends.
 
     OR and HR contours are strictly convex or concave, so log m has at
-    most one stationary point on a segment, found by bisection on the sign
-    of its derivative when that differs between the ends. Along an edge
+    most one stationary point on a segment. Where its derivative's sign
+    differs between the ends, Newton steps in that bracket find it (a step
+    out of it bisects) and stop at a zero slope or a fixed t. Along an edge
     into the (0,0) or (1,1) corner, where m is undefined, log m is monotone
     and the candidate is the corner with m's limit: OR and HR tend to dy/dx
     at (0,0); at (1,1) OR tends to dx/dy and HR to 1, off the square's
     sides. The diagonal, a corner at each end, gives its midpoint. The
-    bisection runs on the edge's coordinates, clamped to the square.
+    search runs on the edge's coordinates, clamped to the square.
     """
     (x0, y0), (x1, y1) = a.coords, b.coords
     dx, dy = x1 - x0, y1 - y0
@@ -243,17 +248,15 @@ def _edge_candidate(m: Measure, a: RiskPoint, b: RiskPoint,
             return t, 1.0
         return t, _ratio(abs(dx), abs(dy))
     else:
-        s0 = _log_slope(m, x0, y0, dx, dy)
-        if not s0 * _log_slope(m, x1, y1, dx, dy) < 0.0:
+        s = s0 = _log_slope(m, x0, y0, dx, dy)[0]
+        if not s0 * _log_slope(m, x1, y1, dx, dy)[0] < 0.0:
             return None
-        lo, hi = 0.0, 1.0
-        while hi - lo > SEGMENT_T_TOL:
-            t = (lo + hi) / 2.0
-            if (_log_slope(m, *at(t), dx, dy) > 0.0) == (s0 > 0.0):
-                lo = t
-            else:
-                hi = t
-        t = (lo + hi) / 2.0
+        lo, hi, t, step = 0.0, 1.0, math.nan, 0.5
+        while s and step != t:
+            t = step
+            s, ds = _log_slope(m, *at(t), dx, dy)
+            lo, hi = (t, hi) if (s > 0.0) == (s0 > 0.0) else (lo, t)
+            step = t - s / ds if ds and lo < t - s / ds < hi else (lo + hi) / 2
     return t, measure_value(m, RiskPoint(*at(t)))
 
 

@@ -13,10 +13,13 @@ carried to `DIGITS` significant digits. Every cell must have cases and
 non-cases, so that every maximum is interior and every root exists.
 
 `decimal_stationary_root` is the collapsibility oracle: the stationary
-point of an OR or HR along a segment, found by bisection in `decimal`.
+point of an OR or HR along a segment, found by bisection in `decimal`;
+`stationary_root_spread` is how far rounding lets a float search stray
+from it.
 """
 
 import functools
+import math
 from decimal import Decimal, localcontext
 
 from rothman.measures import Measure
@@ -209,6 +212,18 @@ def profile_interval(table, link: str, terms: str, level: float = 0.95,
         return tuple(+v for v in values)
 
 
+def _link_derivatives(m, p):
+    """L'(p) and L''(p) for the link L of OR (logit) or HR (cloglog)."""
+    if m is Measure.ODDS_RATIO:
+        slope = 1 / (p * (1 - p))
+        return slope, (2 * p - 1) * slope * slope
+    with localcontext() as ctx:
+        ctx.prec += max(0, -p.adjusted())  # 1 - p keeps p's digits
+        hazard = -(1 - p).ln()
+    slope = 1 / ((1 - p) * hazard)
+    return slope, (hazard - 1) * slope * slope
+
+
 def decimal_stationary_root(m, a, b):
     """The t in (0, 1) where d/dt log m vanishes along a->b, to 50 digits,
     with the sign of the derivative at a; None without a sign change."""
@@ -216,15 +231,13 @@ def decimal_stationary_root(m, a, b):
         ctx.prec = 50
         ax, ay, bx, by = (Decimal(v) for v in (a.x, a.y, b.x, b.y))
 
-        def link_slope(p):
-            if m is Measure.ODDS_RATIO:
-                return 1 / (p * (1 - p))
-            return -1 / ((1 - p) * (1 - p).ln())
-
         def rising(t):
-            x = ax + t * (bx - ax)
-            y = ay + t * (by - ay)
-            return (by - ay) * link_slope(y) - (bx - ax) * link_slope(x) > 0
+            # as a mean of the ends, a point keeps inside the square even
+            # where 50 digits cannot hold a subnormal end's difference
+            x = (1 - t) * ax + t * bx
+            y = (1 - t) * ay + t * by
+            return ((by - ay) * _link_derivatives(m, y)[0]
+                    - (bx - ax) * _link_derivatives(m, x)[0] > 0)
 
         lo, hi = Decimal(0), Decimal(1)
         at_a = rising(lo)
@@ -237,3 +250,30 @@ def decimal_stationary_root(m, a, b):
             else:
                 hi = t
         return (lo + hi) / 2, at_a
+
+
+def stationary_root_spread(m, a, b, t):
+    """How far rounding can move the root t of d/dt log m along a->b, to
+    first order, for a search in binary64 on the points a + t(b - a).
+
+    Such a point is a few ulps of its larger end's coordinates off the
+    segment, and each link term dq*L'(q) carries a few ulps of its own; the
+    slope's error E over its t-derivative dy^2 L''(y) - dx^2 L''(x) then
+    bounds the root's shift, the forward error of a simple root (Higham
+    2002, *Accuracy and Stability of Numerical Algorithms*, ch. 1). The
+    spread is ~1e-16 on most edges; it is large only where the floats
+    along an edge are coarse in t, as on a short edge beside a side of the
+    square, or where the root is nearly double.
+    """
+    eps = Decimal(2) ** -53
+    with localcontext() as ctx:
+        ctx.prec = 50
+        error = curvature = Decimal(0)
+        for sign, (q0, q1) in ((-1, (a.x, b.x)), (1, (a.y, b.y))):
+            d = Decimal(q1) - Decimal(q0)
+            slope, bend = _link_derivatives(
+                m, (1 - t) * Decimal(q0) + t * Decimal(q1))
+            off = 4 * Decimal(math.ulp(max(q0, q1)))
+            error += abs(d) * (abs(bend) * off + 8 * eps * slope)
+            curvature += sign * d * d * bend
+        return error / abs(curvature) if curvature else Decimal("Infinity")

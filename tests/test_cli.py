@@ -39,6 +39,14 @@ def run(capsys):
     return invoke
 
 
+def cli_env(**settings):
+    """The environment of a fresh `python -m rothman.cli`, with this tree's
+    src first on its path."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, **settings, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def error_payload(err):
     doc = json.loads(err)
     return doc["error"]
@@ -64,6 +72,25 @@ class TestTopLevel:
     def test_unknown_subcommand_is_a_usage_error(self, run):
         code, _, _ = run("frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "whickham"], ["plot", "--figure", "5", "-o", "-"]])
+    def test_a_closed_stdout_ends_with_status_1_and_no_error(self, argv,
+                                                             unbuffered):
+        # stdout is a pipe whose read end is closed, as when `| head` has
+        # read its line: the first write fails with EPIPE when stdout is
+        # unbuffered, and the last flush when it is buffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = cli_env(PYTHONUNBUFFERED=unbuffered)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rothman.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestAnalyze:
@@ -581,9 +608,7 @@ class TestParserReuse:
                                                       monkeypatch):
         # argparse wraps usage text to COLUMNS, so both sides get one width
         monkeypatch.setenv("COLUMNS", "80")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
+        env = cli_env()
         svg = tmp_path / "fig5.svg"
         for argv in (["plot", "--figure", "9"], ["--version"],
                      ["plot", "--figure", "5", "-o", str(svg)]):

@@ -1142,9 +1142,13 @@ def test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit(table):
 # total) whose no-interaction fit or its interval does not converge yet:
 # the log link's upper endpoint runs out of steps on the first two (the
 # first was drawn by test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit)
-# and the fit's step halving runs out on the last three, which the unseeded
+# and the fit's step halving runs out on the next three, which the unseeded
 # properties drew: the identity fit after 17 iterations on the fourth, the
-# log fit after 15 on the 13 strata of the fifth.
+# log fit after 15 on the 13 strata of the fifth. The last three are two
+# more tables that test_every_fit_is_the_bounded_maximum drew: on the first,
+# the identity fit's halving runs out after 15 iterations and the log fit
+# succeeds but its upper endpoint runs out of steps; on the 7 strata of the
+# second, the log fit's halving runs out after 10 iterations.
 @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
                    reason="the Newton runs do not converge on these tables")
 @pytest.mark.parametrize("link, strata", [
@@ -1159,8 +1163,14 @@ def test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit(table):
              (8561430, 8561430, 273, 885), (164, 58351, 10000000, 10000000),
              (0, 9837, 13112, 29137), (166, 208, 0, 3859),
              (0, 1, 0, 142547)]),
+    ("identity", [(0, 1, 0, 1), (9999400, 9999997, 2, 2)]),
+    ("log", [(0, 1, 0, 1), (9999400, 9999997, 2, 2)]),
+    ("log", [(0, 1, 0, 52), (49149, 49149, 0, 9999996), (0, 1, 53232, 53232),
+             (0, 235544, 0, 1), (1, 1, 0, 1), (0, 1, 4796, 15844),
+             (0, 48522, 0, 47281)]),
 ], ids=["log-endpoint", "log-endpoint-large-counts", "identity-fit",
-        "identity-fit-drawn", "log-fit-13-strata"])
+        "identity-fit-drawn", "log-fit-13-strata", "identity-fit-near-one",
+        "log-endpoint-near-one", "log-fit-7-strata"])
 def test_a_no_interaction_fit_and_its_interval_succeed(link, strata):
     table = _table([(f"s{i}", *row) for i, row in enumerate(strata)])
     f = fit(ModelSpec(link=link, terms="exposure_plus_stratum", table=table))

@@ -2,9 +2,10 @@
 
 These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the report
-goldens, ``analyze_whickham.json`` and ``small_tables.json``, by running
-this file: ``PYTHONPATH=src python tests/test_golden.py``. The figure
-golden, ``fig1_standardized_points.svg``, is the text of ``figure_svg(1)``.
+goldens, ``analyze_whickham.json``, ``small_tables.json`` and
+``sampled_k2.sha256``, by running this file: ``PYTHONPATH=src python
+tests/test_golden.py``. The figure golden, ``fig1_standardized_points.svg``,
+is the text of ``figure_svg(1)``.
 """
 
 import hashlib
@@ -25,9 +26,6 @@ SMALL_TABLES_SEED = 2026
 SMALL_TABLES = 24
 SAMPLED_K2_SEED = 20261020
 SAMPLED_K2_TABLES = 32
-# sha256 over the reports of the sampled two-stratum tables, one a line
-SAMPLED_K2_DIGEST = (
-    "5c95b5559f86baa988f1e29d1448def4a031ff8819b0c1db912e2222c07ac243")
 
 
 def test_analyze_report_matches_golden():
@@ -113,12 +111,19 @@ def sampled_k2_tables() -> list[StratifiedCohortTable]:
     return tables
 
 
-def test_sampled_k2_reports_match_digest():
+def sampled_k2_digest() -> str:
+    """sha256 over the reports of the sampled two-stratum tables, one a
+    line."""
     text = "\n".join(analyze(t).to_json() for t in sampled_k2_tables())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        SAMPLED_K2_DIGEST), (
-        "a sampled two-stratum report drifted; if the change is intentional, "
-        "set SAMPLED_K2_DIGEST to the new digest")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_sampled_k2_reports_match_digest():
+    expected = (GOLDEN / "sampled_k2.sha256").read_text(encoding="utf-8")
+    assert sampled_k2_digest() + "\n" == expected, (
+        "a sampled two-stratum report drifted; regenerate "
+        "tests/golden/sampled_k2.sha256 with python tests/test_golden.py "
+        "if the change is intentional")
 
 
 if __name__ == "__main__":
@@ -127,3 +132,5 @@ if __name__ == "__main__":
     (GOLDEN / "small_tables.json").write_text(json.dumps(
         [small_table_digest(t) for t in small_tables()], indent=1) + "\n",
         encoding="utf-8")
+    (GOLDEN / "sampled_k2.sha256").write_text(
+        sampled_k2_digest() + "\n", encoding="utf-8")

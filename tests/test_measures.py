@@ -510,9 +510,40 @@ def test_interior_extreme_sits_at_the_decimal_root(m):
         r = collapse_analysis(m, [a, b])
         # rising then falling is an interior maximum, else a minimum
         weights = r.argmax_weights if rising_at_a else r.argmin_weights
-        assert abs(Decimal(weights.as_floats()[1]) - t) <= Decimal("1e-10"), (
+        assert abs(Decimal(weights.as_floats()[1]) - t) <= Decimal("1e-14"), (
             m, a, b)
         checked += 1
+
+
+# strictly inside the square: a third of the draws within 1e-9 of 0 and a
+# third within 1e-9 of 1; a subnormal risk, which no table gives, would
+# overflow the ends' slopes
+inside = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True,
+              allow_subnormal=False),
+    st.floats(min_value=0.0, max_value=1e-9, exclude_min=True,
+              allow_subnormal=False),
+    st.floats(min_value=1.0 - 1e-9, max_value=1.0, exclude_max=True))
+
+
+@given(inside, inside, inside, inside)
+@example(ax=0.9999999999954464, ay=2.1759308970177216e-10,
+         bx=0.999999999999, by=1.4442986746136614e-07)  # coarse in t
+@settings(max_examples=150, deadline=None)
+def test_every_interior_candidate_sits_at_the_decimal_root(ax, ay, bx, by):
+    # the candidate's t is the decimal root's to 1e-14 plus the spread that
+    # rounding allows, which is wide on an edge whose floats are coarse in
+    # t; where one of them finds no sign change, the other's t is an end's
+    a, b = RiskPoint(ax, ay), RiskPoint(bx, by)
+    for m in CURVED_MEASURES:
+        root = oracles.decimal_stationary_root(m, a, b)
+        found = measures._edge_candidate(m, a, b)
+        if root is None and found is None:
+            continue
+        t = root[0] if root else Decimal(found[0])
+        got = Decimal(found[0]) if root and found else Decimal(round(t))
+        bound = Decimal("1e-14") + oracles.stationary_root_spread(m, a, b, t)
+        assert abs(got - t) <= bound, (m, a, b)
 
 
 CORNER_SEGMENTS = (
