@@ -263,7 +263,6 @@ class _Stack:
                     | (f == 0.0).all(axis=1) & np.isfinite(self.hi))
             self.kinks = (np.logical_or.reduceat(edge, starts) if edge.any()
                           else None)
-        self.up = self.down = np.zeros(len(s), bool)  # rows held at hi, lo
         # np.add.reduceat adds a segment's first entry to the pairwise sum
         # of the rest; a zero ahead of each segment makes it np.sum's sum
         self._led = {w: (np.arange(w * len(s)) + np.repeat(self.owner, w) + 1,
@@ -300,8 +299,9 @@ class _Stack:
     def hold(self, alpha: np.ndarray, b_rows: np.ndarray, g: np.ndarray,
              h: np.ndarray) -> tuple:
         """The terms of the O(k) solve under the hold rule: each row's alpha
-        score, curvature sum d, g and h, then None, or the held rows with
-        their information and score on b and the problems whose b stays.
+        score, curvature sum d, g and h, then None, or the held rows, those
+        of them at an upper edge, their information and score on b and the
+        problems whose b stays.
 
         A row on an edge (`_edges`) whose cells there all lack cases (at a
         risk of 0) or non-cases (at 1) has them pinned: their
@@ -335,7 +335,6 @@ class _Stack:
         g_alpha, d, up = g.sum(axis=1), h.sum(axis=1), up.any(axis=1)
         held = pinned.any(axis=1) & np.where(up, g_alpha >= 0.0,
                                              g_alpha <= 0.0)
-        self.up, self.down = held & up, held & ~up
         if not held.any():
             return g_alpha, d, g, h, None
         score = (np.where(pinned[:, 1], 0.0, g[:, 1])
@@ -353,21 +352,23 @@ class _Stack:
             score = np.where(kink, np.where(climb[self.owner], rise, np.where(
                 sink[self.owner], fall, 0.0)), score)
             stay = ~climb & ~sink & np.logical_or.reduceat(kink, self.starts)
-        terms = (held, d, score, stay)
+        terms = (held, up, d, score, stay)
         g[:, 1] = np.where(held, score, g[:, 1])
         h[:, 1] = np.where(held, pinned[:, 1] & ~pinned[:, 0], h[:, 1])
         return (np.where(held, 0.0, g_alpha), np.where(held, 1.0, d), g, h,
                 terms)
 
-    def project(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    def project(self, alpha: np.ndarray, b_rows: np.ndarray,
+                held: tuple | None) -> np.ndarray:
         """``alpha`` with each row with a count of 0 kept between its edges
-        at these b (`_edges`), and each one the last `hold` held on its
-        edge."""
+        at these b (`_edges`), and each row ``held`` (`hold`'s held rows,
+        then those of them at an upper edge) on its edge."""
         if self.zero is None:
             return alpha
         lo, hi = _edges(b_rows, self.lo, self.hi)
         alpha = np.where(self.zero, np.clip(alpha, lo, hi), alpha)
-        return np.where(self.up, hi, np.where(self.down, lo, alpha))
+        return alpha if held is None else np.where(
+            held[0], np.where(held[1], hi, lo), alpha)
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Each problem's sum of ``x`` (one value a row, or a (rows, 2)
@@ -381,9 +382,6 @@ class _Stack:
         """Each problem's deviance from the cells whose logs are ``ref``,
         summed as `_deviance` sums it: nan where a cell leaves its domain,
         inf where a count meets a risk that rules it out."""
-        if self.zero is None:  # every count positive: `_part`'s product
-            return 2.0 * self.sums(self.s * (ref[0] - log_mu)
-                                   + self.f * (ref[1] - log_nu))
         return 2.0 * self.sums(_part(self.s, ref[0], log_mu)
                                + _part(self.f, ref[1], log_nu))
 
@@ -483,7 +481,7 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
                 cross = (g[:, 1] * h[:, 0] - h[:, 1] * g[:, 0]) / d
                 stay = None
                 if held is not None:  # each held row's information, b score
-                    kept, curvature, score, stay = held
+                    kept, _, curvature, score, stay = held
                     information = np.where(kept, curvature, information)
                     cross = np.where(kept, score, cross)
                 information, cross = stack.sums(information), stack.sums(cross)
@@ -527,7 +525,7 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
                     b_try = np.where(np.isnan(full), b_try,
                                      b * (1.0 - step / full))
                 alpha_try = stack.project(alpha + step[owner] * delta,
-                                          b_try[owner])
+                                          b_try[owner], held)
                 trial = stack.cells(alpha_try, b_try[owner])
                 dev_try = stack.drops(ref, *trial)
                 pending = pending & ~(dev_try <= dev + slack if fit

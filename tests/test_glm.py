@@ -1406,6 +1406,20 @@ def test_fits_keep_their_bits_across_memoized_tables(whickham, six_strata):
     assert fits(whickham) == first
 
 
+def test_a_run_rebinds_no_attribute_of_its_stack(make_table):
+    # The log fit of these strata holds stratum a's exposed risk at 1, so
+    # its run has held rows; they travel through the run, and the stack
+    # stays a fixed description of its problems.
+    s, n, _ = glm._cells(make_table([("a", 2, 2, 2, 6), ("b", 2, 4, 5, 11)]))
+    stack = glm._Stack([(s, n, glm._LINKS["log"])])
+    before = dict(vars(stack))
+    run = glm._irls(stack)
+    assert run.log_mu[0, 1] == 0.0 and not any(run.errors)
+    after = vars(stack)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
 def test_a_zero_margin_raises_on_every_call(make_table):
     # the error is not memoized, so no later call returns arrays for it
     table = make_table([("empty", 0, 0, 10, 50), ("b", 5, 50, 10, 50)])

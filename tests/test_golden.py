@@ -2,17 +2,22 @@
 
 These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the report
-goldens, ``analyze_whickham.json``, ``small_tables.json`` and
-``sampled_k2.sha256``, by running this file: ``PYTHONPATH=src python
-tests/test_golden.py``. The figure golden, ``fig1_standardized_points.svg``,
+goldens, ``analyze_whickham.json``, ``small_tables.json``,
+``sampled_k2.sha256`` and ``cli_invocations.sha256``, by running this file:
+``PYTHONPATH=src python tests/test_golden.py``. The figure golden, ``fig1_standardized_points.svg``,
 is the text of ``figure_svg(1)``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import sys
 from pathlib import Path
 
+from rothman import cli
 from rothman.diagnostics import analyze
 from rothman.errors import GlmError
 from rothman.figures import figure_svg
@@ -26,6 +31,20 @@ SMALL_TABLES_SEED = 2026
 SMALL_TABLES = 24
 SAMPLED_K2_SEED = 20261020
 SAMPLED_K2_TABLES = 32
+CLI_POPULATION_SPEC = json.dumps({
+    "stratum_probs": [0.5, 0.5], "exposure_probs": [0.25, 0.75],
+    "po_probs": [[0.4, 0.2, 0.1, 0.3], [0.7, 0.1, 0.1, 0.1]]})
+CLI_INVOCATIONS = (
+    ["--help"], *([command, "--help"] for command in cli._COMMANDS),
+    ["--version"],
+    *(["analyze", name] for name in ("whickham", "whickham_crude",
+                                     "six_strata")),
+    ["standardize", "whickham"],
+    ["standardize", "six_strata", "--preset", "exposed"],
+    ["collapse", "whickham"], ["collapse", "six_strata"],
+    *(["plot", "--figure", str(n), "-o", "-"] for n in range(1, 8)),
+    ["simulate", "-", "--n", "1000", "--seed", "1"],
+    ["analyze", "no_such_table.csv"])
 
 
 def test_analyze_report_matches_golden():
@@ -126,6 +145,38 @@ def test_sampled_k2_reports_match_digest():
         "if the change is intentional")
 
 
+def cli_invocations_digest() -> str:
+    """sha256 over (argv, status, stdout, stderr) of each of
+    `CLI_INVOCATIONS` run in process by `cli.run`, help wrapped at 80
+    columns and `simulate` reading `CLI_POPULATION_SPEC` from stdin."""
+    records = []
+    columns, stdin = os.environ.get("COLUMNS"), sys.stdin
+    os.environ["COLUMNS"] = "80"
+    try:
+        for argv in CLI_INVOCATIONS:
+            out, err = io.StringIO(), io.StringIO()
+            sys.stdin = io.StringIO(CLI_POPULATION_SPEC)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                status = cli.run(list(argv))
+            records.append([argv, status, out.getvalue(), err.getvalue()])
+    finally:
+        sys.stdin = stdin
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
+
+
+def test_cli_invocations_match_digest():
+    expected = (GOLDEN / "cli_invocations.sha256").read_text(encoding="utf-8")
+    assert cli_invocations_digest() + "\n" == expected, (
+        "a CLI invocation's status or text drifted; regenerate "
+        "tests/golden/cli_invocations.sha256 with python tests/test_golden.py "
+        "if the change is intentional")
+
+
 if __name__ == "__main__":
     (GOLDEN / "analyze_whickham.json").write_text(
         analyze(whickham_table()).to_json() + "\n", encoding="utf-8")
@@ -134,3 +185,5 @@ if __name__ == "__main__":
         encoding="utf-8")
     (GOLDEN / "sampled_k2.sha256").write_text(
         sampled_k2_digest() + "\n", encoding="utf-8")
+    (GOLDEN / "cli_invocations.sha256").write_text(
+        cli_invocations_digest() + "\n", encoding="utf-8")
