@@ -36,10 +36,22 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its help and version text written to stdout by
+    `_write`, as every command's output is, since argparse's own write
+    hides the error of a closed stdout."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout and message:
+            _write(message, None)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rothman",
         description="Geometric cohort-study analysis on the unit square "
                     "of risks.")

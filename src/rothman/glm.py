@@ -13,11 +13,12 @@ alphas solved in O(k), for free fits and profile-interval endpoints alike: the
 two differ only in b's equation (score 0, or drop on the cut), the step-halving
 test and the stop rule. A cell with no cases (non-cases) may have its maximum
 at a risk of exactly 0 (1), on the boundary of the domain, where one hold rule
-(`_Stack.hold`) keeps it. A fit stops when the Newton decrement falls to a
-fixed multiple of the total count, so scaling every count changes neither fit
-nor iterations. A run solves many problems, each with its own link, steps and
-sums: `fits` fits several models of any links and tables in one run (`_irls`),
-and `analyze` the crude and no-interaction models of the four measures, each
+(`_Stack.hold`) keeps it, and a fit's step that would carry it across stops
+there. A fit stops when the Newton decrement falls to a fixed multiple of the
+total count, so scaling every count changes neither fit nor iterations. A run
+solves many problems, each with its own link, steps and sums: `fits` fits
+several models of any links and tables in one run (`_irls`), and `analyze` the
+crude and no-interaction models of the four measures, each
 stratum's effect read off its two cells (`_stratum_effects`);
 `profile_intervals` solves both endpoints of several fits in one run, and
 `analyze` those of all four measures' crude and common fits. Each run takes the
@@ -424,8 +425,10 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
     b (Venzon and Moolgavkar, 1988) in O(k), under the hold rule of
     `_Stack.hold`: a fit's b score is 0, b eliminated through the Schur
     complement, and an endpoint's drop is ``cut``. The step is cut so that no
-    eta moves by more than `MAX_ETA_STEP`, its rows with a count of 0 are kept
-    in their domain (`_Stack.project`), and it is halved, at most
+    eta moves by more than `MAX_ETA_STEP` and a fit's stops at the first
+    finite bound that a cell of a row with a count of 0 would cross, its
+    rows with a count of 0 are kept in their domain, the held ones on their
+    edges (`_Stack.project`), and it is halved, at most
     `MAX_HALVINGS` times, while a fit's raises the deviance by more than
     `DEVIANCE_ROUNDING` times the total count, its rounding error, or an
     endpoint's leaves the drop not finite. Each cell is computed by its
@@ -514,6 +517,20 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
             moving = active if fit else active & np.isfinite(reach)
             step = np.where(moving, np.where(
                 reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
+            if fit and stack.zero is not None:
+                # a fit's step stops a hair past the first bound that a cell
+                # of a row with a count of 0, not held, would cross, and
+                # `project` puts the row on its edge
+                eta = np.stack([alpha, alpha + b[owner]], axis=1)
+                move = np.stack([delta, delta + delta_rows], axis=1)
+                lo, hi = stack.lo[:, None], stack.hi[:, None]
+                free = stack.zero if held is None else stack.zero & ~held[0]
+                crossing = (free[:, None] & (np.abs(move) > 0.0) & (lo < eta)
+                            & (eta < hi))
+                least = np.minimum.reduceat(np.where(crossing, (np.where(
+                    move > 0.0, hi, lo) - eta) / move, math.inf).min(axis=1),
+                    starts)
+                step = np.minimum(step, least * (1.0 + 1e-9))
             if kinks is not None:  # a step across a kink stops on it
                 full = np.where(kinks & (b * (b + step * delta_b) < 0.0),
                                 -b / delta_b, math.nan)

@@ -199,21 +199,25 @@ class CollapsibilityReport:
 def _log_slope(m: Measure, x: float, y: float, dx: float, dy: float) -> tuple:
     """d/dt log m at (x, y) along (dx, dy), dy*L'(y) - dx*L'(x) for the link
     L (logit for OR, cloglog for HR), nan at (0,0) and (1,1), and its
-    t-derivative dy^2*L''(y) - dx^2*L''(x), nan on the square's sides."""
+    t-derivative dy^2*L''(y) - dx^2*L''(x), nan on the square's sides.
+    Where both of the slope's terms overflow, near a subnormal coordinate,
+    the slope is taken 2**64 times smaller, so its sign still shows."""
 
-    def term(d: float, q: float) -> tuple[float, float]:
+    def term(d: float, q: float) -> tuple[float, float, float]:
         if d == 0.0:
-            return 0.0, 0.0
+            return 0.0, 0.0, 0.0
         if q == 0.0 or q == 1.0:
-            return math.copysign(math.inf, d), math.nan
+            return math.copysign(math.inf, d), math.nan, 0.0
         if m is Measure.ODDS_RATIO:  # L' = 1/den and L'' = curve*L'^2
             den, curve = q * (1.0 - q), 2.0 * q - 1.0
         else:
             hazard = _cumulative_hazard(q)
             den, curve = (1.0 - q) * hazard, hazard - 1.0
-        return d / den, d / den * d / den * curve
+        return d / den, d / den * d / den * curve, den
 
-    (sy, cy), (sx, cx) = term(dy, y), term(dx, x)
+    (sy, cy, ey), (sx, cx, ex) = term(dy, y), term(dx, x)
+    if math.isinf(sy) and math.isinf(sx) and ey and ex:
+        return dy / math.ldexp(ey, 64) - dx / math.ldexp(ex, 64), cy - cx
     return sy - sx, cy - cx
 
 

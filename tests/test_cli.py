@@ -75,7 +75,8 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("argv", [
-        ["analyze", "whickham"], ["plot", "--figure", "5", "-o", "-"]])
+        ["analyze", "whickham"], ["plot", "--figure", "5", "-o", "-"],
+        ["--version"], ["--help"]])
     def test_a_closed_stdout_ends_with_status_1_and_no_error(self, argv,
                                                              unbuffered):
         # stdout is a pipe whose read end is closed, as when `| head` has

@@ -515,20 +515,19 @@ def test_interior_extreme_sits_at_the_decimal_root(m):
         checked += 1
 
 
-# strictly inside the square: a third of the draws within 1e-9 of 0 and a
-# third within 1e-9 of 1; a subnormal risk, which no table gives, would
-# overflow the ends' slopes
+# strictly inside the square: a third of the draws within 1e-9 of 0, where
+# subnormals overflow both of an end's slope terms, and a third within 1e-9
+# of 1
 inside = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True,
-              allow_subnormal=False),
-    st.floats(min_value=0.0, max_value=1e-9, exclude_min=True,
-              allow_subnormal=False),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1e-9, exclude_min=True),
     st.floats(min_value=1.0 - 1e-9, max_value=1.0, exclude_max=True))
 
 
 @given(inside, inside, inside, inside)
 @example(ax=0.9999999999954464, ay=2.1759308970177216e-10,
          bx=0.999999999999, by=1.4442986746136614e-07)  # coarse in t
+@example(ax=5e-324, ay=1e-323, bx=0.5, by=0.75)  # OR's slope at a: inf - inf
 @settings(max_examples=150, deadline=None)
 def test_every_interior_candidate_sits_at_the_decimal_root(ax, ay, bx, by):
     # the candidate's t is the decimal root's to 1e-14 plus the spread that
@@ -544,6 +543,20 @@ def test_every_interior_candidate_sits_at_the_decimal_root(ax, ay, bx, by):
         got = Decimal(found[0]) if root and found else Decimal(round(t))
         bound = Decimal("1e-14") + oracles.stationary_root_spread(m, a, b, t)
         assert abs(got - t) <= bound, (m, a, b)
+
+
+def test_an_end_with_subnormal_coordinates_keeps_its_edge_candidate():
+    # At a = (5e-324, 1e-323) both terms of the odds ratio's end slope
+    # overflow; their difference once read nan, so the edge gave no
+    # candidate and the minimum read a's 2.0, where inside the edge the
+    # odds ratio falls to ~1.5.
+    a, b = RiskPoint(5e-324, 1e-323), RiskPoint(0.5, 0.75)
+    t, _ = oracles.decimal_stationary_root(Measure.ODDS_RATIO, a, b)
+    x, y = ((1 - t) * Decimal(u) + t * Decimal(v)
+            for u, v in ((a.x, b.x), (a.y, b.y)))
+    r = collapse_analysis(Measure.ODDS_RATIO, [a, b])
+    assert r.min_value == pytest.approx(float(y * (1 - x) / (x * (1 - y))),
+                                        rel=1e-12)
 
 
 CORNER_SEGMENTS = (
