@@ -4,8 +4,8 @@ These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the report
 goldens, ``analyze_whickham.json``, ``small_tables.json``,
 ``sampled_k2.sha256`` and ``cli_invocations.sha256``, by running this file:
-``PYTHONPATH=src python tests/test_golden.py``. The figure golden, ``fig1_standardized_points.svg``,
-is the text of ``figure_svg(1)``.
+``PYTHONPATH=src python tests/test_golden.py``. The figure golden,
+``fig1_standardized_points.svg``, is the text of ``figure_svg(1)``.
 """
 
 import contextlib
@@ -35,7 +35,8 @@ CLI_POPULATION_SPEC = json.dumps({
     "stratum_probs": [0.5, 0.5], "exposure_probs": [0.25, 0.75],
     "po_probs": [[0.4, 0.2, 0.1, 0.3], [0.7, 0.1, 0.1, 0.1]]})
 CLI_INVOCATIONS = (
-    ["--help"], *([command, "--help"] for command in cli._COMMANDS),
+    ["--help"], *([command, "--help"] for command in (
+        "analyze", "standardize", "collapse", "plot", "simulate")),
     ["--version"],
     *(["analyze", name] for name in ("whickham", "whickham_crude",
                                      "six_strata")),
