@@ -1138,16 +1138,13 @@ def test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit(table):
 
 
 # Strata as (exposed cases, exposed total, unexposed cases, unexposed
-# total) whose no-interaction fit or its interval once failed to converge:
-# the log link's upper endpoint runs out of steps on the first two (the
-# first was drawn by test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit)
-# and on the log case of PR 35's drawn table, and these stay strict xfails.
-# The fit's step halving ran out on the next three, which the unseeded
-# properties drew: the identity fit after 17 iterations on the fourth, the
-# log fit after 15 on the 13 strata of the fifth; and on two more tables
-# that test_every_fit_is_the_bounded_maximum drew: the identity fit after 15
-# iterations on the first, and on the 7 strata of the second the log fit
-# after 10. A step that would cross a bound now stops on it, and they fit.
+# total) whose no-interaction fit or its interval once failed to converge.
+# The log link's upper endpoint runs out of steps on three, which stay
+# strict xfails: the first two (the first drawn by
+# test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit) and the log case of
+# the table drawn near a risk of 1. The fit's step halving ran out, after 10
+# to 17 iterations, on the other five, which the unseeded properties drew; a
+# step that would cross a bound now stops on it, and they fit.
 _ENDPOINT_OUT_OF_STEPS = pytest.mark.xfail(
     strict=True, raises=NonConvergenceError,
     reason="the endpoint runs do not converge on these tables")
