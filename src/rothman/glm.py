@@ -13,13 +13,14 @@ alphas solved in O(k), for free fits and profile-interval endpoints alike: the
 two differ only in b's equation (score 0, or drop on the cut), the step-halving
 test and the stop rule. A cell with no cases (non-cases) may have its maximum
 at a risk of exactly 0 (1), on the boundary of the domain, where one hold rule
-(`_Stack.hold`) keeps it, and a fit's step that would carry it across stops
-there. A fit stops when the Newton decrement falls to a fixed multiple of the
-total count, so scaling every count changes neither fit nor iterations. A run
-solves many problems, each with its own link, steps and sums: `fits` fits
-several models of any links and tables in one run (`_irls`), and `analyze` the
-crude and no-interaction models of the four measures, each
-stratum's effect read off its two cells (`_stratum_effects`);
+(`_Stack.hold`) keeps it. With no finite Newton b, b moves `MAX_ETA_STEP`. A
+step that would carry such a cell across its bound, or b across a kink, stops
+there; only a fit's b stays on a kink. A fit stops when the Newton decrement
+falls to a fixed multiple of the total count, so scaling every count changes
+neither fit nor iterations. A run solves many problems, each with its own link,
+steps and sums: `fits` fits several models of any links and tables in one run
+(`_irls`), and `analyze` the crude and no-interaction models of the four
+measures, each stratum's effect read off its two cells (`_stratum_effects`);
 `profile_intervals` solves both endpoints of several fits in one run, and
 `analyze` those of all four measures' crude and common fits. Each run takes the
 one `_Stack` of its problems' rows that its caller built, and grouping changes
@@ -424,36 +425,36 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
     Each step on b and the alphas solves the alphas' score equations and one in
     b (Venzon and Moolgavkar, 1988) in O(k), under the hold rule of
     `_Stack.hold`: a fit's b score is 0, b eliminated through the Schur
-    complement, and an endpoint's drop is ``cut``. The step is cut so that no
-    eta moves by more than `MAX_ETA_STEP` and a fit's stops at the first
-    finite bound that a cell of a row with a count of 0 would cross, its
-    rows with a count of 0 are kept in their domain, the held ones on their
-    edges (`_Stack.project`), and it is halved, at most
+    complement, and an endpoint's drop is ``cut``. With no finite b, b moves
+    `MAX_ETA_STEP` up a fit's slope or out from an endpoint's estimate. The
+    step is cut so that no eta moves by more than `MAX_ETA_STEP`, and it stops
+    on the first finite bound that a cell with no cases (non-cases) of an
+    unheld row would cross down (up), or on a kink that b would cross
+    (`_Stack.kinks`); its rows with a count of 0 are kept in their domain, the
+    held ones on their edges (`_Stack.project`), and it is halved, at most
     `MAX_HALVINGS` times, while a fit's raises the deviance by more than
     `DEVIANCE_ROUNDING` times the total count, its rounding error, or an
     endpoint's leaves the drop not finite. Each cell is computed by its
     problem's link and every sum covers one problem's rows, so no problem's
     bits depend on its group.
 
-    A fit's b stops on a kink, and the fit after the step whose Newton
-    decrement delta'g is at most `DECREMENT_TOL` times the total count; one
-    whose halvings run out, or that runs `MAX_ITERATIONS` passes, gets its own
-    error, with its deviance trace, in ``errors``.
+    Only a fit's b stays on a kink (`_Stack.hold`), and a fit stops after the
+    step whose Newton decrement delta'g is at most `DECREMENT_TOL` times the
+    total count; one whose halvings run out, or that runs `MAX_ITERATIONS`
+    passes, gets its own error, with its deviance trace, in ``errors``.
 
     An endpoint measures b by its distance from the estimate, or from its start
     where the estimate is infinite. Its inner end is the last iterate whose
     drop is below the cut, as the profile drop there is no larger (none yet at
-    an infinite estimate). A Newton b that is not finite, the profile flat to
-    rounding, is replaced by one `MAX_ETA_STEP` further out below the cut; one
-    above the cut, one back inside the inner end, or one after
-    `PROFILE_STALL_STEPS` steps in a row that bring the drop no closer to the
-    cut, by the same b, for a step of the alphas alone. It is done after a
-    Newton step whose b part is at most `PROFILE_BETA_TOL`, and fails, its b
-    nan, after `PROFILE_MAX_STEPS` steps.
+    an infinite estimate). A Newton b that is not finite above the cut, one
+    back inside the inner end, or one after `PROFILE_STALL_STEPS` steps in a
+    row that bring the drop no closer to the cut, is replaced by the same b,
+    for a step of the alphas alone. It is done after a Newton step whose b part
+    is at most `PROFILE_BETA_TOL`, and fails, its b nan, after
+    `PROFILE_MAX_STEPS` steps.
     """
     owner, starts, links, size = stack.owner, stack.starts, stack.links, b.size
     fit = cut is None
-    kinks = stack.kinks if fit else None
     active, steps, iterations = np.ones(size, bool), np.zeros(size, int), 0
     errors: list = [None] * size
 
@@ -489,18 +490,17 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
                     cross = np.where(kept, score, cross)
                 information, cross = stack.sums(information), stack.sums(cross)
                 delta_b = cross / information
-                if stack.zero is not None:
-                    # with no information the profile is linear in b: a
-                    # step up its slope reaches the bound that ends it
-                    delta_b = np.where(information == 0.0,
-                                       np.sign(cross) * MAX_ETA_STEP, delta_b)
             else:
                 ratio = g_alpha / d
                 delta_b = (((dev - cut) / 2.0 - stack.sums(ratio * g_alpha))
                            / (g_b - stack.sums(ratio * h[:, 1])))
-                flat = ~np.isfinite(delta_b)  # the profile flat to rounding
-                if flat.any():
-                    delta_b = np.where(flat, side * MAX_ETA_STEP, delta_b)
+            # no finite Newton b, the profile linear in b to rounding: a step
+            # up a fit's slope, or out from an endpoint's estimate
+            flat = ~np.isfinite(delta_b)
+            if flat.any():
+                delta_b = np.where(flat, MAX_ETA_STEP * (
+                    np.sign(cross) if fit else side), delta_b)
+            if not fit:
                 away = side * (b - origin)
                 inner = np.where(dev < cut, away, inner)
                 stay = ~(inner <= away + side * delta_b) | flat & ~(
@@ -513,32 +513,31 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
             # uncut Newton step there can be 1e13 long
             reach = np.maximum.reduceat(np.maximum(
                 np.abs(delta), np.abs(delta + delta_rows)), starts)
-            # a problem not moving has step 0 and keeps its b
-            moving = active if fit else active & np.isfinite(reach)
-            step = np.where(moving, np.where(
+            step = np.where(active, np.where(
                 reach > MAX_ETA_STEP, MAX_ETA_STEP / reach, 1.0), 0.0)
-            if fit and stack.zero is not None:
-                # a fit's step stops a hair past the first bound that a cell
-                # of a row with a count of 0, not held, would cross, and
-                # `project` puts the row on its edge
+            if stack.zero is not None:
+                # a step stops a hair past the first bound that a cell with
+                # no cases (non-cases), of a row not held, would cross down
+                # (up), and `project` puts the row on its edge
                 eta = np.stack([alpha, alpha + b[owner]], axis=1)
                 move = np.stack([delta, delta + delta_rows], axis=1)
                 lo, hi = stack.lo[:, None], stack.hi[:, None]
                 free = stack.zero if held is None else stack.zero & ~held[0]
-                crossing = (free[:, None] & (np.abs(move) > 0.0) & (lo < eta)
-                            & (eta < hi))
+                crossing = free[:, None] & np.where(
+                    move > 0.0, (stack.f == 0.0) & (eta < hi),
+                    (move < 0.0) & (stack.s == 0.0) & (lo < eta))
                 least = np.minimum.reduceat(np.where(crossing, (np.where(
                     move > 0.0, hi, lo) - eta) / move, math.inf).min(axis=1),
                     starts)
                 step = np.minimum(step, least * (1.0 + 1e-9))
-            if kinks is not None:  # a step across a kink stops on it
-                full = np.where(kinks & (b * (b + step * delta_b) < 0.0),
+            if stack.kinks is not None:  # a step across a kink stops on it
+                full = np.where(stack.kinks & (b * (b + step * delta_b) < 0.0),
                                 -b / delta_b, math.nan)
                 step = np.where(np.isnan(full), step, full)
-            pending = moving
+            pending = active
             for _ in range(MAX_HALVINGS + 1):
-                b_try = np.where(moving, b + step * delta_b, b)
-                if kinks is not None:  # on it exactly, or short of it
+                b_try = np.where(active, b + step * delta_b, b)
+                if stack.kinks is not None:  # on it exactly, or short of it
                     b_try = np.where(np.isnan(full), b_try,
                                      b * (1.0 - step / full))
                 alpha_try = stack.project(alpha + step[owner] * delta,
@@ -550,7 +549,7 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
                 if not pending.any():
                     break
                 step = np.where(pending, step / 2.0, step)
-            taken = moving & ~pending
+            taken = active & ~pending
             # an endpoint takes every trial, a fit only those it accepts
             if not fit or taken.all():
                 alpha, b, dev, cells = alpha_try, b_try, dev_try, trial

@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 from typing import Sequence
 
 import numpy as np
@@ -39,8 +39,10 @@ def _exact(value) -> Fraction:
 
 
 def _check_unit_interval(values: Sequence, what: str) -> None:
-    # phrased so that NaN, which fails every comparison, is rejected too
-    if not all(0 <= v <= 1 for v in values):
+    # a bool is no probability, though Python counts it a number; phrased
+    # so that NaN, which fails every comparison, is rejected too
+    if not all(isinstance(v, Real) and not isinstance(v, bool)
+               and 0 <= v <= 1 for v in values):
         raise ValidationError(f"{what} must lie in [0, 1]: {values!r}")
 
 

@@ -2,11 +2,12 @@
 run log-uniformly from 1 to 1e7 and whose groups have no cases or no
 non-cases two times in three, so most fits meet the boundary of the domain.
 
-``python tests/adversarial.py [count]`` fits the exposure-only and
-no-interaction models of the first ``count`` tables (all 300 by default)
-under every link, profiles each fit, and prints the errors by link and
-text and the Newton passes of the free no-interaction fits. Run it with
-this tree's ``src`` on ``PYTHONPATH``.
+``python tests/adversarial.py [count] [seed]`` fits the exposure-only and
+no-interaction models of the first ``count`` tables (all 300 by default) of
+``seed`` (1 by default) under every link, profiles each fit, and prints the
+errors by link and text, each error with its table's index, link and terms,
+and the Newton passes of the free no-interaction fits. Run it with this
+tree's ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ TABLES = 300
 TERMS = ("exposure_only", "exposure_plus_stratum")
 
 
-def adversarial_tables(count: int = TABLES) -> list[StratifiedCohortTable]:
-    """The first ``count`` tables of `random.Random(SEED)`: k = 1-20
+def adversarial_tables(count: int = TABLES, seed: int = SEED,
+                       ) -> list[StratifiedCohortTable]:
+    """The first ``count`` tables of `random.Random(seed)`: k = 1-20
     strata; in each, for the exposed and then the unexposed group, a total
     of round(10 ** uniform(0, 7)) and no cases, all cases or a uniform
     count of them, each a third of the time."""
-    rng = random.Random(SEED)
+    rng = random.Random(seed)
     tables = []
     for _ in range(count):
         strata = []
@@ -60,39 +62,45 @@ def tables_digest(tables: list[StratifiedCohortTable]) -> str:
 
 def survey(tables: list[StratifiedCohortTable]) -> dict:
     """Every fit and interval of the tables: ``fit_errors`` and
-    ``interval_errors`` count each (link, text) of a `GlmError`, and
-    ``passes`` lists the Newton passes of each converged free
+    ``interval_errors`` list each `GlmError` as (table index, link, terms,
+    text), and ``passes`` lists the Newton passes of each converged free
     no-interaction fit (a closed-form fit takes none)."""
-    fit_errors: collections.Counter = collections.Counter()
-    interval_errors: collections.Counter = collections.Counter()
-    passes = []
-    for table in tables:
+    fit_errors, interval_errors, passes = [], [], []
+    for index, table in enumerate(tables):
         specs = [ModelSpec(link, terms, table)
                  for link in LINKS for terms in TERMS]
         done = []
         for spec, result in zip(specs, fits(specs)):
             if isinstance(result, GlmError):
-                fit_errors[spec.link, str(result)] += 1
+                fit_errors.append((index, spec.link, spec.terms,
+                                   str(result)))
                 continue
             done.append(result)
             if spec.terms == "exposure_plus_stratum" and result.iterations:
                 passes.append(result.iterations)
         for result, interval in zip(done, profile_intervals(done)):
             if isinstance(interval, GlmError):
-                interval_errors[result.spec.link, str(interval)] += 1
+                interval_errors.append((index, result.spec.link,
+                                        result.spec.terms, str(interval)))
     return {"fit_errors": fit_errors, "interval_errors": interval_errors,
             "passes": passes}
 
 
 def main(argv: list[str]) -> None:
-    tables = adversarial_tables(int(argv[0]) if argv else TABLES)
+    seed = int(argv[1]) if len(argv) > 1 else SEED
+    tables = adversarial_tables(int(argv[0]) if argv else TABLES, seed)
     result = survey(tables)
-    print(f"{len(tables)} tables, sha256 {tables_digest(tables)}")
+    print(f"{len(tables)} tables of seed {seed}, sha256 "
+          f"{tables_digest(tables)}")
     for name in ("fit_errors", "interval_errors"):
         errors = result[name]
-        print(f"{name}: {sum(errors.values())}")
-        for (link, text), count in sorted(errors.items()):
-            print(f"  {count} x {link}: {text}")
+        print(f"{name}: {len(errors)}")
+        counts = collections.Counter((link, text)
+                                     for _, link, _, text in errors)
+        for (link, text), n in sorted(counts.items()):
+            print(f"  {n} x {link}: {text}")
+        for index, link, terms, text in errors:
+            print(f"  table {index}, {link} {terms}: {text}")
     passes = sorted(result["passes"])
     if passes:
         print(f"free no-interaction fits: {len(passes)}, passes "

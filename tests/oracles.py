@@ -9,8 +9,12 @@ score at those alphas), and each profile-interval endpoint is the root of
 the drop 2 (l(b_hat) - l(b)) minus the chi-square(1) quantile. The crude
 (exposure-only) model is the same problem on the collapsed table. Every
 root is found by secant steps kept inside a bracket of sign changes and
-carried to `DIGITS` significant digits. Every cell must have cases and
-non-cases, so that every maximum is interior and every root exists.
+carried to `DIGITS` significant digits. `profile_interval` needs every
+cell to have cases and non-cases, so that every maximum is interior and
+every root exists. The profile itself (`_Profile`) also takes a stratum
+with a count of 0, whose maximum may sit on an edge of its domain or at an
+infinite alpha, and `endpoint_error` and `estimate_error` check an endpoint
+or an estimate on such a table with no root search in b.
 
 `decimal_stationary_root` is the collapsibility oracle: the stationary
 point of an OR or HR along a segment, found by bisection in `decimal`;
@@ -47,8 +51,13 @@ def _mu(link, eta):
 
 
 def _score(link, eta, s, n):
-    """The eta-derivative of a cell's s log(mu) + (n - s) log(1 - mu)."""
+    """The eta-derivative of a cell's s log(mu) + (n - s) log(1 - mu), and
+    its limit at a risk of 0 with no cases or of 1 with no non-cases."""
     mu, dmu = _mu(link, eta)
+    if s == 0:
+        return -n * dmu / (_ONE - mu)
+    if s == n:
+        return n * dmu / mu
     return (s - n * mu) * dmu / (mu * (_ONE - mu))
 
 
@@ -106,7 +115,13 @@ def _root(f, lo, hi, x, x1):
 class _Profile:
     """The profile log-likelihood kernel of b for strata of
     (s0, n0, s1, n1) counts (unexposed cases and total, exposed cases and
-    total), each stratum's alpha warm-started from its last root."""
+    total), each stratum's alpha warm-started from its last root.
+
+    A stratum's log-likelihood is concave in alpha, so its maximum is the
+    root of its score inside the domain, the alphas keeping both risks in
+    [0, 1], unless the score still points out of the domain at one of its
+    edges: then the maximum is on that edge (`_edge`), and its risks of 0
+    or 1 add 0 log 0 = 0."""
 
     def __init__(self, link, strata):
         self.link = link
@@ -123,6 +138,18 @@ class _Profile:
         width = _ONE if lo is None or hi is None else hi - lo
         loglik = score = Decimal(0)
         for i, (s0, n0, s1, n1) in enumerate(self.strata):
+            edge = self._edge(b, lo, hi, s0, n0, s1, n1)
+            if edge is not None:
+                self.alphas[i] = None
+                alpha, moves = edge
+                if alpha is not None:  # an infinite alpha adds 0 to both
+                    loglik += (_loglik(link, alpha, s0, n0)
+                               + _loglik(link, alpha + b, s1, n1))
+                    # an edge that pins the exposed cell alone is alpha =
+                    # bound - b, and moves with b
+                    score += (-_score(link, alpha, s0, n0) if moves
+                              else _score(link, alpha + b, s1, n1))
+                continue
             start = self.alphas[i]
             if start is None or not _inside(start, lo, hi):
                 start = ((lo + hi) / 2 if lo is not None and hi is not None
@@ -138,6 +165,41 @@ class _Profile:
                        + _loglik(link, alpha + b, s1, n1))
             score += _score(link, alpha + b, s1, n1)
         return loglik, score
+
+    def _edge(self, b, lo, hi, s0, n0, s1, n1):
+        """None where the stratum's maximum at b is a root of its score,
+        else the edge it sits on: its alpha, None at an infinite edge, and
+        whether it moves with b. At an infinite edge both risks reach 0 (1),
+        and the score points out all the way only with no cases (non-cases)
+        in the stratum."""
+        if lo is None and s0 + s1 == 0 or hi is None and s0 + s1 == n0 + n1:
+            return None, False
+        for alpha, risk, out in ((lo, 0, -1), (hi, 1, 1)):
+            if alpha is None:
+                continue
+            # the cells on the bound, whose link-scale value is the risk
+            # itself, or log 1 = 0 on the log link's one finite edge; one
+            # whose count rules that risk out has a log-likelihood of -inf
+            bound = risk if self.link == "identity" else Decimal(0)
+            on = [(s, n) for eta, s, n in ((alpha, s0, n0),
+                                           (alpha + b, s1, n1))
+                  if eta == bound]
+            if any(s != (0 if risk == 0 else n) for s, n in on):
+                continue
+            if out * (_score(self.link, alpha, s0, n0)
+                      + _score(self.link, alpha + b, s1, n1)) >= 0:
+                return alpha, alpha != bound
+        return None
+
+
+def _rows(table, terms):
+    """The (s0, n0, s1, n1) counts of each stratum of ``table``, or of the
+    collapsed table for the ``exposure_only`` model."""
+    rows = [(c.unexposed_cases, c.unexposed_total, c.exposed_cases,
+             c.exposed_total) for c in table.cells]
+    if terms == "exposure_only":
+        rows = [tuple(sum(column) for column in zip(*rows))]
+    return rows
 
 
 def _pi():
@@ -181,14 +243,10 @@ def profile_interval(table, link: str, terms: str, level: float = 0.95,
     """(estimate, lower, upper) of the exposure effect on the natural scale
     (exp(b) under the ratio links), for the ``exposure_only`` or
     ``exposure_plus_stratum`` model of ``table``."""
-    rows = [(c.unexposed_cases, c.unexposed_total, c.exposed_cases,
-             c.exposed_total) for c in table.cells]
-    if terms == "exposure_only":
-        rows = [tuple(sum(column) for column in zip(*rows))]
     cut = chi_square_quantile(level)
     with localcontext() as ctx:
         ctx.prec = _WORKING
-        profile = _Profile(link, rows)
+        profile = _Profile(link, _rows(table, terms))
         lo, hi = (-_ONE, _ONE) if link == "identity" else (None, None)
         b_hat = _root(lambda b: profile(b)[1], lo, hi,
                       Decimal(0), Decimal("0.01"))
@@ -210,6 +268,66 @@ def profile_interval(table, link: str, terms: str, level: float = 0.95,
             values = [v.exp() for v in values]
         ctx.prec = DIGITS
         return tuple(+v for v in values)
+
+
+def endpoint_error(table, link: str, terms: str, estimate: float,
+                   endpoint: float, level: float = 0.95) -> Decimal:
+    """The relative error of a profile-interval ``endpoint`` on the natural
+    scale, to first order, for the ``exposure_only`` or
+    ``exposure_plus_stratum`` model of ``table``, counts of 0 allowed.
+
+    With b the endpoint on the link scale, the root of drop - cut lies
+    (drop(b) - cut) / drop'(b) short of b, the drop 2 (top - l(b)) and its
+    slope taken from `_Profile`, so no root in b is searched for. The top
+    is the profile at the ``estimate``, where it is flat, so that the
+    estimate's own error enters only squared; at b's limit (an estimate of
+    0 or inf, or +-1 on the identity link) it is the kernel of the observed
+    cells, which the fit there reproduces.
+    """
+    cut = chi_square_quantile(level)
+    with localcontext() as ctx:
+        ctx.prec = _WORKING
+        profile = _Profile(link, _rows(table, terms))
+        if (abs(estimate) == 1.0 if link == "identity"
+                else estimate in (0.0, math.inf)):
+            top = sum(c * (c / n).ln() for s0, n0, s1, n1 in profile.strata
+                      for c, n in ((s0, n0), (n0 - s0, n0), (s1, n1),
+                                   (n1 - s1, n1)) if c)
+        else:
+            top = profile(_link_scale(link, estimate))[0]
+        b = _link_scale(link, endpoint)
+        loglik, score = profile(b)
+        return _relative_error(
+            link, endpoint, b - (2 * (top - loglik) - cut) / (-2 * score))
+
+
+def estimate_error(table, link: str, terms: str, estimate: float) -> Decimal:
+    """The relative error of a finite ``estimate`` on the natural scale, to
+    first order, where the profile of ``table``'s ``exposure_only`` or
+    ``exposure_plus_stratum`` model is smooth, counts of 0 allowed: its
+    maximum lies P'(b) / -P''(b) from the estimate's b, P' from `_Profile`
+    and P'' its central difference."""
+    with localcontext() as ctx:
+        ctx.prec = _WORKING
+        profile, h = _Profile(link, _rows(table, terms)), _TINY.sqrt()
+        b = _link_scale(link, estimate)
+        curvature = (profile(b + h)[1] - profile(b - h)[1]) / (2 * h)
+        return _relative_error(link, estimate,
+                               b - profile(b)[1] / curvature)
+
+
+def _link_scale(link, value):
+    """A natural-scale value as b on the link scale."""
+    return Decimal(value) if link == "identity" else Decimal(value).ln()
+
+
+def _relative_error(link, value, root):
+    """How far the natural-scale ``value`` is from the link-scale ``root``,
+    relative to it, to `DIGITS` digits."""
+    exact = root if link == "identity" else root.exp()
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return +(abs(Decimal(value) - exact) / abs(exact))
 
 
 def _link_derivatives(m, p):

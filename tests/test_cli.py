@@ -557,6 +557,18 @@ class TestSimulate:
         assert payload["type"] == "ValidationError"
         assert "must lie in [0, 1]" in payload["message"]
 
+    def test_boolean_probability_rejected(self, run, tmp_path):
+        spec = json.loads(json.dumps(POPULATION_SPEC))
+        spec["po_probs"][0] = [True, False, False, False]
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(spec))  # written as true and false
+        code, out, err = run("simulate", str(path), "--n", "10")
+        assert code == 1
+        assert out == ""
+        payload = error_payload(err)
+        assert payload["type"] == "ValidationError"
+        assert "must lie in [0, 1]" in payload["message"]
+
     def test_zero_probability_cell_fails_before_sampling(self, run, tmp_path,
                                                          monkeypatch):
         def no_sampling(*args):

@@ -1139,20 +1139,21 @@ def test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit(table):
 
 # Strata as (exposed cases, exposed total, unexposed cases, unexposed
 # total) whose no-interaction fit or its interval once failed to converge.
-# The log link's upper endpoint runs out of steps on three, which stay
-# strict xfails: the first two (the first drawn by
-# test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit) and the log case of
-# the table drawn near a risk of 1. The fit's step halving ran out, after 10
-# to 17 iterations, on the other five, which the unseeded properties drew; a
-# step that would cross a bound now stops on it, and they fit.
+# The log link's upper endpoint ran out of steps on three. On the first,
+# drawn by test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit, it is
+# found since an endpoint's step, like a fit's, stops on a bound or a kink
+# it would cross. The other two stay strict xfails: from a drop far above
+# the cut, each pass moves b by MAX_ETA_STEP. The fit's step halving ran
+# out, after 10 to 17 iterations, on the other five, which the unseeded
+# properties drew; a step that would cross a bound now stops on it, and
+# they fit.
 _ENDPOINT_OUT_OF_STEPS = pytest.mark.xfail(
     strict=True, raises=NonConvergenceError,
     reason="the endpoint runs do not converge on these tables")
 
 
 @pytest.mark.parametrize("link, strata", [
-    pytest.param("log", [(2, 13, 14, 14), (8, 9, 19, 24), (0, 1, 0, 3)],
-                 marks=_ENDPOINT_OUT_OF_STEPS),
+    ("log", [(2, 13, 14, 14), (8, 9, 19, 24), (0, 1, 0, 3)]),
     pytest.param("log", [(0, 1, 0, 1), (536236, 2478433, 1, 1)],
                  marks=_ENDPOINT_OUT_OF_STEPS),
     ("identity", [(4, 191, 0, 3), (0, 1, 0, 1)]),
@@ -1216,8 +1217,8 @@ def test_every_fit_is_the_bounded_maximum(table):
 
 # The first tables of the adversarial set (tests/adversarial.py), as many
 # as its script fits and profiles in a few seconds, and the most errors
-# they may give: three upper endpoints that run out of steps, one each under
-# log, identity and cloglog.
+# they may give: two upper endpoints that run out of steps, tables 89 (log)
+# and 148 (cloglog).
 ADVERSARIAL_PREFIX = 150
 ADVERSARIAL_DIGEST = (
     "d966f8b57388dc6c9fad52a05d95b009b1f868e3a82bd561bef618c8a8c8b496")
@@ -1228,8 +1229,7 @@ def test_the_adversarial_set_gives_no_more_errors():
     assert adversarial.tables_digest(tables) == ADVERSARIAL_DIGEST
     result = adversarial.survey(tables[:ADVERSARIAL_PREFIX])
     assert not result["fit_errors"]
-    assert sum(result["interval_errors"].values()) <= 3, \
-        result["interval_errors"]
+    assert len(result["interval_errors"]) <= 2, result["interval_errors"]
 
 
 def _interval_or_error(f):
@@ -1535,3 +1535,47 @@ def test_six_strata_intervals_match_the_decimal_oracle(six_strata, link,
             (ESTIMATE_REL_BOUND, SIX_STRATA_REL_BOUND, SIX_STRATA_REL_BOUND)):
         error = abs(Decimal(value) - exact)
         assert error <= bound * abs(exact), error / exact
+
+
+# The values of tests/golden/small_tables.json that moved when an
+# endpoint's step came to stop on a bound or a kink as a fit's does, and a
+# step of either to stop only on a bound that its cell's count allows, as
+# (table, link, terms, values), each a change in the last digits. Zero
+# counts put strata of these tables on an edge of their domain, which
+# `oracles.endpoint_error` and `oracles.estimate_error` handle.
+_CRUDE, _COMMON = "exposure_only", "exposure_plus_stratum"
+MOVED_SMALL_TABLE_VALUES = [
+    (1, "log", _COMMON, "lower"), (1, "identity", _COMMON, "lower upper"),
+    (2, "identity", _COMMON, "lower"),
+    (6, "log", _COMMON, "lower upper"), (6, "identity", _COMMON, "lower"),
+    (8, "log", _COMMON, "upper"),
+    (9, "log", _COMMON, "lower upper"),
+    (9, "identity", _COMMON, "lower upper"),
+    (10, "log", _COMMON, "lower"), (10, "identity", _COMMON, "lower upper"),
+    (11, "log", _COMMON, "upper"), (11, "identity", _COMMON, "upper"),
+    (12, "log", _COMMON, "upper"), (12, "identity", _COMMON, "upper"),
+    (14, "identity", _COMMON, "upper"),
+    (15, "log", _CRUDE, "lower"), (15, "log", _COMMON, "lower"),
+    (15, "identity", _CRUDE, "lower"), (15, "identity", _COMMON, "lower"),
+    (18, "log", _COMMON, "estimate lower upper"),
+    (19, "log", _CRUDE, "lower"), (19, "log", _COMMON, "lower"),
+    (22, "identity", _COMMON, "lower upper"),
+]
+
+
+def test_moved_small_table_values_match_the_decimal_oracle():
+    tables = test_golden.small_tables()
+    errors = {}
+    for index, link, terms, values in MOVED_SMALL_TABLE_VALUES:
+        table = tables[index]
+        iv = profile_interval(fit(ModelSpec(link=link, terms=terms,
+                                            table=table)))
+        for name in values.split():
+            errors[index, link, terms, name] = (
+                oracles.estimate_error(table, link, terms, iv.estimate)
+                / ESTIMATE_REL_BOUND if name == "estimate"
+                else oracles.endpoint_error(table, link, terms, iv.estimate,
+                                            getattr(iv, name))
+                / ENDPOINT_REL_BOUND)
+    assert len(errors) == 31
+    assert max(errors.values()) <= 1, errors

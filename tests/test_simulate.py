@@ -144,6 +144,20 @@ class TestPopulationSpec:
             with pytest.raises(ValidationError, match="must lie in"):
                 PopulationSpec(**fields)
 
+    def test_a_bool_or_a_string_is_no_probability(self):
+        # True once sampled as 1.0 and (True, False, False, False) as
+        # (1, 0, 0, 0), and a string raised a bare TypeError
+        for fields in (dict(stratum_probs=(True,)),
+                       dict(po_probs=((True, False, False, False),)),
+                       dict(exposure_probs=("0.5",)),
+                       dict(stratum_probs=("1",))):
+            spec = {"stratum_probs": (1.0,), "exposure_probs": (0.5,),
+                    "po_probs": ((0.25, 0.25, 0.25, 0.25),), **fields}
+            with pytest.raises(ValidationError, match="must lie in"):
+                PopulationSpec(**spec)
+            with pytest.raises(ValidationError, match="must lie in"):
+                parse_population_spec(json.dumps(spec))
+
 
 class TestPopulationTruth:
     def test_hand_computed_example(self):
