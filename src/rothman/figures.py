@@ -44,20 +44,25 @@ _FITTED = {
 
 
 def _read(table: StratifiedCohortTable) -> tuple:
-    """(crude spec, stratum points, their specs, (segments, hulls)): the
-    table's association points, read once, and what joins the strata: a
-    segment for two, their hull otherwise."""
+    """(crude spec, stratum points, their specs): the table's association
+    points, read once."""
     crude, strata = association_points(table)
     specs = tuple(PointSpec(p, style="solid_circle", label=label)
                   for p, label in zip(strata, table.labels))
-    joins = ((((strata[0], strata[1]),), ()) if len(strata) == 2
-             else ((), (standardized_hull(strata),)))
-    return (PointSpec(crude, style="open_circle", label="crude"), strata,
-            specs, joins)
+    return PointSpec(crude, style="open_circle", label="crude"), strata, specs
+
+
+def _joins(strata) -> tuple:
+    """(segments, hulls): what joins the strata, a segment for two and
+    their hull otherwise."""
+    if len(strata) == 2:
+        return ((strata[0], strata[1]),), ()
+    return (), (standardized_hull(strata),)
 
 
 def figure1(table: StratifiedCohortTable) -> str:
-    crude, _, specs, (segments, hulls) = _read(table)
+    crude, strata, specs = _read(table)
+    segments, hulls = _joins(strata)
     standardized = tuple(PointSpec(
         standardized_point(table, standard_population(table, preset)),
         style="open_circle", label=preset.replace("_", " "))
@@ -69,7 +74,8 @@ def figure1(table: StratifiedCohortTable) -> str:
 
 
 def figure2(table: StratifiedCohortTable) -> str:
-    crude, strata, specs, (segments, hulls) = _read(table)
+    crude, strata, specs = _read(table)
+    segments, hulls = _joins(strata)
     return render_diagram(DiagramSpec(
         title="Confounding rectangle", points=(crude, *specs),
         segments=segments, hulls=hulls,
@@ -77,7 +83,7 @@ def figure2(table: StratifiedCohortTable) -> str:
 
 
 def figure3(table: StratifiedCohortTable) -> str:
-    _, strata, specs, _ = _read(table)
+    _, strata, specs = _read(table)
     panels = []
     for m in Measure:
         contours = []
@@ -96,11 +102,10 @@ def figure3(table: StratifiedCohortTable) -> str:
 
 
 def figure4(table: StratifiedCohortTable) -> str:
-    _, strata, specs, (_, hulls) = _read(table)
-    # _read joins two strata by a segment; this figure draws their hull
+    _, strata, specs = _read(table)
     return render_diagram(DiagramSpec(
         title="Standardized hull and confounding rectangle", points=specs,
-        hulls=hulls or (standardized_hull(strata),),
+        hulls=(standardized_hull(strata),),
         rectangles=(confounding_rectangle(strata),)))
 
 

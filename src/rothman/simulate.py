@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational, Real
@@ -25,8 +26,9 @@ from .geometry import RiskPoint
 from .tables import CohortCell, StratifiedCohortTable
 
 DIST_SUM_TOL = 1e-12
-# people counted at a time: a worker's buffers, ~0.66 MiB, stay in L2
-_CHUNK = 1 << 14
+# people counted at a time: a range's word row and two int64 rows, 0.75
+# MiB, stay in L2, and two ranges trade the interpreter lock less often
+_CHUNK = 1 << 15
 # the cores this process may run on, where the platform tells
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -180,10 +182,18 @@ def population_truth(spec: PopulationSpec) -> PopulationTruth:
     )
 
 
-def _stream(seed: int, start: int) -> np.random.Generator:
-    """Philox(seed) from its draw ``start`` on; a counter step is 4 draws."""
-    stream = np.random.Generator(np.random.Philox(seed, counter=start // 4))
-    stream.random(start % 4)
+def _numerators(probs) -> np.ndarray:
+    """The least v with v / 2**53 >= p for each p, capped at 2**53: a raw
+    Philox word w is the draw u = (w >> 11) / 2**53, so u >= p exactly when
+    w >> 11 reaches it, and the cap, which no w >> 11 reaches, is never."""
+    scaled = np.ldexp(np.asarray(probs, dtype=float), 53)
+    return np.minimum(np.ceil(scaled), 2.0**53).astype(np.int64)
+
+
+def _stream(seed: int, start: int) -> np.random.Philox:
+    """Philox(seed) from its word ``start`` on; a counter step is 4 words."""
+    stream = np.random.Philox(seed, counter=start // 4)
+    stream.random_raw(start % 4, output=False)
     return stream
 
 
@@ -194,25 +204,28 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     Person i's stratum C, exposure X and joint potential outcome (D0, D1)
     come from draws i, n + i and 2n + i of one Philox stream, and the
     observed outcome is D = D_X, so output is reproducible for a given
-    nonnegative seed across runs and platforms. Philox is counter-based,
-    so any range of people can start its three streams where it begins:
-    the people are split into one range per core (no more ranges than
-    chunks of ``_CHUNK``), a thread pool counts each range chunk by chunk,
-    and the sum of the counts is one table for any split. Each worker
-    allocates its buffers once, three draw rows, a float, an intp and two
-    bool rows of ``_CHUNK`` (~0.66 MiB), and counts every chunk of its
-    range in them: tracemalloc reads a 0.74 MiB peak for n = 10**6 on one
-    worker and 1.41 MiB on two.
+    nonnegative seed across runs and platforms. Each draw u = v / 2**53,
+    as ``Generator.random`` makes it, is read as the numerator v = w >> 11
+    of a raw word w, and u >= p as v >= ``_numerators([p])``. Philox is
+    counter-based, so any range of people can start its streams where it
+    begins: the calling thread counts the first of one range per core (no
+    more ranges than chunks of ``_CHUNK``) and a thread each the others,
+    and the counts add up to one table for any split. A range allocates two
+    int64 rows of ``_CHUNK`` once and holds one word row at a time: 0.88 MiB
+    of tracemalloc peak for n = 10**6 over two strata, 1.71 MiB on two ranges.
 
-    C, the first stratum whose running total exceeds its draw u, steps up
-    from a guide table's lowest stratum for bucket floor(u m) (Chen & Asau
-    1974). Each person gets one cell key 4C + 2X. With cum the running
-    totals of the stratum's (p00, p01, p10, p11) and u the outcome draw,
-    (D0, D1) is the first category whose total exceeds u, so D0 = 1 when
-    u >= cum[1] and D1 = 1 when cum[0] <= u < cum[1] or u >= cum[2]. D_X
-    comes from comparing u with these thresholds, looked up by key, and one
-    bincount of key + D counts the cells: the same tables bit for bit as
-    counting the category itself. Strata are labeled s1..sk in spec order;
+    A guide table (Chen & Asau 1974) on the stratum word's top bits holds
+    the key of each bucket's one stratum C, or -1 where a running total
+    splits the bucket and its people search the totals. X = 1 where
+    v - e < 0 for e the exposure's numerator, and the sign bits of v - e
+    add X to the key. With cum the running totals of the stratum's (p00,
+    p01, p10, p11), (D0, D1) is the first category whose total exceeds u,
+    so D0 = 1 when u >= cum[1] and D1 = 1 when cum[0] <= u < cum[1] or
+    u >= cum[2]. So D_X is fixed in each bucket of the outcome word's top
+    bits but the at most three a key that hold a threshold: a ``bincount``
+    of key + bucket counts the people, those in those buckets are compared
+    one by one, and the counts fold to the cells, the same tables bit for
+    bit as comparing float draws. Strata are labeled s1..sk in spec order;
     strata with no sampled individuals keep empty cells.
     """
     for name, value in (("n", n), ("seed", seed)):
@@ -223,73 +236,100 @@ def sample_table(spec: PopulationSpec, n: int, seed: int,
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed!r}")
     k = spec.k
+    # 2**bits outcome buckets of 2**span numerators a key, fewer for many
+    # strata: a histogram's bins stay below 2**14 up to 2,047 strata. A bin
+    # is the key, C << shift plus (2 << bits) - 1 if X = 1, plus a bucket.
+    bits = min(8, max(1, 12 - k.bit_length()))
+    shift, span, bins = bits + 2, 53 - bits, k << (bits + 2)
 
-    stratum_cum = np.cumsum([float(w) for w in spec.stratum_probs])
-    # u < 1 lies below the last entry, so every index is a stratum
-    stratum_cum[-1] = 1.0
-    # m is a power of two, so floor(u m) / m <= u exactly
-    m = max(1024, 1 << (4 * k - 1).bit_length())
-    guide = np.searchsorted(stratum_cum, np.arange(m) / m, side="right")
+    totals = _numerators(np.cumsum(np.asarray(spec.stratum_probs, float)))
+    totals[-1] = 1 << 53  # never passed, so every index is a stratum
+    g = min(16, max(10, (64 * k).bit_length()))  # 2**g guide buckets
+    edges = np.arange((1 << g) + 1, dtype=np.int64) << (53 - g)
+    lowest = np.searchsorted(totals, edges[:-1], side="right")
+    guide = np.where(totals[lowest] < edges[1:], -1, lowest << shift)
 
-    exposure = np.array([float(e) for e in spec.exposure_probs])
-    # D = 1 where lo <= u < hi or u >= top, thresholds indexed by key; u
-    # never reaches 2. The rounded total cum[3] is left out, so u < 1 past
-    # cum[2] always lands in (1, 1).
-    cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
-                    axis=1)
-    lo, hi, top = np.full((3, 4 * k), 2.0)
-    lo[0::4] = cum[:, 1]
-    lo[2::4], hi[2::4], top[2::4] = cum[:, :3].T
+    # D = 1 where lo <= v < hi or v >= top, by stratum and X
+    cum = _numerators(np.cumsum(np.asarray(spec.po_probs, float), axis=1))
+    limits = np.full((3, k, 2), 1 << 53)  # 2**53: never
+    limits[0, :, 0] = cum[:, 1]
+    limits[:, :, 1] = cum[:, :3].T
+    rows = (np.arange(k)[:, None] << shift) + [0, (2 << bits) - 1]
+    exposure = np.zeros(bins, dtype=np.int64)  # by key
+    exposure[rows[:, 0]] = _numerators(spec.exposure_probs)
+    # D at each bucket's start, but exact where a threshold is inside it
+    lo, hi, top = limits[..., None]
+    starts = np.arange(1 << bits) << span
+    all_cases = (starts >= lo) & (starts < hi) | (starts >= top)
+    j, c, x = np.nonzero(limits & ((1 << span) - 1))
+    all_cases[c, x, limits[j, c, x] >> span] = False
+    exact = np.isin(np.arange(bins), rows[c, x] + (limits[j, c, x] >> span))
 
     def count(a: int, b: int) -> np.ndarray:
         streams = [_stream(seed, start) for start in (a, n + a, 2 * n + a)]
-        cells = np.zeros(4 * k, dtype=np.intp)
-        size = min(_CHUNK, b - a)
-        draws = np.empty((3, size))
-        # a float, an intp (C, then the key) and two bool rows
-        rows = (np.empty(size), np.empty(size, dtype=np.intp),
-                *np.empty((2, size), dtype=bool))
-        for first in range(a, b, _CHUNK):
-            size = min(_CHUNK, b - first)
-            uc, ux, u = (s.random(out=row[:size])
-                         for s, row in zip(streams, draws))
-            f, c, t, v = (row[:size] for row in rows)
-            # every index is in range by construction (floor(u m) < m, C < k,
-            # key < 4k), so "clip" never clips; it skips "raise"'s bounds
-            # pass and its buffered copy of the output, and take reads each
-            # index before it writes that place, so C can overwrite its index
-            np.copyto(c, np.multiply(uc, m, out=f), casting="unsafe")
-            np.take(guide, c, out=c, mode="clip")
-            i = np.flatnonzero(np.greater_equal(
-                uc, np.take(stratum_cum, c, out=f, mode="clip"), out=t))
-            while i.size:  # step only the people who still advance
-                c[i] += 1
-                i = i[uc[i] >= stratum_cum[c[i]]]
-            np.less(ux, np.take(exposure, c, out=f, mode="clip"), out=t)
-            c <<= 1  # the key 4C + 2X, built in place of C
-            c += t
-            c <<= 1
-            np.greater_equal(u, np.take(lo, c, out=f, mode="clip"), out=t)
-            t &= np.less(u, np.take(hi, c, out=f, mode="clip"), out=v)
-            t |= np.greater_equal(u, np.take(top, c, out=f, mode="clip"),
-                                  out=v)
-            c += t
-            cells += np.bincount(c, minlength=4 * k)
-        return cells
-
-    # imported here: it loads `logging`, which `import rothman` need not
-    from concurrent.futures import ThreadPoolExecutor
+        counts = np.zeros((2, bins), dtype=np.intp)  # people; exact cases
+        keys, temps = np.empty((2, min(_CHUNK, b - a)), dtype=np.int64)
+        for chunk in range(a, b, _CHUNK):
+            size = min(_CHUNK, b - chunk)
+            key, t = keys[:size], temps[:size]
+            w = streams[0].random_raw(size)
+            np.right_shift(w, 64 - g, out=key.view(np.uint64))
+            # every index is in range by construction, so "clip" never
+            # clips; it skips "raise"'s bounds pass and its buffered copy
+            np.take(guide, key, out=key, mode="clip")
+            i = np.flatnonzero(key < 0)
+            key[i] = np.searchsorted(totals, (w[i] >> 11).view(np.int64),
+                                     side="right") << shift
+            del w  # random_raw has no out=: hold one word row at a time
+            w = streams[1].random_raw(size)
+            w >>= 11
+            np.subtract(w.view(np.int64), np.take(exposure, key, out=t,
+                                                  mode="clip"), out=t)
+            # |v - e| < 2**53, so a negative v - e's top 11 bits are ones
+            # and its top bits + 1 read X's part, (2 << bits) - 1
+            key += np.right_shift(t.view(np.uint64), 63 - bits,
+                                  out=t.view(np.uint64)).view(np.int64)
+            del w
+            w = streams[2].random_raw(size)
+            np.right_shift(w, 64 - bits, out=t.view(np.uint64))
+            t += key
+            counts[0] += np.bincount(t, minlength=bins)
+            i = np.flatnonzero(np.take(exact, t, mode="clip"))
+            v, keyed = (w[i] >> 11).view(np.int64), key[i]
+            lo, hi, top = limits[:, keyed >> shift, keyed >> bits & 1]
+            np.add.at(counts[1], keyed[(v >= lo) & (v < hi) | (v >= top)], 1)
+            del w
+        return counts
 
     chunks = -(-n // _CHUNK)
     workers = min(_WORKERS, chunks)
     ends = [min(n, w * chunks // workers * _CHUNK) for w in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        cells = sum(pool.map(count, ends[:-1], ends[1:])).reshape(k, 4)
+    counts = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            counts[w] = count(ends[w], ends[w + 1])
+        except BaseException as exc:  # raised in the caller below
+            counts[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for result in counts:
+        if isinstance(result, BaseException):
+            raise result
+    people, cases = sum(counts)
+    binned = people[rows[..., None] + np.arange(1 << bits)]
+    cases = ((binned * all_cases).sum(-1) + cases[rows]).tolist()
     return StratifiedCohortTable(strata=tuple(
-        (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e0 + e1,
-                                 unexposed_cases=u1,
-                                 unexposed_total=u0 + u1))
-        for i, (u0, u1, e0, e1) in enumerate(cells.tolist())))
+        (f"s{i + 1}", CohortCell(exposed_cases=e1, exposed_total=e,
+                                 unexposed_cases=u1, unexposed_total=u))
+        for i, ((u, e), (u1, e1)) in enumerate(zip(binned.sum(-1).tolist(),
+                                                   cases))))
 
 
 def parse_population_spec(source: str | dict) -> PopulationSpec:

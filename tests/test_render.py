@@ -657,5 +657,5 @@ def test_import_pulls_in_no_network_modules():
 
 
 def test_import_pulls_in_no_thread_pool_or_logging():
-    # Only sampling needs the thread pool, whose import loads `logging`.
+    # Nothing needs the thread pool, whose import loads `logging`.
     assert _loaded_by_import(("concurrent.futures", "logging")) == "[]"

@@ -7,7 +7,6 @@ exact rational arithmetic, so the confounding fuzz below has no tolerance
 knobs at all.
 """
 
-import concurrent.futures
 import json
 import math
 import threading
@@ -396,9 +395,12 @@ def _pick(probs, u):
 def reference_sample(spec, n, seed):
     """sample_table person by person, from the same three draws."""
     rng = np.random.Generator(np.random.Philox(seed))
-    u_stratum = rng.random(n).tolist()
-    u_exposure = rng.random(n).tolist()
-    u_outcome = rng.random(n).tolist()
+    return reference_counts(spec, *(rng.random(n).tolist() for _ in "cxd"))
+
+
+def reference_counts(spec, u_stratum, u_exposure, u_outcome):
+    """The table of the people with these stratum, exposure and outcome
+    draws, each compared in floating point."""
     counts = [[0, 0, 0, 0] for _ in range(spec.k)]
     for uc, ux, ud in zip(u_stratum, u_exposure, u_outcome):
         c = _pick(spec.stratum_probs, uc)
@@ -486,36 +488,43 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("n,ranges", [(1, 1), (CHUNK, 1),
                                           (CHUNK + 1, 2), (3 * CHUNK, 3),
                                           (5 * CHUNK, 3)])
-    def test_one_pool_worker_and_task_per_range(self, monkeypatch, n,
-                                                ranges):
-        pools = []
+    def test_one_worker_counts_each_range(self, monkeypatch, n, ranges):
+        stream = simulate._stream
+        drawn = []  # [thread, start, words drawn] for each stream
 
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                self.workers, self.tasks = max_workers, []
-                pools.append(self)
+        class Recorded:
+            def __init__(self, seed, start):
+                self.inner = stream(seed, start)
+                self.entry = [threading.current_thread(), start, 0]
+                drawn.append(self.entry)
 
-            def submit(self, fn, *args):
-                self.tasks.append(args)
-                return super().submit(fn, *args)
+            def random_raw(self, size):
+                self.entry[2] += size
+                return self.inner.random_raw(size)
 
         monkeypatch.setattr(simulate, "_WORKERS", 3)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(simulate, "_stream", Recorded)
         sample_table(PopulationSpec(**EXAMPLE), n, seed=1)
-        pool, = pools
-        assert pool.workers == ranges == len(pool.tasks)
-        # the tasks are nonempty ranges that tile the people in order
-        firsts, lasts = zip(*pool.tasks)
+        spans = sorted((start, start + size, thread)
+                       for thread, start, size in drawn if start < n)
+        # one range a thread, the first counted on the calling thread
+        assert len(spans) == ranges == len({id(t) for *_, t in spans})
+        assert spans[0][2] is threading.current_thread()
+        # the ranges are nonempty and tile the people in order
+        firsts, lasts, _ = zip(*spans)
         assert firsts == (0, *lasts[:-1]) and lasts[-1] == n
-        assert all(a < b for a, b in pool.tasks)
+        assert all(a < b for a, b in zip(firsts, lasts))
+        # each thread draws its range's exposure and outcome words too
+        assert sorted(drawn, key=lambda d: d[1]) == [
+            [t, part * n + a, b - a] for part in range(3)
+            for a, b, t in spans]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_worker_counts_in_at_most_a_mebibyte(self, monkeypatch,
                                                       workers):
         monkeypatch.setattr(simulate, "_WORKERS", workers)
         spec = PopulationSpec(**EXAMPLE)
-        sample_table(spec, 1, seed=1)  # loads the thread pool's modules
+        sample_table(spec, 1, seed=1)  # one-time allocations go untraced
         tracemalloc.start()
         try:
             sample_table(spec, 1_000_000, seed=1)
@@ -536,6 +545,101 @@ class TestChunkedSampling:
         monkeypatch.setattr(simulate, "_stream", failing)
         with pytest.raises(RuntimeError, match="worker failed"):
             sample_table(PopulationSpec(**EXAMPLE), 2 * CHUNK, seed=1)
+
+
+class _Words:
+    """Stands in for ``simulate._stream``: ``words`` from ``start`` on."""
+
+    def __init__(self, words, start=0):
+        self.words, self.next = words, start
+
+    def __call__(self, seed, start):
+        return _Words(self.words, start)
+
+    def random_raw(self, size):
+        self.next += size
+        return self.words[self.next - size:self.next].copy()
+
+
+def _numerator(p):
+    return min(math.ceil(math.ldexp(float(p), 53)), 2**53)
+
+
+def _threshold_words(spec, rng):
+    """Stratum, exposure and outcome words whose numerators w >> 11 sit on
+    a threshold and one below it, in each of the three parts."""
+    totals = np.cumsum([float(w) for w in spec.stratum_probs])
+    cum = np.cumsum([[float(v) for v in row] for row in spec.po_probs],
+                    axis=1)
+    # the outcome buckets' edges j / 256 are among the guide's j / 4096,
+    # its finest buckets for fewer than 64 strata
+    probs = [*totals, *map(float, spec.exposure_probs), *cum.ravel(),
+             *(j / 4096 for j in range(4097))]
+    near = np.array(sorted({v for p in probs for v in (_numerator(p) - 1,
+                                                       _numerator(p))
+                            if 0 <= v < 2**53}))
+    # a numerator in each nonempty stratum, and one each side of exposure
+    starts = sorted({min(_numerator(p), 2**53 - 1) for p in (0, *totals)})
+    sides = np.array([0, 2**53 - 1])
+
+    def drawn(size):
+        return rng.integers(0, 2**53, size)
+
+    m, s = len(near), len(starts)
+    parts = (
+        np.concatenate([near, np.repeat(starts, m),
+                        np.repeat(starts, 2 * m)]),
+        np.concatenate([drawn(m), np.tile(near, s),
+                        np.tile(np.repeat(sides, m), s)]),
+        np.concatenate([drawn(m), drawn(s * m), np.tile(near, 2 * s)]))
+    numerators = np.concatenate(parts).astype(np.uint64)
+    low = rng.integers(0, 2**11, numerators.size, dtype=np.uint64)
+    return (numerators << np.uint64(11)) | low
+
+
+@pytest.mark.parametrize("spec", [
+    _boundary_spec(3), _boundary_spec(6),
+    # the third stratum's total is one numerator below a guide edge
+    PopulationSpec(stratum_probs=(F(1, 4), 0, F(1, 2) - F(1, 2**53),
+                                  F(1, 4) + F(1, 2**53)),
+                   exposure_probs=(F(1, 2), 1, 0, F(3, 256)),
+                   po_probs=((F(1, 4),) * 4, (0, 0, 1, 0),
+                             (F(1, 256), 0, F(255, 256), 0),
+                             (0, F(1, 2), 0, F(1, 2))))],
+    ids=["boundary-3", "boundary-6", "dyadic"])
+def test_words_on_each_threshold_match_the_float_comparisons(monkeypatch,
+                                                            spec):
+    words = _threshold_words(spec, np.random.default_rng(spec.k))
+    n = words.size // 3
+    u_stratum, u_exposure, u_outcome = (
+        ((part >> np.uint64(11)) * 2.0**-53).tolist()
+        for part in words.reshape(3, n))
+    expected = reference_counts(spec, u_stratum, u_exposure, u_outcome)
+    monkeypatch.setattr(simulate, "_stream", _Words(words))
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        table = sample_table(spec, n, seed=0)
+        assert [(label, c.exposed_cases, c.exposed_total, c.unexposed_cases,
+                 c.unexposed_total) for label, c in table.strata] == expected
+
+
+def _beside(j):
+    edge = j * 2.0**-53
+    return st.sampled_from([math.nextafter(edge, 0), edge,
+                            math.nextafter(edge, 3)])
+
+
+@given(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 5e-324, 1e-310,
+                                  2.2250738585072014e-308]),
+                 st.integers(min_value=0, max_value=2**53).flatmap(_beside),
+                 st.floats(min_value=0, max_value=2)))
+def test_a_numerator_counts_the_draws_below_p(p):
+    # draws u = v / 2**53 for v < 2**53; v >= the numerator exactly when
+    # u >= p, and the cap 2**53 is never reached
+    v = int(simulate._numerators([p])[0])
+    assert 0 <= v <= 2**53
+    assert v == 0 or (v - 1) * 2.0**-53 < p
+    assert v == 2**53 or v * 2.0**-53 >= p
 
 
 @st.composite
