@@ -26,8 +26,8 @@ measures, each stratum's effect read off its two cells (`_stratum_effects`);
 one `_Stack` of its problems' rows that its caller built, and grouping changes
 no problem's bits; the fit records and the endpoints' starts are read off that
 stack too. Likelihood-ratio tests and profile intervals reuse a finished fit,
-but for one `_irls` refit where an alpha is infinite or lost behind an infinite
-intercept in reference coding, and each table's arrays are built once
+the intervals starting from its own alphas (`GlmFit.alphas`), so reference
+coding is an output format only, and each table's arrays are built once
 (`_cells`). What no link changes is shared: the fits of one table and terms
 share their names, and the closed-form ones their fitted cells, so the
 exposure-only fits of all links have one likelihood and `analyze` one crude
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,6 +150,9 @@ class GlmFit:
     the boundary, in a cell with no cases or no non-cases, and then an
     exposure coefficient may be infinite, or nan where the measure is
     (0/0). ``iterations`` is 0 for the closed-form fits (`_observed_fit`).
+    ``alphas``, left out of the repr, == and hash, holds the alpha of each
+    stratum that b carries (`_carrier`), infinite ones included: a free
+    fit's from its Newton run, a closed-form fit's observed one.
     """
 
     spec: ModelSpec
@@ -159,6 +162,7 @@ class GlmFit:
     deviance: float
     fitted_risks: tuple[tuple[float, float], ...]
     iterations: int
+    alphas: tuple[float, ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -596,9 +600,9 @@ def _observed(s: np.ndarray, n: np.ndarray, link: _Link) -> tuple:
 
 
 def _observed_fit(terms: str, s: np.ndarray, n: np.ndarray, link: _Link,
-                  ) -> tuple[float, ...] | None:
-    """Coefficients of a closed-form fit of the cells ``s``, ``n`` (pooled
-    for the exposure-only model), or None.
+                  ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """Coefficients and alphas (`GlmFit.alphas`) of a closed-form fit of
+    the cells ``s``, ``n`` (pooled for the exposure-only model), or None.
 
     Every saturated cell and exposure-only group has a free risk, fitted by
     its observed (pooled) proportion, 0 and 1 included, and the
@@ -617,12 +621,13 @@ def _observed_fit(terms: str, s: np.ndarray, n: np.ndarray, link: _Link,
             if len(common) > 1:
                 return None
             coefficients = (eta[0, 0], *common, *(eta[1:, 0] - eta[0, 0]))
+            alphas = eta[:, 0]
         else:
-            coefficients = (eta[0, 0], effect[0])
+            coefficients, alphas = (eta[0, 0], effect[0]), eta[:1, 0]
         if terms == "saturated_with_interaction":
             coefficients += (*(eta[1:, 0] - eta[0, 0]),
                              *(effect[1:] - effect[0]))
-    return tuple(float(c) for c in coefficients)
+    return tuple(float(c) for c in coefficients), tuple(alphas.tolist())
 
 
 def _log_likelihoods(s: np.ndarray, n: np.ndarray, log_choose: np.ndarray,
@@ -665,9 +670,9 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
                  and ((0.0 < s) & (s < n)).all())
         shared = None  # the closed-form fits' log-likelihood, deviance, risks
         for i in members:
-            coefficients = None if mixed else _observed_fit(
+            observed = None if mixed else _observed_fit(
                 terms, *cells, _LINKS[specs[i].link])
-            if coefficients is None:
+            if observed is None:
                 free.append((i, names, (s, n, _LINKS[specs[i].link]),
                              log_choose))
                 continue
@@ -679,7 +684,9 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
                           _deviance(s, n, *logs)
                           if terms == "exposure_only" else 0.0,
                           tuple(map(tuple, np.exp(logs[0]).tolist())))
-            results[i] = GlmFit(specs[i], coefficients, names, *shared, 0)
+            coefficients, alphas = observed
+            results[i] = GlmFit(specs[i], coefficients, names, *shared, 0,
+                                alphas)
     if free:
         free.sort(key=lambda problem: problem[0])
         indices, names, problems, log_choose = zip(*free)
@@ -692,12 +699,12 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
         alphas, risks = run.alpha.tolist(), np.exp(run.log_mu).tolist()
         for j, i in enumerate(indices):
             rows = slice(stack.starts[j], stack.ends[j])
-            alpha = alphas[rows]
+            alpha = tuple(alphas[rows])
             results[i] = run.errors[j] or GlmFit(
                 specs[i], (alpha[0], float(run.b[j]),
                            *(a - alpha[0] for a in alpha[1:])),
                 names[j], float(log_likelihoods[j]), float(run.deviance[j]),
-                tuple(map(tuple, risks[rows])), int(run.steps[j]))
+                tuple(map(tuple, risks[rows])), int(run.steps[j]), alpha)
     return results
 
 
@@ -819,13 +826,11 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     which their starts are computed, and of one endpoint run of the fits'
     Newton core (`_newton`), which solves each for b and the alphas
     together and differs from a fit only in b's equation, halving test and
-    stop rule. A finite estimate's alphas are read off its fit's
-    coefficients, so the fit is reused, but are refitted (one `_irls` run)
-    where one is infinite, or lost behind an infinite intercept in
-    reference coding. Its endpoints start one Wald
-    half-width out (from the Schur complement of the observed information,
-    held rows left out), at most `MAX_ETA_STEP` or half way to a nearer
-    limit, the alphas moved to first order along their profile.
+    stop rule. A finite estimate's endpoints start from its fit's own
+    alphas (`GlmFit.alphas`), so the fit is reused, one Wald half-width out
+    (from the Schur complement of the observed information, held rows left
+    out), at most `MAX_ETA_STEP` or half way to a nearer limit, the alphas
+    moved to first order along their profile.
     An infinite estimate's fit is the observed risks; its endpoint starts
     at the smoothed proportions' b, as a fit does (`_irls`), each stratum
     keeping its risk off the bound.
@@ -837,14 +842,6 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     cut = chi_square_quantile(level, 1)
     carried = [_carrier(fit_result)[:2] for fit_result in fits]
     links = [_LINKS[fit_result.spec.link] for fit_result in fits]
-    alpha_hat = []  # each fit's intercept plus its carried strata's terms
-    for fit_result, (s_j, n_j), link in zip(fits, carried, links):
-        c = fit_result.coefficients[:len(s_j) + 1]
-        alpha = [c[0] + x for x in (0.0, *c[2:])]
-        if math.isfinite(c[1]) and not all(map(math.isfinite, alpha)):
-            # reference coding loses infinite alphas
-            alpha = _irls(_Stack([(s_j, n_j, link)])).alpha.tolist()
-        alpha_hat.append(alpha)
     b_hat = np.array([fit_result.coefficients[1] for fit_result in fits])
     limits = np.array([1.0 if link.name == "identity" else math.inf
                        for link in links])
@@ -857,7 +854,7 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
         problems = [(*carried[j], links[j]) for j in fit_of]
         stack = _Stack(problems)
         owner, side = stack.owner, sides[side_of, 0]
-        alpha_hat = np.concatenate([alpha_hat[j] for j in fit_of])
+        alpha_hat = np.concatenate([fits[j].alphas for j in fit_of])
         b_hat, limits = b_hat[fit_of], limits[fit_of]
         with np.errstate(all="ignore"):
             log_mu, log_nu, _, h = stack.cells(alpha_hat, b_hat[owner])

@@ -6,7 +6,8 @@ non-cases two times in three, so most fits meet the boundary of the domain.
 no-interaction models of the first ``count`` tables (all 300 by default) of
 ``seed`` (1 by default) under every link, profiles each fit, and prints the
 errors by link and text, each error with its table's index, link and terms,
-and the Newton passes of the free no-interaction fits. Run it with this
+the Newton passes of the free no-interaction fits and the Newton runs
+(`glm._newton`) that the survey made, free-fit and endpoint. Run it with this
 tree's ``src`` on ``PYTHONPATH``.
 """
 
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import inspect
 import random
 import sys
 
+from rothman import glm
 from rothman.errors import GlmError
 from rothman.glm import LINKS, ModelSpec, fits, profile_intervals
 from rothman.tables import CohortCell, StratifiedCohortTable
@@ -89,7 +92,19 @@ def survey(tables: list[StratifiedCohortTable]) -> dict:
 def main(argv: list[str]) -> None:
     seed = int(argv[1]) if len(argv) > 1 else SEED
     tables = adversarial_tables(int(argv[0]) if argv else TABLES, seed)
-    result = survey(tables)
+    runs, newton = collections.Counter(), glm._newton
+    signature = inspect.signature(newton)
+
+    def counted(*args, **kwargs):
+        cut = signature.bind(*args, **kwargs).arguments.get("cut")
+        runs["free-fit" if cut is None else "endpoint"] += 1
+        return newton(*args, **kwargs)
+
+    glm._newton = counted
+    try:
+        result = survey(tables)
+    finally:
+        glm._newton = newton
     print(f"{len(tables)} tables of seed {seed}, sha256 "
           f"{tables_digest(tables)}")
     for name in ("fit_errors", "interval_errors"):
@@ -107,6 +122,8 @@ def main(argv: list[str]) -> None:
               f"{sum(passes)}, median {passes[len(passes) // 2]}, "
               f"p90 {passes[(9 * len(passes)) // 10]}, max {passes[-1]}, "
               f"over 30 {sum(p > 30 for p in passes)}")
+    print(f"Newton runs: {runs.total()}, free-fit {runs['free-fit']}, "
+          f"endpoint {runs['endpoint']}")
 
 
 if __name__ == "__main__":

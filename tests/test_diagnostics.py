@@ -526,6 +526,18 @@ def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
     _assert_analysis_work(irls_recorder, six_strata, 10, 5)
 
 
+def test_analysis_makes_one_run_of_each_kind_on_small_tables(irls_recorder):
+    # A profile starts from each fit's own alphas, so it refits none whose
+    # alphas reference coding loses: analyze makes at most one free-fit run
+    # and then at most one endpoint run on each golden small table, whose
+    # zero cells lose some.
+    for small in test_golden.small_tables():
+        irls_recorder.calls.clear()
+        analyze(small)
+        assert [call.joint for call in irls_recorder.calls] in (
+            [], [False], [True], [False, True])
+
+
 @pytest.mark.parametrize("name, stacks", [
     ("whickham", 2), ("six_strata", 2), ("whickham_crude", 1)])
 def test_analysis_stacks_each_newton_run_once(monkeypatch, request, name,

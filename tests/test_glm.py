@@ -596,8 +596,9 @@ class TestLikelihoodRatioMachinery:
     def test_the_exposure_test_makes_no_fit(self, irls_recorder, make_table):
         # The logit no-interaction fit of this table is closed form, its
         # reference stratum held at a risk of 0, so reference coding loses
-        # its alphas. Only the profile, which needs them, refits; the test
-        # once refitted too.
+        # its alphas. Neither the test nor the profile refits: the profile
+        # starts from the fit's own alphas, and its endpoint run is the only
+        # Newton run.
         table = make_table([("a", 0, 5, 0, 7), ("b", 3, 10, 1, 9)])
         f = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
                           table=table))
@@ -607,7 +608,7 @@ class TestLikelihoodRatioMachinery:
         assert irls_recorder.calls == []
         iv = profile_interval(f)
         assert (iv.lower, iv.upper) == (0.34540086215169535, 78.55921648587939)
-        assert [call.joint for call in irls_recorder.calls] == [False, True]
+        assert [call.joint for call in irls_recorder.calls] == [True]
 
     def test_result_types(self, whickham):
         spec = ModelSpec(link="logit", terms="exposure_plus_stratum",
@@ -1324,8 +1325,8 @@ def test_one_batch_of_every_kind_of_start_equals_each_fit_alone(
     fits = [*_crude_and_common(whickham), infinite, near_one, lost]
     irls_recorder.calls.clear()
     grouped = glm.profile_intervals(fits)
-    # one refit of the lost alpha, then one run of every endpoint
-    assert [call.joint for call in irls_recorder.calls] == [False, True]
+    # one run of every endpoint, the lost alpha read off its fit
+    assert [call.joint for call in irls_recorder.calls] == [True]
     assert all(isinstance(iv, LrInterval) for iv in grouped)
     assert [repr(iv) for iv in grouped] == \
         [repr(profile_interval(f)) for f in fits]
@@ -1338,10 +1339,11 @@ def _specs(table):
 
 
 def _fit_bits(result):
-    # repr holds every float's bits, and nan in a trace compares equal
+    # repr holds every float's bits, and nan in a trace compares equal; the
+    # alphas, which repr leaves out, show that no fit's depend on its group
     if isinstance(result, GlmError):
         return type(result), str(result), repr(getattr(result, "trace", None))
-    return repr(result)
+    return repr(result), repr(result.alphas)
 
 
 def _assert_fits_group_changes_no_bit(specs):
@@ -1537,45 +1539,31 @@ def test_six_strata_intervals_match_the_decimal_oracle(six_strata, link,
         assert error <= bound * abs(exact), error / exact
 
 
-# The values of tests/golden/small_tables.json that moved when an
-# endpoint's step came to stop on a bound or a kink as a fit's does, and a
-# step of either to stop only on a bound that its cell's count allows, as
-# (table, link, terms, values), each a change in the last digits. Zero
-# counts put strata of these tables on an edge of their domain, which
-# `oracles.endpoint_error` and `oracles.estimate_error` handle.
-_CRUDE, _COMMON = "exposure_only", "exposure_plus_stratum"
-MOVED_SMALL_TABLE_VALUES = [
-    (1, "log", _COMMON, "lower"), (1, "identity", _COMMON, "lower upper"),
-    (2, "identity", _COMMON, "lower"),
-    (6, "log", _COMMON, "lower upper"), (6, "identity", _COMMON, "lower"),
-    (8, "log", _COMMON, "upper"),
-    (9, "log", _COMMON, "lower upper"),
-    (9, "identity", _COMMON, "lower upper"),
-    (10, "log", _COMMON, "lower"), (10, "identity", _COMMON, "lower upper"),
-    (11, "log", _COMMON, "upper"), (11, "identity", _COMMON, "upper"),
-    (12, "log", _COMMON, "upper"), (12, "identity", _COMMON, "upper"),
-    (14, "identity", _COMMON, "upper"),
-    (15, "log", _CRUDE, "lower"), (15, "log", _COMMON, "lower"),
-    (15, "identity", _CRUDE, "lower"), (15, "identity", _COMMON, "lower"),
-    (18, "log", _COMMON, "estimate lower upper"),
-    (19, "log", _CRUDE, "lower"), (19, "log", _COMMON, "lower"),
-    (22, "identity", _COMMON, "lower upper"),
-]
-
-
-def test_moved_small_table_values_match_the_decimal_oracle():
+def test_small_table_endpoints_match_the_decimal_oracle():
+    # Every endpoint of tests/golden/small_tables.json short of b's limits,
+    # so each regeneration of that file is gated on all of them: the worst,
+    # 1.22e-14, is table 3's identity common lower endpoint. Zero counts put
+    # strata of these tables on an edge of their domain, which
+    # `oracles.endpoint_error` and `oracles.estimate_error` handle; the one
+    # estimate checked is table 18's log common one, which once moved.
     tables = test_golden.small_tables()
     errors = {}
-    for index, link, terms, values in MOVED_SMALL_TABLE_VALUES:
-        table = tables[index]
-        iv = profile_interval(fit(ModelSpec(link=link, terms=terms,
-                                            table=table)))
-        for name in values.split():
-            errors[index, link, terms, name] = (
-                oracles.estimate_error(table, link, terms, iv.estimate)
-                / ESTIMATE_REL_BOUND if name == "estimate"
-                else oracles.endpoint_error(table, link, terms, iv.estimate,
-                                            getattr(iv, name))
-                / ENDPOINT_REL_BOUND)
-    assert len(errors) == 31
-    assert max(errors.values()) <= 1, errors
+    for index, table in enumerate(tables):
+        for link in LINKS:
+            limits = (-1.0, 1.0) if link == "identity" else (0.0, math.inf)
+            for terms in ("exposure_only", "exposure_plus_stratum"):
+                iv = profile_interval(fit(ModelSpec(link=link, terms=terms,
+                                                    table=table)))
+                for name in ("lower", "upper"):
+                    if getattr(iv, name) not in limits:
+                        errors[index, link, terms, name] = (
+                            oracles.endpoint_error(table, link, terms,
+                                                   iv.estimate,
+                                                   getattr(iv, name)))
+    assert len(errors) == 368
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= ENDPOINT_REL_BOUND, (worst, errors[worst])
+    iv = profile_interval(fit(ModelSpec(
+        link="log", terms="exposure_plus_stratum", table=tables[18])))
+    assert oracles.estimate_error(tables[18], "log", "exposure_plus_stratum",
+                                  iv.estimate) <= ESTIMATE_REL_BOUND
