@@ -18,8 +18,46 @@ from .tables import StratifiedCohortTable
 
 PRESETS = ("study_sample", "exposed", "unexposed")
 
-WEIGHT_SUM_TOL = 1e-12
+DIST_SUM_TOL = 1e-12
 DEFAULT_CONTAINMENT_TOL = 1e-9
+
+
+def _ratio(value) -> tuple[int, int]:
+    """A number's exact (numerator, denominator) in Python ints."""
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:  # numpy's integers have none, but are Rationals
+        return int(value.numerator), int(value.denominator)
+
+
+def _exact_sum(terms: Sequence[tuple[int, int]]) -> float:
+    """The sum of the fractions n / d of ``terms`` over their lcm, rounded
+    once: int / int rounds correctly, as float(Fraction) does."""
+    den = math.lcm(*(d for _, d in terms))
+    if den == 0:  # a d is 0 only for an exposure group with no one in it
+        raise ValidationError("risk undefined for a zero-total margin")
+    return sum(n * (den // d) for n, d in terms) / den
+
+
+def _check_unit_interval(values: Sequence, what: str) -> list[tuple[int, int]]:
+    """The exact ratios of ``values``, each a number in [0, 1]: a bool is no
+    probability, though Python counts it a number; NaN or inf has no ratio."""
+    try:
+        ratios = [_ratio(v) for v in values if not isinstance(v, bool)]
+    except (AttributeError, ValueError, OverflowError):
+        ratios = []
+    if len(ratios) < len(values) or not all(0 <= n <= d for n, d in ratios):
+        raise ValidationError(
+            f"{what} must lie in [0, 1], each a finite number and no bool: "
+            f"{values!r}")
+    return ratios
+
+
+def _check_distribution(values: Sequence, what: str) -> None:
+    total = _exact_sum(_check_unit_interval(values, what))
+    if abs(total - 1.0) > DIST_SUM_TOL:
+        raise ValidationError(
+            f"{what} must sum to 1 within {DIST_SUM_TOL}: sum={total!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +86,11 @@ class RiskPoint:
 
 @dataclass(frozen=True, slots=True)
 class StandardPopulation:
-    """A stratum distribution: nonnegative weights summing to one.
+    """A stratum distribution: weights in [0, 1] summing to one.
 
-    Weights may be exact ``Fraction`` values (preset populations derived
-    from a table are) or floats; arithmetic preserves whatever is given.
+    Weights may be any real numbers, ``Decimal`` included, but no bools:
+    preset populations derived from a table are exact ``Fraction`` values,
+    and `standardized_point` takes every weight at its exact value.
     """
 
     weights: tuple
@@ -60,14 +99,7 @@ class StandardPopulation:
     def __post_init__(self) -> None:
         ws = tuple(self.weights)
         object.__setattr__(self, "weights", ws)
-        if not ws:
-            raise ValidationError("weights must be non-empty")
-        if not all(0 <= w < math.inf for w in ws):
-            raise ValidationError(
-                f"weights must be finite and nonnegative: {ws}")
-        if abs(float(sum(ws)) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL}: sum={float(sum(ws))!r}")
+        _check_distribution(ws, "weights")
 
     @property
     def k(self) -> int:
@@ -201,7 +233,7 @@ def standardize(strata: Sequence[RiskPoint], std: StandardPopulation,
 
 def standardized_point(table: StratifiedCohortTable, std: StandardPopulation,
                        ) -> RiskPoint:
-    """Standardized association point computed in exact rational arithmetic.
+    """Standardized point: each coordinate one exact integer sum, rounded once.
 
     With a preset standard population this makes the identities exact in
     the emitted doubles: the exposed-standard y-coordinate equals the crude
@@ -209,14 +241,12 @@ def standardized_point(table: StratifiedCohortTable, std: StandardPopulation,
     """
     if table.k != std.k:
         raise ValidationError(f"{std.k} weights for {table.k} strata")
-    x = Fraction(0)
-    y = Fraction(0)
-    for w, cell in zip(std.weights, table.cells):
-        rx, ry = cell.risks_exact()
-        wf = w if isinstance(w, Fraction) else Fraction(w)
-        x += wf * rx
-        y += wf * ry
-    return RiskPoint(float(x), float(y), tag=f"standardized:{std.preset}")
+    weights = [_ratio(w) for w in std.weights]
+    x = _exact_sum([(p * c.unexposed_cases, q * c.unexposed_total)
+                    for (p, q), c in zip(weights, table.cells)])
+    y = _exact_sum([(p * c.exposed_cases, q * c.exposed_total)
+                    for (p, q), c in zip(weights, table.cells)])
+    return RiskPoint(x, y, tag=f"standardized:{std.preset}")
 
 
 def standardized_hull(strata: Sequence[RiskPoint]) -> StandardizedHull:

@@ -16,16 +16,15 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational, Real
-from typing import Sequence
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import RiskPoint
+from .geometry import (RiskPoint, _check_distribution, _check_unit_interval,
+                       _ratio)
 from .tables import CohortCell, StratifiedCohortTable
 
-DIST_SUM_TOL = 1e-12
 # people counted at a time: a range's word row and two int64 rows, 0.75
 # MiB, stay in L2, and two ranges trade the interpreter lock less often
 _CHUNK = 1 << 15
@@ -34,36 +33,14 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _exact(value) -> Fraction:
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return Fraction(float(value))
-
-
-def _check_unit_interval(values: Sequence, what: str) -> None:
-    # a bool is no probability, though Python counts it a number; phrased
-    # so that NaN, which fails every comparison, is rejected too
-    if not all(isinstance(v, Real) and not isinstance(v, bool)
-               and 0 <= v <= 1 for v in values):
-        raise ValidationError(f"{what} must lie in [0, 1]: {values!r}")
-
-
-def _check_distribution(values: Sequence, what: str) -> None:
-    _check_unit_interval(values, what)
-    if abs(float(sum(values)) - 1.0) > DIST_SUM_TOL:
-        raise ValidationError(
-            f"{what} must sum to 1 within {DIST_SUM_TOL}: sum="
-            f"{float(sum(values))!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class PopulationSpec:
     """A stratified population over (C, X, D0, D1).
 
     ``po_probs[c]`` is the joint distribution (p00, p01, p10, p11) of
     (D0, D1) given C = c, in the order Pr(D0=a, D1=b) for (a, b) =
-    (0,0), (0,1), (1,0), (1,1). Probabilities may be floats or exact
-    rationals; exact arithmetic converts floats losslessly.
+    (0,0), (0,1), (1,0), (1,1). A probability is any number in [0, 1] but
+    a bool, as a `StandardPopulation` weight is, taken at its exact value.
     """
 
     stratum_probs: tuple
@@ -99,7 +76,7 @@ class PopulationSpec:
         """Per stratum (Pr(D0=1 | c), Pr(D1=1 | c)) as exact rationals."""
         out = []
         for row in self.po_probs:
-            p00, p01, p10, p11 = (_exact(v) for v in row)
+            p00, p01, p10, p11 = (Fraction(*_ratio(v)) for v in row)
             out.append((p10 + p11, p01 + p11))
         return tuple(out)
 
@@ -137,8 +114,8 @@ def population_truth(spec: PopulationSpec) -> PopulationTruth:
     probability, otherwise the corresponding conditional risk is
     undefined.
     """
-    weights = [_exact(w) for w in spec.stratum_probs]
-    exposure = [_exact(e) for e in spec.exposure_probs]
+    weights = [Fraction(*_ratio(w)) for w in spec.stratum_probs]
+    exposure = [Fraction(*_ratio(e)) for e in spec.exposure_probs]
     risks = spec.causal_risks_exact()
 
     for c, (w, e) in enumerate(zip(weights, exposure)):

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Iterable
 
 from .errors import ParseError, ValidationError
@@ -64,13 +63,6 @@ class CohortCell:
             raise ValidationError("risk undefined for a zero-total margin")
         return (self.unexposed_cases / self.unexposed_total,
                 self.exposed_cases / self.exposed_total)
-
-    def risks_exact(self) -> tuple[Fraction, Fraction]:
-        """(risk in unexposed, risk in exposed) as exact rationals."""
-        if self.has_zero_margin:
-            raise ValidationError("risk undefined for a zero-total margin")
-        return (Fraction(self.unexposed_cases, self.unexposed_total),
-                Fraction(self.exposed_cases, self.exposed_total))
 
     def __add__(self, other: "CohortCell") -> "CohortCell":
         if not isinstance(other, CohortCell):

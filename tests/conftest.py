@@ -2,6 +2,7 @@
 recorder of the GLM layer's Newton runs."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -125,17 +126,20 @@ class IrlsCall:
 
 class IrlsRecorder:
     """Records every `glm._newton` run in ``calls``, an endpoint run told by
-    its ``cut``. ``rewrite``, when set, maps each endpoint run's result to
-    the one its caller receives."""
+    its ``cut``, both it and the ``stack`` read by name from the arguments
+    bound to `glm._newton`'s signature. ``rewrite``, when set, maps each
+    endpoint run's result to the one its caller receives."""
 
     def __init__(self, monkeypatch):
         self.calls: list[IrlsCall] = []
         self.rewrite = None
         newton = glm._newton
+        signature = inspect.signature(newton)
 
-        def recorded(stack, b, alpha, ref, b_hat=None, cut=None):
-            run = newton(stack, b, alpha, ref, b_hat, cut)
-            joint = cut is not None
+        def recorded(*args, **kwargs):
+            run = newton(*args, **kwargs)
+            arguments = signature.bind(*args, **kwargs).arguments
+            stack, joint = arguments["stack"], arguments.get("cut") is not None
             if joint and self.rewrite is not None:
                 run = self.rewrite(run)
             failed = (np.isnan(run.b).tolist() if joint

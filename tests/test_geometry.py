@@ -6,19 +6,23 @@ chain implementation it exercises.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import adversarial
 from rothman.errors import ValidationError
-from rothman.geometry import (Containment, ConfoundingRectangle, RiskPoint,
-                              StandardPopulation, _locate,
+from rothman.geometry import (PRESETS, Containment, ConfoundingRectangle,
+                              RiskPoint, StandardPopulation, _locate,
                               association_points, confounding_rectangle,
                               contains, convex_hull_indices,
                               standard_population, standardize,
                               standardized_hull, standardized_point,
                               weights_for_point)
+from rothman.tables import CohortCell, StratifiedCohortTable
 
 # Frozen association points for the two-stratum smoking cohort.
 CRUDE = (0.31420765027322406, 0.23883161512027493)
@@ -113,6 +117,20 @@ class TestStandardPopulation:
             with pytest.raises(ValidationError, match="finite"):
                 StandardPopulation(weights=weights)
 
+    def test_a_bool_or_a_non_number_is_no_weight(self):
+        # (True, False) was once a point mass, and a string raised a bare
+        # TypeError
+        for weights in [(True, False), (0.0, True), ("a",), ("1",), (None,),
+                        (1j,), ([1.0],), (np.True_,)]:
+            with pytest.raises(ValidationError, match="must lie in"):
+                StandardPopulation(weights=weights)
+
+    def test_every_kind_of_real_weight_is_taken(self):
+        for weights in [(Fraction(1, 4), 0.75), (1, 0), (np.int64(0), 1),
+                        (np.float64(0.5), np.float32(0.5)),
+                        (Decimal("0.1"), Decimal("0.9"))]:
+            assert StandardPopulation(weights=weights).weights == weights
+
     def test_exact_fraction_weights_kept(self):
         std = StandardPopulation(weights=(Fraction(1, 3), Fraction(2, 3)))
         assert std.weights == (Fraction(1, 3), Fraction(2, 3))
@@ -193,11 +211,26 @@ class TestStandardizedPoint:
             assert approx.y == pytest.approx(exact.y, abs=1e-12)
 
     def test_weight_count_must_match(self, whickham):
-        std = StandardPopulation(weights=(1.0,))
-        with pytest.raises(ValidationError):
-            standardized_point(whickham, std)
-        with pytest.raises(ValidationError):
-            standardize(association_points(whickham)[1], std)
+        for std in (StandardPopulation(weights=(1.0,)),
+                    StandardPopulation(weights=(0.25, 0.25, 0.5))):
+            with pytest.raises(ValidationError, match="weights for 2 strata"):
+                standardized_point(whickham, std)
+            with pytest.raises(ValidationError):
+                standardize(association_points(whickham)[1], std)
+
+    @pytest.mark.parametrize("row", [("b", 0, 0, 1, 2), ("b", 1, 2, 0, 0)])
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (1, 0)])
+    def test_a_zero_total_group_has_no_risk(self, make_table, row, weights):
+        # a ValidationError, not the ZeroDivisionError of a zero denominator,
+        # whatever the group's weight
+        table = make_table([("a", 1, 2, 1, 3), row])
+        with pytest.raises(ValidationError, match="zero-total margin"):
+            standardized_point(table, StandardPopulation(weights=weights))
+
+    def test_a_point_mass_gives_the_stratum_risks_exactly(self, make_table):
+        table = make_table([("a", 1, 3, 1, 7), ("b", 2, 3, 4, 7)])
+        p = standardized_point(table, StandardPopulation(weights=(1, 0)))
+        assert p.coords == (1 / 7, 1 / 3)
 
 
 class TestHull:
@@ -498,3 +531,65 @@ def test_weights_exist_exactly_where_the_target_is_not_outside(
         rebuilt = standardize(strata, std)
         assert math.hypot(rebuilt.x - target.x, rebuilt.y - target.y) <= \
             tol + 1e-13
+
+
+def fraction_point(table, weights):
+    """The standardized point by Fraction arithmetic, each coordinate
+    rounded once."""
+    x = sum(Fraction(w) * Fraction(c.unexposed_cases, c.unexposed_total)
+            for w, c in zip(weights, table.cells))
+    y = sum(Fraction(w) * Fraction(c.exposed_cases, c.exposed_total)
+            for w, c in zip(weights, table.cells))
+    return float(x), float(y)
+
+
+@st.composite
+def group(draw):
+    total = draw(st.integers(1, 10**7))
+    return draw(st.sampled_from([0, total]) | st.integers(0, total)), total
+
+
+@st.composite
+def exact_tables(draw):
+    k = draw(st.integers(1, 50))
+    return StratifiedCohortTable(strata=tuple(
+        (f"s{i}", CohortCell(*draw(group()), *draw(group())))
+        for i in range(k)))
+
+
+@st.composite
+def standards(draw, k):
+    """A preset name, or custom weights of one kind: Fractions, floats,
+    numpy float64s or Decimals over drawn integers, or an int point mass."""
+    kind = draw(st.sampled_from(
+        [*PRESETS, Fraction, float, np.float64, Decimal, int]))
+    if kind in PRESETS:
+        return kind
+    if kind is int:
+        mass = draw(st.integers(0, k - 1))
+        return tuple(int(i == mass) for i in range(k))
+    raw = draw(st.lists(st.integers(0, 10**9), min_size=k, max_size=k)
+               .filter(any))
+    exact = [Fraction(w, sum(raw)) for w in raw]
+    if kind is Decimal:
+        return tuple(Decimal(w.numerator) / Decimal(w.denominator)
+                     for w in exact)
+    return tuple(kind(w) for w in exact)
+
+
+@given(exact_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_standardized_point_is_the_fraction_sum_rounded_once(table, data):
+    standard = data.draw(standards(table.k))
+    std = (standard_population(table, standard) if standard in PRESETS
+           else StandardPopulation(weights=standard))
+    assert standardized_point(table, std).coords == \
+        fraction_point(table, std.weights)
+
+
+def test_the_adversarial_presets_are_the_fraction_sums_rounded_once():
+    for table in adversarial.adversarial_tables():
+        for preset in PRESETS:
+            std = standard_population(table, preset)
+            assert standardized_point(table, std).coords == \
+                fraction_point(table, std.weights), (table, preset)

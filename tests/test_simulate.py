@@ -11,6 +11,7 @@ import json
 import math
 import threading
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -156,6 +157,16 @@ class TestPopulationSpec:
                 PopulationSpec(**spec)
             with pytest.raises(ValidationError, match="must lie in"):
                 parse_population_spec(json.dumps(spec))
+
+    def test_a_probability_is_taken_as_a_standard_weight_is(self):
+        # one rule for both: a Decimal, which Python does not count a Real,
+        # is a probability, and enters the exact truth at its exact value
+        spec = PopulationSpec(stratum_probs=(Decimal("0.3"), Decimal("0.7")),
+                              exposure_probs=(0.5, F(1, 3)),
+                              po_probs=((Decimal("0.1"), 0, 0, Decimal("0.9")),
+                                        (0, 0, 0, 1)))
+        assert spec.causal_risks_exact() == ((F(9, 10), F(9, 10)), (1, 1))
+        assert population_truth(spec).marginal_exact == (F(97, 100),) * 2
 
 
 class TestPopulationTruth:

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,11 +25,6 @@ class TestCohortCell:
         assert x == pytest.approx(0.3142, abs=5e-5)
         assert y == pytest.approx(0.2388, abs=5e-5)
         assert (x, y) == (CRUDE_UNEXPOSED, CRUDE_EXPOSED)
-
-    def test_risks_exact_are_fractions(self):
-        cell = CohortCell(exposed_cases=1, exposed_total=3,
-                          unexposed_cases=1, unexposed_total=7)
-        assert cell.risks_exact() == (Fraction(1, 7), Fraction(1, 3))
 
     def test_cases_cannot_exceed_total(self):
         with pytest.raises(ValidationError):
@@ -56,8 +50,6 @@ class TestCohortCell:
         assert cell.has_zero_margin
         with pytest.raises(ValidationError):
             cell.risks()
-        with pytest.raises(ValidationError):
-            cell.risks_exact()
 
     def test_addition_adds_counts(self):
         a = CohortCell(exposed_cases=1, exposed_total=2,
