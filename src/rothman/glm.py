@@ -5,13 +5,16 @@ complementary log-log links, with coefficients in reference-cell coding (first
 stratum, unexposed group), so the exposure coefficient b is the adjusted
 measure of association on the link scale. The saturated and exposure-only
 models are fitted in closed form by the observed cell and pooled exposure-group
-proportions, 0 and 1 included. The no-interaction model is fitted on its cell
-parameters, stratum i's cells having eta = alpha_i and alpha_i + b: its
+proportions, 0 and 1 included, each read onto the link scale from its cases and
+non-cases with no rounded proportion formed (`_Link.to_eta`). The
+no-interaction model is fitted on its cell parameters, stratum i's cells having
+eta = alpha_i and alpha_i + b: its
 log-likelihood is concave in eta under all four links and its information
 diagonal but for b, so one Newton core (`_newton`) takes steps on b and the
 alphas solved in O(k), for free fits and profile-interval endpoints alike: the
 two differ only in b's equation (score 0, or drop on the cut), the step-halving
-test and the stop rule. A cell with no cases (non-cases) may have its maximum
+test and the stop rule, and both start strictly inside the exact domain
+(`_Stack.start`). A cell with no cases (non-cases) may have its maximum
 at a risk of exactly 0 (1), on the boundary of the domain, where one hold rule
 (`_Stack.hold`) keeps it. With no finite Newton b, b moves `MAX_ETA_STEP`. A
 step that would carry such a cell across its bound, or b across a kink, stops
@@ -31,8 +34,8 @@ coding is an output format only, and each table's arrays are built once
 (`_cells`). What no link changes is shared: the fits of one table and terms
 share their names, and the closed-form ones their fitted cells, so the
 exposure-only fits of all links have one likelihood and `analyze` one crude
-exposure test. The chi-square functions are computed here, so there is no stats
-dependency.
+exposure test. The chi-square functions are computed here, the upper tail as a
+finite sum, so there is no stats dependency.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ MAX_ITERATIONS = 100
 MAX_HALVINGS = 32
 MAX_ETA_STEP = 4.0
 START_MARGIN = 0.01
-START_RISK = 1e-10
 DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
@@ -68,13 +70,17 @@ DEFAULT_LEVEL = 0.95
 
 @dataclass(frozen=True, slots=True)
 class _Link:
-    """``cells(eta, s, f)`` gives log(mu), log(1 - mu), and the first and
-    negated second eta-derivatives of s*log(mu) + f*log(1 - mu) per cell,
-    the logs straight from eta, so a risk too close to 1 to be stored apart
-    from it keeps its log-likelihood (cloglog: log(1 - mu) = -exp(eta))."""
+    """``to_eta(s, f)`` gives the link-scale value of the risk s / (s + f)
+    from the cases s and non-cases f, with no rounded risk formed, whose
+    error 1 - mu would magnify near 1: logit log(s / f), cloglog
+    log(log1p(s / f)). ``cells(eta, s, f)`` gives log(mu), log(1 - mu), and
+    the first and negated second eta-derivatives of s*log(mu) +
+    f*log(1 - mu) per cell, the logs straight from eta, so a risk too close
+    to 1 to be stored apart from it keeps its log-likelihood (cloglog:
+    log(1 - mu) = -exp(eta))."""
 
     name: str
-    to_eta: Callable[[np.ndarray], np.ndarray]
+    to_eta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cells: Callable[..., tuple[np.ndarray, ...]]
 
 
@@ -105,22 +111,17 @@ def _cloglog_cells(eta, s, f):
 
 
 _LINKS = {
-    "logit": _Link("logit", lambda mu: np.log(mu / (1.0 - mu)), _logit_cells),
-    "log": _Link("log", np.log, _log_cells),
-    "identity": _Link("identity", lambda mu: np.asarray(mu, dtype=float),
-                      _identity_cells),
-    "cloglog": _Link("cloglog", lambda mu: np.log(-np.log1p(-mu)),
+    "logit": _Link("logit", lambda s, f: np.log(s / f), _logit_cells),
+    "log": _Link("log", lambda s, f: np.log(s / (s + f)), _log_cells),
+    "identity": _Link("identity", lambda s, f: s / (s + f), _identity_cells),
+    "cloglog": _Link("cloglog", lambda s, f: np.log(np.log1p(s / f)),
                      _cloglog_cells),
 }
 
 
-with np.errstate(divide="ignore"):
-    # each link's bounds of risks 0 and 1, then of the start box, which a
-    # link with no finite bound does without
-    _BOUNDS = {name: (*link.to_eta(np.array([0.0, 1.0])), *(
-        link.to_eta(np.array([START_RISK, 1.0 - START_RISK]))
-        if name in ("log", "identity") else (-math.inf, math.inf)))
-        for name, link in _LINKS.items()}
+with np.errstate(divide="ignore"):  # each link's bounds of risks 0 and 1
+    _BOUNDS = {name: link.to_eta(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+               for name, link in _LINKS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,12 +240,11 @@ def _edges(b: float | np.ndarray, lo: float | np.ndarray,
 class _Stack:
     """Problems, each (cases, totals, link) with (rows, 2) arrays, stacked
     row-wise: problem j on the rows from ``starts[j]`` to ``ends[j]``. Each
-    row has an ``owner``, the link-scale bounds ``lo``, ``hi`` of risks 0
-    and 1, and those of a start box, risks `START_RISK` and 1 -
-    `START_RISK`, on a link with a finite bound. ``zero`` marks the rows
-    with a count of 0, the only ones a bound can hold, None if there are
-    none, and ``kinks`` the problems with a row whose cells all lack cases
-    (or non-cases) at a finite bound, whose profile has a kink at b = 0."""
+    row has an ``owner`` and the link-scale bounds ``lo``, ``hi`` of risks 0
+    and 1. ``zero`` marks the rows with a count of 0, the only ones a bound
+    can hold, None if there are none, and ``kinks`` the problems with a row
+    whose cells all lack cases (or non-cases) at a finite bound, whose
+    profile has a kink at b = 0."""
 
     def __init__(self, problems: Sequence[tuple]) -> None:
         s, n, self.links = zip(*problems)
@@ -254,7 +254,7 @@ class _Stack:
         self.s, self.n = s, n = np.concatenate(s), np.concatenate(n)
         self.f = f = n - s
         self.owner = np.repeat(np.arange(size), sizes)
-        self.lo, self.hi, self.box_lo, self.box_hi = np.array(
+        self.lo, self.hi = np.array(
             [_BOUNDS[link.name] for link in self.links]).T[:, self.owner]
         self.segments, j = [], 0  # one (link, rows, s, f) per run of one link
         for link, group in itertools.groupby(self.links):
@@ -276,17 +276,17 @@ class _Stack:
                          np.zeros(w * len(s) + size)) for w in (1, 2)}
 
     def start(self, alpha: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-        """``alpha`` with each entry putting a risk outside the start box at
-        this b moved `START_MARGIN` of the box's width inside, and each row
-        whose cells all lack cases (non-cases) onto its lower (upper) edge
-        (`_edges`), where its alpha score points out whatever b is."""
-        lo, hi = _edges(b_rows, self.box_lo, self.box_hi)
-        with np.errstate(invalid="ignore"):  # no box: inf - inf
-            margin = START_MARGIN * (hi - lo)
-            alpha = np.where((alpha > lo) & (alpha < hi), alpha,
-                             np.clip(alpha, lo + margin, hi - margin))
+        """``alpha`` with each entry not strictly inside its domain at this
+        b (`_edges`) moved `START_MARGIN` of the domain's width inside, the
+        width capped at `MAX_ETA_STEP` (the log link's domain has no lower
+        end), and each row whose cells all lack cases (non-cases) onto its
+        lower (upper) edge, where its alpha score points out whatever b
+        is."""
+        lo, hi = _edges(b_rows, self.lo, self.hi)
+        margin = START_MARGIN * np.minimum(hi - lo, MAX_ETA_STEP)
+        alpha = np.where((alpha > lo) & (alpha < hi), alpha,
+                         np.clip(alpha, lo + margin, hi - margin))
         if self.zero is not None:
-            lo, hi = _edges(b_rows, self.lo, self.hi)
             alpha = np.where((self.s == 0.0).all(axis=1), lo, np.where(
                 (self.f == 0.0).all(axis=1), hi, alpha))
         return alpha
@@ -406,11 +406,10 @@ class _Run:
 
 def _irls(stack: _Stack) -> _Run:
     """Fit the no-interaction model of each problem of ``stack`` in one
-    `_newton` run, from the smoothed proportions (s + 0.5) / (n + 1) on the
-    link scale, b the mean of the strata's effects there."""
-    mu0 = (stack.s + 0.5) / (stack.n + 1.0)
-    eta0 = np.concatenate([link.to_eta(mu0[r])
-                           for link, r, *_ in stack.segments])
+    `_newton` run, from the smoothed counts s + 0.5, f + 0.5 on the link
+    scale, b the mean of the strata's effects there."""
+    eta0 = np.concatenate([link.to_eta(s_r + 0.5, f_r + 0.5)
+                           for link, _, s_r, f_r in stack.segments])
     b = stack.sums(eta0[:, 1] - eta0[:, 0]) / (stack.ends - stack.starts)
     return _newton(stack, b, (eta0[:, 0] + eta0[:, 1] - b[stack.owner]) / 2.0,
                    _log_observed(stack.s, stack.n))
@@ -590,7 +589,7 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
 def _observed(s: np.ndarray, n: np.ndarray, link: _Link) -> tuple:
     """The observed risks on the link scale and each stratum's effect,
     infinite or nan where risks of 0 or 1 make them so."""
-    eta = link.to_eta(s / n)
+    eta = link.to_eta(s, n - s)
     if link.name == "identity":
         # p1 - p0 from the counts, rounded once (the products are exact
         # below 2**53), not the difference of two rounded proportions
@@ -832,7 +831,7 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     out), at most `MAX_ETA_STEP` or half way to a nearer limit, the alphas
     moved to first order along their profile.
     An infinite estimate's fit is the observed risks; its endpoint starts
-    at the smoothed proportions' b, as a fit does (`_irls`), each stratum
+    at the smoothed counts' b, as a fit does (`_irls`), each stratum
     keeping its risk off the bound.
     """
     if not 0.0 < level < 1.0:
@@ -874,7 +873,7 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
                 (s_p, n_p, link), r = problems[p], owner == p
                 (log_mu[r], log_nu[r]), (eta, _) = (
                     _log_observed(s_p, n_p), _observed(s_p, n_p, link))
-                smooth = link.to_eta((s_p + 0.5) / (n_p + 1.0))
+                smooth = link.to_eta(s_p + 0.5, n_p - s_p + 0.5)
                 b[p] = b0 = float(np.mean(smooth[:, 1] - smooth[:, 0]))
                 start[r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0],
                                     np.where(np.isfinite(eta[:, 1]),
@@ -909,15 +908,18 @@ def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,
 
 
 def _regularized_gamma(x: float, df: int) -> tuple[float, float]:
-    """Lower and upper regularized gamma P, Q of df/2 at x/2.
+    """Lower and upper regularized gamma P, Q of a = df/2 at t = x/2.
 
-    Each branch computes the smaller-error one directly: the series gives
-    P, the continued fraction gives Q, so Q keeps its relative accuracy
-    far into the upper tail.
+    Each branch computes the smaller-error one directly: below t = a + 1 the
+    series gives P; above it Q is a finite sum for a whole or half-integer
+    a (Abramowitz and Stegun 1964, 26.4.4-26.4.5),
+    e^-t sum t^i / Gamma(i + 1) over i = a - 1, a - 2, ... >= 0, plus
+    erfc(sqrt(t)) for an odd df, so Q keeps its relative accuracy far into
+    the upper tail. x is refused unless it is a number >= 0.
     """
     if df < 1 or int(df) != df:
         raise ValidationError(f"df must be a positive integer, got {df!r}")
-    if x < 0:
+    if not x >= 0:
         raise ValidationError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:
         return 0.0, 1.0
@@ -939,27 +941,14 @@ def _regularized_gamma(x: float, df: int) -> tuple[float, float]:
                 break
         p = min(1.0, total * math.exp(log_scale))
         return p, 1.0 - p
-    # Lentz continued fraction for the upper regularized gamma.
-    tiny = 1e-300
-    b = t + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = min(1.0, math.exp(log_scale) * h)
+    # the terms from i = a - 1 down, each the last times i / t
+    term, q, i = math.exp(log_scale) / t, 0.0, a - 1.0
+    while i >= 0.0:
+        q += term
+        term *= i / t
+        i -= 1.0
+    if df % 2:
+        q += math.erfc(math.sqrt(t))
     return 1.0 - q, q
 
 
@@ -979,13 +968,20 @@ def chi_square_sf(x: float, df: int) -> float:
 
 @functools.lru_cache(maxsize=128)
 def chi_square_quantile(p: float, df: int) -> float:
-    """Inverse of chi_square_cdf in p, by bisection; results are cached."""
+    """Inverse of chi_square_cdf in p, by bisection; results are cached.
+    Above p = 0.5 it bisects on the upper tail Q against 1 - p, exact there:
+    Q keeps its relative accuracy where P rounds in steps of 2**-53."""
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"p must be in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
+
+    def below(x: float) -> bool:  # x is below the quantile
+        lower, upper = _regularized_gamma(x, df)
+        return lower < p if p <= 0.5 else upper > 1.0 - p
+
     hi = 1.0
-    while chi_square_cdf(hi, df) < p:
+    while below(hi):
         hi *= 2.0
         if hi > 1e12:
             raise GlmError(f"quantile search overflow for p={p}, df={df}")
@@ -994,7 +990,7 @@ def chi_square_quantile(p: float, df: int) -> float:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
-        if chi_square_cdf(mid, df) < p:
+        if below(mid):
             lo = mid
         else:
             hi = mid

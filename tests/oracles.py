@@ -16,6 +16,9 @@ with a count of 0, whose maximum may sit on an edge of its domain or at an
 infinite alpha, and `endpoint_error` and `estimate_error` check an endpoint
 or an estimate on such a table with no root search in b.
 
+`odds_ratio` and `hazard_ratio` are a stratum's exact measures, for the
+stratum estimates read off its two cells.
+
 `decimal_stationary_root` is the collapsibility oracle: the stationary
 point of an OR or HR along a segment, found by bisection in `decimal`;
 `stationary_root_spread` is how far rounding lets a float search stray
@@ -25,6 +28,7 @@ from it.
 import functools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from rothman.measures import Measure
 
@@ -314,6 +318,30 @@ def estimate_error(table, link: str, terms: str, estimate: float) -> Decimal:
         curvature = (profile(b + h)[1] - profile(b - h)[1]) / (2 * h)
         return _relative_error(link, estimate,
                                b - profile(b)[1] / curvature)
+
+
+def odds_ratio(s0, n0, s1, n1):
+    """The stratum's odds ratio s1 f0 / (f1 s0), f the non-cases, as an exact
+    `Fraction`, from its unexposed and exposed cases and totals; None where
+    it is not a finite number."""
+    if s0 == 0 or s1 == n1:
+        return None
+    return Fraction(s1 * (n0 - s0), (n1 - s1) * s0)
+
+
+def hazard_ratio(s0, n0, s1, n1):
+    """The stratum's hazard ratio ln(n1 / f1) / ln(n0 / f0), f the
+    non-cases, to `DIGITS` digits; None where it is not a finite number."""
+    if s0 == 0 or s1 == n1:
+        return None
+    if s0 == n0:  # ln(n0 / f0) is infinite
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = _WORKING
+        ratio = ((Decimal(n1) / (n1 - s1)).ln()
+                 / (Decimal(n0) / (n0 - s0)).ln())
+        ctx.prec = DIGITS
+        return +ratio
 
 
 def _link_scale(link, value):

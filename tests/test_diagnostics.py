@@ -522,8 +522,8 @@ def test_whickham_analysis_irls_fit_count(irls_recorder, whickham):
 def test_six_strata_analysis_irls_fit_count(irls_recorder, six_strata):
     # One joint solve an endpoint made 20 runs in 93 iterations, one
     # grouped run a measure 8 in 44, four free fits and one grouped
-    # endpoint run 5 in 32; the free fits take 5/10/7/5 iterations alone.
-    _assert_analysis_work(irls_recorder, six_strata, 10, 5)
+    # endpoint run 5 in 32; the free fits take 5/7/7/5 iterations alone.
+    _assert_analysis_work(irls_recorder, six_strata, 7, 5)
 
 
 def test_analysis_makes_one_run_of_each_kind_on_small_tables(irls_recorder):

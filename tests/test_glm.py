@@ -217,6 +217,9 @@ class TestChiSquare:
     def test_validation(self):
         with pytest.raises(ValidationError):
             chi_square_cdf(-1.0, 1)
+        for tail in (chi_square_cdf, chi_square_sf):
+            with pytest.raises(ValidationError):  # min(1.0, nan) was 1.0
+                tail(math.nan, 1)
         with pytest.raises(ValidationError):
             chi_square_cdf(1.0, 0)
         with pytest.raises(ValidationError):
@@ -598,16 +601,17 @@ class TestLikelihoodRatioMachinery:
         # reference stratum held at a risk of 0, so reference coding loses
         # its alphas. Neither the test nor the profile refits: the profile
         # starts from the fit's own alphas, and its endpoint run is the only
-        # Newton run.
+        # Newton run. b is log(3/7) - log(1/8), 1.07 ulps from ln(24/7) =
+        # 1.2321436812926323145...
         table = make_table([("a", 0, 5, 0, 7), ("b", 3, 10, 1, 9)])
         f = fit(ModelSpec(link="logit", terms="exposure_plus_stratum",
                           table=table))
-        assert f.coefficients == (-math.inf, 1.2321436812926323, math.inf)
+        assert f.coefficients == (-math.inf, 1.232143681292632, math.inf)
         assert f.iterations == 0
         assert exposure_test(f).statistic == 1.0605565200268647
         assert irls_recorder.calls == []
         iv = profile_interval(f)
-        assert (iv.lower, iv.upper) == (0.34540086215169535, 78.55921648587939)
+        assert (iv.lower, iv.upper) == (0.3454008621516956, 78.55921648587932)
         assert [call.joint for call in irls_recorder.calls] == [True]
 
     def test_result_types(self, whickham):
@@ -1147,7 +1151,9 @@ def test_profile_endpoints_sit_on_the_cut_or_at_b_s_limit(table):
 # the cut, each pass moves b by MAX_ETA_STEP. The fit's step halving ran
 # out, after 10 to 17 iterations, on the other five, which the unseeded
 # properties drew; a step that would cross a bound now stops on it, and
-# they fit.
+# they fit. The same property drew two more whose endpoint runs out of
+# steps, strict xfails too: the log lower endpoint of one and the identity
+# upper endpoint of the other.
 _ENDPOINT_OUT_OF_STEPS = pytest.mark.xfail(
     strict=True, raises=NonConvergenceError,
     reason="the endpoint runs do not converge on these tables")
@@ -1172,9 +1178,14 @@ _ENDPOINT_OUT_OF_STEPS = pytest.mark.xfail(
     ("log", [(0, 1, 0, 52), (49149, 49149, 0, 9999996), (0, 1, 53232, 53232),
              (0, 235544, 0, 1), (1, 1, 0, 1), (0, 1, 4796, 15844),
              (0, 48522, 0, 47281)]),
+    pytest.param("log", [(5, 31, 1, 2), (12, 12, 0, 9)],
+                 marks=_ENDPOINT_OUT_OF_STEPS),
+    pytest.param("identity", [(3, 28, 2, 8), (0, 1, 0, 1), (0, 21, 0, 5)],
+                 marks=_ENDPOINT_OUT_OF_STEPS),
 ], ids=["log-endpoint", "log-endpoint-large-counts", "identity-fit",
         "identity-fit-drawn", "log-fit-13-strata", "identity-fit-near-one",
-        "log-endpoint-near-one", "log-fit-7-strata"])
+        "log-endpoint-near-one", "log-fit-7-strata", "log-endpoint-drawn",
+        "identity-endpoint-drawn"])
 def test_a_no_interaction_fit_and_its_interval_succeed(link, strata):
     table = _table([(f"s{i}", *row) for i, row in enumerate(strata)])
     f = fit(ModelSpec(link=link, terms="exposure_plus_stratum", table=table))
@@ -1218,8 +1229,8 @@ def test_every_fit_is_the_bounded_maximum(table):
 
 # The first tables of the adversarial set (tests/adversarial.py), as many
 # as its script fits and profiles in a few seconds, and the most errors
-# they may give: two upper endpoints that run out of steps, tables 89 (log)
-# and 148 (cloglog).
+# they may give: one upper endpoint that runs out of steps, table 148's
+# (cloglog).
 ADVERSARIAL_PREFIX = 150
 ADVERSARIAL_DIGEST = (
     "d966f8b57388dc6c9fad52a05d95b009b1f868e3a82bd561bef618c8a8c8b496")
@@ -1230,7 +1241,7 @@ def test_the_adversarial_set_gives_no_more_errors():
     assert adversarial.tables_digest(tables) == ADVERSARIAL_DIGEST
     result = adversarial.survey(tables[:ADVERSARIAL_PREFIX])
     assert not result["fit_errors"]
-    assert len(result["interval_errors"]) <= 2, result["interval_errors"]
+    assert len(result["interval_errors"]) <= 1, result["interval_errors"]
 
 
 def _interval_or_error(f):
@@ -1567,3 +1578,35 @@ def test_small_table_endpoints_match_the_decimal_oracle():
         link="log", terms="exposure_plus_stratum", table=tables[18])))
     assert oracles.estimate_error(tables[18], "log", "exposure_plus_stratum",
                                   iv.estimate) <= ESTIMATE_REL_BOUND
+
+
+# Each stratum's odds and hazard ratios are read off its two cells'
+# link-scale values, exp(g(y) - g(x)), g taken straight from the counts
+# (log(s / f), log(log1p(s / f))). The worst relative errors, on the tables
+# below, are 1.09e-15 (OR, the last table's, 6.3 ulps: exp(b) at b = -8.76
+# carries b's own rounding) and 3.5e-16 (HR); from rounded proportions they
+# were 7.9e-13 and 8.0e-14, both on the last table. This bound may only
+# tighten.
+STRATUM_RATIO_REL_BOUND = Decimal("1.1e-15")
+
+
+def test_odds_and_hazard_ratio_stratum_estimates_match_the_exact_ratio(
+        whickham, six_strata):
+    tables = [whickham, six_strata, *test_golden.small_tables(),
+              *test_golden.sampled_k2_tables(),
+              _table([("s0", 3224264, 4349975, 1188064, 1188129)])]
+    for table in tables:
+        for link, exact_ratio in (("logit", oracles.odds_ratio),
+                                  ("cloglog", oracles.hazard_ratio)):
+            for estimate, c in zip(glm._stratum_effects(table, link),
+                                   table.cells):
+                exact = exact_ratio(c.unexposed_cases, c.unexposed_total,
+                                    c.exposed_cases, c.exposed_total)
+                if exact is None:  # infinite, or nan (0/0)
+                    assert not math.isfinite(estimate), (link, c)
+                    continue
+                if isinstance(exact, Fraction):
+                    exact = Decimal(exact.numerator) / exact.denominator
+                error = abs(Decimal(estimate) - exact)
+                assert error <= STRATUM_RATIO_REL_BOUND * exact, (
+                    link, c, error / exact)

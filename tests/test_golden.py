@@ -4,13 +4,16 @@ These catch any drift in numeric formatting, JSON key layout, or SVG
 element ordering. If an intentional change lands, regenerate the report
 goldens, ``analyze_whickham.json``, ``small_tables.json``,
 ``sampled_k2.sha256`` and ``cli_invocations.sha256``, by running this file:
-``PYTHONPATH=src python tests/test_golden.py``. The figure golden,
-``fig1_standardized_points.svg``, is the text of ``figure_svg(1)``.
+``PYTHONPATH=src python tests/test_golden.py``, which prints whether each
+one's bytes changed, and how many of the small tables' digests did. The
+figure golden, ``fig1_standardized_points.svg``, is the text of
+``figure_svg(1)``.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -178,13 +181,23 @@ def test_cli_invocations_match_digest():
         "if the change is intentional")
 
 
+def regenerate(name: str, text: str) -> str:
+    """Write ``text`` to the golden ``name``, print whether its bytes
+    changed, and return the text it replaced."""
+    path = GOLDEN / name
+    old = path.read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    print(f"{name}: {'unchanged' if text == old else 'changed'}")
+    return old
+
+
 if __name__ == "__main__":
-    (GOLDEN / "analyze_whickham.json").write_text(
-        analyze(whickham_table()).to_json() + "\n", encoding="utf-8")
-    (GOLDEN / "small_tables.json").write_text(json.dumps(
-        [small_table_digest(t) for t in small_tables()], indent=1) + "\n",
-        encoding="utf-8")
-    (GOLDEN / "sampled_k2.sha256").write_text(
-        sampled_k2_digest() + "\n", encoding="utf-8")
-    (GOLDEN / "cli_invocations.sha256").write_text(
-        cli_invocations_digest() + "\n", encoding="utf-8")
+    regenerate("analyze_whickham.json",
+               analyze(whickham_table()).to_json() + "\n")
+    digests = [small_table_digest(t) for t in small_tables()]
+    old = json.loads(regenerate("small_tables.json",
+                                json.dumps(digests, indent=1) + "\n"))
+    moved = sum(a != b for a, b in itertools.zip_longest(old, digests))
+    print(f"  {moved} of {len(digests)} digests changed")
+    regenerate("sampled_k2.sha256", sampled_k2_digest() + "\n")
+    regenerate("cli_invocations.sha256", cli_invocations_digest() + "\n")
