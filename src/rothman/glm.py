@@ -13,8 +13,11 @@ log-likelihood is concave in eta under all four links and its information
 diagonal but for b, so one Newton core (`_newton`) takes steps on b and the
 alphas solved in O(k), for free fits and profile-interval endpoints alike: the
 two differ only in b's equation (score 0, or drop on the cut), the step-halving
-test and the stop rule, and both start strictly inside the exact domain
-(`_Stack.start`). A cell with no cases (non-cases) may have its maximum
+test and the stop rule. Both start strictly inside the exact domain
+(`_Stack.start`), keep only the trials they accept and run at most
+`MAX_ITERATIONS` passes, and a problem that fails gets its own
+`NonConvergenceError`, with the trace of its deviance (a fit's) or drop (an
+endpoint's). A cell with no cases (non-cases) may have its maximum
 at a risk of exactly 0 (1), on the boundary of the domain, where one hold rule
 (`_Stack.hold`) keeps it. With no finite Newton b, b moves `MAX_ETA_STEP`. A
 step that would carry such a cell across its bound, or b across a kink, stops
@@ -63,7 +66,6 @@ START_MARGIN = 0.01
 DECREMENT_TOL = 1e-21
 DEVIANCE_ROUNDING = 1e-14
 PROFILE_BETA_TOL = 1e-9
-PROFILE_MAX_STEPS = 64
 PROFILE_STALL_STEPS = 8
 DEFAULT_LEVEL = 0.95
 
@@ -188,15 +190,21 @@ class LrTest:
 @functools.lru_cache(maxsize=32)
 def _cells(table: StratifiedCohortTable) -> tuple[np.ndarray, ...]:
     """Cases, totals and log C(totals, cases) as read-only (k, 2) arrays,
-    columns (unexposed, exposed), built once per table."""
+    columns (unexposed, exposed), built once per table. A stratum with a
+    zero-total group, or with a count whose log-factorial overflows a
+    float (one above about 2.56e305), is refused."""
+    for label, c in table.strata:
+        try:  # the cases are at most their totals
+            math.lgamma(max(c.exposed_total, c.unexposed_total) + 1.0)
+        except OverflowError:
+            raise ValidationError(f"stratum {label!r} has a count whose "
+                                  "log-factorial overflows a float") from None
+        if c.has_zero_margin:
+            raise ZeroMarginError(f"stratum {label!r} has a zero-total "
+                                  "exposure group; its risk is not estimable")
     counts = np.array([(c.unexposed_cases, c.exposed_cases, c.unexposed_total,
                         c.exposed_total) for c in table.cells], dtype=float)
     s, n = counts[:, :2], counts[:, 2:]
-    empty = np.nonzero((n == 0.0).any(axis=1))[0]
-    if empty.size:
-        raise ZeroMarginError(
-            f"stratum {table.labels[empty[0]]!r} has a zero-total exposure "
-            "group; its risk is not estimable")
     log_choose = np.reshape([
         math.lgamma(m + 1.0) - math.lgamma(c + 1.0) - math.lgamma(m - c + 1.0)
         for c, m in zip(s.ravel().tolist(), n.ravel().tolist())], s.shape)
@@ -394,13 +402,16 @@ class _Stack:
 
 @dataclass(frozen=True, slots=True)
 class _Run:
+    """What one `_newton` run leaves: every problem's last accepted
+    iterate, and each failed one's error."""
+
     alpha: np.ndarray  # each row's alpha
-    b: np.ndarray  # each problem's b, nan where its endpoint solve failed
+    b: np.ndarray  # each problem's b
     log_mu: np.ndarray  # each row's log(mu) and log(1 - mu) at the end
     log_nu: np.ndarray
     deviance: np.ndarray  # each problem's deviance from ``ref``
     steps: np.ndarray  # each problem's passes until done, 0 if never
-    errors: list  # each fit's NonConvergenceError, None if it converged
+    errors: list  # each problem's NonConvergenceError, None if it converged
     iterations: int  # Newton passes over the group
 
 
@@ -443,8 +454,7 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
 
     Only a fit's b stays on a kink (`_Stack.hold`), and a fit stops after the
     step whose Newton decrement delta'g is at most `DECREMENT_TOL` times the
-    total count; one whose halvings run out, or that runs `MAX_ITERATIONS`
-    passes, gets its own error, with its deviance trace, in ``errors``.
+    total count.
 
     An endpoint measures b by its distance from the estimate, or from its start
     where the estimate is infinite. Its inner end is the last iterate whose
@@ -453,8 +463,14 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
     back inside the inner end, or one after `PROFILE_STALL_STEPS` steps in a
     row that bring the drop no closer to the cut, is replaced by the same b,
     for a step of the alphas alone. It is done after a Newton step whose b part
-    is at most `PROFILE_BETA_TOL`, and fails, its b nan, after
-    `PROFILE_MAX_STEPS` steps.
+    is at most `PROFILE_BETA_TOL`.
+
+    Each problem keeps only the trials it accepts. One whose halvings run
+    out, or that runs `MAX_ITERATIONS` passes, fails: it keeps its last
+    accepted iterate and gets its own `NonConvergenceError` in ``errors``,
+    naming its link (and an endpoint's side), with the trace of its
+    deviance (a fit's) or drop (an endpoint's) at its start and after each
+    pass it completed.
     """
     owner, starts, links, size = stack.owner, stack.starts, stack.links, b.size
     fit = cut is None
@@ -463,16 +479,19 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
 
     def fail(failed: np.ndarray, text: str) -> None:
         for j in np.flatnonzero(failed).tolist() if failed.any() else ():
+            of = "" if fit else " of the {} profile endpoint".format(
+                "upper" if side[j] > 0 else "lower")
             errors[j] = NonConvergenceError(
-                text.format(iterations=iterations, link=links[j].name),
+                text.format(iterations=iterations, link=links[j].name, of=of),
                 trace=[float(d[j]) for d in history])
 
     with np.errstate(all="ignore"):
         alpha = stack.start(alpha, b[owner])
         cells = stack.cells(alpha, b[owner])
         dev = stack.drops(ref, *cells)
+        history = [dev]  # each pass's deviances, or an endpoint's drops
         if fit:
-            total, history = stack.sums(stack.n), [dev]
+            total = stack.sums(stack.n)
             slack, tol = DEVIANCE_ROUNDING * total, DECREMENT_TOL * total
         else:
             side = np.sign(b - b_hat)
@@ -553,34 +572,31 @@ def _newton(stack: _Stack, b: np.ndarray, alpha: np.ndarray, ref: tuple,
                     break
                 step = np.where(pending, step / 2.0, step)
             taken = active & ~pending
-            # an endpoint takes every trial, a fit only those it accepts
-            if not fit or taken.all():
+            if taken.all():
                 alpha, b, dev, cells = alpha_try, b_try, dev_try, trial
-            else:
+            else:  # only the trials accepted
                 rows = taken[owner]
                 alpha, cells = np.where(rows, alpha_try, alpha), np.where(
                     rows[:, None], trial, cells)
                 b, dev = (np.where(taken, b_try, b),
                           np.where(taken, dev_try, dev))
+            # one whose halvings ran out has failed
+            fail(pending, "step halving exhausted after {iterations} "
+                 "iterations{of} under the {link} link")
+            history.append(dev)
             if fit:
-                fail(pending, "step halving exhausted after {iterations} "
-                     "iterations under the {link} link")
-                history.append(dev)
-                active = taken  # one whose halvings ran out has failed
-                done = active & (stack.sums(delta * g_alpha) + delta_b * g_b
-                                 <= tol)
-                lost = active & ~done & (iterations >= MAX_ITERATIONS)
-                fail(lost, f"no convergence in {MAX_ITERATIONS} iterations "
-                     "under the {link} link")
+                done = taken & (stack.sums(delta * g_alpha) + delta_b * g_b
+                                <= tol)
             else:
                 gap = np.abs(dev - cut)
                 stalled = np.where((gap < closest) | stay, 0, stalled + 1)
                 closest = np.where(stay, gap, np.minimum(gap, closest))
                 done = taken & ~stay & (np.abs(delta_b) <= PROFILE_BETA_TOL)
-                lost = active & ~done & (iterations >= PROFILE_MAX_STEPS)
-                b = np.where(lost, math.nan, b)
+            lost = taken & ~done & (iterations >= MAX_ITERATIONS)
+            fail(lost, f"no convergence in {MAX_ITERATIONS} iterations"
+                 "{of} under the {link} link")
             steps[done] = iterations
-            active = active & ~done & ~lost
+            active = taken & ~done & ~lost
     return _Run(alpha=alpha, b=b, log_mu=cells[0], log_nu=cells[1],
                 deviance=dev, steps=steps, errors=errors,
                 iterations=iterations)
@@ -642,9 +658,10 @@ def fits(specs: Sequence[ModelSpec]) -> list[GlmFit | GlmError]:
     are fitted in one free-fit run of the Newton core that also solves
     profile endpoints (`_irls`, `_newton`), reported in reference coding:
     intercept = alpha_1 and stratum:i = alpha_i - alpha_1. The fits of one
-    table and
-    terms share their coefficient names, and the closed-form ones their
-    fitted cells, log-likelihood and deviance, which no link changes."""
+    table and terms share their coefficient names, and the closed-form ones
+    their fitted cells, log-likelihood and deviance, which no link changes.
+    A table with a count whose log-factorial overflows a float (`_cells`)
+    raises a `ValidationError` naming its stratum, before any fit."""
     results: list = [None] * len(specs)
     groups: dict = {}  # the result indices of each table and terms
     for i, spec in enumerate(specs):
@@ -832,7 +849,9 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     moved to first order along their profile.
     An infinite estimate's fit is the observed risks; its endpoint starts
     at the smoothed counts' b, as a fit does (`_irls`), each stratum
-    keeping its risk off the bound.
+    keeping its risk off the bound. A fit whose endpoint fails gets that
+    endpoint's `NonConvergenceError` as the run left it, the lower one's
+    if both fail.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
@@ -847,6 +866,7 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
     sides = np.array([[-1.0], [1.0]])  # lower, upper
     inside = sides * b_hat < limits
     ends = sides * limits  # each fit's lower and upper endpoints
+    errors: list = [None] * len(fits)  # the first failed endpoint's error
     if inside.any():
         # one problem for each endpoint not at a limit, by fit, then side
         fit_of, side_of = (x.tolist() for x in np.nonzero(inside.T))
@@ -878,23 +898,16 @@ def profile_intervals(fits: Sequence[GlmFit], level: float = DEFAULT_LEVEL,
                 start[r] = np.where(np.isfinite(eta[:, 0]), eta[:, 0],
                                     np.where(np.isfinite(eta[:, 1]),
                                              eta[:, 1] - b0, -b0 / 2.0))
-        ends.T[inside.T] = _newton(stack, b, start, (log_mu, log_nu), b_hat,
-                                   cut).b
-
-    intervals = []
-    for fit_result, (lower, upper) in zip(fits, ends.T.tolist()):
-        link = fit_result.spec.link
-        if math.isnan(lower) or math.isnan(upper):
-            intervals.append(NonConvergenceError(
-                f"no {'lower' if math.isnan(lower) else 'upper'} profile "
-                f"endpoint in {PROFILE_MAX_STEPS} steps under the {link} "
-                "link", trace=[]))
-        else:
-            intervals.append(LrInterval(
-                estimate=exposure_estimate(fit_result),
-                lower=natural_scale(link, lower),
-                upper=natural_scale(link, upper), level=level))
-    return intervals
+        run = _newton(stack, b, start, (log_mu, log_nu), b_hat, cut)
+        ends.T[inside.T] = run.b
+        for j, error in zip(fit_of, run.errors):  # the lower one first
+            errors[j] = errors[j] or error
+    return [error or LrInterval(
+        estimate=exposure_estimate(fit_result),
+        lower=natural_scale(fit_result.spec.link, lower),
+        upper=natural_scale(fit_result.spec.link, upper), level=level)
+        for fit_result, error, (lower, upper) in zip(fits, errors,
+                                                     ends.T.tolist())]
 
 
 def profile_interval(fit_result: GlmFit, level: float = DEFAULT_LEVEL,

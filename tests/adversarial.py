@@ -7,8 +7,10 @@ no-interaction models of the first ``count`` tables (all 300 by default) of
 ``seed`` (1 by default) under every link, profiles each fit, and prints the
 errors by link and text, each error with its table's index, link and terms,
 the Newton passes of the free no-interaction fits and the Newton runs
-(`glm._newton`) that the survey made, free-fit and endpoint. Run it with this
-tree's ``src`` on ``PYTHONPATH``.
+(`glm._newton`) that the survey made, free-fit and endpoint. A range of
+seeds, ``python tests/adversarial.py 300 1-7``, prints that for each seed
+and then each seed's count of fit and of interval errors, with their total.
+Run it with this tree's ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def survey(tables: list[StratifiedCohortTable]) -> dict:
             "passes": passes}
 
 
-def main(argv: list[str]) -> None:
-    seed = int(argv[1]) if len(argv) > 1 else SEED
-    tables = adversarial_tables(int(argv[0]) if argv else TABLES, seed)
+def report(count: int, seed: int) -> dict:
+    """Print the survey of the first ``count`` tables of ``seed`` and
+    return it."""
+    tables = adversarial_tables(count, seed)
     runs, newton = collections.Counter(), glm._newton
     signature = inspect.signature(newton)
 
@@ -124,6 +127,19 @@ def main(argv: list[str]) -> None:
               f"over 30 {sum(p > 30 for p in passes)}")
     print(f"Newton runs: {runs.total()}, free-fit {runs['free-fit']}, "
           f"endpoint {runs['endpoint']}")
+    return result
+
+
+def main(argv: list[str]) -> None:
+    count = int(argv[0]) if argv else TABLES
+    first, _, last = (argv[1] if len(argv) > 1 else str(SEED)).partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    results = [report(count, seed) for seed in seeds]
+    if len(results) > 1:
+        for name in ("fit_errors", "interval_errors"):
+            each = [len(result[name]) for result in results]
+            print(f"{name} by seed: {', '.join(map(str, each))} "
+                  f"({sum(each)})")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ recorder of the GLM layer's Newton runs."""
 import dataclasses
 import inspect
 
-import numpy as np
 import pytest
 
 from rothman import glm
@@ -116,36 +115,35 @@ class IrlsCall:
     no-interaction fits, or one of endpoint problems (``joint``).
 
     ``strata`` counts the rows of the stack it was given; ``iterations``
-    counts its passes; ``failed`` has one flag a problem."""
+    counts its passes; ``errors`` has each problem's error, None if it
+    converged, and ``failed`` one flag a problem."""
 
     joint: bool
     strata: int
     iterations: int
-    failed: list[bool]
+    errors: list
+
+    @property
+    def failed(self) -> list[bool]:
+        return [error is not None for error in self.errors]
 
 
 class IrlsRecorder:
     """Records every `glm._newton` run in ``calls``, an endpoint run told by
     its ``cut``, both it and the ``stack`` read by name from the arguments
-    bound to `glm._newton`'s signature. ``rewrite``, when set, maps each
-    endpoint run's result to the one its caller receives."""
+    bound to `glm._newton`'s signature."""
 
     def __init__(self, monkeypatch):
         self.calls: list[IrlsCall] = []
-        self.rewrite = None
         newton = glm._newton
         signature = inspect.signature(newton)
 
         def recorded(*args, **kwargs):
             run = newton(*args, **kwargs)
             arguments = signature.bind(*args, **kwargs).arguments
-            stack, joint = arguments["stack"], arguments.get("cut") is not None
-            if joint and self.rewrite is not None:
-                run = self.rewrite(run)
-            failed = (np.isnan(run.b).tolist() if joint
-                      else [e is not None for e in run.errors])
-            self.calls.append(IrlsCall(joint, len(stack.s), run.iterations,
-                                       failed))
+            self.calls.append(IrlsCall(
+                arguments.get("cut") is not None, len(arguments["stack"].s),
+                run.iterations, run.errors))
             return run
 
         monkeypatch.setattr(glm, "_newton", recorded)

@@ -231,6 +231,23 @@ class TestAnalyze:
         assert payload["message"]
         assert "trace" not in payload
 
+    @pytest.mark.parametrize("command", ["analyze", "collapse"])
+    def test_a_count_past_the_largest_float_exits_one(self, run, tmp_path,
+                                                      make_table, command):
+        # The fits read counts as floats: a total of 10**400 once raised
+        # OverflowError with a traceback, and is now refused, naming its
+        # stratum, before any fit. The exact standardized points take it.
+        path = tmp_path / "huge.csv"
+        path.write_text(serialize_table(make_table(
+            [("a", 3, 10 ** 400, 2, 10), ("b", 4, 10, 1, 10)]), "csv"))
+        code, out, err = run(command, str(path))
+        assert (code, out) == (1, "")
+        assert error_payload(err) == {
+            "code": "validation", "type": "ValidationError",
+            "message": "stratum 'a' has a count whose log-factorial "
+                       "overflows a float"}
+        assert run("standardize", str(path))[0] == 0
+
     def test_custom_weights_add_a_standardized_point(self, run):
         code, out, _ = run("analyze", "--weights", "0.5,0.5")
         assert code == 0

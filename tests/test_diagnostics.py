@@ -1,10 +1,8 @@
 """End-to-end analysis reports: flags, estimates, JSON stability."""
 
-import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -440,37 +438,41 @@ COMMON_KEYS = {"common_estimate", "common_interval", "interaction_p_value"}
 @pytest.mark.parametrize("forced", ["crude_interval", "common_fit",
                                     "common_interval"])
 def test_an_entry_reports_crude_then_common_errors(
-        irls_recorder, monkeypatch, whickham, forced):
-    # One forced failure among a measure's crude and common results, on
-    # Whickham. The entry names the first error of the crude results and
-    # then of the common results, and keeps the results that were all in
-    # before it. A failed endpoint problem gives its side's error text.
+        monkeypatch, whickham, make_table, forced):
+    # One forced failure among a measure's crude and common results. The
+    # entry names the first error of the crude results and then of the
+    # common results, and keeps the results that were all in before it. A
+    # failed endpoint gives the error of its interval alone. Under an
+    # iteration cap of 3 every Whickham endpoint (4 or 5 passes) fails;
+    # on the second table the crude endpoints and the common fit take 3
+    # and the common endpoints 4, so only those fail.
     def fits(specs):
         return [NonConvergenceError(f"forced {spec.terms} failure")
-                if forced == "common_fit"
-                and spec.terms == "exposure_plus_stratum" else result
+                if spec.terms == "exposure_plus_stratum" else result
                 for spec, result in zip(specs, real_fits(specs))]
 
-    real_fits = glm.fits
-    monkeypatch.setattr(glm, "fits", fits)
-    if forced != "common_fit":
-        # the lower endpoint of the crude (problem 0) or common (2) fit
-        failed = 0 if forced == "crude_interval" else 2
-        irls_recorder.rewrite = lambda run: dataclasses.replace(
-            run, b=np.where(np.arange(run.b.size) == failed, np.nan, run.b))
-    entry = analyze(whickham).to_json_dict()["measures"][0]
-    endpoint_error = (f"NonConvergenceError: no lower profile endpoint in "
-                      f"{glm.PROFILE_MAX_STEPS} steps under the logit link")
-    if forced == "crude_interval":
-        assert entry["error"] == endpoint_error
-        kept = set()
+    real_fits, table = glm.fits, whickham
+    if forced == "common_fit":
+        monkeypatch.setattr(glm, "fits", fits)
     else:
-        kept = CRUDE_KEYS
-        if forced == "common_fit":
-            assert entry["error"] == (
-                "NonConvergenceError: forced exposure_plus_stratum failure")
-        else:
-            assert entry["error"] == endpoint_error
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", 3)
+        if forced == "common_interval":
+            table = make_table([("a", 128, 285, 90, 129),
+                                ("b", 16, 51, 111, 191)])
+    entry = analyze(table).to_json_dict()["measures"][0]
+    if forced == "common_fit":
+        assert entry["error"] == (
+            "NonConvergenceError: forced exposure_plus_stratum failure")
+    else:
+        terms = ("exposure_only" if forced == "crude_interval"
+                 else "exposure_plus_stratum")
+        with pytest.raises(NonConvergenceError) as failed:
+            glm.profile_interval(glm.fit(glm.ModelSpec("logit", terms, table)))
+        assert str(failed.value) == ("no convergence in 3 iterations of the "
+                                     "lower profile endpoint under the logit "
+                                     "link")
+        assert entry["error"] == f"NonConvergenceError: {failed.value}"
+    kept = set() if forced == "crude_interval" else CRUDE_KEYS
     assert set(entry) & (CRUDE_KEYS | COMMON_KEYS) == kept
     assert not {"stratum_estimates", "effect_modification"} & set(entry)
 

@@ -268,6 +268,13 @@ class TestHull:
         assert area2 > 0
 
 
+@pytest.mark.parametrize("build", [standardized_hull, confounding_rectangle])
+def test_no_stratum_point_is_refused(build):
+    with pytest.raises(ValidationError,
+                       match="^need at least one stratum point$"):
+        build([])
+
+
 class TestConfoundingRectangle:
     def test_whickham_bounds(self, whickham):
         _, strata = association_points(whickham)
